@@ -1,14 +1,12 @@
 //! Ablation: full interleaving enumeration vs converged-state pruning vs
-//! sleep-set DPOR, sequential and parallel (DESIGN.md decisions 3 and 9).
+//! sleep-set DPOR (DESIGN.md decisions 3 and 9).
 //!
 //! Converged-state pruning is sound for reachable-result collection only;
 //! DPOR preserves races too, so it is the strategy the DRF0 verdicts run
 //! on. The full/dpor gap is the payoff of partial-order reduction, the
 //! full/pruned gap the (smaller) payoff of state convergence.
 
-use litmus::explore::{
-    explore, explore_dpor, explore_parallel, explore_results, ExploreConfig,
-};
+use litmus::explore::{explore, explore_dpor, explore_results, ExploreConfig};
 use litmus::{corpus, Program, Thread};
 use memory_model::Loc;
 use std::hint::black_box;
@@ -47,9 +45,6 @@ fn bench_strategies(h: &mut Harness) {
         });
         group.bench(&format!("dpor/{name}"), || {
             black_box(explore_dpor(black_box(program), &cfg));
-        });
-        group.bench(&format!("dpor_par/{name}"), || {
-            black_box(explore_parallel(black_box(program), &cfg, 0));
         });
     }
     group.finish();

@@ -1,12 +1,10 @@
 //! Explorer performance baseline + differential soundness gate.
 //!
 //! Runs the DRF0 sweep workload — the same "classify every program"
-//! shape the fuzz oracle drives — through all three exploration
-//! strategies:
+//! shape the fuzz oracle drives — through the exploration strategies:
 //!
 //! * `explore` — the unreduced ground truth,
 //! * `explore_dpor` — sleep-set partial-order reduction,
-//! * `explore_parallel` — the same reduction over a work-stealing pool,
 //!
 //! cross-checking `results`/`outcomes`/`races` and the DRF0 verdict
 //! between them on every program where both complete (the differential
@@ -14,13 +12,13 @@
 //! machine-readable `BENCH_explore.json` so later PRs have a perf
 //! trajectory to beat: programs/sec per strategy, states visited, states
 //! pruned, peak visited-set size, and the DPOR speedup over the
-//! unreduced baseline. The fourth row, `converged_state`, benchmarks
+//! unreduced baseline. The third row, `converged_state`, benchmarks
 //! [`litmus::explore::explore_results`] — the interned-digest converged
-//! state explorer — on the same sweep.
+//! state explorer — on the same sweep, and checks its `results` and
+//! `outcomes` against the unreduced explorer's.
 //!
 //! `peak_visited_set` is the **maximum** visited-set size any single
-//! program reached, not a sum across programs — the same max semantics
-//! [`ExploreReport::merge`] uses for `peak_visited` (visited sets are
+//! program reached, not a sum across programs (visited sets are
 //! per-program and freed between programs, so summing would overstate
 //! memory by orders of magnitude).
 //!
@@ -32,10 +30,8 @@
 //! Usage:
 //!
 //! ```text
-//! explore_bench [--smoke] [--threads N] [--out PATH] [--corpus DIR]
-//!               [--min-converged-pps F]
+//! explore_bench [--smoke] [--out PATH] [--corpus DIR] [--min-converged-pps F]
 //!   --smoke        CI variant: smaller step budgets, same corpus
-//!   --threads N    worker threads for explore_parallel (default: available)
 //!   --out PATH     where to write the JSON (default BENCH_explore.json)
 //!   --corpus DIR   litmus-tests directory (default: auto-detected)
 //!   --min-converged-pps F   fail if converged_state programs/sec < F
@@ -45,15 +41,12 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use litmus::explore::{
-    explore, explore_dpor, explore_parallel, verdict_of, ExploreConfig, ExploreReport,
-};
+use litmus::explore::{explore, explore_dpor, verdict_of, ExploreConfig, ExploreReport};
 use litmus::parse::parse_program;
 use litmus::{corpus, Program};
 
 struct Args {
     smoke: bool,
-    threads: usize,
     out: PathBuf,
     corpus_dir: Option<PathBuf>,
     min_converged_pps: Option<f64>,
@@ -62,7 +55,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
-        threads: 0,
         out: PathBuf::from("BENCH_explore.json"),
         corpus_dir: None,
         min_converged_pps: None,
@@ -71,12 +63,6 @@ fn parse_args() -> Args {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => args.smoke = true,
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--threads needs a number"));
-            }
             "--out" => {
                 args.out = it.next().map(PathBuf::from).unwrap_or_else(|| usage("--out needs a path"));
             }
@@ -100,7 +86,7 @@ fn parse_args() -> Args {
 fn usage(msg: &str) -> ! {
     eprintln!("explore_bench: {msg}");
     eprintln!(
-        "usage: explore_bench [--smoke] [--threads N] [--out PATH] [--corpus DIR] [--min-converged-pps F]"
+        "usage: explore_bench [--smoke] [--out PATH] [--corpus DIR] [--min-converged-pps F]"
     );
     std::process::exit(2);
 }
@@ -185,7 +171,6 @@ fn main() {
 
     let mut full = StrategyStats::default();
     let mut dpor = StrategyStats::default();
-    let mut par = StrategyStats::default();
     let mut pruned_results = StrategyStats::default();
     let mut divergences: Vec<String> = Vec::new();
     let mut compared = 0usize;
@@ -193,11 +178,9 @@ fn main() {
     for (name, program) in &programs {
         let (tf, rf) = timed(|| explore(program, &budget));
         let (td, rd) = timed(|| explore_dpor(program, &budget));
-        let (tp, rp) = timed(|| explore_parallel(program, &budget, args.threads));
         let (tr, rr) = timed(|| litmus::explore::explore_results(program, &budget));
         full.record(tf, &rf);
         dpor.record(td, &rd);
-        par.record(tp, &rp);
         pruned_results.record(tr, &rr);
 
         // Differential gate. Budget-limited runs truncate different tree
@@ -220,14 +203,13 @@ fn main() {
                 divergences.push(format!("{name}: dpor expanded more states than full"));
             }
         }
-        if rf.complete && rr.complete && rf.results != rr.results {
-            divergences.push(format!("{name}: converged-state results differ from full"));
-        }
-        // The parallel explorer must match sequential DPOR exactly —
-        // determinism is part of its contract, so even incomplete reports
-        // are comparable.
-        if rp.results != rd.results || rp.races != rd.races || rp.outcomes != rd.outcomes {
-            divergences.push(format!("{name}: parallel report differs from sequential dpor"));
+        if rf.complete && rr.complete {
+            if rf.results != rr.results {
+                divergences.push(format!("{name}: converged-state results differ from full"));
+            }
+            if rf.outcomes != rr.outcomes {
+                divergences.push(format!("{name}: converged-state outcomes differ from full"));
+            }
         }
         println!(
             "  {name:<40} full {:>9} steps  dpor {:>9} steps ({:>8} pruned)  {:.1}x",
@@ -240,8 +222,6 @@ fn main() {
 
     let n = programs.len();
     let speedup = if dpor.total_secs > 0.0 { full.total_secs / dpor.total_secs } else { f64::INFINITY };
-    let parallel_speedup =
-        if par.total_secs > 0.0 { full.total_secs / par.total_secs } else { f64::INFINITY };
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"workload\": \"drf0-sweep\",");
@@ -253,7 +233,6 @@ fn main() {
     for (key, stats) in [
         ("full", &full),
         ("dpor", &dpor),
-        ("parallel", &par),
         ("converged_state", &pruned_results),
     ] {
         let _ = writeln!(json, "  \"{key}\": {{");
@@ -265,14 +244,13 @@ fn main() {
         let _ = writeln!(json, "    \"completed_programs\": {}", stats.completed);
         let _ = writeln!(json, "  }},");
     }
-    let _ = writeln!(json, "  \"dpor_speedup_vs_full\": {speedup:.3},");
-    let _ = writeln!(json, "  \"parallel_speedup_vs_full\": {parallel_speedup:.3}");
+    let _ = writeln!(json, "  \"dpor_speedup_vs_full\": {speedup:.3}");
     json.push_str("}\n");
     std::fs::write(&args.out, &json).expect("write BENCH_explore.json");
 
     println!("\nwrote {}", args.out.display());
     println!(
-        "full: {:.2} programs/sec   dpor: {:.2} programs/sec   speedup {speedup:.1}x   parallel {parallel_speedup:.1}x",
+        "full: {:.2} programs/sec   dpor: {:.2} programs/sec   speedup {speedup:.1}x",
         full.programs_per_sec(n),
         dpor.programs_per_sec(n),
     );

@@ -1,15 +1,14 @@
 //! Differential + collision audit of the interned state-key explorer.
 //!
-//! PR 8 replaced the converged-state explorer's tuple-of-Vecs visited key
-//! (rebuilt per DFS node, O(trace) each) with a 128-bit incrementally
-//! maintained digest interned in an open-addressed table. Two things must
-//! hold for that to be a pure optimization:
+//! The converged-state explorer keys its visited set on a 128-bit
+//! incrementally maintained digest interned in an open-addressed table,
+//! with thread-symmetry reduction on top. Two things must hold for that
+//! to be a pure optimization:
 //!
 //! 1. **Same answers.** On every program the budget can decide, the
 //!    digest-keyed explorer must report exactly the result set and outcome
-//!    set of the legacy-keyed explorer (which still materializes the old
-//!    tuple key, `OpId`s and all). This is the 500-seed differential the
-//!    issue's acceptance criteria name.
+//!    set of the unreduced ground-truth explorer, `explore`, while
+//!    expanding no more states. This is the 500-seed differential.
 //! 2. **No collisions, no drift.** `explore_results_audited` recomputes
 //!    the digest from scratch at every visited state (after the step in
 //!    and after the undo out) and checks the digest→canonical-state map is
@@ -22,9 +21,7 @@
 //! complete, with a minimum conclusive count so budget rot can't hollow
 //! the test out.
 
-use litmus::explore::{
-    explore_results, explore_results_audited, explore_results_legacy_key, ExploreConfig,
-};
+use litmus::explore::{explore, explore_results, explore_results_audited, ExploreConfig};
 use litmus::parse::parse_program;
 use litmus::Program;
 use wo_fuzz::gen::{generate, GenConfig};
@@ -39,28 +36,28 @@ fn budget() -> ExploreConfig {
     }
 }
 
-/// Compares interned-digest vs legacy-tuple-key exploration on one
-/// program. Returns `true` when both completed (full comparison ran).
+/// Compares interned-digest vs unreduced exploration on one program.
+/// Returns `true` when both completed (full comparison ran).
 fn check(name: &str, program: &Program, cfg: &ExploreConfig) -> bool {
     let interned = explore_results(program, cfg);
-    let legacy = explore_results_legacy_key(program, cfg);
-    if !(interned.complete && legacy.complete) {
+    let full = explore(program, cfg);
+    if !(interned.complete && full.complete) {
         return false;
     }
-    assert_eq!(interned.results, legacy.results, "{name}: results diverge");
-    assert_eq!(interned.outcomes, legacy.outcomes, "{name}: outcomes diverge");
-    // Symmetry canonicalization can only merge states, never add any.
+    assert_eq!(interned.results, full.results, "{name}: results diverge");
+    assert_eq!(interned.outcomes, full.outcomes, "{name}: outcomes diverge");
+    // Convergence and symmetry can only skip states, never add any.
     assert!(
-        interned.peak_visited <= legacy.peak_visited,
-        "{name}: interned explorer visited more states ({} > {})",
-        interned.peak_visited,
-        legacy.peak_visited
+        interned.steps <= full.steps,
+        "{name}: interned explorer expanded more states ({} > {})",
+        interned.steps,
+        full.steps
     );
     true
 }
 
 #[test]
-fn interned_key_agrees_with_legacy_key_on_all_shipped_litmus_files() {
+fn interned_key_agrees_with_full_explorer_on_all_shipped_litmus_files() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../litmus-tests");
     let cfg = ExploreConfig { max_total_steps: 400_000, ..budget() };
     let mut compared = 0u64;
@@ -85,7 +82,7 @@ fn interned_key_agrees_with_legacy_key_on_all_shipped_litmus_files() {
 }
 
 #[test]
-fn interned_key_agrees_with_legacy_key_on_500_fuzz_seeds() {
+fn interned_key_agrees_with_full_explorer_on_500_fuzz_seeds() {
     let gen_cfg = GenConfig::default();
     let cfg = budget();
     let mut compared = 0u64;

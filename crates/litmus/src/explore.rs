@@ -22,8 +22,6 @@
 //!   operations are explored once. Sound for `results`, `outcomes`, *and*
 //!   `races` — see [`explore_dpor`] for the argument — and exponentially
 //!   faster on programs with per-thread-disjoint locations.
-//!   [`explore_parallel`] runs the same reduction across a work-stealing
-//!   pool with a deterministic merge.
 //! * [`explore_results`] — DFS with converged-state pruning over an
 //!   interned, incrementally maintained 128-bit state digest
 //!   ([`crate::ideal::StateDigest`]) plus thread-symmetry reduction:
@@ -35,25 +33,26 @@
 //!   and unsound for race detection, so it reports no races: a pruned
 //!   history can race with a future that its surviving twin does not
 //!   (they may have synchronized differently on the way in).
-//!   [`explore_results_legacy_key`] is the pre-interning implementation,
-//!   retained as the differential baseline for the state-key audit.
+//!   [`explore_results_audited`] is the same walk with the digest
+//!   machinery under audit.
 //!
-//! All strategies use an undo log ([`IdealState::step_undoable`],
+//! The strategies differ only in which interleavings or states they skip,
+//! so all of them run one DFS driver parameterized by that choice. It uses
+//! an undo log ([`IdealState::step_undoable`],
 //! [`RaceDetector::observe_undoable`]) instead of cloning state per
-//! transition, so a DFS allocates O(depth), and all account budgets the
-//! same way: [`ExploreReport::steps`] counts **states expanded**, with
-//! deduplicated or sleep-set-skipped states counted in
+//! transition, so a DFS allocates O(depth), and it accounts budgets the
+//! same way for every strategy: [`ExploreReport::steps`] counts **states
+//! expanded**, with deduplicated or sleep-set-skipped states counted in
 //! [`ExploreReport::pruned`], so [`IncompleteReason`] boundaries are
 //! comparable across strategies.
 
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::collections::{HashMap, HashSet};
 
 use memory_model::drf0::Race;
 use memory_model::race::RaceDetector;
 use memory_model::{ExecutionResult, Memory, OpId, Operation, ProcId, SyncMode};
 
-use crate::ideal::{IdealState, StateDigest, StepOutcome};
+use crate::ideal::{IdealState, StateDigest, StepOutcome, StepUndo};
 use crate::Program;
 
 /// Budgets for exploration.
@@ -216,19 +215,10 @@ pub struct ExploreReport {
     pub steps: usize,
     /// States *not* expanded thanks to reduction: converged-state
     /// duplicates in [`explore_results`], sleep-set skips in
-    /// [`explore_dpor`]/[`explore_parallel`], zero for [`explore`].
+    /// [`explore_dpor`], zero for [`explore`].
     pub pruned: usize,
     /// Peak size of the converged-state `visited` set (zero for the
     /// strategies that keep none) — the memory-side budget surface.
-    ///
-    /// **Merge semantics:** serial explorers report the high-water mark
-    /// of their single visited set; [`ExploreReport::merge`] combines
-    /// subtree reports by `max` (the largest single set any worker held),
-    /// never by sum — a sum would double-count states deduplicated across
-    /// subtrees and report "memory" no process ever allocated. Today only
-    /// [`explore_results`] populates this field and it never merges, so
-    /// the question is latent, but `explore_bench` documents the same
-    /// convention in its JSON.
     pub peak_visited: usize,
 }
 
@@ -263,8 +253,8 @@ impl ExploreReport {
 
     /// Whether a *terminal* budget has tripped — one that
     /// [`ExploreReport::admit_state`] (or the visited-set cap) will keep
-    /// refusing for the rest of the exploration. Once true, the DFS loops
-    /// unwind immediately instead of walking the entire remaining tree
+    /// refusing for the rest of the exploration. Once true, the DFS driver
+    /// unwinds immediately instead of walking the entire remaining tree
     /// just to have every node refused one at a time (the old futile walk
     /// re-reported the exhausted budget per node, and under a deadline
     /// kept *expanding* states between polls because the frozen step
@@ -308,60 +298,180 @@ impl ExploreReport {
         self.steps += 1;
         true
     }
+}
 
-    /// Records a completed execution at a leaf state.
-    fn record_leaf(
+/// The one part of an exploration that differs between the strategies:
+/// which states, and which children of a state, the walk may skip, and
+/// whether what it skips leaves the race set intact. Everything else —
+/// the budget gate, leaf and truncation recording, the step/undo
+/// discipline and the `Halted` shortcut — is [`Walk::dfs`], written once.
+/// Every hook defaults to "skip nothing", which is [`explore`]'s.
+trait Reduction {
+    /// What a state hands its children: the sleep set for DPOR, nothing
+    /// for the other strategies.
+    type Sleep: Default;
+    /// Whether the walk runs the race detector. A reduction that merges
+    /// states with different pasts would see only some of the races, so
+    /// it must claim none.
+    const RACES: bool = true;
+
+    /// The gate for entering the current state: `true` when the walk may
+    /// expand it, with the expansion counted against the budget.
+    fn admit(
         &mut self,
-        state: &IdealState<'_>,
-        program: &Program,
-        races: Option<&[Race]>,
+        _state: &IdealState<'_>,
         cfg: &ExploreConfig,
-    ) {
-        self.execution_count += 1;
-        if let Some(races) = races {
-            self.races.extend(races.iter().copied());
+        report: &mut ExploreReport,
+    ) -> bool {
+        report.admit_state(cfg)
+    }
+
+    /// Whether thread `t` may be skipped here: an explored sibling already
+    /// covers every interleaving that starts with its next step.
+    fn asleep(_sleep: &Self::Sleep, _t: usize) -> bool {
+        false
+    }
+
+    /// The sleep set of the child reached by performing `op`.
+    fn child(_sleep: &Self::Sleep, _op: &Operation) -> Self::Sleep {
+        Self::Sleep::default()
+    }
+
+    /// Records that the subtree below `op` has been explored.
+    fn explored(_sleep: &mut Self::Sleep, _op: Operation) {}
+
+    /// Runs after every undo, on the restored state.
+    fn undone(&mut self, _state: &IdealState<'_>) {}
+}
+
+/// One exploration in progress.
+struct Walk<'a, R> {
+    cfg: &'a ExploreConfig,
+    state: IdealState<'a>,
+    /// Present exactly when `R::RACES`.
+    detector: Option<RaceDetector>,
+    reduction: R,
+    report: ExploreReport,
+}
+
+/// Explores `program` from its initial state under `reduction`, returning
+/// the report and the reduction (which may have gathered counters).
+fn walk<R: Reduction>(program: &Program, cfg: &ExploreConfig, reduction: R) -> (ExploreReport, R) {
+    let mut walk = Walk {
+        cfg,
+        state: IdealState::new(program),
+        detector: R::RACES.then(|| RaceDetector::with_mode(program.num_threads(), cfg.sync_mode)),
+        reduction,
+        report: ExploreReport::empty(),
+    };
+    walk.dfs(R::Sleep::default());
+    (walk.report, walk.reduction)
+}
+
+impl<R: Reduction> Walk<'_, R> {
+    /// Expands the current state, then every child the reduction does not
+    /// skip, in thread order.
+    fn dfs(&mut self, mut sleep: R::Sleep) {
+        if self.report.stopped()
+            || !self.reduction.admit(&self.state, self.cfg, &mut self.report)
+        {
+            return;
         }
-        self.outcomes.insert(outcome_of(state, program));
+        if self.state.finished() {
+            self.record_leaf();
+            return;
+        }
+        if self.state.ops().len() >= self.cfg.max_ops_per_execution {
+            self.record_truncation();
+            return;
+        }
+        for t in 0..self.state.num_threads() {
+            if !self.state.runnable(t) {
+                continue;
+            }
+            if R::asleep(&sleep, t) {
+                self.report.pruned += 1;
+                continue;
+            }
+            let (outcome, undo) = self.state.step_undoable(t);
+            match outcome {
+                StepOutcome::Performed(op) => {
+                    let mark = self.detector.as_mut().map(|d| d.observe_undoable(&op));
+                    self.dfs(R::child(&sleep, &op));
+                    if let (Some(detector), Some(mark)) = (self.detector.as_mut(), mark) {
+                        detector.undo(mark);
+                    }
+                    self.undo(undo);
+                    if self.report.stopped() {
+                        return;
+                    }
+                    R::explored(&mut sleep, op);
+                }
+                StepOutcome::Halted => {
+                    // The thread ran local-only instructions to completion:
+                    // invisible to memory, so it commutes with every other
+                    // thread's ops, and the inherited sleep set passes
+                    // through unchanged. Exploring this one order covers
+                    // all interleavings; trying other threads from the
+                    // parent state would only double-count.
+                    self.dfs(sleep);
+                    self.undo(undo);
+                    return;
+                }
+                StepOutcome::StepLimit => {
+                    // The thread spun past its local-step limit without a
+                    // memory operation. The path is truncated here, and a
+                    // race in its prefix is a race of the program.
+                    self.undo(undo);
+                    self.record_truncation();
+                }
+            }
+        }
+    }
+
+    fn undo(&mut self, undo: StepUndo) {
+        self.state.undo(undo);
+        self.reduction.undone(&self.state);
+    }
+
+    /// Records the completed execution ending at the current state.
+    fn record_leaf(&mut self) {
+        self.record_races();
+        let (state, report) = (&self.state, &mut self.report);
+        report.execution_count += 1;
+        report.outcomes.insert(Outcome {
+            regs: (0..state.num_threads()).map(|t| state.thread(t).regs).collect(),
+            final_memory: state.memory_snapshot(),
+        });
         // Read the result straight off the interpreter's flat storage;
         // cloning and re-validating the op list as an `Execution` is only
         // needed when the caller wants the executions themselves.
-        self.results.insert(state.result());
-        if cfg.keep_executions {
-            self.executions.push(state.execution());
+        report.results.insert(state.result());
+        if self.cfg.keep_executions {
+            report.executions.push(state.execution());
         }
     }
 
     /// Records a truncated execution: races found in the prefix still
     /// count (a race in a prefix is a race of the program).
-    fn record_truncation(&mut self, races: Option<&[Race]>) {
-        self.truncated_executions += 1;
-        self.mark_incomplete(IncompleteReason::TruncatedExecution);
-        if let Some(races) = races {
-            self.races.extend(races.iter().copied());
-        }
+    fn record_truncation(&mut self) {
+        self.report.truncated_executions += 1;
+        self.report.mark_incomplete(IncompleteReason::TruncatedExecution);
+        self.record_races();
     }
 
-    /// Merges `sub` into `self` — set unions, counter sums, and the first
-    /// incomplete reason in merge order. Used by [`explore_parallel`],
-    /// which merges subtree reports in frontier order so the result is
-    /// independent of worker count.
-    fn merge(&mut self, sub: ExploreReport) {
-        self.results.extend(sub.results);
-        self.outcomes.extend(sub.outcomes);
-        self.races.extend(sub.races);
-        self.executions.extend(sub.executions);
-        self.execution_count += sub.execution_count;
-        self.truncated_executions += sub.truncated_executions;
-        self.steps += sub.steps;
-        self.pruned += sub.pruned;
-        self.peak_visited = self.peak_visited.max(sub.peak_visited);
-        if !sub.complete {
-            self.complete = false;
-            if self.incomplete.is_none() {
-                self.incomplete = sub.incomplete;
-            }
+    fn record_races(&mut self) {
+        if let Some(detector) = &self.detector {
+            self.report.races.extend(detector.races().iter().copied());
         }
     }
+}
+
+/// No reduction: every interleaving is walked.
+struct Full;
+
+impl Reduction for Full {
+    type Sleep = ();
 }
 
 /// Fully enumerates the interleavings of `program` (no reduction) and
@@ -387,62 +497,7 @@ impl ExploreReport {
 /// ```
 #[must_use]
 pub fn explore(program: &Program, cfg: &ExploreConfig) -> ExploreReport {
-    let mut report = ExploreReport::empty();
-    let mut state = IdealState::new(program);
-    let mut detector = RaceDetector::with_mode(program.num_threads(), cfg.sync_mode);
-    dfs(program, &mut state, &mut detector, cfg, &mut report);
-    report
-}
-
-fn dfs(
-    program: &Program,
-    state: &mut IdealState<'_>,
-    detector: &mut RaceDetector,
-    cfg: &ExploreConfig,
-    report: &mut ExploreReport,
-) {
-    if report.stopped() || !report.admit_state(cfg) {
-        return;
-    }
-    if state.finished() {
-        report.record_leaf(state, program, Some(detector.races()), cfg);
-        return;
-    }
-    if state.ops().len() >= cfg.max_ops_per_execution {
-        report.record_truncation(Some(detector.races()));
-        return;
-    }
-    for t in 0..state.num_threads() {
-        if !state.runnable(t) {
-            continue;
-        }
-        let (outcome, undo) = state.step_undoable(t);
-        match outcome {
-            StepOutcome::Performed(op) => {
-                let det_undo = detector.observe_undoable(&op);
-                dfs(program, state, detector, cfg, report);
-                detector.undo(det_undo);
-                state.undo(undo);
-                if report.stopped() {
-                    return;
-                }
-            }
-            StepOutcome::Halted => {
-                // The thread ran local-only instructions to completion:
-                // invisible to memory, so it commutes with every other
-                // thread's ops. Exploring this one order covers all
-                // interleavings; trying other threads from the parent state
-                // would only double-count.
-                dfs(program, state, detector, cfg, report);
-                state.undo(undo);
-                return;
-            }
-            StepOutcome::StepLimit => {
-                state.undo(undo);
-                report.record_truncation(None);
-            }
-        }
-    }
+    walk(program, cfg, Full).0
 }
 
 /// Whether the order of two operations matters to any observable the
@@ -458,6 +513,34 @@ fn dfs(
 /// conflict information alone would wrongly commute them and lose races).
 fn dependent(a: &Operation, b: &Operation) -> bool {
     a.conflicts_with(b) || a.so_related(b)
+}
+
+/// Sleep sets, the reduction behind [`explore_dpor`].
+///
+/// A sleep set holds, for each sleeping thread, the operation it is poised
+/// to perform (performed and rolled back in an already-explored sibling
+/// branch). A sleeping thread's pending operation is stable: its
+/// (location, kind) depend only on its own registers and pc, and any
+/// dependent operation by another thread removes it from the set.
+struct SleepSets;
+
+impl Reduction for SleepSets {
+    type Sleep = Vec<Operation>;
+
+    fn asleep(sleep: &Self::Sleep, t: usize) -> bool {
+        sleep.iter().any(|op| op.proc.index() == t)
+    }
+
+    fn child(sleep: &Self::Sleep, op: &Operation) -> Self::Sleep {
+        sleep.iter().filter(|o| !dependent(o, op)).copied().collect()
+    }
+
+    fn explored(sleep: &mut Self::Sleep, op: Operation) {
+        // Future sibling branches need not re-explore this thread first:
+        // every interleaving starting with `op` is covered by the branch
+        // just explored until some dependent op wakes the thread up.
+        sleep.push(op);
+    }
 }
 
 /// Enumerates the interleavings of `program` with sleep-set dynamic
@@ -482,301 +565,7 @@ fn dependent(a: &Operation, b: &Operation) -> bool {
 /// complete reports are comparable.
 #[must_use]
 pub fn explore_dpor(program: &Program, cfg: &ExploreConfig) -> ExploreReport {
-    let mut report = ExploreReport::empty();
-    let mut state = IdealState::new(program);
-    let mut detector = RaceDetector::with_mode(program.num_threads(), cfg.sync_mode);
-    dfs_dpor(program, &mut state, &mut detector, cfg, Vec::new(), &mut report);
-    report
-}
-
-fn dfs_dpor(
-    program: &Program,
-    state: &mut IdealState<'_>,
-    detector: &mut RaceDetector,
-    cfg: &ExploreConfig,
-    sleep: Vec<Operation>,
-    report: &mut ExploreReport,
-) {
-    if report.stopped() || !report.admit_state(cfg) {
-        return;
-    }
-    if state.finished() {
-        report.record_leaf(state, program, Some(detector.races()), cfg);
-        return;
-    }
-    if state.ops().len() >= cfg.max_ops_per_execution {
-        report.record_truncation(Some(detector.races()));
-        return;
-    }
-    // `sleep` holds, for each sleeping thread, the operation it is poised
-    // to perform (performed and rolled back in an already-explored sibling
-    // branch). A sleeping thread's pending operation is stable: its
-    // (location, kind) depend only on its own registers and pc, and any
-    // conflicting operation by another thread removes it from the set.
-    let mut sleep = sleep;
-    for t in 0..state.num_threads() {
-        if !state.runnable(t) {
-            continue;
-        }
-        if sleep.iter().any(|op| op.proc.index() == t) {
-            report.pruned += 1;
-            continue;
-        }
-        let (outcome, undo) = state.step_undoable(t);
-        match outcome {
-            StepOutcome::Performed(op) => {
-                let det_undo = detector.observe_undoable(&op);
-                let child_sleep: Vec<Operation> =
-                    sleep.iter().filter(|o| !dependent(o, &op)).copied().collect();
-                dfs_dpor(program, state, detector, cfg, child_sleep, report);
-                detector.undo(det_undo);
-                state.undo(undo);
-                if report.stopped() {
-                    return;
-                }
-                // Future sibling branches need not re-explore t first: every
-                // interleaving starting with t's op is covered by the branch
-                // just explored until some dependent op wakes t up.
-                sleep.push(op);
-            }
-            StepOutcome::Halted => {
-                // A halt performs no memory operation, so it is independent
-                // of everything: the inherited sleep set passes through
-                // unchanged and this one order covers all interleavings.
-                let child_sleep = sleep.clone();
-                dfs_dpor(program, state, detector, cfg, child_sleep, report);
-                state.undo(undo);
-                return;
-            }
-            StepOutcome::StepLimit => {
-                state.undo(undo);
-                report.record_truncation(None);
-            }
-        }
-    }
-}
-
-/// A node on the parallel split frontier: the schedule replaying the path
-/// from the root plus the sleep set sequential DPOR would carry there.
-struct FrontierTask {
-    schedule: Vec<usize>,
-    sleep: Vec<Operation>,
-}
-
-/// [`explore_dpor`] across a work-stealing thread pool.
-///
-/// The interleaving tree is split at a fixed depth: a sequential DPOR pass
-/// enumerates the top of the tree (recording any shallow leaves in the
-/// base report) and emits one task per frontier node, carrying the exact
-/// sleep set the sequential search would arrive with. Workers then grab
-/// tasks off a shared atomic cursor — the same dynamic work-stealing
-/// pattern as the fuzz campaign driver, so one hot subtree never stalls
-/// the pool behind a static partition — replay the schedule, and run the
-/// sequential DPOR DFS on their subtree.
-///
-/// **Determinism:** the frontier and each subtree report are pure
-/// functions of `(program, cfg)`; workers only decide *who* computes each
-/// subtree, never *what* it contains. Reports merge in frontier order, so
-/// any `threads` value (including 1, which short-circuits to
-/// [`explore_dpor`]) yields an identical report. Budgets are applied per
-/// subtree: the merged counters are sums, and `max_total_steps` bounds
-/// each task rather than the whole exploration (a deliberate trade — a
-/// shared global budget would make the report depend on scheduling).
-///
-/// `threads == 0` means "available parallelism".
-#[must_use]
-pub fn explore_parallel(
-    program: &Program,
-    cfg: &ExploreConfig,
-    threads: usize,
-) -> ExploreReport {
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    } else {
-        threads
-    };
-    let n = program.num_threads();
-    if threads <= 1 || n <= 1 {
-        return explore_dpor(program, cfg);
-    }
-
-    // Fixed split depth (independent of worker count, so reports are
-    // too): deep enough that the frontier comfortably outnumbers any
-    // realistic pool, shallow enough that the sequential prefix is cheap.
-    let mut depth = 1usize;
-    let mut width = n;
-    while width < 64 && depth < 8 {
-        width *= n;
-        depth += 1;
-    }
-
-    let mut report = ExploreReport::empty();
-    let mut tasks: Vec<FrontierTask> = Vec::new();
-    {
-        let mut state = IdealState::new(program);
-        let mut detector = RaceDetector::with_mode(n, cfg.sync_mode);
-        let mut path = Vec::new();
-        dfs_frontier(
-            program,
-            &mut state,
-            &mut detector,
-            cfg,
-            Vec::new(),
-            depth,
-            &mut path,
-            &mut tasks,
-            &mut report,
-        );
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let workers = threads.min(tasks.len().max(1));
-    let mut subreports: Vec<(usize, ExploreReport)> = Vec::with_capacity(tasks.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                let tasks = &tasks;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks.len() {
-                            break;
-                        }
-                        local.push((i, run_frontier_task(program, cfg, &tasks[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        for handle in handles {
-            subreports.extend(handle.join().expect("explore worker panicked"));
-        }
-    });
-    subreports.sort_by_key(|&(i, _)| i);
-    for (_, sub) in subreports {
-        report.merge(sub);
-    }
-    report
-}
-
-fn run_frontier_task(
-    program: &Program,
-    cfg: &ExploreConfig,
-    task: &FrontierTask,
-) -> ExploreReport {
-    let mut report = ExploreReport::empty();
-    let mut state = IdealState::new(program);
-    let mut detector = RaceDetector::with_mode(program.num_threads(), cfg.sync_mode);
-    for &t in &task.schedule {
-        if let StepOutcome::Performed(op) = state.step(t) {
-            detector.observe(&op);
-        }
-    }
-    dfs_dpor(program, &mut state, &mut detector, cfg, task.sleep.clone(), &mut report);
-    report
-}
-
-/// The phase-1 pass of [`explore_parallel`]: identical to [`dfs_dpor`]
-/// except that nodes at the split depth become [`FrontierTask`]s instead
-/// of being expanded (their subtree, including the budget gate for the
-/// node itself, runs on a worker).
-#[allow(clippy::too_many_arguments)]
-fn dfs_frontier(
-    program: &Program,
-    state: &mut IdealState<'_>,
-    detector: &mut RaceDetector,
-    cfg: &ExploreConfig,
-    sleep: Vec<Operation>,
-    depth_limit: usize,
-    path: &mut Vec<usize>,
-    tasks: &mut Vec<FrontierTask>,
-    report: &mut ExploreReport,
-) {
-    if path.len() >= depth_limit {
-        tasks.push(FrontierTask { schedule: path.clone(), sleep });
-        return;
-    }
-    if report.stopped() || !report.admit_state(cfg) {
-        return;
-    }
-    if state.finished() {
-        report.record_leaf(state, program, Some(detector.races()), cfg);
-        return;
-    }
-    if state.ops().len() >= cfg.max_ops_per_execution {
-        report.record_truncation(Some(detector.races()));
-        return;
-    }
-    let mut sleep = sleep;
-    for t in 0..state.num_threads() {
-        if !state.runnable(t) {
-            continue;
-        }
-        if sleep.iter().any(|op| op.proc.index() == t) {
-            report.pruned += 1;
-            continue;
-        }
-        let (outcome, undo) = state.step_undoable(t);
-        match outcome {
-            StepOutcome::Performed(op) => {
-                let det_undo = detector.observe_undoable(&op);
-                let child_sleep: Vec<Operation> =
-                    sleep.iter().filter(|o| !dependent(o, &op)).copied().collect();
-                path.push(t);
-                dfs_frontier(
-                    program,
-                    state,
-                    detector,
-                    cfg,
-                    child_sleep,
-                    depth_limit,
-                    path,
-                    tasks,
-                    report,
-                );
-                path.pop();
-                detector.undo(det_undo);
-                state.undo(undo);
-                if report.stopped() {
-                    return;
-                }
-                sleep.push(op);
-            }
-            StepOutcome::Halted => {
-                let child_sleep = sleep.clone();
-                path.push(t);
-                dfs_frontier(
-                    program,
-                    state,
-                    detector,
-                    cfg,
-                    child_sleep,
-                    depth_limit,
-                    path,
-                    tasks,
-                    report,
-                );
-                path.pop();
-                state.undo(undo);
-                return;
-            }
-            StepOutcome::StepLimit => {
-                state.undo(undo);
-                report.record_truncation(None);
-            }
-        }
-    }
-}
-
-fn outcome_of(state: &IdealState<'_>, program: &Program) -> Outcome {
-    Outcome {
-        regs: (0..program.num_threads())
-            .map(|t| state.thread(t).regs)
-            .collect(),
-        final_memory: state.memory_snapshot(),
-    }
+    walk(program, cfg, SleepSets).0
 }
 
 /// An open-addressed, arena-backed intern set of [`StateDigest`]s — the
@@ -876,6 +665,70 @@ impl InternTable {
     }
 }
 
+/// Checks of the digest machinery that [`Converged`] runs at every state
+/// it enters and after every undo. Production plugs in `()`, which checks
+/// nothing and compiles away; [`explore_results_audited`] plugs in
+/// [`Auditor`].
+trait DigestAudit {
+    fn entered(&mut self, _state: &IdealState<'_>) {}
+    fn undone(&mut self, _state: &IdealState<'_>) {}
+}
+
+impl DigestAudit for () {}
+
+/// Converged-state pruning on the interned [`StateDigest`], the reduction
+/// behind [`explore_results`]. It merges states with different pasts, so
+/// it runs no race detector.
+struct Converged<A> {
+    visited: InternTable,
+    audit: A,
+}
+
+impl<A: DigestAudit> Reduction for Converged<A> {
+    type Sleep = ();
+    const RACES: bool = false;
+
+    fn admit(
+        &mut self,
+        state: &IdealState<'_>,
+        cfg: &ExploreConfig,
+        report: &mut ExploreReport,
+    ) -> bool {
+        self.audit.entered(state);
+        // The digest covers the architectural state *plus per-thread
+        // read-value histories*. The histories are required for soundness: a
+        // *result* (Lamport's observable) includes every read's returned
+        // value, so two paths converging on the same architectural state but
+        // with different read histories must both be explored — pruning on
+        // state alone silently drops reachable results (it once hid SC
+        // outcomes of the bounded barrier from the reference set). Per-thread
+        // value sequences suffice: a thread's trajectory — including the ids
+        // of its operations, which are just its program-order positions — is
+        // a deterministic function of the values its reads returned, so
+        // neither the `OpId` of each read nor the global interleaving order
+        // of the history needs to be part of the key.
+        let digest = state.digest();
+        if self.visited.contains(digest) {
+            report.pruned += 1;
+            return false;
+        }
+        if self.visited.len() >= cfg.max_visited_states {
+            report.mark_incomplete(IncompleteReason::MaxVisitedStates);
+            return false;
+        }
+        if !report.admit_state(cfg) {
+            return false;
+        }
+        self.visited.insert(digest);
+        report.peak_visited = report.peak_visited.max(self.visited.len());
+        true
+    }
+
+    fn undone(&mut self, state: &IdealState<'_>) {
+        self.audit.undone(state);
+    }
+}
+
 /// Enumerates reachable *results* with converged-state pruning. Much faster
 /// than [`explore`] on state-converging programs, but performs no race
 /// detection (see module docs for why pruning is unsound for races).
@@ -888,82 +741,9 @@ impl InternTable {
 /// [`close_under_thread_symmetry`] before the report is returned.
 #[must_use]
 pub fn explore_results(program: &Program, cfg: &ExploreConfig) -> ExploreReport {
-    let mut report = ExploreReport::empty();
-    let mut visited = InternTable::new();
-    let mut state = IdealState::new(program);
-    dfs_pruned(program, &mut state, cfg, &mut visited, &mut report);
+    let (mut report, _) = walk(program, cfg, Converged { visited: InternTable::new(), audit: () });
     close_under_thread_symmetry(&mut report, program);
     report
-}
-
-fn dfs_pruned(
-    program: &Program,
-    state: &mut IdealState<'_>,
-    cfg: &ExploreConfig,
-    visited: &mut InternTable,
-    report: &mut ExploreReport,
-) {
-    if report.stopped() {
-        return;
-    }
-    // The digest covers the architectural state *plus per-thread
-    // read-value histories*. The histories are required for soundness: a
-    // *result* (Lamport's observable) includes every read's returned
-    // value, so two paths converging on the same architectural state but
-    // with different read histories must both be explored — pruning on
-    // state alone silently drops reachable results (it once hid SC
-    // outcomes of the bounded barrier from the reference set). Per-thread
-    // value sequences suffice: a thread's trajectory — including the ids
-    // of its operations, which are just its program-order positions — is
-    // a deterministic function of the values its reads returned, so the
-    // old key's `OpId` alongside each value was redundant, and so was the
-    // global interleaving order of the history.
-    let digest = state.digest();
-    if visited.contains(digest) {
-        report.pruned += 1;
-        return;
-    }
-    if visited.len() >= cfg.max_visited_states {
-        report.mark_incomplete(IncompleteReason::MaxVisitedStates);
-        return;
-    }
-    if !report.admit_state(cfg) {
-        return;
-    }
-    visited.insert(digest);
-    report.peak_visited = report.peak_visited.max(visited.len());
-    if state.finished() {
-        report.record_leaf(state, program, None, cfg);
-        return;
-    }
-    if state.ops().len() >= cfg.max_ops_per_execution {
-        report.record_truncation(None);
-        return;
-    }
-    for t in 0..state.num_threads() {
-        if !state.runnable(t) {
-            continue;
-        }
-        let (outcome, undo) = state.step_undoable(t);
-        match outcome {
-            StepOutcome::Performed(_) => {
-                dfs_pruned(program, state, cfg, visited, report);
-                state.undo(undo);
-                if report.stopped() {
-                    return;
-                }
-            }
-            StepOutcome::Halted => {
-                dfs_pruned(program, state, cfg, visited, report);
-                state.undo(undo);
-                return;
-            }
-            StepOutcome::StepLimit => {
-                state.undo(undo);
-                report.record_truncation(None);
-            }
-        }
-    }
 }
 
 /// Transpositions `(i, j)` of threads with identical code — the generators
@@ -1004,22 +784,22 @@ fn close_under_thread_symmetry(report: &mut ExploreReport, program: &Program) {
     if pairs.is_empty() {
         return;
     }
-    let mut queue: Vec<ExecutionResult> = report.results.iter().cloned().collect();
-    while let Some(r) = queue.pop() {
-        for &(i, j) in &pairs {
-            let p = permute_result(&r, i, j);
-            if !report.results.contains(&p) {
-                report.results.insert(p.clone());
-                queue.push(p);
-            }
-        }
-    }
-    let mut queue: Vec<Outcome> = report.outcomes.iter().cloned().collect();
-    while let Some(o) = queue.pop() {
-        for &(i, j) in &pairs {
-            let p = permute_outcome(&o, i, j);
-            if !report.outcomes.contains(&p) {
-                report.outcomes.insert(p.clone());
+    close_set(&mut report.results, &pairs, permute_result);
+    close_set(&mut report.outcomes, &pairs, permute_outcome);
+}
+
+/// Closes `set` under `permute` by every transposition in `pairs`.
+fn close_set<T: Clone + Eq + std::hash::Hash>(
+    set: &mut HashSet<T>,
+    pairs: &[(usize, usize)],
+    permute: impl Fn(&T, usize, usize) -> T,
+) {
+    let mut queue: Vec<T> = set.iter().cloned().collect();
+    while let Some(x) = queue.pop() {
+        for &(i, j) in pairs {
+            let p = permute(&x, i, j);
+            if !set.contains(&p) {
+                set.insert(p.clone());
                 queue.push(p);
             }
         }
@@ -1055,104 +835,6 @@ fn permute_outcome(o: &Outcome, i: usize, j: usize) -> Outcome {
     Outcome {
         regs,
         final_memory: o.final_memory.clone(),
-    }
-}
-
-/// The converged-state key of the pre-interning explorer: three heap
-/// `Vec`s rebuilt on every DFS node — O(trace length) each, which made
-/// the search quadratic in operations. Retained, together with
-/// [`explore_results_legacy_key`], as the differential baseline the
-/// state-key audit compares the interned [`StateDigest`] encoding
-/// against. The `OpId` stored alongside each read value is redundant
-/// (per-thread read order determines the ids — see the soundness note in
-/// `dfs_pruned`), which the audit demonstrates by result-set equality.
-pub type LegacyStateKey = (
-    crate::ideal::ThreadStateKey,
-    Vec<(memory_model::Loc, memory_model::Value)>,
-    Vec<(OpId, memory_model::Value)>,
-);
-
-/// Builds the [`LegacyStateKey`] of the current state.
-#[must_use]
-pub fn legacy_key_of(state: &IdealState<'_>) -> LegacyStateKey {
-    let (threads, memory) = state.state_key();
-    let reads = state
-        .ops()
-        .iter()
-        .filter_map(|op| op.read_value.map(|v| (op.id, v)))
-        .collect();
-    (threads, memory, reads)
-}
-
-/// [`explore_results`] exactly as implemented before the interned-digest
-/// encoding: a `HashSet` of [`LegacyStateKey`]s and no symmetry
-/// reduction. Kept public purely as the differential baseline — the
-/// 500-seed state-key audit in `wo-fuzz` asserts result-set equality
-/// between this explorer and [`explore_results`] whenever both complete.
-#[must_use]
-pub fn explore_results_legacy_key(program: &Program, cfg: &ExploreConfig) -> ExploreReport {
-    let mut report = ExploreReport::empty();
-    let mut visited = HashSet::new();
-    let mut state = IdealState::new(program);
-    dfs_pruned_legacy(program, &mut state, cfg, &mut visited, &mut report);
-    report
-}
-
-fn dfs_pruned_legacy(
-    program: &Program,
-    state: &mut IdealState<'_>,
-    cfg: &ExploreConfig,
-    visited: &mut HashSet<LegacyStateKey>,
-    report: &mut ExploreReport,
-) {
-    if report.stopped() {
-        return;
-    }
-    let key = legacy_key_of(state);
-    if visited.contains(&key) {
-        report.pruned += 1;
-        return;
-    }
-    if visited.len() >= cfg.max_visited_states {
-        report.mark_incomplete(IncompleteReason::MaxVisitedStates);
-        return;
-    }
-    if !report.admit_state(cfg) {
-        return;
-    }
-    visited.insert(key);
-    report.peak_visited = report.peak_visited.max(visited.len());
-    if state.finished() {
-        report.record_leaf(state, program, None, cfg);
-        return;
-    }
-    if state.ops().len() >= cfg.max_ops_per_execution {
-        report.record_truncation(None);
-        return;
-    }
-    for t in 0..state.num_threads() {
-        if !state.runnable(t) {
-            continue;
-        }
-        let (outcome, undo) = state.step_undoable(t);
-        match outcome {
-            StepOutcome::Performed(_) => {
-                dfs_pruned_legacy(program, state, cfg, visited, report);
-                state.undo(undo);
-                if report.stopped() {
-                    return;
-                }
-            }
-            StepOutcome::Halted => {
-                dfs_pruned_legacy(program, state, cfg, visited, report);
-                state.undo(undo);
-                return;
-            }
-            StepOutcome::StepLimit => {
-                state.undo(undo);
-                report.record_truncation(None);
-            }
-        }
     }
 }
 
@@ -1194,6 +876,37 @@ pub struct KeyAudit {
     pub distinct_digests: usize,
 }
 
+/// The checks [`explore_results_audited`] documents.
+#[derive(Default)]
+struct Auditor {
+    classes: Vec<u32>,
+    canon: HashMap<StateDigest, CanonKey>,
+    counts: KeyAudit,
+}
+
+impl DigestAudit for Auditor {
+    fn entered(&mut self, state: &IdealState<'_>) {
+        let digest = state.digest();
+        assert_eq!(
+            digest,
+            state.digest_from_scratch(),
+            "incremental digest diverged from from-scratch recomputation"
+        );
+        self.counts.states_audited += 1;
+        let key = canon_key_of(state, &self.classes);
+        let prior = self.canon.entry(digest).or_insert_with(|| key.clone());
+        assert_eq!(*prior, key, "digest collision: two distinct canonical states interned as one");
+    }
+
+    fn undone(&mut self, state: &IdealState<'_>) {
+        assert_eq!(
+            state.digest(),
+            state.digest_from_scratch(),
+            "digest diverged after undo"
+        );
+    }
+}
+
 /// [`explore_results`] with the digest machinery under audit — the
 /// collision/maintenance harness behind the state-key property tests.
 ///
@@ -1211,113 +924,12 @@ pub struct KeyAudit {
 /// canonical key per distinct digest.
 #[must_use]
 pub fn explore_results_audited(program: &Program, cfg: &ExploreConfig) -> (ExploreReport, KeyAudit) {
-    let mut report = ExploreReport::empty();
-    let mut visited = InternTable::new();
-    let mut canon: std::collections::HashMap<StateDigest, CanonKey> =
-        std::collections::HashMap::new();
-    let mut audit = KeyAudit::default();
-    let classes = program.thread_identity_classes();
-    let mut state = IdealState::new(program);
-    dfs_audited(
-        program,
-        &mut state,
-        cfg,
-        &classes,
-        &mut visited,
-        &mut canon,
-        &mut audit,
-        &mut report,
-    );
-    audit.distinct_digests = canon.len();
+    let auditor = Auditor { classes: program.thread_identity_classes(), ..Auditor::default() };
+    let converged = Converged { visited: InternTable::new(), audit: auditor };
+    let (mut report, Converged { audit: mut auditor, .. }) = walk(program, cfg, converged);
     close_under_thread_symmetry(&mut report, program);
-    (report, audit)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dfs_audited(
-    program: &Program,
-    state: &mut IdealState<'_>,
-    cfg: &ExploreConfig,
-    classes: &[u32],
-    visited: &mut InternTable,
-    canon: &mut std::collections::HashMap<StateDigest, CanonKey>,
-    audit: &mut KeyAudit,
-    report: &mut ExploreReport,
-) {
-    if report.stopped() {
-        return;
-    }
-    let digest = state.digest();
-    assert_eq!(
-        digest,
-        state.digest_from_scratch(),
-        "incremental digest diverged from from-scratch recomputation"
-    );
-    audit.states_audited += 1;
-    let key = canon_key_of(state, classes);
-    if let Some(prior) = canon.get(&digest) {
-        assert_eq!(
-            *prior, key,
-            "digest collision: two distinct canonical states interned as one"
-        );
-    } else {
-        canon.insert(digest, key);
-    }
-    if visited.contains(digest) {
-        report.pruned += 1;
-        return;
-    }
-    if visited.len() >= cfg.max_visited_states {
-        report.mark_incomplete(IncompleteReason::MaxVisitedStates);
-        return;
-    }
-    if !report.admit_state(cfg) {
-        return;
-    }
-    visited.insert(digest);
-    report.peak_visited = report.peak_visited.max(visited.len());
-    if state.finished() {
-        report.record_leaf(state, program, None, cfg);
-        return;
-    }
-    if state.ops().len() >= cfg.max_ops_per_execution {
-        report.record_truncation(None);
-        return;
-    }
-    for t in 0..state.num_threads() {
-        if !state.runnable(t) {
-            continue;
-        }
-        let (outcome, undo) = state.step_undoable(t);
-        match outcome {
-            StepOutcome::Performed(_) => {
-                dfs_audited(program, state, cfg, classes, visited, canon, audit, report);
-                state.undo(undo);
-                assert_eq!(
-                    state.digest(),
-                    state.digest_from_scratch(),
-                    "digest diverged after undo"
-                );
-                if report.stopped() {
-                    return;
-                }
-            }
-            StepOutcome::Halted => {
-                dfs_audited(program, state, cfg, classes, visited, canon, audit, report);
-                state.undo(undo);
-                assert_eq!(
-                    state.digest(),
-                    state.digest_from_scratch(),
-                    "digest diverged after undo"
-                );
-                return;
-            }
-            StepOutcome::StepLimit => {
-                state.undo(undo);
-                report.record_truncation(None);
-            }
-        }
-    }
+    auditor.counts.distinct_digests = auditor.canon.len();
+    (report, auditor.counts)
 }
 
 /// Convenience: whether every idealized execution of `program` is free of
@@ -1591,29 +1203,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_report_is_independent_of_thread_count() {
-        for p in [
-            crate::corpus::fig1_dekker(),
-            independent_writers(3, 2),
-            crate::corpus::message_passing_sync(2),
-        ] {
-            let sequential = explore_dpor(&p, &cfg());
-            for threads in [1, 2, 4, 7] {
-                let par = explore_parallel(&p, &cfg(), threads);
-                assert_eq!(par.results, sequential.results, "threads={threads}");
-                assert_eq!(par.outcomes, sequential.outcomes, "threads={threads}");
-                assert_eq!(par.races, sequential.races, "threads={threads}");
-                assert_eq!(
-                    par.execution_count, sequential.execution_count,
-                    "threads={threads}"
-                );
-                assert_eq!(par.steps, sequential.steps, "threads={threads}");
-                assert_eq!(par.complete, sequential.complete, "threads={threads}");
-            }
-        }
-    }
-
-    #[test]
     fn budget_accounting_is_uniform_across_strategies() {
         // Regression: the full DFS used to count budget per recursive call
         // while the pruned DFS counted per deduplicated state, so the two
@@ -1632,11 +1221,12 @@ mod tests {
             let full = explore(&p, &limited);
             let pruned = explore_results(&p, &limited);
             let dpor = explore_dpor(&p, &limited);
-            assert_eq!(full.steps, pruned.steps, "budget {budget}");
-            assert_eq!(full.steps, dpor.steps, "budget {budget}");
-            assert_eq!(full.incomplete, pruned.incomplete, "budget {budget}");
-            assert_eq!(full.incomplete, dpor.incomplete, "budget {budget}");
-            assert_eq!(full.complete, pruned.complete, "budget {budget}");
+            let (audited, _) = explore_results_audited(&p, &limited);
+            for (name, other) in [("pruned", &pruned), ("dpor", &dpor), ("audited", &audited)] {
+                assert_eq!(full.steps, other.steps, "{name}, budget {budget}");
+                assert_eq!(full.incomplete, other.incomplete, "{name}, budget {budget}");
+                assert_eq!(full.complete, other.complete, "{name}, budget {budget}");
+            }
         }
     }
 
@@ -1687,25 +1277,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_maxes_peak_visited_and_sums_counters() {
-        // `peak_visited` is a high-water mark of a single set, so parallel
-        // merges take the max (a sum would claim memory no worker held);
-        // work counters are genuine totals and sum.
-        let mut a = ExploreReport::empty();
-        a.peak_visited = 10;
-        a.steps = 5;
-        a.pruned = 2;
-        let mut b = ExploreReport::empty();
-        b.peak_visited = 7;
-        b.steps = 9;
-        b.pruned = 4;
-        a.merge(b);
-        assert_eq!(a.peak_visited, 10);
-        assert_eq!(a.steps, 14);
-        assert_eq!(a.pruned, 6);
-    }
-
-    #[test]
     fn symmetric_threads_prune_and_results_close_exactly() {
         // Two identical racy increment threads: every state reached by
         // "thread 1 first" is a permutation of one reached by "thread 0
@@ -1748,11 +1319,11 @@ mod tests {
     }
 
     #[test]
-    fn interned_explorer_matches_legacy_key_explorer_on_corpus() {
-        // The tentpole equality gate in miniature (wo-fuzz runs it over
-        // 500 generated seeds): the interned-digest explorer and the
-        // pre-interning LegacyStateKey explorer must report identical
-        // result sets whenever both complete.
+    fn interned_explorer_matches_full_explorer_on_corpus() {
+        // The state-key equality gate in miniature (wo-fuzz runs it over
+        // 500 generated seeds): the interned-digest explorer must report
+        // the unreduced explorer's result and outcome sets whenever both
+        // complete, without expanding more states.
         for (name, p) in crate::corpus::drf0_suite()
             .iter()
             .chain(crate::corpus::racy_suite().iter())
@@ -1761,15 +1332,12 @@ mod tests {
                 max_total_steps: 200_000,
                 ..ExploreConfig::default()
             };
-            let legacy = explore_results_legacy_key(p, &budget);
+            let full = explore(p, &budget);
             let interned = explore_results(p, &budget);
-            if legacy.complete && interned.complete {
-                assert_eq!(legacy.results, interned.results, "{name}: results");
-                assert_eq!(legacy.outcomes, interned.outcomes, "{name}: outcomes");
-                assert!(
-                    interned.peak_visited <= legacy.peak_visited,
-                    "{name}: symmetry can only shrink the visited set"
-                );
+            if full.complete && interned.complete {
+                assert_eq!(full.results, interned.results, "{name}: results");
+                assert_eq!(full.outcomes, interned.outcomes, "{name}: outcomes");
+                assert!(interned.steps <= full.steps, "{name}: pruning never grows");
             }
         }
     }
@@ -2003,6 +1571,7 @@ mod tests {
             explore(&p, &expired),
             explore_dpor(&p, &expired),
             explore_results(&p, &expired),
+            explore_results_audited(&p, &expired).0,
         ] {
             assert!(!report.complete);
             assert_eq!(report.incomplete, Some(IncompleteReason::Deadline));
@@ -2031,5 +1600,32 @@ mod tests {
         if !report.race_free() {
             assert_eq!(drf0_verdict(&p, &tiny), Drf0Verdict::Racy);
         }
+    }
+
+    #[test]
+    fn local_step_limit_keeps_the_prefix_races() {
+        // Regression: T1 reads x and then spins on a local jump forever,
+        // so every path ends in a local-step-limit truncation rather than
+        // a leaf. Truncation used to drop the detector's races there,
+        // turning a racy program into BudgetExceeded(TruncatedExecution).
+        let x = Loc(0);
+        let p = Program::new(vec![
+            Thread::new().write(x, 1),
+            Thread::new().read(x, Reg(0)).jump(1),
+        ])
+        .unwrap();
+        // The write and the read race in either completion order.
+        let (w, r) = (OpId::for_thread_op(ProcId(0), 0), OpId::for_thread_op(ProcId(1), 0));
+        let expected = HashSet::from([
+            Race { first: w, second: r, loc: x },
+            Race { first: r, second: w, loc: x },
+        ]);
+        for report in [explore(&p, &cfg()), explore_dpor(&p, &cfg())] {
+            assert_eq!(report.execution_count, 0, "no path reaches a leaf");
+            assert!(report.truncated_executions > 0);
+            assert_eq!(report.incomplete, Some(IncompleteReason::TruncatedExecution));
+            assert_eq!(report.races, expected);
+        }
+        assert_eq!(drf0_verdict(&p, &cfg()), Drf0Verdict::Racy);
     }
 }

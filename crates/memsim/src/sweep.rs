@@ -4,9 +4,8 @@
 //! where the config carries the cell's seed — fanned across worker threads
 //! and merged back **in grid order**. Because every cell is an independent
 //! deterministic simulation (all randomness derives from `config.seed`),
-//! the merged report is bit-identical at any thread count: the same
-//! determinism contract `litmus::explore::explore_parallel` established
-//! for the idealized side.
+//! the merged report is bit-identical at any thread count: workers decide
+//! only *who* runs each cell, never what it produces.
 //!
 //! Each worker keeps **one recycled [`Machine`]** and rewinds it with
 //! [`Machine::reset`] between cells, so a sweep pays machine construction
