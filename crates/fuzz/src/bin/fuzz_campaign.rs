@@ -14,7 +14,7 @@
 //!
 //! ```text
 //! fuzz_campaign [--seeds A..B | --seeds N] [--threads N] [--fault-seeds K]
-//!               [--max-seconds S] [--server ADDR] [--server-v1]
+//!               [--max-seconds S] [--server ADDR]
 //!               [--inject-prune-bug] [--no-shrink] [--smoke] [--verbose]
 //!   --seeds A..B        seed range, end exclusive      (default 0..1000)
 //!   --seeds N           shorthand for 0..N
@@ -23,11 +23,9 @@
 //!   --max-seconds S     wall-clock budget (breaks fixed-range determinism)
 //!   --server ADDR       ask a wo-serve daemon for DRF0 verdicts; the whole
 //!                       corpus is prefetched over one pipelined wo-serve/2
-//!                       batch connection, and any client failure falls
+//!                       batch connection, prefetch misses take one v1
+//!                       round trip each, and any client failure falls
 //!                       back to local computation
-//!   --server-v1         force one v1 round trip per verdict instead of the
-//!                       batch prefetch (wire-path comparison; verdicts are
-//!                       identical either way)
 //!   --inject-prune-bug  sabotage the SC reference with the historical
 //!                       state-only prune bug; the campaign must catch it
 //!   --no-shrink         skip failure minimization
@@ -83,7 +81,6 @@ fn parse_args() -> Args {
                 cfg.oracle.remote =
                     Some(it.next().unwrap_or_else(|| usage("--server needs an address")));
             }
-            "--server-v1" => cfg.oracle.remote_batch = false,
             "--inject-prune-bug" => cfg.oracle.inject_prune_bug = true,
             "--no-shrink" => cfg.shrink_failures = false,
             "--smoke" => smoke = true,
@@ -117,8 +114,8 @@ fn usage(err: &str) -> ! {
     eprintln!("fuzz_campaign: {err}");
     eprintln!(
         "usage: fuzz_campaign [--seeds A..B|N] [--threads N] [--fault-seeds K] \
-         [--max-seconds S] [--server ADDR] [--server-v1] [--inject-prune-bug] \
-         [--no-shrink] [--smoke] [--verbose]"
+         [--max-seconds S] [--server ADDR] [--inject-prune-bug] [--no-shrink] \
+         [--smoke] [--verbose]"
     );
     std::process::exit(2);
 }
@@ -133,10 +130,7 @@ fn main() {
         3,
         cfg.oracle.fault_seeds,
         match &cfg.oracle.remote {
-            Some(addr) => format!(
-                "  [DRF0 verdicts via wo-serve at {addr}, {}]",
-                if cfg.oracle.remote_batch { "batched" } else { "v1" }
-            ),
+            Some(addr) => format!("  [DRF0 verdicts via wo-serve at {addr}]"),
             None => String::new(),
         },
         if args.injected { "  [SC reference sabotaged: --inject-prune-bug]" } else { "" }

@@ -19,10 +19,11 @@
 //! **Remote verdicts:** with [`OracleConfig::remote`] set, the driver
 //! first prefetches the whole corpus's DRF0 verdicts over one pipelined
 //! `wo-serve/2` batch connection (deduplicated by program text) and hands
-//! workers the answer map; per-seed round trips only happen for prefetch
-//! misses, when batching is disabled ([`OracleConfig::remote_batch`]), or
-//! after a client failure — and every rung of that ladder returns the same
-//! verdicts, so summaries stay byte-identical across wire paths.
+//! workers the answer map; per-seed `wo-serve/1` round trips only happen
+//! for prefetch misses (shrink candidates, seeds the daemon did not
+//! answer), for ranges too large to prefetch, or after a client failure —
+//! and every rung of that ladder returns the same verdicts, so summaries
+//! stay byte-identical across wire paths.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,16 +143,13 @@ const MAX_PREFETCH_SEEDS: u64 = 1 << 16;
 /// deterministic), deduplicate by program text, stream the whole corpus as
 /// batch queries, and hand workers the answer map. `None` — and therefore
 /// the unchanged per-seed remote-then-local ladder — on any client
-/// failure, an unbounded range, or when batching is disabled.
+/// failure or an unbounded range.
 fn prefetch_remote_verdicts(
     cfg: &CampaignConfig,
 ) -> Option<Arc<HashMap<String, Drf0Verdict>>> {
     use wo_serve::client::{BatchClient, ClientConfig};
 
     let addr = cfg.oracle.remote.as_deref()?;
-    if !cfg.oracle.remote_batch {
-        return None;
-    }
     let span = cfg.seed_end.saturating_sub(cfg.seed_start);
     if span == 0 || span > MAX_PREFETCH_SEEDS {
         return None;
@@ -570,7 +568,7 @@ mod tests {
     /// per-seed v1 round trips, and the pipelined batch prefetch all
     /// produce identical per-family tables and tallies. The batched run
     /// must actually have used batch frames (the server's depth histogram
-    /// says so), not silently fallen back.
+    /// says so), not fallen back to the per-seed path.
     #[test]
     fn remote_summaries_match_local_ones_on_both_wire_paths() {
         use wo_serve::client::{ClientConfig, ServeClient};
@@ -582,9 +580,11 @@ mod tests {
 
         let local = run_campaign(&small_cfg(12));
 
+        // An empty prefetched map skips the batch prefetch, so every
+        // seed takes the per-seed v1 ladder.
         let mut v1_cfg = small_cfg(12);
         v1_cfg.oracle.remote = Some(addr.clone());
-        v1_cfg.oracle.remote_batch = false;
+        v1_cfg.oracle.prefetched = Some(Arc::new(HashMap::new()));
         let v1 = run_campaign(&v1_cfg);
 
         let mut batched_cfg = small_cfg(12);

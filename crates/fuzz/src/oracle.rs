@@ -79,12 +79,6 @@ pub struct OracleConfig {
     /// to computing the verdict locally, so a flaky or absent daemon can
     /// slow a campaign down but never change its verdicts.
     pub remote: Option<String>,
-    /// Fetch remote verdicts over one pipelined `wo-serve/2` batch
-    /// connection (the campaign driver prefetches the whole corpus before
-    /// the sweep) instead of a round trip per seed. The batch and v1 paths
-    /// send byte-identical requests, so this flag changes wire traffic,
-    /// never verdicts. Ignored without [`OracleConfig::remote`].
-    pub remote_batch: bool,
     /// Verdicts already fetched for this corpus, keyed by program text.
     /// Filled by the campaign driver's batch prefetch; consulted before
     /// any per-seed network round trip. Misses (e.g. shrink candidates,
@@ -106,7 +100,6 @@ impl Default for OracleConfig {
             axiom: true,
             inject_hb_bug: false,
             remote: None,
-            remote_batch: true,
             prefetched: None,
         }
     }

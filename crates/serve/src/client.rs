@@ -1,10 +1,12 @@
-//! The retrying client: exponential backoff with seeded jitter, and one
-//! bounded hedged attempt for tail latency.
+//! The retrying clients: [`ServeClient`] sends one `wo-serve/1` request
+//! per connection, with exponential backoff, seeded jitter and one bounded
+//! hedged attempt for tail latency; [`BatchClient`] pipelines
+//! `wo-serve/2` batches over one connection.
 //!
-//! The client owns the *transient* failure modes so callers don't have
+//! The clients own the *transient* failure modes so callers don't have
 //! to: connection refused while the daemon restarts, connections dropped
 //! mid-frame by a dying process, `Overloaded` and `ShuttingDown`
-//! rejections, and plain slowness. Its contract:
+//! rejections, and plain slowness. Their contract:
 //!
 //! * **Retry only what is safe and useful.** All wo-serve queries are
 //!   idempotent reads, so every transport failure and every retryable
@@ -13,7 +15,9 @@
 //!   campaign runs stay reproducible.
 //! * **Permanent errors fail fast.** `Parse`, `Malformed`, `TooLarge`
 //!   come back immediately — retrying a bad program wastes a fleet's
-//!   time and the server's.
+//!   time and the server's. Clients and daemon ship from one workspace,
+//!   so a bare error frame answering a whole batch follows the same
+//!   rule; it is never a cue to re-run the batch over `wo-serve/1`.
 //! * **Hedge at most once.** If an attempt has produced nothing by
 //!   `hedge_after`, ONE duplicate attempt races it and the first answer
 //!   wins. Bounded hedging keeps p99 down without the retry-storm
@@ -277,9 +281,10 @@ enum AttemptOutcome {
     /// Some items came back with retryable errors; resubmit them after
     /// backoff (the connection stays up).
     Partial(String),
-    /// The server answered the batch frame with a v1 `Malformed` error —
-    /// it only speaks wo-serve/1. Fall back to per-request queries.
-    V1Server,
+    /// The daemon rejected the whole frame with a bare permanent error
+    /// (structural damage, such as more items than its
+    /// `max_batch_items`) and dropped the connection.
+    Rejected(ErrorCode, String),
 }
 
 /// The pipelined `wo-serve/2` client: one persistent connection, whole
@@ -292,9 +297,10 @@ enum AttemptOutcome {
 /// and nothing else. Per-item retryable errors (`Overloaded`,
 /// `ShuttingDown`) are resubmitted the same way; per-item permanent
 /// errors come back in the result vector as [`Response::Error`] so the
-/// rest of the batch is unaffected. Against a server that only speaks
-/// wo-serve/1 the client transparently degrades to per-request queries.
-/// Hedging does not apply: the batch itself amortizes tail latency.
+/// rest of the batch is unaffected. A bare error frame rejecting a whole
+/// chunk is retried when its code is retryable and is otherwise
+/// [`ClientError::Permanent`]. Hedging does not apply: the batch itself
+/// amortizes tail latency.
 pub struct BatchClient {
     cfg: ClientConfig,
     rng: SplitMix64,
@@ -345,7 +351,8 @@ impl BatchClient {
     /// # Errors
     ///
     /// [`ClientError::Exhausted`] once `max_attempts` transient failures
-    /// accumulate on any chunk.
+    /// accumulate on any chunk; [`ClientError::Permanent`] when the
+    /// daemon rejects a whole chunk with a non-retryable error.
     pub fn query_batch(&mut self, requests: &[Request]) -> Result<Vec<Response>, ClientError> {
         let chunk_size = self.max_batch_items.max(1);
         let mut out = Vec::with_capacity(requests.len());
@@ -373,7 +380,10 @@ impl BatchClient {
                     return Ok(answers.into_iter().map(|a| a.expect("complete")).collect());
                 }
                 Ok(AttemptOutcome::Partial(msg)) => last = msg,
-                Ok(AttemptOutcome::V1Server) => return self.fallback_v1(chunk, answers),
+                Ok(AttemptOutcome::Rejected(code, message)) => {
+                    self.conn = None;
+                    return Err(ClientError::Permanent { code, message });
+                }
                 Err(e) => {
                     self.conn = None;
                     last = e;
@@ -470,13 +480,14 @@ impl BatchClient {
                     (id, response)
                 }
                 _ => {
-                    // A bare v1 frame in answer to a batch: classify it.
+                    // A bare frame in answer to a batch: a frame-level
+                    // error, after which the daemon drops the connection.
                     return match Response::decode(&payload) {
-                        Ok(Response::Error { code: ErrorCode::Malformed, .. }) => {
-                            Ok(AttemptOutcome::V1Server)
-                        }
                         Ok(Response::Error { code, message }) if code.is_retryable() => {
                             Err(format!("server error {}: {message}", code.as_str()))
+                        }
+                        Ok(Response::Error { code, message }) => {
+                            Ok(AttemptOutcome::Rejected(code, message))
                         }
                         Ok(other) => {
                             Err(format!("unexpected v1 frame {other:?} to a batch"))
@@ -502,29 +513,6 @@ impl BatchClient {
             Some(msg) => AttemptOutcome::Partial(msg),
             None => AttemptOutcome::Complete,
         })
-    }
-
-    /// Per-request fallback for a wo-serve/1 server: every unanswered
-    /// item goes through the retrying v1 client.
-    fn fallback_v1(
-        &mut self,
-        chunk: &[Request],
-        mut answers: Vec<Option<Response>>,
-    ) -> Result<Vec<Response>, ClientError> {
-        self.conn = None;
-        let mut single = ServeClient::new(self.cfg.clone());
-        for (i, slot) in answers.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = Some(match single.query(&chunk[i]) {
-                    Ok(response) => response,
-                    Err(ClientError::Permanent { code, message }) => {
-                        Response::Error { code, message }
-                    }
-                    Err(e) => return Err(e),
-                });
-            }
-        }
-        Ok(answers.into_iter().map(|a| a.expect("filled above")).collect())
     }
 
     fn ensure_conn(&mut self) -> Result<(), String> {

@@ -126,34 +126,24 @@ impl Journal {
         ))
     }
 
-    /// Appends a definitive answer. Non-definitive answers are silently
-    /// refused — persisting them could replay a budget artifact as truth.
-    ///
-    /// Returns `true` when the caller should compact (see
-    /// [`Journal::compact`]): the append counter reached the snapshot
-    /// interval.
+    /// Appends one record: [`Journal::append_batch`] of one.
     ///
     /// # Errors
     ///
     /// Propagates write errors.
     pub fn append(&mut self, record: &JournalRecord) -> io::Result<bool> {
-        if !record.answer.is_definitive() {
-            return Ok(false);
-        }
-        let encoded = encode_record(record);
-        self.file.write_all(&encoded)?;
-        self.file.flush()?;
-        self.appends_since_compaction += 1;
-        Ok(self.snapshot_every > 0 && self.appends_since_compaction >= self.snapshot_every)
+        self.append_batch(std::iter::once(record))
     }
 
     /// Appends a whole batch of definitive answers with **one** buffered
     /// write and **one** flush — the per-append flush is the journal's
     /// dominant cost, and a batch frame can legitimately produce hundreds
-    /// of fresh verdicts. Non-definitive answers are skipped exactly as
-    /// [`Journal::append`] skips them.
+    /// of fresh verdicts. Non-definitive answers are silently skipped —
+    /// persisting them could replay a budget artifact as truth.
     ///
-    /// Returns `true` when the caller should compact.
+    /// Returns `true` when the caller should compact (see
+    /// [`Journal::compact`]): the append counter reached the snapshot
+    /// interval.
     ///
     /// # Errors
     ///

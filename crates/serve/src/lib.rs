@@ -9,10 +9,16 @@
 //!   requests are normalized under thread/location/value renaming, so a
 //!   fleet of near-duplicate submissions costs one exploration; concurrent
 //!   misses on one canonical form trigger exactly one exploration.
+//! * **One query ladder** ([`server`]): a `wo-serve/1` request and each
+//!   query item of a `wo-serve/2` batch go through the same two steps —
+//!   prepare (parse, canonicalize) and resolve (cache, coalescing,
+//!   admission, budgets, the engines) — so the two protocols cannot
+//!   drift apart; a v1 request is a one-item resolution.
 //! * **Crash-safe persistence** ([`journal`]): definitive verdicts go to
-//!   an append-only checksummed journal, compacted by atomic rename and
-//!   replayed on startup. `kill -9` loses at most in-flight entries and
-//!   can never cause a wrong verdict to be served.
+//!   an append-only checksummed journal, right after their response is
+//!   written; the journal is compacted by atomic rename and replayed on
+//!   startup. `kill -9` loses at most in-flight entries and can never
+//!   cause a wrong verdict to be served.
 //! * **Deadlines as degradation, not failure** ([`server`]): each request
 //!   carries a wall-clock budget threaded into the explorer; a timeout
 //!   yields a structured partial verdict (`Unknown` + which budget gave
@@ -22,8 +28,9 @@
 //!   (cheap, honest, retryable) rather than unbounded queueing, with a
 //!   shed-load mode under sustained pressure. Cache hits bypass the gate
 //!   entirely — a hot cache keeps serving even when saturated.
-//! * **A retrying client** ([`client`]): exponential backoff with seeded
-//!   jitter and bounded hedging, used by the wo-fuzz campaign driver.
+//! * **Retrying clients** ([`client`]): a per-request client with
+//!   exponential backoff, seeded jitter and bounded hedging, and a
+//!   pipelined batch client; the wo-fuzz campaign driver uses both.
 //!
 //! The free functions below ([`compute_answer`], [`answer_locally`]) are
 //! the *same code path* the daemon runs, exposed pure so the chaos

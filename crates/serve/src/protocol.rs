@@ -1216,9 +1216,8 @@ pub fn encode_batch_result(id: u64, response_payload: &[u8]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// A human-readable reason if the payload is not a v2 result frame — a v1
-/// server answers a batch frame with a plain v1 error, which is how the
-/// client discovers it must fall back.
+/// A human-readable reason if the payload is not a v2 result frame (for
+/// example the bare error frame a daemon rejects a damaged batch with).
 pub fn decode_batch_result(payload: &[u8]) -> Result<(u64, &[u8]), String> {
     let newline =
         payload.iter().position(|&b| b == b'\n').ok_or("result frame missing first line")?;
@@ -1252,8 +1251,8 @@ pub fn decode_batch_result(payload: &[u8]) -> Result<(u64, &[u8]), String> {
 pub const RACE_BLOCK_MIN_RACES: usize = 64;
 
 /// The tag of a v2 batch stream frame (`"result"`, `"races"`,
-/// `"resultref"`), or `None` for anything else — e.g. the bare v1
-/// response an old server answers a batch frame with.
+/// `"resultref"`), or `None` for anything else — e.g. the bare error
+/// frame a daemon rejects a damaged batch with.
 #[must_use]
 pub fn batch_frame_tag(payload: &[u8]) -> Option<&str> {
     let newline = payload.iter().position(|&b| b == b'\n')?;
@@ -1699,8 +1698,8 @@ mod tests {
         assert_eq!(inner, &payload[..], "embedded response bytes are verbatim");
         assert_eq!(Response::decode(inner).unwrap(), resp);
 
-        // A v1 server's plain error response is not a result frame — that
-        // mismatch is the client's fallback signal.
+        // A bare error frame (a daemon rejecting a damaged batch) is not
+        // a result frame, so the client can tell the two apart.
         let v1 = Response::Error { code: ErrorCode::Malformed, message: "nope".into() }.encode();
         assert!(decode_batch_result(&v1).is_err());
     }

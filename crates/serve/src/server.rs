@@ -1,8 +1,18 @@
 //! The daemon: accept loop, per-connection threads, admission control,
-//! and the degradation ladder.
+//! and the query ladder.
 //!
-//! Every request walks the same ladder, preferring cheap honest answers
-//! over expensive or hung ones:
+//! Both front ends run one ladder of two steps. `prepare` answers ping
+//! and stats and parses and canonicalizes a verdict query; `resolve`
+//! takes one canonical key through cache lookup, coalesced wait,
+//! admission, budget clamp and the engines, counts what happened, and
+//! hands back the journal record of a fresh definitive answer. A v1
+//! frame is a one-item resolution; a `wo-serve/2` batch frame resolves
+//! each distinct canonical key once for all the items that share it. The
+//! front ends keep only what really differs: decoding, frame-level caps,
+//! and rendering (a bare v1 frame vs tagged results, race blocks and the
+//! encode memo). Answers are journaled after they are written.
+//!
+//! The ladder prefers cheap honest answers over expensive or hung ones:
 //!
 //! 1. **Definitive** — cache hit, coalesced share, or a fresh exploration
 //!    that completed (or found a race, conclusive from any prefix).
@@ -21,7 +31,7 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -222,6 +232,9 @@ struct Shared {
     gate: AdmissionGate,
     counters: ServeCounters,
     shutdown: AtomicBool,
+    /// Held shared while a connection handles a frame, journal writes
+    /// included; [`ServerHandle::shutdown`] takes it exclusively.
+    busy: RwLock<()>,
 }
 
 /// The daemon. Construct with [`Server::spawn`]; interact through the
@@ -248,8 +261,11 @@ impl ServerHandle {
         self.shared.counters.journal_replayed.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting, wakes the acceptor, and joins it. Connection
-    /// threads notice within their poll interval and drain.
+    /// Stops accepting, wakes the acceptor, joins it, and waits for the
+    /// frames being handled to finish. Answers are journaled after they
+    /// are written, so this is what lets a restart on the same journal
+    /// replay every answer a client has received. Idle connection threads
+    /// notice within their poll interval and drain.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection.
@@ -257,6 +273,7 @@ impl ServerHandle {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
+        drop(self.shared.busy.write().unwrap_or_else(|e| e.into_inner()));
     }
 }
 
@@ -290,6 +307,7 @@ impl Server {
             journal: Mutex::new(journal),
             counters: ServeCounters::default(),
             shutdown: AtomicBool::new(false),
+            busy: RwLock::new(()),
         });
         shared
             .counters
@@ -332,14 +350,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     let read_cap = shared.cfg.max_frame_bytes.max(shared.cfg.max_batch_frame_bytes);
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = write_locked(
-                &writer,
-                &Response::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "server draining".into(),
-                }
-                .encode(),
-            );
+            let _ = send_bare(shared, &writer, &error(ErrorCode::ShuttingDown, "server draining"));
             return;
         }
         let payload = match read_frame(&mut reader, read_cap) {
@@ -354,15 +365,13 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Oversized frame: answer honestly, then drop the
                 // connection (the stream offset is unrecoverable).
-                let _ = write_locked(
-                    &writer,
-                    &Response::Error { code: ErrorCode::TooLarge, message: e.to_string() }
-                        .encode(),
-                );
+                let _ = send_bare(shared, &writer, &error(ErrorCode::TooLarge, e.to_string()));
                 return;
             }
             Err(_) => return, // torn frame / connection error
         };
+        // Held until this frame is answered and journaled.
+        let _busy = shared.busy.read().unwrap_or_else(|e| e.into_inner());
         if is_batch_frame(&payload) {
             if handle_batch(shared, &writer, &payload, &mut trace).is_err() {
                 return;
@@ -373,54 +382,57 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
         // v1 cap is answered honestly and the connection dropped, exactly
         // as if `read_frame` had rejected it.
         if payload.len() > shared.cfg.max_frame_bytes {
-            let _ = write_locked(
-                &writer,
-                &Response::Error {
-                    code: ErrorCode::TooLarge,
-                    message: format!(
-                        "frame of {} bytes exceeds cap of {} bytes",
-                        payload.len(),
-                        shared.cfg.max_frame_bytes
-                    ),
-                }
-                .encode(),
+            let message = format!(
+                "frame of {} bytes exceeds cap of {} bytes",
+                payload.len(),
+                shared.cfg.max_frame_bytes
             );
+            let _ = send_bare(shared, &writer, &error(ErrorCode::TooLarge, message));
             return;
         }
         // Defense in depth for the zero-panics contract: an unexpected
         // panic anywhere in request handling becomes a structured
         // Internal error on this one request (the LeaderGuard's Drop has
         // already unwedged any coalesced waiters).
-        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            handle_payload(shared, &payload)
+        let (response, record) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            handle_v1(shared, &payload)
         }))
-        .unwrap_or_else(|_| Response::Error {
-            code: ErrorCode::Internal,
-            message: "request handler panicked".into(),
-        });
-        shared.counters.served.fetch_add(1, Ordering::Relaxed);
-        if write_locked(&writer, &response.encode()).is_err() {
+        .unwrap_or_else(|_| (error(ErrorCode::Internal, "request handler panicked"), None));
+        let written = send_bare(shared, &writer, &response);
+        persist_batch(shared, record.as_slice());
+        if written.is_err() {
             return;
         }
     }
 }
 
-fn write_locked(writer: &Mutex<TcpStream>, payload: &[u8]) -> io::Result<()> {
-    let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-    write_frame(&mut *w, payload)
+fn error(code: ErrorCode, message: impl Into<String>) -> Response {
+    Response::Error { code, message: message.into() }
 }
 
-fn handle_payload(shared: &Shared, payload: &[u8]) -> Response {
+/// Writes one bare (untagged, v1-framed) response and counts it as
+/// served. Every frame that is not a batch result goes through here: v1
+/// answers and the frame-level errors of both protocols.
+fn send_bare(shared: &Shared, writer: &Mutex<TcpStream>, response: &Response) -> io::Result<()> {
+    shared.counters.served.fetch_add(1, Ordering::Relaxed);
+    let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
+    write_frame(&mut *w, &response.encode())
+}
+
+/// Serves one v1 request as a one-item resolution. Returns the response
+/// and the journal record of a fresh definitive answer, which the caller
+/// persists once the response is written.
+fn handle_v1(shared: &Shared, payload: &[u8]) -> (Response, Option<JournalRecord>) {
     let request = match Request::decode(payload) {
         Ok(r) => r,
-        Err(reason) => {
-            return Response::Error { code: ErrorCode::Malformed, message: reason }
-        }
+        Err(reason) => return (error(ErrorCode::Malformed, reason), None),
     };
-    match request.kind {
-        QueryKind::Ping => Response::Pong,
-        QueryKind::Stats => Response::Stats(snapshot_stats(shared)),
-        _ => handle_query(shared, &request),
+    match prepare(shared, &request) {
+        Prepared::Immediate(response) => (response, None),
+        Prepared::Query(query) => {
+            let (resolution, record) = resolve(shared, &query, 1);
+            (resolution.response(&query), record)
+        }
     }
 }
 
@@ -447,27 +459,6 @@ fn snapshot_stats(shared: &Shared) -> ServerStats {
     }
 }
 
-/// A degraded answer for a request whose deadline expired before any
-/// exploration could run (queued too long, or a coalesced wait timed
-/// out). `steps = 0`: nothing was expanded on this request's behalf.
-fn deadline_degraded(kind: QueryKind) -> Response {
-    match kind {
-        QueryKind::Sc => Response::Sc {
-            outcomes: 0,
-            complete: false,
-            reason: Some("deadline".into()),
-            steps: 0,
-            cache: CacheStatus::Miss,
-        },
-        _ => Response::Verdict {
-            verdict: Verdict::Unknown { reason: "deadline".into() },
-            races: Vec::new(),
-            steps: 0,
-            cache: CacheStatus::Miss,
-        },
-    }
-}
-
 /// Effective wall-clock budget: client's ask clamped to the ceiling,
 /// falling back to the server default. An explicit 0 opts out of
 /// wall-clock deadlines entirely (step budgets only) — that is what
@@ -482,102 +473,169 @@ fn effective_deadline(shared: &Shared, requested: Option<u64>) -> Option<Instant
     deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms))
 }
 
-fn handle_query(shared: &Shared, request: &Request) -> Response {
+// ---------------------------------------------------------------------
+// The ladder: prepare, then resolve
+// ---------------------------------------------------------------------
+
+/// A verdict query, parsed and canonicalized: everything [`resolve`]
+/// needs from one submission.
+struct Query {
+    kind: QueryKind,
+    group: KindGroup,
+    deadline_ms: Option<u64>,
+    max_total_steps: Option<usize>,
+    max_ops_per_execution: Option<usize>,
+    form: CanonicalForm,
+}
+
+/// What [`prepare`] made of one request.
+enum Prepared {
+    /// Already answerable: ping, stats, a parse error (and, on the batch
+    /// path, an undecodable or oversized item).
+    Immediate(Response),
+    /// A verdict query awaiting [`resolve`].
+    Query(Query),
+}
+
+/// The ladder's first step: ping and stats answer at once; a verdict
+/// query is parsed and canonicalized. The batch path runs it on the
+/// pool, item by item.
+fn prepare(shared: &Shared, request: &Request) -> Prepared {
     let Some(group) = kind_group(request.kind) else {
-        return Response::Error {
-            code: ErrorCode::Malformed,
-            message: "query kind carries no body".into(),
-        };
+        return Prepared::Immediate(match request.kind {
+            QueryKind::Stats => Response::Stats(snapshot_stats(shared)),
+            _ => Response::Pong,
+        });
     };
-    let program = match litmus::parse::parse_program(&request.program) {
-        Ok(p) => p,
-        Err(e) => {
-            return Response::Error { code: ErrorCode::Parse, message: e.to_string() }
+    match litmus::parse::parse_program(&request.program) {
+        Err(e) => Prepared::Immediate(error(ErrorCode::Parse, e.to_string())),
+        Ok(program) => Prepared::Query(Query {
+            kind: request.kind,
+            group,
+            deadline_ms: request.deadline_ms,
+            max_total_steps: request.max_total_steps,
+            max_ops_per_execution: request.max_ops_per_execution,
+            form: canonicalize(&program),
+        }),
+    }
+}
+
+/// How one canonical key resolved, for every submission sharing it.
+enum Resolution {
+    /// A cache hit, a coalesced share, or a fresh exploration (`Miss`,
+    /// as the leading submission sees it). Degraded answers included.
+    Answered(Arc<CachedAnswer>, CacheStatus),
+    /// The deadline passed before any exploration ran on the key's
+    /// behalf (queued too long, or a coalesced wait timed out).
+    Expired,
+    /// A structured failure: overload or a lost exploration worker.
+    Failed(ErrorCode, &'static str),
+}
+
+impl Resolution {
+    /// The bare response for one submission, with the resolution's own
+    /// cache status.
+    fn response(&self, query: &Query) -> Response {
+        match self {
+            Resolution::Answered(answer, status) => {
+                answer_to_response(query.kind, answer, &query.form, *status)
+            }
+            // `steps = 0`: nothing was expanded on this request's behalf.
+            Resolution::Expired => match query.kind {
+                QueryKind::Sc => Response::Sc {
+                    outcomes: 0,
+                    complete: false,
+                    reason: Some("deadline".into()),
+                    steps: 0,
+                    cache: CacheStatus::Miss,
+                },
+                _ => Response::Verdict {
+                    verdict: Verdict::Unknown { reason: "deadline".into() },
+                    races: Vec::new(),
+                    steps: 0,
+                    cache: CacheStatus::Miss,
+                },
+            },
+            Resolution::Failed(code, message) => error(*code, *message),
         }
-    };
+    }
+}
 
-    let deadline = effective_deadline(shared, request.deadline_ms);
-
-    let form = canonicalize(&program);
-
-    match shared.cache.lookup(group, &form.text) {
-        Lookup::Hit(answer) => {
-            answer_to_response(request.kind, &answer, &form, CacheStatus::Hit)
-        }
+/// The ladder's second step, for one canonical key and the
+/// `subscribers` submissions that share it (1 for a v1 frame): cache
+/// lookup, coalesced wait, admission, budget clamp, the engines. The
+/// leading submission's deadline and budgets govern the exploration,
+/// exactly as an in-flight leader's budgets govern what joiners from
+/// other connections receive. Counts `explored` once per exploration and
+/// `overloaded` / `degraded` once per subscriber. Returns the journal
+/// record of a fresh definitive answer; the caller persists it after its
+/// responses are written.
+fn resolve(
+    shared: &Shared,
+    query: &Query,
+    subscribers: usize,
+) -> (Resolution, Option<JournalRecord>) {
+    let subscribers = subscribers as u64;
+    let deadline = effective_deadline(shared, query.deadline_ms);
+    let mut record = None;
+    let resolution = match shared.cache.lookup(query.group, &query.form.text) {
+        Lookup::Hit(answer) => Resolution::Answered(answer, CacheStatus::Hit),
         Lookup::Join(flight) => match flight.wait(deadline) {
             Some(FlightOutcome::Answered(answer)) => {
-                if !answer.is_definitive() {
-                    shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                }
-                answer_to_response(request.kind, &answer, &form, CacheStatus::Coalesced)
+                Resolution::Answered(answer, CacheStatus::Coalesced)
             }
-            Some(FlightOutcome::Failed) => Response::Error {
-                code: ErrorCode::Internal,
-                message: "exploration worker lost".into(),
-            },
-            None => {
-                shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                deadline_degraded(request.kind)
+            Some(FlightOutcome::Failed) => {
+                Resolution::Failed(ErrorCode::Internal, "exploration worker lost")
             }
+            None => Resolution::Expired,
         },
+        // A leader that gets no slot drops its guard: waiters see Failed
+        // and retry or surface it.
         Lookup::Lead(guard) => match shared.gate.admit(deadline) {
             Admission::Rejected => {
-                shared.counters.overloaded.fetch_add(1, Ordering::Relaxed);
-                drop(guard); // waiters get Failed and retry or surface it
-                Response::Error {
-                    code: ErrorCode::Overloaded,
-                    message: "exploration queue full".into(),
-                }
+                shared.counters.overloaded.fetch_add(subscribers, Ordering::Relaxed);
+                Resolution::Failed(ErrorCode::Overloaded, "exploration queue full")
             }
-            Admission::TimedOut => {
-                shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                drop(guard);
-                deadline_degraded(request.kind)
-            }
+            Admission::TimedOut => Resolution::Expired,
             Admission::Granted(permit) => {
                 let mut ecfg = shared.cfg.explore;
-                if let Some(steps) = request.max_total_steps {
-                    ecfg.max_total_steps = steps.min(shared.cfg.explore.max_total_steps);
+                if let Some(steps) = query.max_total_steps {
+                    ecfg.max_total_steps = steps.min(ecfg.max_total_steps);
                 }
-                if let Some(ops) = request.max_ops_per_execution {
-                    ecfg.max_ops_per_execution =
-                        ops.min(shared.cfg.explore.max_ops_per_execution);
+                if let Some(ops) = query.max_ops_per_execution {
+                    ecfg.max_ops_per_execution = ops.min(ecfg.max_ops_per_execution);
                 }
                 ecfg.deadline = deadline;
-
-                let answer = compute_answer(group, &form.program, &ecfg);
-                shared.counters.explored.fetch_add(1, Ordering::Relaxed);
-                if !answer.is_definitive() {
-                    shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
-                }
-                let shared_answer = guard.complete(answer);
+                let answer = compute_answer(query.group, &query.form.program, &ecfg);
+                let answer = guard.complete(answer);
                 drop(permit);
-
-                persist(shared, group, &form.text, &shared_answer);
-                answer_to_response(request.kind, &shared_answer, &form, CacheStatus::Miss)
+                shared.counters.explored.fetch_add(1, Ordering::Relaxed);
+                if answer.is_definitive() {
+                    record = Some(JournalRecord {
+                        group: query.group,
+                        key: query.form.text.clone(),
+                        answer: (*answer).clone(),
+                    });
+                }
+                Resolution::Answered(answer, CacheStatus::Miss)
             }
         },
+    };
+    let degraded = match &resolution {
+        Resolution::Answered(answer, _) => !answer.is_definitive(),
+        Resolution::Expired => true,
+        Resolution::Failed(..) => false,
+    };
+    if degraded {
+        shared.counters.degraded.fetch_add(subscribers, Ordering::Relaxed);
     }
+    (resolution, record)
 }
 
-/// Journals a definitive answer and compacts when the interval is due.
-/// Journal failures are deliberately non-fatal: the daemon keeps serving
-/// from memory (durability degrades, correctness does not).
-fn persist(shared: &Shared, group: KindGroup, key: &str, answer: &CachedAnswer) {
-    if !answer.is_definitive() {
-        return;
-    }
-    let mut journal = shared.journal.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(j) = journal.as_mut() else { return };
-    let record = JournalRecord { group, key: key.to_string(), answer: answer.clone() };
-    if let Ok(true) = j.append(&record) {
-        compact_now(shared, j);
-    }
-}
-
-/// Journals a whole batch's definitive answers with one write + one
-/// flush, compacting at most once. Same non-fatal failure policy as
-/// [`persist`].
+/// Journals fresh definitive answers with one write + one flush,
+/// compacting at most once. Journal failures are deliberately non-fatal:
+/// the daemon keeps serving from memory (durability degrades,
+/// correctness does not).
 fn persist_batch(shared: &Shared, records: &[JournalRecord]) {
     if records.is_empty() {
         return;
@@ -614,38 +672,19 @@ struct TraceSession {
     checker: Option<StreamChecker>,
 }
 
-/// What phase A (parallel decode + canonicalize) made of one batch item.
-enum Prepared {
-    /// Already answerable: decode errors, per-item cap violations,
-    /// ping/stats. Responded to in submission order.
-    Immediate(u64, Response),
+/// What phase A (parallel decode + [`prepare`]) made of one batch item.
+enum Item {
+    /// A query item, by id. Undecodable and oversized items land here
+    /// too, as immediate errors.
+    Query(u64, Prepared),
     /// A trace item, decoded; applied sequentially in submission order
     /// (the checker is per-connection stream state).
     Trace(BatchItem),
-    /// A verdict query, parsed and canonicalized, awaiting resolution.
-    Query {
-        id: u64,
-        kind: QueryKind,
-        group: KindGroup,
-        deadline_ms: Option<u64>,
-        max_total_steps: Option<usize>,
-        max_ops_per_execution: Option<usize>,
-        form: CanonicalForm,
-    },
-}
-
-/// Query items sharing one canonical key: resolved once, answered for
-/// every item. `item_idxs[0]` is the first submission and provides the
-/// deadline and budgets for the shared exploration.
-struct KeyWork {
-    group: KindGroup,
-    key: String,
-    item_idxs: Vec<usize>,
 }
 
 /// Appends one tagged, length-prefixed result frame to `out`. The
-/// `served` counter ticks per result, as it does per response on the v1
-/// path. Results are buffered per resolution step and flushed in one
+/// `served` counter ticks per result, as it does per bare frame.
+/// Results are buffered per resolution step and flushed in one
 /// write: a write syscall per result would wake the blocked client on
 /// every small segment, and on a machine where the reader and writer
 /// share a core that ping-pongs the scheduler once per item.
@@ -692,67 +731,26 @@ fn send_result(
     flush_results(writer, &mut out)
 }
 
-/// Decodes one batch item and does all per-item work that needs no
-/// shared state: cap check, decode, parse, canonicalize. Runs on the
-/// pool, so everything here is the parallel part of the hot path.
-fn prepare_item(shared: &Shared, item: &[u8]) -> Prepared {
+/// Phase A for one item: the per-item cap, decode, and [`prepare`]. Runs
+/// on the pool, so everything here is the parallel part of the hot path.
+fn prepare_item(shared: &Shared, item: &[u8]) -> Item {
     let fallback_id = peek_item_id(item).unwrap_or(u64::MAX);
     // The per-item cap is the v1 frame cap: a batch must not smuggle in
     // an item no v1 frame could carry.
     if item.len() > shared.cfg.max_frame_bytes {
         shared.counters.shed_items.fetch_add(1, Ordering::Relaxed);
-        return Prepared::Immediate(
-            fallback_id,
-            Response::Error {
-                code: ErrorCode::TooLarge,
-                message: format!(
-                    "item of {} bytes exceeds per-item cap of {} bytes",
-                    item.len(),
-                    shared.cfg.max_frame_bytes
-                ),
-            },
+        let message = format!(
+            "item of {} bytes exceeds per-item cap of {} bytes",
+            item.len(),
+            shared.cfg.max_frame_bytes
         );
+        return Item::Query(fallback_id, Prepared::Immediate(error(ErrorCode::TooLarge, message)));
     }
-    let item = match BatchItem::decode(item) {
-        Ok(item) => item,
+    match BatchItem::decode(item) {
+        Ok(BatchItem::Query { id, request }) => Item::Query(id, prepare(shared, &request)),
+        Ok(trace) => Item::Trace(trace),
         Err(reason) => {
-            return Prepared::Immediate(
-                fallback_id,
-                Response::Error { code: ErrorCode::Malformed, message: reason },
-            )
-        }
-    };
-    let BatchItem::Query { id, request } = item else {
-        return Prepared::Trace(item);
-    };
-    match request.kind {
-        QueryKind::Ping => Prepared::Immediate(id, Response::Pong),
-        QueryKind::Stats => Prepared::Immediate(id, Response::Stats(snapshot_stats(shared))),
-        kind => {
-            let Some(group) = kind_group(kind) else {
-                return Prepared::Immediate(
-                    id,
-                    Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: "query kind carries no body".into(),
-                    },
-                );
-            };
-            match litmus::parse::parse_program(&request.program) {
-                Err(e) => Prepared::Immediate(
-                    id,
-                    Response::Error { code: ErrorCode::Parse, message: e.to_string() },
-                ),
-                Ok(program) => Prepared::Query {
-                    id,
-                    kind,
-                    group,
-                    deadline_ms: request.deadline_ms,
-                    max_total_steps: request.max_total_steps,
-                    max_ops_per_execution: request.max_ops_per_execution,
-                    form: canonicalize(&program),
-                },
-            }
+            Item::Query(fallback_id, Prepared::Immediate(error(ErrorCode::Malformed, reason)))
         }
     }
 }
@@ -785,10 +783,7 @@ fn handle_trace_item(
                     shared,
                     writer,
                     *id,
-                    &Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: "trace_seg without an open trace check".into(),
-                    },
+                    &error(ErrorCode::Malformed, "trace_seg without an open trace check"),
                 );
             };
             checker.begin_segment(*procs);
@@ -801,7 +796,7 @@ fn handle_trace_item(
                         shared,
                         writer,
                         *id,
-                        &Response::Error { code: ErrorCode::Parse, message: e.to_string() },
+                        &error(ErrorCode::Parse, e.to_string()),
                     );
                 }
             }
@@ -814,10 +809,7 @@ fn handle_trace_item(
                     shared,
                     writer,
                     *id,
-                    &Response::Error {
-                        code: ErrorCode::Malformed,
-                        message: "trace_finish without an open trace check".into(),
-                    },
+                    &error(ErrorCode::Malformed, "trace_finish without an open trace check"),
                 );
             };
             let report = checker.finish();
@@ -832,27 +824,43 @@ fn handle_trace_item(
     }
 }
 
-/// Resolves one canonical key for every batch item that mapped to it and
-/// streams their tagged results. Returns the journal record when a fresh
-/// definitive answer should be persisted (journaling is batched by the
-/// caller). Write errors are swallowed: the connection is already dead
-/// and the read loop notices on its next turn.
+/// Resolves one canonical key for the batch items at `subscribers`
+/// (indices into `prepared`, submission order) and streams their tagged
+/// results. Returns the journal record for the caller to persist with
+/// the rest of the batch. Write errors are swallowed: the connection is
+/// already dead and the read loop notices on its next turn.
 fn resolve_key(
     shared: &Shared,
     writer: &Mutex<TcpStream>,
-    prepared: &[Prepared],
-    work: &KeyWork,
+    prepared: &[Item],
+    subscribers: &[usize],
 ) -> Option<JournalRecord> {
-    let query = |idx: usize| -> (&u64, &QueryKind, &CanonicalForm) {
-        match &prepared[idx] {
-            Prepared::Query { id, kind, form, .. } => (id, kind, form),
-            _ => unreachable!("KeyWork indexes only Query items"),
-        }
+    let query = |idx: usize| match &prepared[idx] {
+        Item::Query(id, Prepared::Query(query)) => (*id, query),
+        _ => unreachable!("keys index only prepared queries"),
     };
+    let (resolution, record) = resolve(shared, query(subscribers[0]).1, subscribers.len());
     // Results for the whole key accumulate here and go out in one write
     // (nothing is buffered before a blocking wait, so streaming latency
     // is unaffected: the flush happens as soon as the key has answers).
-    //
+    let mut out = Vec::new();
+    let Resolution::Answered(answer, status) = &resolution else {
+        if matches!(resolution, Resolution::Failed(ErrorCode::Overloaded, _)) {
+            shared.counters.shed_items.fetch_add(subscribers.len() as u64, Ordering::Relaxed);
+        }
+        for &idx in subscribers {
+            let (id, query) = query(idx);
+            push_result(shared, &mut out, id, &resolution.response(query));
+        }
+        let _ = flush_results(writer, &mut out);
+        return record;
+    };
+    if *status == CacheStatus::Miss && subscribers.len() > 1 {
+        shared
+            .counters
+            .coalesced_in_batch
+            .fetch_add(subscribers.len() as u64 - 1, Ordering::Relaxed);
+    }
     // All the key's items share one answer, and items whose submissions
     // were renamings with the same inverse maps get byte-identical
     // responses — translate and encode once per distinct
@@ -869,21 +877,27 @@ fn resolve_key(
     // renamed near-duplicates of a heavily racy program re-encodes (and
     // the client re-parses) thousands of identical race lines per item.
     let mut race_block: Option<u64> = None;
-    let mut respond = |out: &mut Vec<u8>, idx: usize, answer: &CachedAnswer, status: CacheStatus| {
-        let (id, kind, form) = query(idx);
-        if !answer.is_definitive() {
-            shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
-        }
-        if let CachedAnswer::Explore { racy, races, steps, definitive, reason } = answer {
+    for (pos, &idx) in subscribers.iter().enumerate() {
+        let (id, query) = query(idx);
+        let (kind, form) = (query.kind, &query.form);
+        // The leader sees Miss; followers of a fresh definitive answer
+        // see Hit — byte-for-byte what a sequential per-request client
+        // would have been told.
+        let status = if pos > 0 && *status == CacheStatus::Miss && answer.is_definitive() {
+            CacheStatus::Hit
+        } else {
+            *status
+        };
+        if let CachedAnswer::Explore { racy, races, steps, definitive, reason } = &**answer {
             if races.len() >= RACE_BLOCK_MIN_RACES
                 && matches!(kind, QueryKind::Drf0 | QueryKind::Races)
             {
                 let block_id = *race_block.get_or_insert_with(|| {
-                    push_frame(out, &encode_batch_race_block(*id, races));
-                    *id
+                    push_frame(&mut out, &encode_batch_race_block(id, races));
+                    id
                 });
                 let rref = ResultRef {
-                    id: *id,
+                    id,
                     block_id,
                     verdict: explore_verdict(*racy, *definitive, reason.as_deref()),
                     steps: *steps,
@@ -892,154 +906,36 @@ fn resolve_key(
                     loc_unmap: form.loc_unmap.clone(),
                 };
                 shared.counters.served.fetch_add(1, Ordering::Relaxed);
-                push_frame(out, &encode_batch_result_ref(&rref));
-                return;
+                push_frame(&mut out, &encode_batch_result_ref(&rref));
+                continue;
             }
         }
         // The memo only pays off when responses are large (inline race
         // lists) — race-free and Sc responses are a few short lines, and
         // for renamed near-duplicate traffic the unmaps all differ, so
         // probing would be pure overhead.
-        let large = matches!(answer, CachedAnswer::Explore { races, .. } if !races.is_empty());
+        let large = matches!(&**answer, CachedAnswer::Explore { races, .. } if !races.is_empty());
         if !large {
-            push_result_payload(
-                shared,
-                out,
-                *id,
-                &answer_to_response(*kind, answer, form, status).encode(),
-            );
-            return;
+            push_result(shared, &mut out, id, &answer_to_response(kind, answer, form, status));
+            continue;
         }
         let pos = memo
             .iter()
             .position(|(k, s, tu, lu, _)| {
-                *k == *kind
-                    && *s == status
-                    && *tu == form.thread_unmap
-                    && *lu == form.loc_unmap
+                *k == kind && *s == status && *tu == form.thread_unmap && *lu == form.loc_unmap
             })
             .unwrap_or_else(|| {
                 memo.push((
-                    *kind,
+                    kind,
                     status,
                     form.thread_unmap.clone(),
                     form.loc_unmap.clone(),
-                    answer_to_response(*kind, answer, form, status).encode(),
+                    answer_to_response(kind, answer, form, status).encode(),
                 ));
                 memo.len() - 1
             });
-        push_result_payload(shared, out, *id, &memo[pos].4);
-    };
-    let error_all = |out: &mut Vec<u8>, code: ErrorCode, message: &str| {
-        for &idx in &work.item_idxs {
-            let (id, _, _) = query(idx);
-            push_result(shared, out, *id, &Response::Error { code, message: message.into() });
-        }
-    };
-    let degrade_all = |out: &mut Vec<u8>| {
-        for &idx in &work.item_idxs {
-            let (id, kind, _) = query(idx);
-            shared.counters.degraded.fetch_add(1, Ordering::Relaxed);
-            push_result(shared, out, *id, &deadline_degraded(*kind));
-        }
-    };
-
-    // The first submission of the key leads: its deadline and budgets
-    // govern the shared exploration, exactly as the v1 coalescing path
-    // lets the in-flight leader's budgets govern what joiners receive.
-    let leader = work.item_idxs[0];
-    let (deadline_ms, max_total_steps, max_ops_per_execution) = match &prepared[leader] {
-        Prepared::Query { deadline_ms, max_total_steps, max_ops_per_execution, .. } => {
-            (*deadline_ms, *max_total_steps, *max_ops_per_execution)
-        }
-        _ => unreachable!("KeyWork indexes only Query items"),
-    };
-    let deadline = effective_deadline(shared, deadline_ms);
-
-    let mut out = Vec::new();
-    let record = match shared.cache.lookup(work.group, &work.key) {
-        Lookup::Hit(answer) => {
-            for &idx in &work.item_idxs {
-                respond(&mut out, idx, &answer, CacheStatus::Hit);
-            }
-            None
-        }
-        Lookup::Join(flight) => match flight.wait(deadline) {
-            Some(FlightOutcome::Answered(answer)) => {
-                for &idx in &work.item_idxs {
-                    respond(&mut out, idx, &answer, CacheStatus::Coalesced);
-                }
-                None
-            }
-            Some(FlightOutcome::Failed) => {
-                error_all(&mut out, ErrorCode::Internal, "exploration worker lost");
-                None
-            }
-            None => {
-                degrade_all(&mut out);
-                None
-            }
-        },
-        Lookup::Lead(guard) => match shared.gate.admit(deadline) {
-            Admission::Rejected => {
-                drop(guard);
-                let n = work.item_idxs.len() as u64;
-                shared.counters.overloaded.fetch_add(n, Ordering::Relaxed);
-                shared.counters.shed_items.fetch_add(n, Ordering::Relaxed);
-                error_all(&mut out, ErrorCode::Overloaded, "exploration queue full");
-                None
-            }
-            Admission::TimedOut => {
-                drop(guard);
-                degrade_all(&mut out);
-                None
-            }
-            Admission::Granted(permit) => {
-                let mut ecfg = shared.cfg.explore;
-                if let Some(steps) = max_total_steps {
-                    ecfg.max_total_steps = steps.min(shared.cfg.explore.max_total_steps);
-                }
-                if let Some(ops) = max_ops_per_execution {
-                    ecfg.max_ops_per_execution =
-                        ops.min(shared.cfg.explore.max_ops_per_execution);
-                }
-                ecfg.deadline = deadline;
-
-                let form_program = match &prepared[leader] {
-                    Prepared::Query { form, .. } => &form.program,
-                    _ => unreachable!("KeyWork indexes only Query items"),
-                };
-                let answer = compute_answer(work.group, form_program, &ecfg);
-                shared.counters.explored.fetch_add(1, Ordering::Relaxed);
-                let shared_answer = guard.complete(answer);
-                drop(permit);
-
-                let definitive = shared_answer.is_definitive();
-                for (pos, &idx) in work.item_idxs.iter().enumerate() {
-                    // The leader sees Miss; followers of a definitive
-                    // answer see Hit — byte-for-byte what a sequential
-                    // per-request client would have been told.
-                    let status = if pos == 0 || !definitive {
-                        CacheStatus::Miss
-                    } else {
-                        CacheStatus::Hit
-                    };
-                    respond(&mut out, idx, &shared_answer, status);
-                }
-                if work.item_idxs.len() > 1 {
-                    shared
-                        .counters
-                        .coalesced_in_batch
-                        .fetch_add(work.item_idxs.len() as u64 - 1, Ordering::Relaxed);
-                }
-                definitive.then(|| JournalRecord {
-                    group: work.group,
-                    key: work.key.clone(),
-                    answer: (*shared_answer).clone(),
-                })
-            }
-        },
-    };
+        push_result_payload(shared, &mut out, id, &memo[pos].4);
+    }
     let _ = flush_results(writer, &mut out);
     record
 }
@@ -1061,11 +957,7 @@ fn handle_batch(
             // Structural damage to the frame itself: no item is
             // attributable, so answer once (v1 framing) and drop the
             // connection.
-            shared.counters.served.fetch_add(1, Ordering::Relaxed);
-            let _ = write_locked(
-                writer,
-                &Response::Error { code: ErrorCode::Malformed, message: reason }.encode(),
-            );
+            let _ = send_bare(shared, writer, &error(ErrorCode::Malformed, reason));
             return Err(io::Error::new(io::ErrorKind::InvalidData, "malformed batch frame"));
         }
     };
@@ -1073,7 +965,7 @@ fn handle_batch(
         .fetch_add(1, Ordering::Relaxed);
 
     // Phase A — parallel: per-item caps, decode, parse, canonicalize.
-    let prepared: Vec<Prepared> = run_with_worker(
+    let prepared: Vec<Item> = run_with_worker(
         items.len(),
         shared.cfg.pool_threads,
         || (),
@@ -1082,12 +974,9 @@ fn handle_batch(
                 prepare_item(shared, items[i])
             }))
             .unwrap_or_else(|_| {
-                Prepared::Immediate(
+                Item::Query(
                     peek_item_id(items[i]).unwrap_or(u64::MAX),
-                    Response::Error {
-                        code: ErrorCode::Internal,
-                        message: "item handler panicked".into(),
-                    },
+                    Prepared::Immediate(error(ErrorCode::Internal, "item handler panicked")),
                 )
             })
         },
@@ -1095,28 +984,24 @@ fn handle_batch(
 
     // Phase B — sequential, submission order: immediate results, trace
     // stream application, and coalescing queries per canonical key.
-    let mut key_index: HashMap<(KindGroup, String), usize> = HashMap::new();
-    let mut keys: Vec<KeyWork> = Vec::new();
-    for (idx, prep) in prepared.iter().enumerate() {
-        match prep {
-            Prepared::Immediate(id, response) => {
+    let mut key_index: HashMap<(KindGroup, &str), usize> = HashMap::new();
+    let mut keys: Vec<Vec<usize>> = Vec::new();
+    for (idx, item) in prepared.iter().enumerate() {
+        match item {
+            Item::Query(id, Prepared::Immediate(response)) => {
                 send_result(shared, writer, *id, response)?;
             }
-            Prepared::Trace(item) => {
-                handle_trace_item(shared, writer, trace, item)?;
-            }
-            Prepared::Query { group, form, .. } => {
+            Item::Query(_, Prepared::Query(query)) => {
                 let slot = *key_index
-                    .entry((*group, form.text.clone()))
+                    .entry((query.group, query.form.text.as_str()))
                     .or_insert_with(|| {
-                        keys.push(KeyWork {
-                            group: *group,
-                            key: form.text.clone(),
-                            item_idxs: Vec::new(),
-                        });
+                        keys.push(Vec::new());
                         keys.len() - 1
                     });
-                keys[slot].item_idxs.push(idx);
+                keys[slot].push(idx);
+            }
+            Item::Trace(item) => {
+                handle_trace_item(shared, writer, trace, item)?;
             }
         }
     }
@@ -1134,16 +1019,13 @@ fn handle_batch(
             .unwrap_or_else(|_| {
                 // The LeaderGuard's Drop already published Failed to any
                 // cross-connection joiners; answer this batch's items.
-                for &idx in &keys[ki].item_idxs {
-                    if let Prepared::Query { id, .. } = &prepared[idx] {
+                for &idx in &keys[ki] {
+                    if let Item::Query(id, _) = &prepared[idx] {
                         let _ = send_result(
                             shared,
                             writer,
                             *id,
-                            &Response::Error {
-                                code: ErrorCode::Internal,
-                                message: "exploration panicked".into(),
-                            },
+                            &error(ErrorCode::Internal, "exploration panicked"),
                         );
                     }
                 }
@@ -1156,7 +1038,6 @@ fn handle_batch(
     persist_batch(shared, &records);
     Ok(())
 }
-
 
 #[cfg(test)]
 mod tests {

@@ -23,7 +23,7 @@ use litmus::explore::{explore_dpor, ExploreConfig};
 use memory_model::SyncMode;
 use wo_fuzz::{generate, GenConfig};
 use wo_serve::cache::SHARD_COUNT;
-use wo_serve::client::{BatchClient, ClientConfig, ServeClient};
+use wo_serve::client::{BatchClient, ClientConfig, ClientError, ServeClient};
 use wo_serve::protocol::{
     batch_depth_bucket, encode_batch_frame, read_frame, write_frame, BatchItem, ErrorCode,
     QueryKind, Request, Response,
@@ -194,6 +194,35 @@ fn batches_over_the_item_limit_are_rejected_whole() {
         other => panic!("unexpected {other:?}"),
     }
     assert!(read_frame(&mut &stream, 1 << 20).unwrap().is_none(), "connection dropped");
+    handle.shutdown();
+}
+
+/// A client chunking above the daemon's item limit gets the bare
+/// structural error as a permanent failure: no retry, and no silent
+/// re-run of the chunk over wo-serve/1.
+#[test]
+fn oversized_chunks_fail_permanently_without_retry() {
+    let cfg = ServerConfig { max_batch_items: 4, ..ServerConfig::default() };
+    let handle = Server::spawn(cfg).expect("spawn server");
+    let mut client = BatchClient::new(client_cfg(&handle));
+    client.max_batch_items = 5;
+    let requests = vec![Request::new(QueryKind::Ping, ""); 5];
+    match client.query_batch(&requests) {
+        Err(ClientError::Permanent { code: ErrorCode::Malformed, message }) => {
+            assert!(message.contains("item"), "{message}");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(client.sent_items(), 5, "one frame went out");
+    assert_eq!(client.resubmitted_items(), 0, "and was not retried");
+
+    let mut stats_client = ServeClient::new(client_cfg(&handle));
+    match stats_client.query(&Request::new(QueryKind::Stats, "")).unwrap() {
+        Response::Stats(stats) => {
+            assert_eq!(stats.served, 1, "only the structural error: {stats:?}");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
     handle.shutdown();
 }
 

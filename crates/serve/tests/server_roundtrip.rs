@@ -1,13 +1,17 @@
 //! In-process daemon round trips: a real [`Server`] on an ephemeral port,
 //! queried through the retrying [`ServeClient`], covering the cache
 //! ladder (miss → hit), journal persistence across a restart, structured
-//! parse failures, and ping/stats.
+//! parse failures, ping/stats, and the exact value of every counter.
 
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use wo_serve::client::{ClientConfig, ServeClient};
-use wo_serve::protocol::{CacheStatus, QueryKind, Request, Response, Verdict};
+use wo_serve::client::{BatchClient, ClientConfig, ClientError, ServeClient};
+use wo_serve::protocol::{
+    batch_depth_bucket, read_frame, write_frame, CacheStatus, ErrorCode, QueryKind, Request,
+    Response, ServerStats, Verdict, BATCH_DEPTH_BUCKETS,
+};
 use wo_serve::server::{Server, ServerConfig, ServerHandle};
 
 const RACY_MP: &str = "P0:\n  W(m5) := 1\n  Set(m6) := 1\nP1:\n  r0 := Test(m6)\n  r1 := R(m5)\n";
@@ -188,5 +192,179 @@ fn concurrent_identical_misses_coalesce_to_one_exploration() {
         }
         other => panic!("unexpected {other:?}"),
     }
+    handle.shutdown();
+}
+
+/// Every counter of a `stats` answer, with the per-shard vectors summed
+/// (which shard a key lands in is an implementation detail).
+#[derive(Debug, PartialEq, Eq)]
+struct Counters {
+    served: u64,
+    cache_hits: u64,
+    coalesced: u64,
+    explored: u64,
+    overloaded: u64,
+    degraded: u64,
+    journal_replayed: u64,
+    shedding: bool,
+    batch_depth: [u64; BATCH_DEPTH_BUCKETS],
+    shard_hits: u64,
+    shard_misses: u64,
+    coalesced_in_batch: u64,
+    shed_items: u64,
+}
+
+fn counters(client: &mut ServeClient) -> Counters {
+    let stats: ServerStats = match client.query(&Request::new(QueryKind::Stats, "")) {
+        Ok(Response::Stats(stats)) => stats,
+        other => panic!("unexpected {other:?}"),
+    };
+    Counters {
+        served: stats.served,
+        cache_hits: stats.cache_hits,
+        coalesced: stats.coalesced,
+        explored: stats.explored,
+        overloaded: stats.overloaded,
+        degraded: stats.degraded,
+        journal_replayed: stats.journal_replayed,
+        shedding: stats.shedding,
+        batch_depth: stats.batch_depth,
+        shard_hits: stats.shard_hits.iter().sum(),
+        shard_misses: stats.shard_misses.iter().sum(),
+        coalesced_in_batch: stats.coalesced_in_batch,
+        shed_items: stats.shed_items,
+    }
+}
+
+fn cache_status(response: &Response) -> Option<CacheStatus> {
+    match response {
+        Response::Verdict { cache, .. } | Response::Sc { cache, .. } => Some(*cache),
+        _ => None,
+    }
+}
+
+/// Pins every counter, exactly, across a fixed v1 sequence and then one
+/// batch frame on a fresh daemon. The batch-only counters
+/// (`batch_depth`, `coalesced_in_batch`, `shed_items`) must not move on
+/// v1 traffic, and the `stats` answer never counts itself.
+#[test]
+fn counters_are_exact_across_a_v1_sequence_and_one_batch() {
+    let handle = spawn(None);
+    let mut client = client_for(&handle);
+    let renamed_mp =
+        "P0:\n  W(m77) := 1\n  Set(m3) := 1\nP1:\n  r0 := Test(m3)\n  r1 := R(m77)\n";
+    let renamed_handoff =
+        "P0:\n  W(m4) := 7\n  Set(m9) := 1\nP1:\n  r0 := Test(m9)\n  if r0 != 1 goto 3\n  r1 := R(m4)\n";
+    let mut starved = Request::new(QueryKind::Drf0, DRF_HANDOFF);
+    starved.max_total_steps = Some(3);
+
+    // Phase 1, v1: miss, renamed hit, tight-budget Unknown, ping, parse error.
+    assert_eq!(cache_status(&client.drf0(RACY_MP).unwrap()), Some(CacheStatus::Miss));
+    assert_eq!(cache_status(&client.drf0(renamed_mp).unwrap()), Some(CacheStatus::Hit));
+    match client.query(&starved).unwrap() {
+        Response::Verdict { verdict: Verdict::Unknown { .. }, cache: CacheStatus::Miss, .. } => {}
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(client.query(&Request::new(QueryKind::Ping, "")).unwrap(), Response::Pong);
+    assert!(matches!(
+        client.drf0("P0:\n  W(m0").unwrap_err(),
+        ClientError::Permanent { code: ErrorCode::Parse, .. }
+    ));
+    assert_eq!(
+        counters(&mut client),
+        Counters {
+            served: 5,
+            cache_hits: 1,
+            coalesced: 0,
+            explored: 2,
+            overloaded: 0,
+            degraded: 1,
+            journal_replayed: 0,
+            shedding: false,
+            batch_depth: [0; BATCH_DEPTH_BUCKETS],
+            shard_hits: 1,
+            shard_misses: 2,
+            coalesced_in_batch: 0,
+            shed_items: 0,
+        }
+    );
+
+    // Phase 2, one batch frame: a cached key asked twice (one probe), a
+    // fresh key asked twice (one exploration, one in-batch follower), a
+    // tight-budget SC query, a ping and a parse error.
+    let mut races = Request::new(QueryKind::Races, renamed_mp);
+    races.deadline_ms = Some(0);
+    let mut tight_sc = Request::new(QueryKind::Sc, DRF_HANDOFF);
+    tight_sc.max_total_steps = Some(3);
+    let batch = vec![
+        Request::new(QueryKind::Drf0, RACY_MP),
+        races,
+        Request::new(QueryKind::Drf0, DRF_HANDOFF),
+        Request::new(QueryKind::Drf0, renamed_handoff),
+        tight_sc,
+        Request::new(QueryKind::Ping, ""),
+        Request::new(QueryKind::Drf0, "P0:\n  W(m0"),
+    ];
+    let mut batch_cfg = ClientConfig::new(handle.addr().to_string());
+    batch_cfg.io_timeout = Duration::from_secs(60);
+    let responses = BatchClient::new(batch_cfg).query_batch(&batch).unwrap();
+    let statuses: Vec<Option<CacheStatus>> = responses.iter().map(cache_status).collect();
+    assert_eq!(
+        statuses,
+        [
+            Some(CacheStatus::Hit),
+            Some(CacheStatus::Hit),
+            Some(CacheStatus::Miss),
+            Some(CacheStatus::Hit),
+            Some(CacheStatus::Miss),
+            None,
+            None,
+        ]
+    );
+    assert!(matches!(responses[4], Response::Sc { complete: false, .. }), "{:?}", responses[4]);
+    assert!(matches!(responses[6], Response::Error { code: ErrorCode::Parse, .. }));
+    let mut batch_depth = [0; BATCH_DEPTH_BUCKETS];
+    batch_depth[batch_depth_bucket(batch.len())] = 1;
+    assert_eq!(
+        counters(&mut client),
+        Counters {
+            served: 6 + 7,
+            cache_hits: 2,
+            coalesced: 0,
+            explored: 4,
+            overloaded: 0,
+            degraded: 2,
+            journal_replayed: 0,
+            shedding: false,
+            batch_depth,
+            shard_hits: 2,
+            shard_misses: 4,
+            coalesced_in_batch: 1,
+            shed_items: 0,
+        }
+    );
+    handle.shutdown();
+}
+
+/// A v1 frame over `max_frame_bytes` is answered with `TooLarge`, the
+/// connection is dropped, and the answer counts as served like any other.
+#[test]
+fn oversized_v1_frame_is_answered_dropped_and_counted() {
+    let cfg = ServerConfig { max_frame_bytes: 512, ..ServerConfig::default() };
+    let handle = Server::spawn(cfg).expect("server spawn");
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let oversized = Request::new(QueryKind::Drf0, "x".repeat(4096)).encode();
+    write_frame(&mut &stream, &oversized).unwrap();
+    let payload = read_frame(&mut &stream, 1 << 20).unwrap().expect("error frame");
+    match Response::decode(&payload).unwrap() {
+        Response::Error { code: ErrorCode::TooLarge, .. } => {}
+        other => panic!("unexpected {other:?}"),
+    }
+    assert!(read_frame(&mut &stream, 1 << 20).unwrap().is_none(), "connection dropped");
+
+    let mut client = client_for(&handle);
+    let stats = counters(&mut client);
+    assert_eq!(stats.served, 1, "{stats:?}");
     handle.shutdown();
 }
