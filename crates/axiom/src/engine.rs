@@ -33,10 +33,10 @@
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use litmus::Program;
-use memory_model::{ExecutionResult, Loc, Memory, OpId, Operation, SyncMode, Value};
+use memory_model::rel::Rel;
+use memory_model::{ExecutionResult, Loc, Memory, OpId, Operation, Value};
 
 use crate::paths::{stable_paths, PathSet};
-use crate::relations::Rel;
 use crate::{AxiomConfig, Budget, Stop, Witness};
 
 /// Cap on undecided synchronization-pair orientations swept per candidate
@@ -470,11 +470,7 @@ impl<'c> Search<'c> {
             } else {
                 continue;
             };
-            let releases = match self.cfg.sync_mode {
-                SyncMode::Drf0 => true,
-                SyncMode::ReleaseWrites => t.events[src].kind.is_write(),
-            };
-            if releases {
+            if self.cfg.sync_mode.releases(t.events[src].kind) {
                 // Every hb edge is already in `rel`, so no cycle can arise.
                 let _ = hb.add_edge(src, dst);
             }
@@ -585,15 +581,12 @@ impl<'c> Search<'c> {
             .iter()
             .copied()
             .filter(|&(a, b)| {
+                // A pair where neither side releases carries no edge in
+                // either orientation (a read/read pair under
+                // ReleaseWrites): skip it.
                 !rel.comparable(a, b)
-                    && match self.cfg.sync_mode {
-                        SyncMode::Drf0 => true,
-                        // A read/read sync pair carries no edge in either
-                        // orientation under ReleaseWrites: skip it.
-                        SyncMode::ReleaseWrites => {
-                            t.events[a].kind.is_write() || t.events[b].kind.is_write()
-                        }
-                    }
+                    && (self.cfg.sync_mode.releases(t.events[a].kind)
+                        || self.cfg.sync_mode.releases(t.events[b].kind))
             })
             .collect();
         if undecided.len() > MAX_ORIENTATION_PAIRS {

@@ -4,18 +4,23 @@
 //! and DRF0 verdicts by enumerating interleavings. This crate decides the
 //! *same questions* from an entirely different formulation — candidate
 //! executions as **relations** — so the two can be differentially tested
-//! against each other with no shared code on the deciding path.
+//! against each other. On the deciding path they share only the spec
+//! predicates of `memory_model` (`Operation::conflicts_with`,
+//! `Operation::so_related` and [`SyncMode::releases`]), which unit tests
+//! pin concretely.
 //!
 //! An execution candidate is a tuple of per-thread symbolic paths
 //! ([`paths`]) plus a reads-from choice for every read and a coherence
 //! order per location ([`engine`], private). Sequential consistency is the
-//! acyclicity of `po ∪ rf ∪ co ∪ fr` ([`relations::Rel`] maintains the
-//! transitive closure incrementally and rejects cycles on edge insert),
-//! and DRF0 is decided from the derived happens-before — including the
-//! Adve–Hill Lemma 1 fast path: when the synchronization skeleton alone
-//! orders every conflicting pair, the candidate is certified race-free and
-//! its data reads are value-forced, so its unique SC result is emitted
-//! with no data-relation enumeration at all.
+//! acyclicity of `po ∪ rf ∪ co ∪ fr`, kept in [`memory_model::rel::Rel`]
+//! (the bitset order `memory_model::hb` closes happens-before in, which
+//! the explorer never uses): it maintains the transitive closure
+//! incrementally and rejects cycles on edge insert. DRF0 is decided from
+//! the derived happens-before, including the Adve–Hill Lemma 1 fast path:
+//! when the synchronization skeleton alone orders every conflicting pair,
+//! the candidate is certified race-free and its data reads are
+//! value-forced, so its unique SC result is emitted with no data-relation
+//! enumeration at all.
 //!
 //! The engine is exact relative to the explorer whenever both sides are
 //! definitive: equal DRF0 verdicts, and equal SC outcome sets whenever
@@ -33,7 +38,6 @@ use litmus::Program;
 use memory_model::{ExecutionResult, Loc, OpId, Operation, SyncMode};
 
 pub mod paths;
-pub mod relations;
 
 mod engine;
 

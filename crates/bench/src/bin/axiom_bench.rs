@@ -39,12 +39,11 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 use litmus::explore::{drf0_verdict, Drf0Verdict, ExploreConfig};
-use litmus::parse::parse_program;
-use litmus::{corpus, Program, Reg, Thread};
+use litmus::{Program, Reg, Thread};
 use memory_model::Loc;
 use wo_axiom::{decide_drf0, AxiomConfig, AxiomVerdict};
 
@@ -169,37 +168,6 @@ fn scaled_workload(smoke: bool) -> Vec<(String, Program)> {
     programs
 }
 
-/// The same sweep `explore_bench` runs: in-tree suites plus shipped files.
-fn workload(corpus_dir: Option<&Path>) -> Vec<(String, Program)> {
-    let mut programs: Vec<(String, Program)> = Vec::new();
-    for (name, p) in corpus::drf0_suite() {
-        programs.push((format!("corpus/{name}"), p));
-    }
-    for (name, p) in corpus::racy_suite() {
-        programs.push((format!("corpus/{name}"), p));
-    }
-    let dir = corpus_dir.map_or_else(
-        || Path::new(env!("CARGO_MANIFEST_DIR")).join("../../litmus-tests"),
-        Path::to_path_buf,
-    );
-    for sub in [dir.clone(), dir.join("gen")] {
-        let Ok(entries) = std::fs::read_dir(&sub) else { continue };
-        let mut paths: Vec<PathBuf> = entries
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "litmus"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let text = std::fs::read_to_string(&path).expect("litmus file readable");
-            let program =
-                parse_program(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            programs.push((format!("file/{}", path.file_stem().unwrap().to_string_lossy()), program));
-        }
-    }
-    programs
-}
-
 /// Minimum wall time over `iters` runs of `f`, plus the last result.
 fn timed<T>(iters: u32, mut f: impl FnMut() -> T) -> (f64, T) {
     let mut best = f64::INFINITY;
@@ -223,7 +191,8 @@ struct Row {
 
 fn main() {
     let args = parse_args();
-    let mut programs = workload(args.corpus_dir.as_deref());
+    let mut programs =
+        wo_bench::workload(args.corpus_dir.as_deref()).unwrap_or_else(|e| usage(&e.to_string()));
     programs.extend(scaled_workload(args.smoke));
     let explore_budget = ExploreConfig {
         max_ops_per_execution: if args.smoke { 40 } else { 48 },

@@ -38,12 +38,10 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 use litmus::explore::{explore, explore_dpor, verdict_of, ExploreConfig, ExploreReport};
-use litmus::parse::parse_program;
-use litmus::{corpus, Program};
 
 struct Args {
     smoke: bool,
@@ -91,38 +89,6 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The DRF0 sweep workload: the in-tree corpus suites plus every shipped
-/// `.litmus` file (hand-written and generator-exported).
-fn workload(corpus_dir: Option<&Path>) -> Vec<(String, Program)> {
-    let mut programs: Vec<(String, Program)> = Vec::new();
-    for (name, p) in corpus::drf0_suite() {
-        programs.push((format!("corpus/{name}"), p));
-    }
-    for (name, p) in corpus::racy_suite() {
-        programs.push((format!("corpus/{name}"), p));
-    }
-    let dir = corpus_dir.map_or_else(
-        || Path::new(env!("CARGO_MANIFEST_DIR")).join("../../litmus-tests"),
-        Path::to_path_buf,
-    );
-    for sub in [dir.clone(), dir.join("gen")] {
-        let Ok(entries) = std::fs::read_dir(&sub) else { continue };
-        let mut paths: Vec<PathBuf> = entries
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "litmus"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let text = std::fs::read_to_string(&path).expect("litmus file readable");
-            let program =
-                parse_program(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            programs.push((format!("file/{}", path.file_stem().unwrap().to_string_lossy()), program));
-        }
-    }
-    programs
-}
-
 #[derive(Default)]
 struct StrategyStats {
     total_secs: f64,
@@ -156,7 +122,8 @@ fn timed(f: impl FnOnce() -> ExploreReport) -> (f64, ExploreReport) {
 
 fn main() {
     let args = parse_args();
-    let programs = workload(args.corpus_dir.as_deref());
+    let programs =
+        wo_bench::workload(args.corpus_dir.as_deref()).unwrap_or_else(|e| usage(&e.to_string()));
     let budget = ExploreConfig {
         max_ops_per_execution: if args.smoke { 40 } else { 48 },
         max_total_steps: if args.smoke { 300_000 } else { 3_000_000 },

@@ -6,9 +6,35 @@
 pub mod harness;
 pub mod perf_grid;
 
-use litmus::Program;
+use std::path::Path;
+
+use litmus::parse::{parse_litmus_dir, LoadError};
+use litmus::{corpus, Program};
 use memory_model::sc::{check_sc, ScCheckConfig, ScVerdict};
 use memsim::{Machine, MachineConfig, RunResult};
+
+/// The DRF0 sweep `explore_bench` and `axiom_bench` both run: the in-tree
+/// corpus suites (`corpus/…`), then every shipped `.litmus` file
+/// (`file/…`, hand-written and generator-exported) under `corpus_dir`,
+/// by default the repository's `litmus-tests/`.
+///
+/// # Errors
+///
+/// Returns the [`LoadError`] of a litmus directory or file that cannot be
+/// read or parsed.
+pub fn workload(corpus_dir: Option<&Path>) -> Result<Vec<(String, Program)>, LoadError> {
+    let mut programs: Vec<(String, Program)> = corpus::drf0_suite()
+        .into_iter()
+        .chain(corpus::racy_suite())
+        .map(|(name, p)| (format!("corpus/{name}"), p))
+        .collect();
+    let default_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../litmus-tests");
+    for (path, program) in parse_litmus_dir(corpus_dir.unwrap_or(&default_dir))? {
+        let stem = path.file_stem().expect("litmus files have names").to_string_lossy();
+        programs.push((format!("file/{stem}"), program));
+    }
+    Ok(programs)
+}
 
 /// Renders an aligned text table: header row plus data rows.
 ///

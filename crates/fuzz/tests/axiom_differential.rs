@@ -20,7 +20,7 @@
 use std::collections::HashSet;
 
 use litmus::explore::{drf0_verdict, sc_outcomes, Drf0Verdict, ExploreConfig};
-use litmus::parse::parse_program;
+use litmus::parse::parse_litmus_dir;
 use litmus::serialize::{to_litmus, Expectation};
 use litmus::Program;
 use memory_model::ExecutionResult;
@@ -128,25 +128,12 @@ fn axiom_agrees_on_all_shipped_litmus_files() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../litmus-tests");
     let mut compared = 0u64;
     let mut seen = 0u64;
-    for sub in [dir.clone(), dir.join("gen")] {
-        let mut paths: Vec<_> = std::fs::read_dir(&sub)
-            .expect("litmus-tests directories exist")
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "litmus"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let text = std::fs::read_to_string(&path).unwrap();
-            let program =
-                parse_program(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            seen += 1;
-            let name = path.display().to_string();
-            match compare(&program) {
-                Ok(true) => compared += 1,
-                Ok(false) => {}
-                Err(d) => report_divergence(&name, &program, &d),
-            }
+    for (path, program) in parse_litmus_dir(&dir).unwrap_or_else(|e| panic!("{e}")) {
+        seen += 1;
+        match compare(&program) {
+            Ok(true) => compared += 1,
+            Ok(false) => {}
+            Err(d) => report_divergence(&path.display().to_string(), &program, &d),
         }
     }
     assert!(

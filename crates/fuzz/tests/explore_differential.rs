@@ -16,7 +16,7 @@
 //! silently hollow it out.
 
 use litmus::explore::{explore, explore_dpor, verdict_of, ExploreConfig};
-use litmus::parse::parse_program;
+use litmus::parse::parse_litmus_dir;
 use litmus::Program;
 use wo_fuzz::gen::{generate, GenConfig};
 
@@ -60,21 +60,9 @@ fn dpor_agrees_with_full_on_all_shipped_litmus_files() {
     let mut compared = 0u64;
     let mut strict = 0u64;
     let cfg = ExploreConfig { max_total_steps: 400_000, ..budget() };
-    for sub in [dir.clone(), dir.join("gen")] {
-        let mut paths: Vec<_> = std::fs::read_dir(&sub)
-            .expect("litmus-tests directories exist")
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "litmus"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let text = std::fs::read_to_string(&path).unwrap();
-            let program =
-                parse_program(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            if check(&path.display().to_string(), &program, &cfg, &mut strict) {
-                compared += 1;
-            }
+    for (path, program) in parse_litmus_dir(&dir).unwrap_or_else(|e| panic!("{e}")) {
+        if check(&path.display().to_string(), &program, &cfg, &mut strict) {
+            compared += 1;
         }
     }
     assert!(compared >= 20, "only {compared} files were decidable in budget");

@@ -22,7 +22,7 @@
 //! the test out.
 
 use litmus::explore::{explore, explore_results, explore_results_audited, ExploreConfig};
-use litmus::parse::parse_program;
+use litmus::parse::parse_litmus_dir;
 use litmus::Program;
 use wo_fuzz::gen::{generate, GenConfig};
 
@@ -61,21 +61,9 @@ fn interned_key_agrees_with_full_explorer_on_all_shipped_litmus_files() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../litmus-tests");
     let cfg = ExploreConfig { max_total_steps: 400_000, ..budget() };
     let mut compared = 0u64;
-    for sub in [dir.clone(), dir.join("gen")] {
-        let mut paths: Vec<_> = std::fs::read_dir(&sub)
-            .expect("litmus-tests directories exist")
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|e| e == "litmus"))
-            .collect();
-        paths.sort();
-        for path in paths {
-            let text = std::fs::read_to_string(&path).unwrap();
-            let program =
-                parse_program(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-            if check(&path.display().to_string(), &program, &cfg) {
-                compared += 1;
-            }
+    for (path, program) in parse_litmus_dir(&dir).unwrap_or_else(|e| panic!("{e}")) {
+        if check(&path.display().to_string(), &program, &cfg) {
+            compared += 1;
         }
     }
     assert!(compared >= 20, "only {compared} files were decidable in budget");

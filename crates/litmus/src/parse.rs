@@ -13,10 +13,12 @@
 //! ```
 //!
 //! Leading instruction numbers and blank lines are optional; `#`-prefixed
-//! lines are comments. See [`parse_program`].
+//! lines are comments. See [`parse_program`]; [`parse_litmus_dir`] loads a
+//! directory of `.litmus` files, such as the shipped `litmus-tests/`.
 
 use std::error::Error;
-use std::fmt;
+use std::path::{Path, PathBuf};
+use std::{fmt, fs, io};
 
 use memory_model::{Loc, Value};
 
@@ -43,6 +45,55 @@ impl From<(usize, String)> for ParseError {
     fn from((line, message): (usize, String)) -> Self {
         ParseError { line, message }
     }
+}
+
+/// Why [`parse_litmus_dir`] failed, naming the directory or file.
+#[derive(Debug)]
+pub enum LoadError {
+    /// Listing a directory or reading a file failed.
+    Io(PathBuf, io::Error),
+    /// A file's text did not parse.
+    Parse(PathBuf, ParseError),
+}
+
+impl fmt::Display for LoadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            LoadError::Io(path, e) => write!(f, "{}: {e}", path.display()),
+            LoadError::Parse(path, e) => write!(f, "{}: {e}", path.display()),
+        }
+    }
+}
+
+impl Error for LoadError {}
+
+/// Parses every `.litmus` file directly in `dir`, then every one in
+/// `dir/gen` (the generator-exported programs), each directory's files in
+/// path order.
+///
+/// # Errors
+///
+/// Returns the first directory that cannot be listed, file that cannot be
+/// read, or text that does not parse.
+pub fn parse_litmus_dir(dir: &Path) -> Result<Vec<(PathBuf, Program)>, LoadError> {
+    let mut programs = Vec::new();
+    for sub in [dir.to_path_buf(), dir.join("gen")] {
+        let io_error = |e| LoadError::Io(sub.clone(), e);
+        let mut paths = Vec::new();
+        for entry in fs::read_dir(&sub).map_err(io_error)? {
+            let path = entry.map_err(io_error)?.path();
+            if path.extension().is_some_and(|e| e == "litmus") {
+                paths.push(path);
+            }
+        }
+        paths.sort();
+        for path in paths {
+            let text = fs::read_to_string(&path).map_err(|e| LoadError::Io(path.clone(), e))?;
+            let program = parse_program(&text).map_err(|e| LoadError::Parse(path.clone(), e))?;
+            programs.push((path, program));
+        }
+    }
+    Ok(programs)
 }
 
 /// Parses the litmus text format into a [`Program`].

@@ -1,10 +1,15 @@
 //! Human-readable analyses of executions: textual reports and Graphviz
 //! export of the happens-before relation.
+//!
+//! The renderer derives nothing itself: its edges are the covering edges
+//! `hb` closes, and its races are [`drf0::races_with`] over the same
+//! relation, so a drawing always agrees with the verdict of its
+//! [`SyncMode`].
 
 use std::fmt::Write as _;
 
 use crate::drf0;
-use crate::hb::{HbRelation, SyncMode};
+use crate::hb::{covering_edges, HbRelation, SyncMode};
 use crate::{Execution, Memory};
 
 /// A textual report of one idealized execution: the operations in
@@ -108,39 +113,22 @@ pub fn hb_to_dot(exec: &Execution, mode: SyncMode) -> String {
         out.push_str("  }\n");
     }
 
-    // Covering po edges.
+    // Covering edges: same-processor ones are po, per processor; the
+    // cross-processor ones are so, in completion order of their later end.
+    let ops = exec.ops();
+    let edges = covering_edges(exec, mode);
     for p in &procs {
-        let mut prev = None;
-        for op in exec.ops().iter().filter(|o| o.proc == *p) {
-            if let Some(prev) = prev {
-                let _ = writeln!(out, "  n{prev} -> n{} [color=black];", op.id.0);
-            }
-            prev = Some(op.id.0);
+        for &(a, b) in edges.iter().filter(|&&(a, b)| ops[a].proc == *p && ops[b].proc == *p) {
+            let _ = writeln!(out, "  n{} -> n{} [color=black];", ops[a].id.0, ops[b].id.0);
         }
     }
-
-    // Covering so edges (release rules per mode), cross-processor only.
-    let mut last_release: std::collections::HashMap<crate::Loc, &crate::Operation> =
-        std::collections::HashMap::new();
-    for op in exec.ops() {
-        if op.kind.is_sync() {
-            if let Some(prev) = last_release.get(&op.loc) {
-                if prev.proc != op.proc {
-                    let _ = writeln!(
-                        out,
-                        "  n{} -> n{} [style=dashed, label=\"so({})\"];",
-                        prev.id.0, op.id.0, op.loc
-                    );
-                }
-            }
-            let releases = match mode {
-                SyncMode::Drf0 => true,
-                SyncMode::ReleaseWrites => op.kind.is_write(),
-            };
-            if releases {
-                last_release.insert(op.loc, op);
-            }
-        }
+    for &(a, b) in edges.iter().filter(|&&(a, b)| ops[a].proc != ops[b].proc) {
+        let (a, b) = (&ops[a], &ops[b]);
+        let _ = writeln!(
+            out,
+            "  n{} -> n{} [style=dashed, label=\"so({})\"];",
+            a.id.0, b.id.0, b.loc
+        );
     }
 
     // Races.
@@ -241,5 +229,50 @@ mod tests {
         // Refined: 0->1 and 0->2 (the Unset releases to both; Test relays nothing).
         assert!(refined_dot.contains("n0 -> n2"));
         assert!(!refined_dot.contains("n1 -> n2 [style=dashed"));
+    }
+
+    /// The `(first, second)` ids of the red race edges in a dot graph.
+    fn red_edges(dot: &str) -> Vec<(u64, u64)> {
+        dot.lines()
+            .filter(|l| l.contains("color=red"))
+            .map(|l| {
+                let (a, rest) = l.trim().trim_start_matches('n').split_once(" -> n").unwrap();
+                (a.parse().unwrap(), rest.split(' ').next().unwrap().parse().unwrap())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dot_races_are_the_scan_of_the_same_relation() {
+        // The execution `examples/analyze_hb.rs` renders (a Test as the
+        // only release) and the one in `dot_respects_release_writes_mode`.
+        let test_release = Execution::new(vec![
+            Operation::data_write(OpId(0), ProcId(0), Loc(0), 1),
+            Operation::sync_read(OpId(1), ProcId(0), Loc(10), 0),
+            Operation::sync_rmw(OpId(2), ProcId(1), Loc(10), 0, 1),
+            Operation::data_read(OpId(3), ProcId(1), Loc(0), 1),
+        ])
+        .unwrap();
+        let test_between = Execution::new(vec![
+            Operation::sync_write(OpId(0), ProcId(0), Loc(9), 1),
+            Operation::sync_read(OpId(1), ProcId(1), Loc(9), 1),
+            Operation::sync_rmw(OpId(2), ProcId(2), Loc(9), 1, 1),
+        ])
+        .unwrap();
+        let ids = |races: Vec<drf0::Race>| -> Vec<(u64, u64)> {
+            races.iter().map(|r| (r.first.0, r.second.0)).collect()
+        };
+        for exec in [&test_release, &test_between] {
+            for mode in [SyncMode::Drf0, SyncMode::ReleaseWrites] {
+                let drawn = red_edges(&hb_to_dot(exec, mode));
+                let hb = HbRelation::with_mode(exec, mode);
+                assert_eq!(drawn, ids(drf0::races_with(exec, &hb)), "{mode:?}");
+            }
+            let refined = red_edges(&hb_to_dot(exec, SyncMode::ReleaseWrites));
+            assert_eq!(refined, ids(crate::drf1::refined_races_in(exec)));
+        }
+        // Section 6: W(x)/R(x) race, but Test(s)/TestAndSet(s) never do.
+        assert_eq!(red_edges(&hb_to_dot(&test_release, SyncMode::ReleaseWrites)), vec![(0, 3)]);
+        assert!(red_edges(&hb_to_dot(&test_between, SyncMode::ReleaseWrites)).is_empty());
     }
 }

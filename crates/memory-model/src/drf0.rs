@@ -2,20 +2,22 @@
 //!
 //! A program obeys DRF0 iff (1) all synchronization operations are
 //! hardware-recognizable and access exactly one location — guaranteed here
-//! by construction of [`Operation`] — and (2) for **any** execution on the
-//! idealized architecture, all conflicting accesses are ordered by the
-//! happens-before relation of that execution.
+//! by construction of [`Operation`](crate::Operation) — and (2) for
+//! **any** execution on the idealized architecture, all conflicting
+//! accesses are ordered by the happens-before relation of that execution.
 //!
-//! This module checks condition (2) for a *single* execution. Checking a
-//! whole *program* requires quantifying over all idealized executions;
-//! that enumeration lives in the `litmus` crate, and the program-level
-//! verdict in the `weakord` crate.
+//! This module checks condition (2) for a *single* execution, with the
+//! one pairwise race scan, [`races_with`], which the Section 6 refinement
+//! and `analysis::hb_to_dot` run too. Checking a whole *program* requires
+//! quantifying over all idealized executions; that enumeration lives in
+//! the `litmus` crate, and the program-level verdict in the `weakord`
+//! crate.
 
 use std::error::Error;
 use std::fmt;
 
 use crate::hb::HbRelation;
-use crate::{Execution, Loc, OpId, Operation};
+use crate::{Execution, Loc, OpId};
 
 /// A pair of conflicting accesses not ordered by happens-before: a data
 /// race.
@@ -68,45 +70,37 @@ pub fn races_in(exec: &Execution) -> Vec<Race> {
     races_with(exec, &HbRelation::from_execution(exec))
 }
 
-/// Like [`races_in`], but reuses a precomputed happens-before relation.
+/// Like [`races_in`], but over a given happens-before relation of either
+/// [`SyncMode`](crate::SyncMode). `so`-related pairs never race (`so`
+/// orders them even where a read-only one carries no hb edge).
 #[must_use]
 pub fn races_with(exec: &Execution, hb: &HbRelation) -> Vec<Race> {
-    let ops = exec.ops();
-    let mut races = Vec::new();
-    for (i, a) in ops.iter().enumerate() {
-        for b in &ops[i + 1..] {
-            if races_pair(a, b, hb) {
-                races.push(Race { first: a.id, second: b.id, loc: a.loc });
-            }
-        }
-    }
-    races
+    races(exec, hb).collect()
 }
 
-fn races_pair(a: &Operation, b: &Operation, hb: &HbRelation) -> bool {
-    a.conflicts_with(b) && !hb.ordered(a.id, b.id)
+/// The scan behind [`races_with`], lazily, so callers can stop early.
+fn races<'a>(exec: &'a Execution, hb: &'a HbRelation) -> impl Iterator<Item = Race> + 'a {
+    let ops = exec.ops();
+    ops.iter().enumerate().flat_map(move |(i, a)| {
+        ops[i + 1..]
+            .iter()
+            .filter(move |b| a.conflicts_with(b) && !hb.ordered(a.id, b.id) && !a.so_related(b))
+            .map(move |b| Race { first: a.id, second: b.id, loc: a.loc })
+    })
 }
 
 /// Whether one idealized execution satisfies Definition 3's condition (2):
-/// all conflicting accesses ordered by happens-before.
+/// all conflicting accesses ordered by happens-before. Stops at the first
+/// race.
 #[must_use]
 pub fn is_data_race_free(exec: &Execution) -> bool {
-    let hb = HbRelation::from_execution(exec);
-    let ops = exec.ops();
-    for (i, a) in ops.iter().enumerate() {
-        for b in &ops[i + 1..] {
-            if races_pair(a, b, &hb) {
-                return false;
-            }
-        }
-    }
-    true
+    races(exec, &HbRelation::from_execution(exec)).next().is_none()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProcId, Value};
+    use crate::{Operation, ProcId, Value};
 
     fn w(id: u64, p: u16, l: u32, v: Value) -> Operation {
         Operation::data_write(OpId(id), ProcId(p), Loc(l), v)

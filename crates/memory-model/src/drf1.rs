@@ -13,14 +13,15 @@
 //! ordered — the refinement never weakens that) or by the happens-before
 //! relation computed with [`SyncMode::ReleaseWrites`], in which only
 //! writing synchronization operations *release* (carry their processor's
-//! earlier accesses across the edge).
+//! earlier accesses across the edge). The check is DRF0's own pairwise
+//! scan, [`drf0::races_with`], run over that relation.
 //!
 //! The refinement matters because it licenses the optimized Section 6
 //! implementation: read-only synchronization operations need not be
 //! serialized as writes by the coherence protocol, "and are not required
 //! to stall other processors until the completion of previous accesses."
 
-use crate::drf0::Race;
+use crate::drf0::{self, Race};
 use crate::hb::{HbRelation, SyncMode};
 use crate::Execution;
 
@@ -50,17 +51,7 @@ use crate::Execution;
 /// ```
 #[must_use]
 pub fn refined_races_in(exec: &Execution) -> Vec<Race> {
-    let hb = HbRelation::with_mode(exec, SyncMode::ReleaseWrites);
-    let ops = exec.ops();
-    let mut races = Vec::new();
-    for (i, a) in ops.iter().enumerate() {
-        for b in &ops[i + 1..] {
-            if a.conflicts_with(b) && !a.so_related(b) && !hb.ordered(a.id, b.id) {
-                races.push(Race { first: a.id, second: b.id, loc: a.loc });
-            }
-        }
-    }
-    races
+    drf0::races_with(exec, &HbRelation::with_mode(exec, SyncMode::ReleaseWrites))
 }
 
 /// Whether one idealized execution is race-free under the Section 6
@@ -73,7 +64,7 @@ pub fn is_refined_race_free(exec: &Execution) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{drf0, Loc, OpId, Operation, ProcId};
+    use crate::{Loc, OpId, Operation, ProcId};
 
     fn handoff(release_writes: bool) -> Execution {
         let rel = if release_writes {

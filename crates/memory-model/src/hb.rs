@@ -9,14 +9,17 @@
 //!   same location and `op1` completes before `op2`;
 //! * `hb` is the irreflexive transitive closure of `po ∪ so`.
 //!
-//! [`HbRelation`] materializes `hb` as a reachability bit-matrix so that
-//! [`HbRelation::happens_before`] is O(1). Because both `po` and `so` edges
-//! always point forward in completion order, the completion order is a
-//! topological order and the closure is computed in a single backward scan.
+//! [`SyncMode::releases`] is the one statement of which synchronization
+//! operations release; every happens-before computation in the workspace
+//! asks it. [`HbRelation`] closes the covering `po`/`so` edges into a
+//! [`Rel`], so [`HbRelation::happens_before`] is O(1); both kinds of edge
+//! point forward in completion order, so [`Rel::from_forward_edges`]
+//! closes them in one backward and one forward pass.
 
 use std::collections::HashMap;
 
-use crate::{Execution, OpId};
+use crate::rel::Rel;
+use crate::{Execution, Loc, OpId, OpKind, ProcId};
 
 /// A materialized happens-before relation for one idealized execution.
 ///
@@ -40,37 +43,9 @@ use crate::{Execution, OpId};
 /// ```
 #[derive(Debug, Clone)]
 pub struct HbRelation {
-    /// `reach[i]` holds a bitset over operation positions strictly
-    /// hb-after operation `i`.
-    reach: Vec<BitRow>,
+    /// `hb` over operation positions in completion order.
+    order: Rel,
     index: HashMap<OpId, usize>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct BitRow(Vec<u64>);
-
-impl BitRow {
-    fn new(n: usize) -> Self {
-        BitRow(vec![0; n.div_ceil(64)])
-    }
-
-    fn set(&mut self, i: usize) {
-        self.0[i / 64] |= 1 << (i % 64);
-    }
-
-    fn get(&self, i: usize) -> bool {
-        self.0[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    fn union_with(&mut self, other: &BitRow) {
-        for (a, b) in self.0.iter_mut().zip(&other.0) {
-            *a |= b;
-        }
-    }
-
-    fn count(&self) -> usize {
-        self.0.iter().map(|w| w.count_ones() as usize).sum()
-    }
 }
 
 /// Which synchronization operations *release* — carry their processor's
@@ -94,6 +69,48 @@ pub enum SyncMode {
     ReleaseWrites,
 }
 
+impl SyncMode {
+    /// Whether an operation of `kind` releases under this mode. Data
+    /// accesses never release.
+    #[inline]
+    #[must_use]
+    pub fn releases(self, kind: OpKind) -> bool {
+        kind.is_sync()
+            && match self {
+                SyncMode::Drf0 => true,
+                SyncMode::ReleaseWrites => kind.is_write(),
+            }
+    }
+}
+
+/// The covering edges of `po ∪ so` under `mode`, as positions in
+/// completion order, listed by target: each operation's edge from its
+/// processor's previous one (`po`), and a synchronization operation's edge
+/// from the last release on its location if another processor ran it
+/// (`so`; same-processor `so` is subsumed by `po`).
+pub(crate) fn covering_edges(exec: &Execution, mode: SyncMode) -> Vec<(usize, usize)> {
+    let ops = exec.ops();
+    let mut edges = Vec::with_capacity(2 * ops.len());
+    let mut last_of_proc: HashMap<ProcId, usize> = HashMap::new();
+    let mut last_release_on: HashMap<Loc, usize> = HashMap::new();
+    for (i, op) in ops.iter().enumerate() {
+        if let Some(prev) = last_of_proc.insert(op.proc, i) {
+            edges.push((prev, i));
+        }
+        if op.kind.is_sync() {
+            if let Some(&prev) = last_release_on.get(&op.loc) {
+                if ops[prev].proc != op.proc {
+                    edges.push((prev, i));
+                }
+            }
+        }
+        if mode.releases(op.kind) {
+            last_release_on.insert(op.loc, i);
+        }
+    }
+    edges
+}
+
 impl HbRelation {
     /// Computes `hb = (po ∪ so)⁺` for an idealized execution, under
     /// [`SyncMode::Drf0`].
@@ -115,58 +132,9 @@ impl HbRelation {
     /// operations acquire but do not relay.
     #[must_use]
     pub fn with_mode(exec: &Execution, mode: SyncMode) -> Self {
-        let n = exec.len();
-        let ops = exec.ops();
-        let mut index = HashMap::with_capacity(n);
-        for (i, op) in ops.iter().enumerate() {
-            index.insert(op.id, i);
-        }
-
-        // successors[i]: the covering po/so successors of position i.
-        let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut last_of_proc: HashMap<crate::ProcId, usize> = HashMap::new();
-        // Drf0: the last sync op per location (the chain covers so).
-        // ReleaseWrites: the last *writing* sync op per location; it must
-        // edge to every later sync until the next writing one, because
-        // read-only ops do not relay.
-        let mut last_release_on: HashMap<crate::Loc, usize> = HashMap::new();
-        for (i, op) in ops.iter().enumerate() {
-            if let Some(&prev) = last_of_proc.get(&op.proc) {
-                successors[prev].push(i);
-            }
-            last_of_proc.insert(op.proc, i);
-            if op.kind.is_sync() {
-                if let Some(&prev) = last_release_on.get(&op.loc) {
-                    if ops[prev].proc != op.proc {
-                        // Same-processor so edges are subsumed by po.
-                        successors[prev].push(i);
-                    }
-                }
-                let releases = match mode {
-                    SyncMode::Drf0 => true,
-                    SyncMode::ReleaseWrites => op.kind.is_write(),
-                };
-                if releases {
-                    last_release_on.insert(op.loc, i);
-                }
-            }
-        }
-
-        // Completion order is topological (all edges go forward), so one
-        // backward pass computes reachability.
-        let mut reach = vec![BitRow::new(n); n];
-        for i in (0..n).rev() {
-            // Split the slice so we can borrow reach[j] while mutating
-            // reach[i] (j > i always holds).
-            let (head, tail) = reach.split_at_mut(i + 1);
-            let row = &mut head[i];
-            for &j in &successors[i] {
-                row.set(j);
-                row.union_with(&tail[j - i - 1]);
-            }
-        }
-
-        HbRelation { reach, index }
+        let index = exec.ops().iter().enumerate().map(|(i, op)| (op.id, i)).collect();
+        let order = Rel::from_forward_edges(exec.len(), &covering_edges(exec, mode));
+        HbRelation { order, index }
     }
 
     /// Whether `a` happens-before `b`.
@@ -176,7 +144,7 @@ impl HbRelation {
     #[must_use]
     pub fn happens_before(&self, a: OpId, b: OpId) -> bool {
         match (self.index.get(&a), self.index.get(&b)) {
-            (Some(&i), Some(&j)) => self.reach[i].get(j),
+            (Some(&i), Some(&j)) => self.order.ordered(i, j),
             _ => false,
         }
     }
@@ -190,19 +158,19 @@ impl HbRelation {
     /// Number of operations in the underlying execution.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.reach.len()
+        self.order.len()
     }
 
     /// Whether the relation covers no operations.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.reach.is_empty()
+        self.order.is_empty()
     }
 
     /// Total number of ordered pairs — useful for ablation comparisons.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.reach.iter().map(BitRow::count).sum()
+        self.order.edge_count()
     }
 }
 
@@ -308,6 +276,33 @@ mod tests {
         ]);
         let hb = HbRelation::from_execution(&e);
         assert_eq!(hb.edge_count(), 3); // (0,1), (0,2), (1,2)
+    }
+
+    #[test]
+    fn only_sync_ops_release_and_only_writing_ones_under_release_writes() {
+        use OpKind::{DataRead, DataWrite, SyncRead, SyncRmw, SyncWrite};
+        for kind in [DataRead, DataWrite, SyncRead, SyncWrite, SyncRmw] {
+            assert_eq!(SyncMode::Drf0.releases(kind), kind.is_sync(), "{kind:?}");
+            assert_eq!(
+                SyncMode::ReleaseWrites.releases(kind),
+                matches!(kind, SyncWrite | SyncRmw),
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn covering_edges_are_po_then_so_listed_by_target() {
+        // P0: S.w(s)   P1: S.r(s) ; W(x)   P2: TAS(s)
+        let e = exec(vec![
+            Operation::sync_write(OpId(0), ProcId(0), Loc(9), 1),
+            Operation::sync_read(OpId(1), ProcId(1), Loc(9), 1),
+            Operation::data_write(OpId(2), ProcId(1), Loc(0), 1),
+            Operation::sync_rmw(OpId(3), ProcId(2), Loc(9), 1, 1),
+        ]);
+        assert_eq!(covering_edges(&e, SyncMode::Drf0), vec![(0, 1), (1, 2), (1, 3)]);
+        // The Test relays nothing: the write releases straight to the TAS.
+        assert_eq!(covering_edges(&e, SyncMode::ReleaseWrites), vec![(0, 1), (1, 2), (0, 3)]);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //!   architecture* where every access is atomic and in program order,
 //! * program order `po`, synchronization order `so`, and the
 //!   **happens-before** relation `hb = (po ∪ so)⁺` ([`hb`], [`vc`]),
+//!   closed in [`rel::Rel`], the bitset order type the `wo-axiom`
+//!   relational engine builds its candidates in too,
 //! * the **DRF0** synchronization model (Definition 3): every pair of
 //!   conflicting accesses must be ordered by happens-before ([`drf0`]),
 //! * a streaming vector-clock **data-race detector** ([`race`]),
@@ -53,6 +55,7 @@ pub mod drf1;
 pub mod hb;
 pub mod lemma1;
 pub mod race;
+pub mod rel;
 pub mod sc;
 pub mod vc;
 

@@ -393,12 +393,7 @@ impl RaceDetector {
 
         self.proc_clock[p].tick(p);
         self.digest ^= proc_contrib(p, &self.proc_clock[p]);
-        let releases = op.kind.is_sync()
-            && match self.mode {
-                SyncMode::Drf0 => true,
-                SyncMode::ReleaseWrites => op.kind.is_write(),
-            };
-        let prev_sync_clock = if releases {
+        let prev_sync_clock = if self.mode.releases(op.kind) {
             self.digest ^= sync_contrib(op.loc, &self.proc_clock[p]);
             let displaced =
                 self.sync_clock.insert(op.loc, self.proc_clock[p].clone());

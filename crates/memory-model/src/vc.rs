@@ -180,12 +180,7 @@ impl VcHb {
             }
             proc_clock[p].tick(p);
             timestamps.insert(op.id, (p, proc_clock[p].clone()));
-            let releases = op.kind.is_sync()
-                && match mode {
-                    SyncMode::Drf0 => true,
-                    SyncMode::ReleaseWrites => op.kind.is_write(),
-                };
-            if releases {
+            if mode.releases(op.kind) {
                 sync_clock.insert(op.loc, proc_clock[p].clone());
             }
         }

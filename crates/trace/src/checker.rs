@@ -470,7 +470,7 @@ impl StreamChecker {
             return;
         }
         let procs = self.procs;
-        let releases_writes_only = self.cfg.mode == SyncMode::ReleaseWrites;
+        let mode = self.cfg.mode;
         self.arena.clear();
         self.arena.reserve(self.batch_ops.len() * procs);
 
@@ -486,8 +486,7 @@ impl StreamChecker {
             // sequential detector hands LocationState::observe.
             self.arena.extend_from_slice(self.proc_clock[p].as_slice());
             self.proc_clock[p].tick(p);
-            let releases = op.kind.is_sync() && (!releases_writes_only || op.kind.is_write());
-            if releases {
+            if mode.releases(op.kind) {
                 // Publishing to an already-tracked location costs nothing
                 // new; only *new* sync locations are capped.
                 if let Some(slot) = self.sync_clock.get_mut(&op.loc) {

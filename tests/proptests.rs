@@ -8,6 +8,7 @@
 
 use weak_ordering::memory_model::hb::HbRelation;
 use weak_ordering::memory_model::race::RaceDetector;
+use weak_ordering::memory_model::rel::Rel;
 use weak_ordering::memory_model::sc::{check_sc, ScCheckConfig, ScVerdict};
 use weak_ordering::memory_model::vc::VcHb;
 use weak_ordering::memory_model::{
@@ -147,6 +148,34 @@ fn hb_respects_completion_order() {
             for b in &ops[..i] {
                 assert!(!hb.happens_before(a.id, b.id));
             }
+        }
+    });
+}
+
+/// The bulk constructor closes forward edge lists exactly as inserting
+/// them one at a time does, predecessor rows included (`HbRelation` never
+/// reads those, so the matrix/clock property cannot catch a broken one).
+#[test]
+fn bulk_built_rel_equals_edge_by_edge_rel() {
+    for_each_case("bulk_built_rel_equals_edge_by_edge_rel", |rng| {
+        for n in [0usize, 1, 63, 64, 65, 130] {
+            let mut edges: Vec<(usize, usize)> = if n < 2 {
+                Vec::new()
+            } else {
+                (0..rng.index(3 * n))
+                    .map(|_| {
+                        let b = rng.range_u64(1, n as u64) as usize;
+                        (rng.index(b), b)
+                    })
+                    .collect()
+            };
+            edges.sort_by_key(|&(_, b)| b);
+            let mut one_by_one = Rel::new(n);
+            for &(a, b) in &edges {
+                one_by_one.add_edge(a, b).expect("forward edges never close a cycle");
+            }
+            let bulk = Rel::from_forward_edges(n, &edges);
+            assert_eq!(bulk, one_by_one, "n = {n}, edges = {edges:?}");
         }
     });
 }
