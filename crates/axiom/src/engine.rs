@@ -29,6 +29,15 @@
 //! Both directions of the verdict are exact relative to the operational
 //! explorer whenever both are definitive; the `wo-fuzz` differential gate
 //! enforces this over the corpus and 500 generated programs.
+//!
+//! Each tuple is searched in one mutable [`Rel`] and one reads-from
+//! vector. A branch commits its edges with [`Rel::add_edge_logged`],
+//! recurses, and rolls the relation back to the mark it took, so every
+//! search function leaves `rel` and `rf` as it found them when it
+//! returns `Ok`. (An `Err` abandons the whole search, so nothing is
+//! restored on that path.) Undoing in place of copying moves no work
+//! unit: every `Budget::spend` happens at the same point of the same
+//! enumeration order, which `tests/work_digest.rs` pins.
 
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -60,6 +69,18 @@ enum Round {
     Data,
 }
 
+/// No reader: the end of a `saturate` reader list.
+const NO_READER: usize = usize::MAX;
+
+/// One `(location, value)` row of the table `feasible_prefix` counts in.
+#[derive(Debug, Clone, Copy)]
+struct Tally {
+    loc: Loc,
+    value: Value,
+    written: u32,
+    rmw_reads: u32,
+}
+
 pub(crate) struct Search<'c> {
     cfg: &'c AxiomConfig,
     pub budget: Budget,
@@ -73,6 +94,14 @@ pub(crate) struct Search<'c> {
     pub race: Option<(OpId, OpId, Loc)>,
     pub truncated: bool,
     pub orientation_capped: bool,
+    /// Scratch happens-before, refilled by `forced_hb`.
+    hb: Rel,
+    /// Scratch count table of `feasible_prefix`.
+    tally: Vec<Tally>,
+    /// Scratch reader lists of `saturate`: the first reader of each
+    /// write, and the next reader of the same write after each read.
+    first_reader: Vec<usize>,
+    next_reader: Vec<usize>,
 }
 
 /// Per-tuple derived structure: event classification and the relation
@@ -92,7 +121,8 @@ struct TupleCtx {
     conflicts: Vec<(usize, usize)>,
     /// Cross-processor same-location sync pairs — the carriers of `so`.
     so_pairs: Vec<(usize, usize)>,
-    /// Program order as a closed relation (the base every branch clones).
+    /// Program order as a closed relation: the search relation starts
+    /// from it, and so does every happens-before `forced_hb` derives.
     po: Rel,
 }
 
@@ -135,12 +165,11 @@ impl TupleCtx {
                 }
             }
         }
-        let mut po = Rel::new(n);
-        for i in 1..n {
-            if events[i].proc == events[i - 1].proc {
-                po.add_edge(i - 1, i).expect("po chains are acyclic");
-            }
-        }
+        // Threads are contiguous runs, so po's covering edges join
+        // neighbours and arrive sorted by target.
+        let po_edges: Vec<(usize, usize)> =
+            (1..n).filter(|&i| events[i].proc == events[i - 1].proc).map(|i| (i - 1, i)).collect();
+        let po = Rel::from_forward_edges(n, &po_edges);
         TupleCtx {
             events,
             writes_by_loc,
@@ -160,15 +189,26 @@ impl TupleCtx {
         }
     }
 
-    fn round_locs(&self, round: Round) -> Vec<Loc> {
+    /// The writers of each of the `round`'s locations, in location order.
+    fn round_writes(&self, round: Round) -> impl Iterator<Item = &[usize]> {
         self.writes_by_loc
-            .keys()
-            .copied()
-            .filter(|loc| match round {
-                Round::Sync => self.sync_locs.contains(loc),
-                Round::Data => !self.sync_locs.contains(loc),
-            })
-            .collect()
+            .iter()
+            .filter(move |(loc, _)| self.sync_locs.contains(loc) == (round == Round::Sync))
+            .map(|(_, writes)| writes.as_slice())
+    }
+
+    /// The first write pair of the `round` that `rel` leaves unordered.
+    fn first_unordered(&self, round: Round, rel: &Rel) -> Option<(usize, usize)> {
+        for writes in self.round_writes(round) {
+            for (x, &w1) in writes.iter().enumerate() {
+                for &w2 in &writes[x + 1..] {
+                    if !rel.comparable(w1, w2) {
+                        return Some((w1, w2));
+                    }
+                }
+            }
+        }
+        None
     }
 }
 
@@ -187,6 +227,10 @@ impl<'c> Search<'c> {
             race: None,
             truncated: false,
             orientation_capped: false,
+            hb: Rel::new(0),
+            tally: Vec::new(),
+            first_reader: Vec::new(),
+            next_reader: Vec::new(),
         }
     }
 
@@ -290,34 +334,48 @@ impl<'c> Search<'c> {
     /// check is one-shot, not transitive; with an empty `rest` (at the
     /// leaf) it is exactly the whole-tuple admissibility prefilter.
     fn feasible_prefix(
-        &self,
+        &mut self,
         events: &[Operation],
         rest: &BTreeMap<Loc, BTreeMap<Value, u32>>,
     ) -> bool {
-        let mut written: BTreeMap<Loc, BTreeMap<Value, u32>> = BTreeMap::new();
-        let mut rmw_reads: BTreeMap<Loc, BTreeMap<Value, u32>> = BTreeMap::new();
+        // A prefix touches few (location, value) pairs, so a flat table
+        // scanned linearly beats building maps at every join step.
+        fn slot(tally: &mut Vec<Tally>, loc: Loc, value: Value) -> &mut Tally {
+            let i = match tally.iter().position(|x| x.loc == loc && x.value == value) {
+                Some(i) => i,
+                None => {
+                    tally.push(Tally { loc, value, written: 0, rmw_reads: 0 });
+                    tally.len() - 1
+                }
+            };
+            &mut tally[i]
+        }
+        let Search { tally, initial, .. } = self;
+        tally.clear();
         for e in events {
-            if let Some(v) = e.write_value {
-                *written.entry(e.loc).or_default().entry(v).or_default() += 1;
-            }
-            if let (Some(v), true) = (e.read_value, e.write_value.is_some()) {
-                *rmw_reads.entry(e.loc).or_default().entry(v).or_default() += 1;
+            if let Some(w) = e.write_value {
+                slot(tally, e.loc, w).written += 1;
+                if let Some(v) = e.read_value {
+                    slot(tally, e.loc, v).rmw_reads += 1;
+                }
             }
         }
-        let avail = |loc: Loc, v: Value| -> u32 {
-            written.get(&loc).and_then(|m| m.get(&v)).copied().unwrap_or(0)
-                + rest.get(&loc).and_then(|m| m.get(&v)).copied().unwrap_or(0)
+        let rest = |loc: Loc, v: Value| -> u32 {
+            rest.get(&loc).and_then(|m| m.get(&v)).copied().unwrap_or(0)
         };
-        for (&loc, per_value) in &rmw_reads {
-            for (&v, &n) in per_value {
-                if n > avail(loc, v) + u32::from(v == self.init_value(loc)) {
-                    return false;
-                }
+        for x in tally.iter() {
+            let init = u32::from(x.value == initial.read(x.loc));
+            if x.rmw_reads > x.written + rest(x.loc, x.value) + init {
+                return false;
             }
         }
         events.iter().all(|e| match e.read_value {
             Some(v) if e.write_value.is_none() => {
-                v == self.init_value(e.loc) || avail(e.loc, v) > 0
+                let written = tally
+                    .iter()
+                    .find(|x| x.loc == e.loc && x.value == v)
+                    .map_or(0, |x| x.written);
+                v == initial.read(e.loc) || written + rest(e.loc, v) > 0
             }
             _ => true,
         })
@@ -334,9 +392,9 @@ impl<'c> Search<'c> {
         self.tuples += 1;
         self.budget.spend(events.len() as u64 + 1)?;
         let t = TupleCtx::new(events);
-        let rel = t.po.clone();
-        let rf = vec![None; t.events.len()];
-        self.rf_search(&t, Round::Sync, 0, rel, rf)
+        let mut rel = t.po.clone();
+        let mut rf = vec![None; t.events.len()];
+        self.rf_search(&t, Round::Sync, 0, &mut rel, &mut rf)
     }
 
     /// Enumerates reads-from for the `round`'s reads, then hands the
@@ -346,8 +404,8 @@ impl<'c> Search<'c> {
         t: &TupleCtx,
         round: Round,
         i: usize,
-        rel: Rel,
-        rf: Vec<Option<RfSource>>,
+        rel: &mut Rel,
+        rf: &mut [Option<RfSource>],
     ) -> Result<(), Stop> {
         let reads = t.round_reads(round);
         if i == reads.len() {
@@ -357,56 +415,72 @@ impl<'c> Search<'c> {
         let r = reads[i];
         let ev = t.events[r];
         let v = ev.read_value.expect("round lists hold reads");
-        static NO_WRITES: Vec<usize> = Vec::new();
-        let writes = t.writes_by_loc.get(&ev.loc).unwrap_or(&NO_WRITES);
+        let writes = t.writes_by_loc.get(&ev.loc).map_or(&[][..], Vec::as_slice);
+        let mark = rel.mark();
         for &w in writes {
             if w == r || t.events[w].write_value != Some(v) {
                 continue;
             }
-            let mut rel2 = rel.clone();
-            if rel2.add_edge(w, r).is_err() {
-                continue;
+            if rel.add_edge_logged(w, r).is_ok() {
+                rf[r] = Some(RfSource::Write(w));
+                self.rf_search(t, round, i + 1, rel, rf)?;
+                rel.rollback(mark);
             }
-            let mut rf2 = rf.clone();
-            rf2[r] = Some(RfSource::Write(w));
-            self.rf_search(t, round, i + 1, rel2, rf2)?;
         }
         if v == self.init_value(ev.loc) {
             // Reading the initial value forces every same-location write
             // after the read (`fr` against the hypothetical init write).
-            let mut rel2 = rel.clone();
-            if writes.iter().all(|&w| w == r || rel2.add_edge(r, w).is_ok()) {
-                let mut rf2 = rf;
-                rf2[r] = Some(RfSource::Init);
-                self.rf_search(t, round, i + 1, rel2, rf2)?;
+            if writes.iter().all(|&w| w == r || rel.add_edge_logged(r, w).is_ok()) {
+                rf[r] = Some(RfSource::Init);
+                self.rf_search(t, round, i + 1, rel, rf)?;
             }
+            rel.rollback(mark);
         }
+        // A round's reads have no source until the round chooses one.
+        rf[r] = None;
         Ok(())
     }
 
     /// Saturates from-reads: whenever coherence orders `w1` before `w2`,
     /// every reader of `w1` must complete before `w2`. Returns `false`
-    /// when the branch closes a cycle (candidate inadmissible).
+    /// when the branch closes a cycle (candidate inadmissible), with the
+    /// edges added so far left for the caller to roll back.
     fn saturate(&mut self, t: &TupleCtx, rel: &mut Rel, rf: &[Option<RfSource>]) -> Result<bool, Stop> {
+        // Each write's readers, ascending: `rf` is fixed for the call.
+        let (first, next) = (&mut self.first_reader, &mut self.next_reader);
+        first.clear();
+        first.resize(rf.len(), NO_READER);
+        next.clear();
+        next.resize(rf.len(), NO_READER);
+        for (r, src) in rf.iter().enumerate().rev() {
+            if let Some(RfSource::Write(w)) = *src {
+                next[r] = first[w];
+                first[w] = r;
+            }
+        }
         loop {
             self.budget.spend(1)?;
             let mut changed = false;
             for writes in t.writes_by_loc.values() {
                 for &w1 in writes {
+                    if self.first_reader[w1] == NO_READER {
+                        continue;
+                    }
                     for &w2 in writes {
                         if w1 == w2 || !rel.ordered(w1, w2) {
                             continue;
                         }
-                        for (r, src) in rf.iter().enumerate() {
+                        let mut r = self.first_reader[w1];
+                        while r != NO_READER {
                             // `r == w2` is an RMW reading from w1: its own
                             // write needs no fr edge to itself.
-                            if *src != Some(RfSource::Write(w1)) || r == w2 {
-                                continue;
+                            if r != w2 {
+                                match rel.add_edge_logged(r, w2) {
+                                    Err(_) => return Ok(false),
+                                    Ok(added) => changed |= added,
+                                }
                             }
-                            match rel.add_edge(r, w2) {
-                                Err(_) => return Ok(false),
-                                Ok(added) => changed |= added,
-                            }
+                            r = self.next_reader[r];
                         }
                     }
                 }
@@ -423,45 +497,39 @@ impl<'c> Search<'c> {
         &mut self,
         t: &TupleCtx,
         round: Round,
-        mut rel: Rel,
-        rf: Vec<Option<RfSource>>,
+        rel: &mut Rel,
+        rf: &mut [Option<RfSource>],
     ) -> Result<(), Stop> {
-        if !self.saturate(t, &mut rel, &rf)? {
-            return Ok(());
-        }
-        for loc in t.round_locs(round) {
-            let writes = &t.writes_by_loc[&loc];
-            for (x, &w1) in writes.iter().enumerate() {
-                for &w2 in &writes[x + 1..] {
-                    if rel.comparable(w1, w2) {
-                        continue;
+        let entry = rel.mark();
+        if self.saturate(t, rel, rf)? {
+            if let Some((w1, w2)) = t.first_unordered(round, rel) {
+                self.budget.spend(1)?;
+                for (a, b) in [(w1, w2), (w2, w1)] {
+                    let mark = rel.mark();
+                    if rel.add_edge_logged(a, b).is_ok() {
+                        self.co_search(t, round, rel, rf)?;
                     }
-                    self.budget.spend(1)?;
-                    let mut fwd = rel.clone();
-                    if fwd.add_edge(w1, w2).is_ok() {
-                        self.co_search(t, round, fwd, rf.clone())?;
+                    rel.rollback(mark);
+                }
+            } else {
+                match round {
+                    Round::Sync => self.stage_b(t, rel, rf)?,
+                    Round::Data => {
+                        self.emit(t, rel, rf);
+                        self.race_sweep(t, rel)?;
                     }
-                    let mut back = rel;
-                    if back.add_edge(w2, w1).is_ok() {
-                        self.co_search(t, round, back, rf)?;
-                    }
-                    return Ok(());
                 }
             }
         }
-        match round {
-            Round::Sync => self.stage_b(t, rel, rf),
-            Round::Data => {
-                self.emit(t, &rel, &rf);
-                self.race_sweep(t, &rel)
-            }
-        }
+        rel.rollback(entry);
+        Ok(())
     }
 
     /// Happens-before from program order plus the synchronization-order
-    /// orientations already committed in `rel`, filtered by [`SyncMode`].
-    fn forced_hb(&self, t: &TupleCtx, rel: &Rel) -> Rel {
-        let mut hb = t.po.clone();
+    /// orientations already committed in `rel`, filtered by [`SyncMode`],
+    /// written into the scratch `self.hb`.
+    fn forced_hb(&mut self, t: &TupleCtx, rel: &Rel) {
+        self.hb.clone_from(&t.po);
         for &(a, b) in &t.so_pairs {
             let (src, dst) = if rel.ordered(a, b) {
                 (a, b)
@@ -472,19 +540,24 @@ impl<'c> Search<'c> {
             };
             if self.cfg.sync_mode.releases(t.events[src].kind) {
                 // Every hb edge is already in `rel`, so no cycle can arise.
-                let _ = hb.add_edge(src, dst);
+                let _ = self.hb.add_edge(src, dst);
             }
         }
-        hb
     }
 
     /// The Lemma 1 fast path, entered with the synchronization skeleton
     /// complete: if happens-before already orders every conflicting pair,
     /// the candidate is race-free and its data reads are value-forced —
     /// emit the unique SC result without enumerating data relations.
-    fn stage_b(&mut self, t: &TupleCtx, rel: Rel, rf: Vec<Option<RfSource>>) -> Result<(), Stop> {
+    fn stage_b(
+        &mut self,
+        t: &TupleCtx,
+        rel: &mut Rel,
+        rf: &mut [Option<RfSource>],
+    ) -> Result<(), Stop> {
         self.budget.spend(1)?;
-        let hb0 = self.forced_hb(t, &rel);
+        self.forced_hb(t, rel);
+        let hb0 = &self.hb;
         let race_free = t.conflicts.iter().all(|&(a, b)| {
             // Injectable defect for the fuzz campaign's self-test: claim
             // write/write conflicts are always ordered.
@@ -496,8 +569,7 @@ impl<'c> Search<'c> {
         if !race_free {
             return self.rf_search(t, Round::Data, 0, rel, rf);
         }
-        let mut rf = rf;
-        for &r in &t.data_reads {
+        let admissible = t.data_reads.iter().all(|&r| {
             let ev = t.events[r];
             // hb-latest same-location write before the read; race-freedom
             // makes the candidates totally ordered, so the greedy max is
@@ -514,11 +586,18 @@ impl<'c> Search<'c> {
                 .map(|w| t.events[w].write_value.expect("writers write"))
                 .unwrap_or_else(|| self.init_value(ev.loc));
             if ev.read_value != Some(forced) {
-                return Ok(()); // inadmissible: no execution reads this value
+                return false; // inadmissible: no execution reads this value
             }
             rf[r] = Some(latest.map_or(RfSource::Init, RfSource::Write));
+            true
+        });
+        if admissible {
+            self.emit(t, rel, rf);
         }
-        self.emit(t, &rel, &rf);
+        // Data reads have no source until this point.
+        for &r in &t.data_reads {
+            rf[r] = None;
+        }
         Ok(())
     }
 
@@ -568,12 +647,12 @@ impl<'c> Search<'c> {
     /// sweeps every consistent orientation of the still-undecided
     /// synchronization pairs, and reports a race the moment any completion
     /// leaves a conflicting pair hb-unordered.
-    fn race_sweep(&mut self, t: &TupleCtx, rel: &Rel) -> Result<(), Stop> {
+    fn race_sweep(&mut self, t: &TupleCtx, rel: &mut Rel) -> Result<(), Stop> {
         if self.racy && !self.stop_on_race {
             return Ok(()); // verdict already settled; results still accrue
         }
-        let hb = self.forced_hb(t, rel);
-        if t.conflicts.iter().all(|&(a, b)| hb.comparable(a, b)) {
+        self.forced_hb(t, rel);
+        if t.conflicts.iter().all(|&(a, b)| self.hb.comparable(a, b)) {
             return Ok(()); // more so edges can only add order: race-free
         }
         let undecided: Vec<(usize, usize)> = t
@@ -593,13 +672,13 @@ impl<'c> Search<'c> {
             self.orientation_capped = true;
             return Ok(());
         }
-        self.orient(t, rel.clone(), &undecided, 0)
+        self.orient(t, rel, &undecided, 0)
     }
 
     fn orient(
         &mut self,
         t: &TupleCtx,
-        rel: Rel,
+        rel: &mut Rel,
         undecided: &[(usize, usize)],
         i: usize,
     ) -> Result<(), Stop> {
@@ -608,9 +687,9 @@ impl<'c> Search<'c> {
         }
         self.budget.spend(1)?;
         if i == undecided.len() {
-            let hb = self.forced_hb(t, &rel);
+            self.forced_hb(t, rel);
             for &(a, b) in &t.conflicts {
-                if !hb.comparable(a, b) {
+                if !self.hb.comparable(a, b) {
                     self.racy = true;
                     self.race.get_or_insert((
                         t.events[a].id,
@@ -629,13 +708,12 @@ impl<'c> Search<'c> {
         if rel.comparable(a, b) {
             return self.orient(t, rel, undecided, i + 1);
         }
-        let mut fwd = rel.clone();
-        if fwd.add_edge(a, b).is_ok() {
-            self.orient(t, fwd, undecided, i + 1)?;
-        }
-        let mut back = rel;
-        if back.add_edge(b, a).is_ok() {
-            self.orient(t, back, undecided, i + 1)?;
+        for (src, dst) in [(a, b), (b, a)] {
+            let mark = rel.mark();
+            if rel.add_edge_logged(src, dst).is_ok() {
+                self.orient(t, rel, undecided, i + 1)?;
+            }
+            rel.rollback(mark);
         }
         Ok(())
     }

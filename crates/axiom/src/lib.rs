@@ -25,8 +25,11 @@
 //! The engine is exact relative to the explorer whenever both sides are
 //! definitive: equal DRF0 verdicts, and equal SC outcome sets whenever
 //! both report completeness. `wo-fuzz` enforces this differentially; the
-//! `wo-serve` daemon answers axiomatically first and falls back to the
-//! explorer on [`AxiomVerdict::Unknown`].
+//! `wo-serve` daemon answers axiomatically first and serves only a
+//! certified [`AxiomVerdict::Drf0`] or a complete SC outcome set. It
+//! falls back to the explorer on [`AxiomVerdict::Unknown`], on
+//! [`AxiomVerdict::Racy`] (a `drf0` answer promises the explorer's
+//! concrete race list) and on an incomplete SC set.
 
 use std::collections::HashSet;
 use std::fmt;

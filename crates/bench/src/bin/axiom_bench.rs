@@ -24,18 +24,24 @@
 //!
 //! Each program is decided `iters` times per engine and the minimum wall
 //! time kept, so scheduler noise can't manufacture (or hide) a speedup.
+//! Each row also records the relational engine's work units, which
+//! repeat exactly from run to run and host to host: a change that only
+//! makes the engine's steps cheaper moves the times and leaves them be.
 //!
-//! Exits nonzero on any verdict divergence, or when `--min-speedup` is
-//! given and the scaling-corpus speedup falls below that floor.
+//! Exits nonzero on any verdict divergence, or when a speedup floor is
+//! given and the measured speedup falls below it.
 //!
 //! Usage:
 //!
 //! ```text
 //! axiom_bench [--smoke] [--out PATH] [--corpus DIR] [--min-speedup F]
-//!   --smoke          CI variant: smaller step budgets, one timing iter
-//!   --out PATH       where to write the JSON (default BENCH_axiom.json)
-//!   --corpus DIR     litmus-tests directory (default: auto-detected)
-//!   --min-speedup F  fail if the scaling-corpus speedup < F
+//!             [--min-sweep-speedup F]
+//!   --smoke                CI variant: smaller step budgets, one timing iter
+//!   --out PATH             where to write the JSON (default BENCH_axiom.json)
+//!   --corpus DIR           litmus-tests directory (default: auto-detected)
+//!   --min-speedup F        fail if the scaling-corpus speedup < F
+//!   --min-sweep-speedup F  fail if the litmus sweep's explorer seconds over
+//!                          its axiom seconds < F (both timed on this host)
 //! ```
 
 use std::fmt::Write as _;
@@ -52,6 +58,7 @@ struct Args {
     out: PathBuf,
     corpus_dir: Option<PathBuf>,
     min_speedup: Option<f64>,
+    min_sweep_speedup: Option<f64>,
 }
 
 fn parse_args() -> Args {
@@ -60,6 +67,7 @@ fn parse_args() -> Args {
         out: PathBuf::from("BENCH_axiom.json"),
         corpus_dir: None,
         min_speedup: None,
+        min_sweep_speedup: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -79,6 +87,13 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|| usage("--min-speedup needs a number")),
                 );
             }
+            "--min-sweep-speedup" => {
+                args.min_sweep_speedup = Some(
+                    it.next()
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| usage("--min-sweep-speedup needs a number")),
+                );
+            }
             other => usage(&format!("unknown argument {other}")),
         }
     }
@@ -87,7 +102,10 @@ fn parse_args() -> Args {
 
 fn usage(msg: &str) -> ! {
     eprintln!("axiom_bench: {msg}");
-    eprintln!("usage: axiom_bench [--smoke] [--out PATH] [--corpus DIR] [--min-speedup F]");
+    eprintln!(
+        "usage: axiom_bench [--smoke] [--out PATH] [--corpus DIR] [--min-speedup F] \
+         [--min-sweep-speedup F]"
+    );
     std::process::exit(2);
 }
 
@@ -185,6 +203,7 @@ struct Row {
     name: String,
     explorer_secs: f64,
     axiom_secs: f64,
+    axiom_work: u64,
     axiom_verdict: AxiomVerdict,
     operational: Drf0Verdict,
 }
@@ -235,6 +254,7 @@ fn main() {
             name: name.clone(),
             explorer_secs: op_secs,
             axiom_secs: ax_secs,
+            axiom_work: ax.work,
             axiom_verdict: ax.verdict,
             operational: op,
         });
@@ -261,6 +281,7 @@ fn main() {
     let sweep_explorer = sum(&sweep_rows, |r| r.explorer_secs);
     let sweep_axiom = sum(&sweep_rows, |r| r.axiom_secs);
     let sweep_speedup = ratio(sweep_explorer, sweep_axiom);
+    let sweep_axiom_work: u64 = sweep_rows.iter().map(|r| r.axiom_work).sum();
     let total_explorer: f64 = rows.iter().map(|r| r.explorer_secs).sum();
     let total_axiom: f64 = rows.iter().map(|r| r.axiom_secs).sum();
     let total_speedup = ratio(total_explorer, total_axiom);
@@ -279,6 +300,7 @@ fn main() {
     let _ = writeln!(json, "  \"sweep_explorer_seconds\": {sweep_explorer:.6},");
     let _ = writeln!(json, "  \"sweep_axiom_seconds\": {sweep_axiom:.6},");
     let _ = writeln!(json, "  \"sweep_axiom_speedup\": {sweep_speedup:.3},");
+    let _ = writeln!(json, "  \"sweep_axiom_work\": {sweep_axiom_work},");
     let _ = writeln!(json, "  \"total_explorer_seconds\": {total_explorer:.6},");
     let _ = writeln!(json, "  \"total_axiom_seconds\": {total_axiom:.6},");
     let _ = writeln!(json, "  \"total_axiom_speedup\": {total_speedup:.3},");
@@ -288,10 +310,12 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"axiom_us\": {:.1}, \"explorer_us\": {:.1}, \
-             \"axiom_verdict\": \"{}\", \"operational_verdict\": \"{}\"}}{comma}",
+             \"axiom_work\": {}, \"axiom_verdict\": \"{}\", \
+             \"operational_verdict\": \"{}\"}}{comma}",
             row.name,
             row.axiom_secs * 1e6,
             row.explorer_secs * 1e6,
+            row.axiom_work,
             row.axiom_verdict,
             row.operational,
         );
@@ -308,7 +332,8 @@ fn main() {
         drf0_axiom,
     );
     println!(
-        "litmus sweep ({} drf0 programs): explorer {:.3}s  axiom {:.3}s  speedup {sweep_speedup:.1}x",
+        "litmus sweep ({} drf0 programs): explorer {:.3}s  axiom {:.3}s  \
+         speedup {sweep_speedup:.3}x  axiom work {sweep_axiom_work}",
         sweep_rows.len(),
         sweep_explorer,
         sweep_axiom,
@@ -333,5 +358,16 @@ fn main() {
             std::process::exit(1);
         }
         println!("speedup gate: {drf0_speedup:.2}x >= {floor:.2}x");
+    }
+    if let Some(floor) = args.min_sweep_speedup {
+        if sweep_speedup < floor {
+            eprintln!(
+                "SWEEP SPEEDUP REGRESSION: the relational engine ran the litmus sweep at \
+                 {sweep_speedup:.3}x the explorer, below the --min-sweep-speedup floor \
+                 of {floor:.3}"
+            );
+            std::process::exit(1);
+        }
+        println!("sweep speedup gate: {sweep_speedup:.3}x >= {floor:.3}x");
     }
 }

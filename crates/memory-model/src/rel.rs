@@ -11,10 +11,14 @@
 //! O(n²/64) words and detects a cycle the moment the offending edge is
 //! proposed.
 //!
-//! Candidate executions are small (bounded by the explorer's per-execution
-//! op budget, 64 by default), so a row is one or two `u64` words and a
-//! whole relation clones in a few cache lines — cheap enough to clone at
-//! every branch point of the search instead of threading an undo log.
+//! A search commits an edge, explores, and takes the edge back before
+//! trying the alternative. [`Rel::add_edge_logged`] records every word
+//! the closure changes as `(index, old value)` on the relation's trail;
+//! [`Rel::mark`] names a point on it and [`Rel::rollback`] restores every
+//! word changed since, newest first. Undoing costs what the edges
+//! changed, not a copy of the relation, so one relation serves a whole
+//! search. A rejected edge, or one already derived, changes nothing and
+//! logs nothing.
 
 /// The error returned when an edge would close a cycle: the proposed
 /// `a → b` contradicts an already-derived `b → a` (or `a == b`).
@@ -38,14 +42,41 @@ pub struct Cycle;
 /// assert!(r.add_edge(2, 0).is_err(), "cycles are rejected");
 /// assert_eq!(r.topo(), vec![0, 1, 2]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Rel {
     n: usize,
     words: usize,
-    /// `succ[i*words..]`: bitset of nodes strictly after `i`.
-    succ: Vec<u64>,
-    /// `pred[i*words..]`: bitset of nodes strictly before `i`.
-    pred: Vec<u64>,
+    /// Row `i < n`: bitset of nodes strictly after `i`. Row `n + i`:
+    /// bitset of nodes strictly before `i`. Each row is `words` long.
+    bits: Vec<u64>,
+    /// `(word index, old value)` per word a logged edge changed, oldest
+    /// first.
+    trail: Vec<(usize, u64)>,
+}
+
+/// Two relations are equal when they order the same pairs; the trail is
+/// bookkeeping and takes no part.
+impl PartialEq for Rel {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.bits == other.bits
+    }
+}
+
+impl Eq for Rel {}
+
+/// `clone_from` reuses the destination's buffers, so a scratch relation
+/// reset from a base allocates nothing.
+impl Clone for Rel {
+    fn clone(&self) -> Self {
+        Rel { n: self.n, words: self.words, bits: self.bits.clone(), trail: self.trail.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.words = source.words;
+        self.bits.clone_from(&source.bits);
+        self.trail.clone_from(&source.trail);
+    }
 }
 
 impl Rel {
@@ -53,7 +84,7 @@ impl Rel {
     #[must_use]
     pub fn new(n: usize) -> Self {
         let words = n.div_ceil(64).max(1);
-        Rel { n, words, succ: vec![0; n * words], pred: vec![0; n * words] }
+        Rel { n, words, bits: vec![0; 2 * n * words], trail: Vec::new() }
     }
 
     /// The closure of `edges` over `0..n`, each pointing forward (`a < b`)
@@ -69,11 +100,12 @@ impl Rel {
         debug_assert!(edges.windows(2).all(|e| e[0].1 <= e[1].1), "edges sorted by target");
         let mut r = Rel::new(n);
         let w = r.words;
+        let (succ, pred) = r.bits.split_at_mut(n * w);
         // Every edge out of `b` has a later target, so `succ(b)` is final
         // when `a → b` is reached backward; symmetrically `pred(a)` forward.
         for &(a, b) in edges.iter().rev() {
             assert!(a < b, "edge {a} -> {b} does not point forward");
-            let (head, tail) = r.succ.split_at_mut(b * w);
+            let (head, tail) = succ.split_at_mut(b * w);
             let row = &mut head[a * w..(a + 1) * w];
             row[b / 64] |= 1 << (b % 64);
             for (dst, src) in row.iter_mut().zip(&tail[..w]) {
@@ -81,7 +113,7 @@ impl Rel {
             }
         }
         for &(a, b) in edges {
-            let (head, tail) = r.pred.split_at_mut(b * w);
+            let (head, tail) = pred.split_at_mut(b * w);
             let row = &mut tail[..w];
             row[a / 64] |= 1 << (a % 64);
             for (dst, src) in row.iter_mut().zip(&head[a * w..(a + 1) * w]) {
@@ -108,9 +140,11 @@ impl Rel {
         row[j / 64] & (1 << (j % 64)) != 0
     }
 
+    /// Row `r` of `bits`: successors of `r` for `r < n`, predecessors
+    /// of `r - n` above.
     #[inline]
-    fn row<'a>(&self, m: &'a [u64], i: usize) -> &'a [u64] {
-        &m[i * self.words..(i + 1) * self.words]
+    fn row(&self, r: usize) -> &[u64] {
+        &self.bits[r * self.words..(r + 1) * self.words]
     }
 
     /// Whether `a` is strictly before `b`.
@@ -121,7 +155,8 @@ impl Rel {
     #[inline]
     #[must_use]
     pub fn ordered(&self, a: usize, b: usize) -> bool {
-        Self::bit(self.row(&self.succ, a), b)
+        assert!(a < self.n, "element {a} out of range");
+        Self::bit(self.row(a), b)
     }
 
     /// Whether `a` and `b` are ordered in either direction.
@@ -141,49 +176,104 @@ impl Rel {
     /// Returns [`Cycle`] (leaving the relation unchanged) when `a == b` or
     /// `b → a` already holds.
     pub fn add_edge(&mut self, a: usize, b: usize) -> Result<bool, Cycle> {
+        self.close::<false>(a, b)
+    }
+
+    /// [`add_edge`](Self::add_edge), logging every word it changes on the
+    /// trail so that [`rollback`](Self::rollback) can take it back.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Cycle`], changing and logging nothing, when `a == b` or
+    /// `b → a` already holds.
+    pub fn add_edge_logged(&mut self, a: usize, b: usize) -> Result<bool, Cycle> {
+        self.close::<true>(a, b)
+    }
+
+    /// The current end of the trail, to [`rollback`](Self::rollback) to.
+    #[must_use]
+    pub fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// Restores every word changed by logged edges since `mark`, newest
+    /// first, leaving the relation as it was when `mark` was taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` is past the end of the trail.
+    pub fn rollback(&mut self, mark: usize) {
+        for (i, old) in self.trail.drain(mark..).rev() {
+            self.bits[i] = old;
+        }
+    }
+
+    /// The one closure routine: every element at or before `a` now
+    /// precedes every element at or after `b`.
+    fn close<const LOG: bool>(&mut self, a: usize, b: usize) -> Result<bool, Cycle> {
         if a == b || self.ordered(b, a) {
             return Err(Cycle);
         }
         if self.ordered(a, b) {
             return Ok(false);
         }
-        // from = pred(a) ∪ {a}, to = succ(b) ∪ {b}: every element at or
-        // before `a` now precedes every element at or after `b`.
-        let mut from = self.row(&self.pred, a).to_vec();
-        from[a / 64] |= 1 << (a % 64);
-        let mut to = self.row(&self.succ, b).to_vec();
-        to[b / 64] |= 1 << (b % 64);
-        for i in iter_bits(&from) {
-            let row = &mut self.succ[i * self.words..(i + 1) * self.words];
-            for (dst, src) in row.iter_mut().zip(&to) {
-                *dst |= src;
-            }
-        }
-        for j in iter_bits(&to) {
-            let row = &mut self.pred[j * self.words..(j + 1) * self.words];
-            for (dst, src) in row.iter_mut().zip(&from) {
-                *dst |= src;
-            }
-        }
+        // The source rows are read in place. The edge closes no cycle, so
+        // `b` is not in `pred(a) ∪ {a}` and `a` is not in `succ(b) ∪ {b}`:
+        // neither pass writes a row it reads.
+        let n = self.n;
+        self.union_rows::<LOG>((n + a, a), (b, b), 0);
+        self.union_rows::<LOG>((b, b), (n + a, a), n);
         Ok(true)
+    }
+
+    /// For every `i` in `row(set.0) ∪ {set.1}`, ORs `row(from.0) ∪
+    /// {from.1}` into `row(base + i)`, logging each changed word when
+    /// `LOG`.
+    fn union_rows<const LOG: bool>(
+        &mut self,
+        set: (usize, usize),
+        from: (usize, usize),
+        base: usize,
+    ) {
+        let w = self.words;
+        let single = |x: usize, k: usize| if x / 64 == k { 1u64 << (x % 64) } else { 0 };
+        for sw in 0..w {
+            let mut pending = self.bits[set.0 * w + sw] | single(set.1, sw);
+            while pending != 0 {
+                let i = sw * 64 + pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let dst = (base + i) * w;
+                for k in 0..w {
+                    let old = self.bits[dst + k];
+                    let new = old | self.bits[from.0 * w + k] | single(from.1, k);
+                    if new != old {
+                        if LOG {
+                            self.trail.push((dst + k, old));
+                        }
+                        self.bits[dst + k] = new;
+                    }
+                }
+            }
+        }
     }
 
     /// Elements strictly before `i`, ascending.
     #[must_use]
     pub fn predecessors(&self, i: usize) -> Vec<usize> {
-        iter_bits(self.row(&self.pred, i)).collect()
+        iter_bits(self.row(self.n + i)).collect()
     }
 
     /// Elements strictly after `i`, ascending.
     #[must_use]
     pub fn successors(&self, i: usize) -> Vec<usize> {
-        iter_bits(self.row(&self.succ, i)).collect()
+        assert!(i < self.n, "element {i} out of range");
+        iter_bits(self.row(i)).collect()
     }
 
     /// Number of ordered pairs.
     #[must_use]
     pub fn edge_count(&self) -> usize {
-        self.succ.iter().map(|w| w.count_ones() as usize).sum()
+        self.bits[..self.n * self.words].iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// The deterministic minimum-index-first topological linearization:
@@ -203,7 +293,7 @@ impl Rel {
             let next = (0..self.n)
                 .find(|&i| {
                     !placed[i]
-                        && iter_bits(self.row(&self.pred, i)).all(|p| placed[p])
+                        && iter_bits(self.row(self.n + i)).all(|p| placed[p])
                 })
                 .expect("acyclic relation always has a minimal element");
             placed[next] = true;
@@ -305,6 +395,63 @@ mod tests {
     #[should_panic(expected = "does not point forward")]
     fn forward_edges_reject_backward_edges() {
         let _ = Rel::from_forward_edges(2, &[(1, 0)]);
+    }
+
+    #[test]
+    fn rollback_restores_the_relation_at_each_nested_mark() {
+        // 130 elements: rows span three words, and the edges below cross
+        // both word boundaries in both directions.
+        let n = 130;
+        let mut r = Rel::new(n);
+        r.add_edge_logged(0, 70).unwrap();
+        r.add_edge_logged(129, 1).unwrap();
+        let outer = r.mark();
+        let at_outer = r.clone();
+        assert_eq!(r.add_edge_logged(70, 128), Ok(true));
+        assert_eq!(r.add_edge_logged(1, 63), Ok(true));
+        let inner = r.mark();
+        let at_inner = r.clone();
+        assert_eq!(r.add_edge_logged(63, 64), Ok(true));
+        assert_eq!(r.add_edge_logged(64, 0), Ok(true));
+        assert!(r.ordered(129, 128), "129 → 1 → 63 → 64 → 0 → 70 → 128");
+        assert_eq!(r.add_edge_logged(128, 129), Err(Cycle));
+        r.rollback(inner);
+        assert_eq!(r, at_inner);
+        assert_eq!(r.mark(), inner);
+        assert_eq!(r.add_edge_logged(128, 129), Ok(true), "legal again once 64 → 0 is undone");
+        r.rollback(outer);
+        assert_eq!(r, at_outer);
+        assert_eq!(r.mark(), outer);
+        r.rollback(0);
+        assert_eq!(r, Rel::new(n));
+    }
+
+    #[test]
+    fn rejected_and_derived_edges_log_nothing() {
+        let mut r = Rel::new(130);
+        r.add_edge_logged(2, 100).unwrap();
+        r.add_edge_logged(100, 129).unwrap();
+        let m = r.mark();
+        let before = r.clone();
+        assert_eq!(r.add_edge_logged(129, 2), Err(Cycle));
+        assert_eq!(r.add_edge_logged(7, 7), Err(Cycle));
+        assert_eq!(r.mark(), m, "a cycle logs nothing");
+        assert_eq!(r.add_edge_logged(2, 129), Ok(false));
+        assert_eq!(r.mark(), m, "a derived edge logs nothing");
+        assert_eq!(r, before);
+    }
+
+    #[test]
+    fn unlogged_edges_leave_the_trail_alone() {
+        let mut r = Rel::new(4);
+        r.add_edge(0, 1).unwrap();
+        assert_eq!(r.mark(), 0);
+        r.add_edge_logged(1, 2).unwrap();
+        let mut scratch = Rel::new(0);
+        scratch.clone_from(&r);
+        assert_eq!(scratch, r);
+        r.rollback(0);
+        assert!(r.ordered(0, 1) && !r.ordered(1, 2));
     }
 
     #[test]
