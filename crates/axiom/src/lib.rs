@@ -24,12 +24,15 @@
 //!
 //! The engine is exact relative to the explorer whenever both sides are
 //! definitive: equal DRF0 verdicts, and equal SC outcome sets whenever
-//! both report completeness. `wo-fuzz` enforces this differentially; the
-//! `wo-serve` daemon answers axiomatically first and serves only a
-//! certified [`AxiomVerdict::Drf0`] or a complete SC outcome set. It
-//! falls back to the explorer on [`AxiomVerdict::Unknown`], on
-//! [`AxiomVerdict::Racy`] (a `drf0` answer promises the explorer's
-//! concrete race list) and on an incomplete SC set.
+//! both report completeness. `wo-fuzz` enforces this differentially. The
+//! `wo-serve` daemon routes each query: this engine looks first only at
+//! loop-free programs at least 4 threads wide (4 thread-identity classes
+//! for SC queries), the explorer everywhere else, and the other engine
+//! looks only when the first is undecided. From this engine it serves
+//! only a certified [`AxiomVerdict::Drf0`] or a complete SC outcome set;
+//! [`AxiomVerdict::Racy`] is never served (a `drf0` answer promises the
+//! explorer's concrete race list), and [`AxiomVerdict::Unknown`] or an
+//! incomplete SC set counts as undecided.
 
 use std::collections::HashSet;
 use std::fmt;

@@ -22,26 +22,34 @@
 //!    programs and deep RMW synchronization chains the explorer's DPOR
 //!    reduction wins, and the JSON says so.
 //!
+//! Each row also times `wo_serve::compute_answer` on the `drf0` group —
+//! the daemon's routed kernel — as `routed_us`. Its *routed regret* is
+//! Σ `routed_us` over Σ best servable time, where the best servable time
+//! is the faster engine when the relational engine says `drf0` (the only
+//! verdict the daemon serves from it) and the explorer's time otherwise.
+//!
 //! Each program is decided `iters` times per engine and the minimum wall
 //! time kept, so scheduler noise can't manufacture (or hide) a speedup.
 //! Each row also records the relational engine's work units, which
 //! repeat exactly from run to run and host to host: a change that only
 //! makes the engine's steps cheaper moves the times and leaves them be.
 //!
-//! Exits nonzero on any verdict divergence, or when a speedup floor is
-//! given and the measured speedup falls below it.
+//! Exits nonzero on any verdict divergence, when a speedup floor is
+//! given and the measured speedup falls below it, or when a routed-regret
+//! ceiling is given and the routed regret exceeds it.
 //!
 //! Usage:
 //!
 //! ```text
 //! axiom_bench [--smoke] [--out PATH] [--corpus DIR] [--min-speedup F]
-//!             [--min-sweep-speedup F]
+//!             [--min-sweep-speedup F] [--max-routed-regret F]
 //!   --smoke                CI variant: smaller step budgets, one timing iter
 //!   --out PATH             where to write the JSON (default BENCH_axiom.json)
 //!   --corpus DIR           litmus-tests directory (default: auto-detected)
 //!   --min-speedup F        fail if the scaling-corpus speedup < F
 //!   --min-sweep-speedup F  fail if the litmus sweep's explorer seconds over
 //!                          its axiom seconds < F (both timed on this host)
+//!   --max-routed-regret F  fail if the routed regret over every program > F
 //! ```
 
 use std::fmt::Write as _;
@@ -52,6 +60,8 @@ use litmus::explore::{drf0_verdict, Drf0Verdict, ExploreConfig};
 use litmus::{Program, Reg, Thread};
 use memory_model::Loc;
 use wo_axiom::{decide_drf0, AxiomConfig, AxiomVerdict};
+use wo_serve::cache::KindGroup;
+use wo_serve::compute_answer;
 
 struct Args {
     smoke: bool,
@@ -59,6 +69,7 @@ struct Args {
     corpus_dir: Option<PathBuf>,
     min_speedup: Option<f64>,
     min_sweep_speedup: Option<f64>,
+    max_routed_regret: Option<f64>,
 }
 
 fn parse_args() -> Args {
@@ -68,6 +79,7 @@ fn parse_args() -> Args {
         corpus_dir: None,
         min_speedup: None,
         min_sweep_speedup: None,
+        max_routed_regret: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -94,6 +106,13 @@ fn parse_args() -> Args {
                         .unwrap_or_else(|| usage("--min-sweep-speedup needs a number")),
                 );
             }
+            "--max-routed-regret" => {
+                args.max_routed_regret = Some(
+                    it.next()
+                        .and_then(|s| s.parse().ok())
+                        .unwrap_or_else(|| usage("--max-routed-regret needs a number")),
+                );
+            }
             other => usage(&format!("unknown argument {other}")),
         }
     }
@@ -104,7 +123,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("axiom_bench: {msg}");
     eprintln!(
         "usage: axiom_bench [--smoke] [--out PATH] [--corpus DIR] [--min-speedup F] \
-         [--min-sweep-speedup F]"
+         [--min-sweep-speedup F] [--max-routed-regret F]"
     );
     std::process::exit(2);
 }
@@ -203,6 +222,7 @@ struct Row {
     name: String,
     explorer_secs: f64,
     axiom_secs: f64,
+    routed_secs: f64,
     axiom_work: u64,
     axiom_verdict: AxiomVerdict,
     operational: Drf0Verdict,
@@ -237,6 +257,8 @@ fn main() {
     for (name, program) in &programs {
         let (ax_secs, ax) = timed(iters, || decide_drf0(program, &axiom_budget));
         let (op_secs, op) = timed(iters, || drf0_verdict(program, &explore_budget));
+        let (routed_secs, _) =
+            timed(iters, || compute_answer(KindGroup::Explore, program, &explore_budget));
         match (&ax.verdict, &op) {
             (AxiomVerdict::Unknown(_), _) | (_, Drf0Verdict::BudgetExceeded(_)) => {}
             (AxiomVerdict::Drf0, Drf0Verdict::Drf0)
@@ -244,16 +266,18 @@ fn main() {
             (a, o) => divergences.push(format!("{name}: axiomatic {a}, operational {o}")),
         }
         println!(
-            "  {name:<40} axiom {:>10.1}us ({})  explorer {:>10.1}us ({})",
+            "  {name:<40} axiom {:>10.1}us ({})  explorer {:>10.1}us ({})  routed {:>10.1}us",
             ax_secs * 1e6,
             ax.verdict,
             op_secs * 1e6,
             op,
+            routed_secs * 1e6,
         );
         rows.push(Row {
             name: name.clone(),
             explorer_secs: op_secs,
             axiom_secs: ax_secs,
+            routed_secs,
             axiom_work: ax.work,
             axiom_verdict: ax.verdict,
             operational: op,
@@ -285,6 +309,18 @@ fn main() {
     let total_explorer: f64 = rows.iter().map(|r| r.explorer_secs).sum();
     let total_axiom: f64 = rows.iter().map(|r| r.axiom_secs).sum();
     let total_speedup = ratio(total_explorer, total_axiom);
+    // The routed kernel against the best engine the daemon could have
+    // served each program from.
+    let best_servable = |r: &Row| {
+        if r.axiom_verdict == AxiomVerdict::Drf0 {
+            r.axiom_secs.min(r.explorer_secs)
+        } else {
+            r.explorer_secs
+        }
+    };
+    let total_routed: f64 = rows.iter().map(|r| r.routed_secs).sum();
+    let total_best: f64 = rows.iter().map(best_servable).sum();
+    let routed_regret = ratio(total_routed, total_best);
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"workload\": \"drf0-scaling + litmus-sweep\",");
@@ -304,17 +340,21 @@ fn main() {
     let _ = writeln!(json, "  \"total_explorer_seconds\": {total_explorer:.6},");
     let _ = writeln!(json, "  \"total_axiom_seconds\": {total_axiom:.6},");
     let _ = writeln!(json, "  \"total_axiom_speedup\": {total_speedup:.3},");
+    let _ = writeln!(json, "  \"total_routed_seconds\": {total_routed:.6},");
+    let _ = writeln!(json, "  \"total_best_servable_seconds\": {total_best:.6},");
+    let _ = writeln!(json, "  \"routed_regret\": {routed_regret:.3},");
     let _ = writeln!(json, "  \"per_program\": [");
     for (i, row) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"axiom_us\": {:.1}, \"explorer_us\": {:.1}, \
-             \"axiom_work\": {}, \"axiom_verdict\": \"{}\", \
+             \"routed_us\": {:.1}, \"axiom_work\": {}, \"axiom_verdict\": \"{}\", \
              \"operational_verdict\": \"{}\"}}{comma}",
             row.name,
             row.axiom_secs * 1e6,
             row.explorer_secs * 1e6,
+            row.routed_secs * 1e6,
             row.axiom_work,
             row.axiom_verdict,
             row.operational,
@@ -337,6 +377,12 @@ fn main() {
         sweep_rows.len(),
         sweep_explorer,
         sweep_axiom,
+    );
+    println!(
+        "routed ({} programs): {:.3}s against a best servable {:.3}s  regret {routed_regret:.3}",
+        rows.len(),
+        total_routed,
+        total_best,
     );
     if !divergences.is_empty() {
         eprintln!("\nVERDICT DIVERGENCE ({}):", divergences.len());
@@ -369,5 +415,15 @@ fn main() {
             std::process::exit(1);
         }
         println!("sweep speedup gate: {sweep_speedup:.3}x >= {floor:.3}x");
+    }
+    if let Some(ceiling) = args.max_routed_regret {
+        if routed_regret > ceiling {
+            eprintln!(
+                "ROUTING REGRESSION: the routed kernel took {routed_regret:.3}x the best \
+                 servable engine time, above the --max-routed-regret ceiling of {ceiling:.3}"
+            );
+            std::process::exit(1);
+        }
+        println!("routed regret gate: {routed_regret:.3} <= {ceiling:.3}");
     }
 }

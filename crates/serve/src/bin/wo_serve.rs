@@ -146,6 +146,9 @@ fn print_stats(stats: &ServerStats) {
     println!("shedding            {}", stats.shedding);
     println!("coalesced in batch  {}", stats.coalesced_in_batch);
     println!("shed items          {}", stats.shed_items);
+    println!("computed (axiom)    {}", stats.computed_axiom);
+    println!("computed (explorer) {}", stats.computed_explorer);
+    println!("route fallbacks     {}", stats.route_fallbacks);
 
     const BUCKET_LABELS: [&str; BATCH_DEPTH_BUCKETS] =
         ["1", "2-7", "8-31", "32-127", "128-511", "512+"];

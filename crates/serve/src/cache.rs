@@ -39,7 +39,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use crate::canon::fnv1a;
-use crate::protocol::RaceCoord;
+use crate::protocol::{Engine, RaceCoord};
 
 /// How many independently locked shards the cache map is split into.
 /// A power of two so shard selection is a mask of the key hash.
@@ -90,12 +90,16 @@ pub enum CachedAnswer {
         racy: bool,
         /// The race set, canonical coordinates, sorted.
         races: Vec<RaceCoord>,
-        /// States the exploration expanded.
+        /// Work of the engine that produced the answer: explorer states
+        /// or relational work units.
         steps: u64,
         /// Whether the answer is budget-independent (cacheable).
         definitive: bool,
         /// Which budget gave out when not definitive (wire token).
         reason: Option<String>,
+        /// Which engine produced the answer (`None` only for a journal
+        /// record written before the field existed).
+        engine: Option<Engine>,
     },
     /// An SC outcome enumeration answer.
     Sc {
@@ -105,8 +109,12 @@ pub enum CachedAnswer {
         complete: bool,
         /// Which budget gave out when incomplete (wire token).
         reason: Option<String>,
-        /// States the exploration expanded.
+        /// Work of the engine that produced the answer: explorer states
+        /// or relational work units.
         steps: u64,
+        /// Which engine produced the answer (`None` only for a journal
+        /// record written before the field existed).
+        engine: Option<Engine>,
     },
 }
 
@@ -118,6 +126,14 @@ impl CachedAnswer {
         match self {
             CachedAnswer::Explore { definitive, .. } => *definitive,
             CachedAnswer::Sc { complete, .. } => *complete,
+        }
+    }
+
+    /// Which engine produced this answer.
+    #[must_use]
+    pub fn engine(&self) -> Option<Engine> {
+        match self {
+            CachedAnswer::Explore { engine, .. } | CachedAnswer::Sc { engine, .. } => *engine,
         }
     }
 }
@@ -441,6 +457,7 @@ mod tests {
             steps,
             definitive: true,
             reason: None,
+            engine: Some(Engine::Explorer),
         }
     }
 
@@ -451,6 +468,7 @@ mod tests {
             steps: 10,
             definitive: false,
             reason: Some("deadline".into()),
+            engine: Some(Engine::Explorer),
         }
     }
 

@@ -469,6 +469,7 @@ impl BatchClient {
                         races,
                         steps: rref.steps,
                         cache: rref.cache,
+                        engine: rref.engine,
                     };
                     (rref.id, response)
                 }

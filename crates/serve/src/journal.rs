@@ -25,8 +25,10 @@
 //! [u32 BE payload length][u64 BE FNV-1a of payload][payload]
 //! ```
 //!
-//! The payload is text: `key=value` header lines (group, answer fields),
-//! a blank line, then the canonical program text.
+//! The payload is text: `key=value` header lines (group, answer fields,
+//! and the `engine=` that produced the answer), a blank line, then the
+//! canonical program text. A record without an `engine=` line, as written
+//! before the field existed, replays with no engine.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -34,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 use crate::cache::{CachedAnswer, KindGroup};
 use crate::canon::fnv1a;
-use crate::protocol::RaceCoord;
+use crate::protocol::{push_engine_line, Engine, RaceCoord};
 
 /// Hard cap on one journal record (canonical text + headers). Matches the
 /// frame cap's order of magnitude; a record above this is corruption.
@@ -215,6 +217,7 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
             payload.push_str("answer=explore\n");
             payload.push_str(&format!("racy={racy}\n"));
             payload.push_str(&format!("steps={steps}\n"));
+            push_engine_line(&mut payload, record.answer.engine());
             payload.push_str(&format!("races={}\n", races.len()));
             for r in races {
                 payload.push_str(&format!(
@@ -228,6 +231,7 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
             payload.push_str("answer=sc\n");
             payload.push_str(&format!("outcomes={outcomes}\n"));
             payload.push_str(&format!("steps={steps}\n"));
+            push_engine_line(&mut payload, record.answer.engine());
         }
     }
     payload.push('\n');
@@ -281,6 +285,7 @@ fn parse_payload(payload: &[u8]) -> Option<JournalRecord> {
     let mut steps = None;
     let mut outcomes = None;
     let mut declared_races = None;
+    let mut engine = None;
     let mut races: Vec<RaceCoord> = Vec::new();
     for line in lines.by_ref() {
         if line.is_empty() {
@@ -294,6 +299,7 @@ fn parse_payload(payload: &[u8]) -> Option<JournalRecord> {
             "steps" => steps = value.parse::<u64>().ok(),
             "outcomes" => outcomes = value.parse::<u64>().ok(),
             "races" => declared_races = value.parse::<usize>().ok(),
+            "engine" => engine = Some(Engine::parse_token(value)?),
             "race" => {
                 let fields: Vec<u32> = value
                     .split_whitespace()
@@ -329,6 +335,7 @@ fn parse_payload(payload: &[u8]) -> Option<JournalRecord> {
                 steps: steps?,
                 definitive: true,
                 reason: None,
+                engine,
             }
         }
         "sc" => CachedAnswer::Sc {
@@ -336,6 +343,7 @@ fn parse_payload(payload: &[u8]) -> Option<JournalRecord> {
             complete: true,
             reason: None,
             steps: steps?,
+            engine,
         },
         _ => return None,
     };
@@ -371,6 +379,7 @@ mod tests {
                 steps: 42,
                 definitive: true,
                 reason: None,
+                engine: Some(Engine::Explorer),
             },
         }
     }
@@ -384,6 +393,7 @@ mod tests {
                 complete: true,
                 reason: None,
                 steps: 99,
+                engine: Some(Engine::Axiom),
             },
         }
     }
@@ -492,6 +502,7 @@ mod tests {
                 steps: 5,
                 definitive: false,
                 reason: Some("deadline".into()),
+                engine: Some(Engine::Explorer),
             },
         };
         {
@@ -520,12 +531,43 @@ mod tests {
                 steps: 5,
                 definitive: false,
                 reason: Some("deadline".into()),
+                engine: Some(Engine::Explorer),
             },
         };
         j.append(&degraded).unwrap();
         drop(j);
         let (_j, replayed, _) = Journal::open(&dir, 100).unwrap();
         assert!(replayed.is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A record in the format written before the `engine=` line existed,
+    /// encoded by hand: it replays (not torn, nothing truncated) with no
+    /// engine, and appending after it works.
+    #[test]
+    fn records_without_an_engine_line_replay_with_no_engine() {
+        let dir = tmpdir("no-engine");
+        fs::create_dir_all(&dir).unwrap();
+        let payload = b"group=explore\nanswer=explore\nracy=true\nsteps=42\nraces=1\n\
+                        race=0 1 1 0 3\n\nP0:\n  0: W(m0) := 1\n";
+        let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(&fnv1a(payload).to_be_bytes());
+        bytes.extend_from_slice(payload);
+        fs::write(dir.join("journal.log"), &bytes).unwrap();
+
+        let (mut j, replayed, report) = Journal::open(&dir, 100).unwrap();
+        assert_eq!(report, ReplayReport { replayed: 1, truncated_bytes: 0 });
+        let mut expected = racy_record("P0:\n  0: W(m0) := 1\n");
+        if let CachedAnswer::Explore { engine, .. } = &mut expected.answer {
+            *engine = None;
+        }
+        assert_eq!(replayed, vec![expected]);
+        j.append(&sc_record("next\n")).unwrap();
+        drop(j);
+        let (_j, replayed, report) = Journal::open(&dir, 100).unwrap();
+        assert_eq!(replayed.len(), 2);
+        assert_eq!(replayed[1].answer.engine(), Some(Engine::Axiom));
+        assert_eq!(report.truncated_bytes, 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 

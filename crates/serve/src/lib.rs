@@ -49,11 +49,11 @@ pub mod server;
 use litmus::explore::{
     explore_dpor, explore_results, ExploreConfig, IncompleteReason,
 };
-use litmus::Program;
+use litmus::{Instr, Program};
 
 use cache::{CachedAnswer, KindGroup};
 use canon::CanonicalForm;
-use protocol::{CacheStatus, QueryKind, RaceCoord, Response, Verdict};
+use protocol::{CacheStatus, Engine, QueryKind, RaceCoord, Response, Verdict};
 
 /// The wire token for an exploration budget that gave out.
 #[must_use]
@@ -96,31 +96,105 @@ pub fn kind_group(kind: QueryKind) -> Option<KindGroup> {
 /// the outcome. This is the daemon's compute kernel and the chaos
 /// harness's reference oracle — byte-for-byte the same answers.
 ///
-/// The `wo-axiom` relational engine gets the first look (it decides DRF0
-/// corpus programs an order of magnitude faster than interleaving
-/// enumeration), with strict acceptance rules so the wire contract is
-/// unchanged:
+/// Both engines decide the same questions exactly; they differ in what
+/// makes them slow. The explorer's interleavings grow with the number of
+/// threads, the relational engine's candidates with per-thread path
+/// counts, which loops multiply. So a router, a pure function of the
+/// canonical program and `group`, picks which engine looks first, and
+/// the other looks only when the first is undecided:
 ///
-/// * `Explore`: only a **certified `Drf0`** axiomatic answer is served
-///   (racy = false, empty race list — exactly what the explorer would
-///   say). A `Racy` axiomatic answer is *recomputed* operationally: the
-///   `Races` query kind shares this cache entry and promises the
-///   explorer's concrete race list, which the relational engine does not
-///   reproduce coordinate-for-coordinate.
-/// * `Sc`: only a **complete** axiomatic outcome set is served.
-/// * Any `Unknown`/incomplete axiomatic result falls back to the
-///   explorer, budgets intact — degradation reasons on the wire keep
-///   their explorer vocabulary.
+/// * **Route.** The relational engine goes first only when the program
+///   is *loop-free* (no branch or jump targets an index at or before its
+///   own) and *wide*: at least 4 threads for `Explore`, where
+///   `explore_dpor`'s interleavings grow with threads, and at least 4
+///   thread-identity classes for `Sc`, because `explore_results` already
+///   folds identical threads by symmetry. Everything else goes to the
+///   explorer first. Measured on the 124 perfbench serve-cold queries at
+///   a 300k-step budget: 517.5 ms axiom-first, 100.0 ms routed, 95.4 ms
+///   for the best engine per query (DESIGN.md §15). Thread count alone
+///   is not enough: `spinlock_bounded(4,1,2)` has 4 threads but loops,
+///   and its SC answer is 46× slower axiom-first. The relational
+///   engine's own path count would predict its cost better, but
+///   enumerating paths costs more than the explorer's whole run on small
+///   looping programs; both features here cost O(instructions).
+/// * **Decided.** The explorer decides when it finds a race or completes;
+///   `Explore` serves its race list either way. The relational engine
+///   decides only with a **certified `Drf0`** (racy = false, empty race
+///   list: exactly what the explorer would say; a `Racy` verdict is not
+///   served because the `races` kind promises the explorer's concrete
+///   race coordinates) or a **complete** SC outcome set.
+/// * **Fallback.** When the first engine is undecided the other runs,
+///   budgets intact. When neither decides, the explorer's answer and
+///   degradation reason are served, so `Unknown` keeps the explorer's
+///   vocabulary.
+///
+/// Verdicts, race lists, outcome counts, completeness and reasons do not
+/// depend on the route, because both engines are exact whenever they
+/// decide; only `steps` does, and the answer's `engine` names whose work
+/// it counts.
 ///
 /// Deterministic whenever `cfg.deadline` is `None`: identical inputs
 /// yield identical answers, which is what makes daemon-vs-local verdict
-/// diffing meaningful (the axiomatic engine is deterministic too, so the
-/// fast path preserves this).
+/// diffing meaningful.
 #[must_use]
 pub fn compute_answer(group: KindGroup, program: &Program, cfg: &ExploreConfig) -> CachedAnswer {
-    if let Some(answer) = axiom_answer(group, program, cfg) {
-        return answer;
+    compute(group, program, cfg).0
+}
+
+/// [`compute_answer`], plus whether the routed first engine was
+/// undecided (the daemon counts these fallbacks).
+pub(crate) fn compute(
+    group: KindGroup,
+    program: &Program,
+    cfg: &ExploreConfig,
+) -> (CachedAnswer, bool) {
+    match route(group, program) {
+        Engine::Explorer => {
+            let answer = explorer_answer(group, program, cfg);
+            if answer.is_definitive() {
+                return (answer, false);
+            }
+            (axiom_answer(group, program, cfg).unwrap_or(answer), true)
+        }
+        Engine::Axiom => match axiom_answer(group, program, cfg) {
+            Some(answer) => (answer, false),
+            None => (explorer_answer(group, program, cfg), true),
+        },
     }
+}
+
+/// Which engine looks first (see [`compute_answer`] for the rule and
+/// the measurements behind it).
+fn route(group: KindGroup, program: &Program) -> Engine {
+    const WIDE: usize = 4;
+    let width = match group {
+        KindGroup::Explore => program.num_threads(),
+        KindGroup::Sc => {
+            program.thread_identity_classes().into_iter().max().map_or(0, |c| c as usize + 1)
+        }
+    };
+    let loop_free = program.threads().iter().all(|thread| {
+        thread.instrs().iter().enumerate().all(|(at, instr)| match instr {
+            Instr::BranchEq { target, .. }
+            | Instr::BranchNe { target, .. }
+            | Instr::Jump { target } => *target > at,
+            _ => true,
+        })
+    });
+    if width >= WIDE && loop_free {
+        Engine::Axiom
+    } else {
+        Engine::Explorer
+    }
+}
+
+/// The explorer's answer, decided or not.
+fn explorer_answer(group: KindGroup, program: &Program, cfg: &ExploreConfig) -> CachedAnswer {
+    let reason = |complete: bool, incomplete: Option<IncompleteReason>| {
+        (!complete).then(|| {
+            reason_token(incomplete.unwrap_or(IncompleteReason::MaxTotalSteps)).to_string()
+        })
+    };
     match group {
         KindGroup::Explore => {
             let report = explore_dpor(program, cfg);
@@ -140,36 +214,30 @@ pub fn compute_answer(group: KindGroup, program: &Program, cfg: &ExploreConfig) 
             // A race from any prefix is conclusive; race-free is only
             // conclusive when the exploration covered everything.
             let definitive = racy || report.complete;
-            let reason = (!definitive).then(|| {
-                reason_token(report.incomplete.unwrap_or(IncompleteReason::MaxTotalSteps))
-                    .to_string()
-            });
             CachedAnswer::Explore {
                 racy,
                 races,
                 steps: report.steps as u64,
                 definitive,
-                reason,
+                reason: reason(definitive, report.incomplete),
+                engine: Some(Engine::Explorer),
             }
         }
         KindGroup::Sc => {
             let report = explore_results(program, cfg);
-            let reason = (!report.complete).then(|| {
-                reason_token(report.incomplete.unwrap_or(IncompleteReason::MaxTotalSteps))
-                    .to_string()
-            });
             CachedAnswer::Sc {
                 outcomes: report.results.len() as u64,
                 complete: report.complete,
-                reason,
+                reason: reason(report.complete, report.incomplete),
                 steps: report.steps as u64,
+                engine: Some(Engine::Explorer),
             }
         }
     }
 }
 
-/// The axiomatic first look for [`compute_answer`] (see its docs for the
-/// acceptance rules). `None` means "fall back to the explorer".
+/// The relational engine's answer when it decides (see
+/// [`compute_answer`]); `None` when it does not.
 fn axiom_answer(
     group: KindGroup,
     program: &Program,
@@ -187,6 +255,7 @@ fn axiom_answer(
                 steps: report.work,
                 definitive: true,
                 reason: None,
+                engine: Some(Engine::Axiom),
             })
         }
         KindGroup::Sc => {
@@ -196,6 +265,7 @@ fn axiom_answer(
                 complete: true,
                 reason: None,
                 steps: report.work,
+                engine: Some(Engine::Axiom),
             })
         }
     }
@@ -327,20 +397,22 @@ pub fn answer_to_response(
     match (kind, answer) {
         (
             QueryKind::Drf0 | QueryKind::Races,
-            CachedAnswer::Explore { racy, races, steps, definitive, reason },
+            CachedAnswer::Explore { racy, races, steps, definitive, reason, engine },
         ) => Response::Verdict {
             verdict: explore_verdict(*racy, *definitive, reason.as_deref()),
             races: translate_races(races, &form.thread_unmap, &form.loc_unmap),
             steps: *steps,
             cache,
+            engine: *engine,
         },
-        (QueryKind::Sc, CachedAnswer::Sc { outcomes, complete, reason, steps }) => {
+        (QueryKind::Sc, CachedAnswer::Sc { outcomes, complete, reason, steps, engine }) => {
             Response::Sc {
                 outcomes: *outcomes,
                 complete: *complete,
                 reason: reason.clone(),
                 steps: *steps,
                 cache,
+                engine: *engine,
             }
         }
         // A cache can only hand back the answer shape its kind group

@@ -367,6 +367,58 @@ impl CacheStatus {
     }
 }
 
+/// Which engine produced an answer: the provenance on every computed
+/// answer, on the wire (`engine=`) and in the journal. Absent on answers
+/// from before the field existed, and on answers nothing computed (a
+/// deadline that passed while queued).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Engine {
+    /// The relational `wo-axiom` engine: `steps` is its work counter.
+    Axiom,
+    /// The interleaving explorer (`explore_dpor` for the `drf0`/`races`
+    /// group, `explore_results` for `sc`): `steps` is states expanded.
+    Explorer,
+}
+
+impl Engine {
+    /// The wire and journal token.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Engine::Axiom => "axiom",
+            Engine::Explorer => "explorer",
+        }
+    }
+
+    /// Parses the wire and journal token.
+    #[must_use]
+    pub fn parse_token(s: &str) -> Option<Self> {
+        match s {
+            "axiom" => Some(Engine::Axiom),
+            "explorer" => Some(Engine::Explorer),
+            _ => None,
+        }
+    }
+}
+
+/// Appends the `engine=` line when the answer names its engine. The
+/// journal writes the same line.
+pub(crate) fn push_engine_line(out: &mut String, engine: Option<Engine>) {
+    if let Some(engine) = engine {
+        out.push_str("engine=");
+        out.push_str(engine.as_str());
+        out.push('\n');
+    }
+}
+
+/// Decodes an optional `engine=` header: absent is `None` (an answer
+/// from before the field existed), an unknown token is an error.
+fn parse_engine(value: Option<&str>) -> Result<Option<Engine>, String> {
+    value
+        .map(|v| Engine::parse_token(v).ok_or_else(|| format!("unknown engine {v:?}")))
+        .transpose()
+}
+
 /// The DRF0 classification carried on the wire. `Unknown` is the
 /// *degraded partial verdict*: the budget or deadline gave out before the
 /// exploration covered the interleaving space, and the response says so
@@ -525,6 +577,14 @@ pub struct ServerStats {
     /// Batch items individually rejected (per-item size cap or per-item
     /// admission) while the rest of their frame was served.
     pub shed_items: u64,
+    /// Computations the relational engine answered.
+    pub computed_axiom: u64,
+    /// Computations the explorer answered, including those neither
+    /// engine decided. With `computed_axiom` it sums to `explored`.
+    pub computed_explorer: u64,
+    /// Computations whose first engine was undecided, so the other one
+    /// ran too.
+    pub route_fallbacks: u64,
 }
 
 /// A decoded response.
@@ -536,10 +596,14 @@ pub enum Response {
         verdict: Verdict,
         /// Races found, in submitter coordinates (empty unless racy).
         races: Vec<RaceCoord>,
-        /// States the exploration expanded (0 for cache hits).
+        /// Work of the engine that produced the answer: explorer states
+        /// or relational work units.
         steps: u64,
         /// How the cache participated.
         cache: CacheStatus,
+        /// Which engine produced the answer (`None` when nothing
+        /// computed it, or it predates the field).
+        engine: Option<Engine>,
     },
     /// Answer to [`QueryKind::Sc`].
     Sc {
@@ -550,10 +614,12 @@ pub enum Response {
         complete: bool,
         /// Which budget gave out, when incomplete.
         reason: Option<String>,
-        /// States expanded (0 for cache hits).
+        /// Work of the engine that produced the answer.
         steps: u64,
         /// How the cache participated.
         cache: CacheStatus,
+        /// Which engine produced the answer.
+        engine: Option<Engine>,
     },
     /// Answer to [`QueryKind::Ping`].
     Pong,
@@ -581,7 +647,7 @@ impl Response {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = String::new();
         match self {
-            Response::Verdict { verdict, races, steps, cache } => {
+            Response::Verdict { verdict, races, steps, cache, engine } => {
                 out.push_str(&format!("{PROTOCOL_VERSION} ok verdict\n"));
                 out.push_str(&format!("verdict={}\n", verdict.encode()));
                 if let Verdict::Unknown { reason } = verdict {
@@ -589,10 +655,11 @@ impl Response {
                 }
                 out.push_str(&format!("steps={steps}\n"));
                 out.push_str(&format!("cache={}\n", cache.as_str()));
+                push_engine_line(&mut out, *engine);
                 out.push_str(&format!("races={}\n", races.len()));
                 push_race_lines(&mut out, races);
             }
-            Response::Sc { outcomes, complete, reason, steps, cache } => {
+            Response::Sc { outcomes, complete, reason, steps, cache, engine } => {
                 out.push_str(&format!("{PROTOCOL_VERSION} ok sc\n"));
                 out.push_str(&format!("outcomes={outcomes}\n"));
                 out.push_str(&format!("complete={complete}\n"));
@@ -601,6 +668,7 @@ impl Response {
                 }
                 out.push_str(&format!("steps={steps}\n"));
                 out.push_str(&format!("cache={}\n", cache.as_str()));
+                push_engine_line(&mut out, *engine);
             }
             Response::Pong => {
                 out.push_str(&format!("{PROTOCOL_VERSION} ok pong\n"));
@@ -620,6 +688,9 @@ impl Response {
                 out.push_str(&format!("shard_misses={}\n", encode_u64_list(&s.shard_misses)));
                 out.push_str(&format!("coalesced_in_batch={}\n", s.coalesced_in_batch));
                 out.push_str(&format!("shed_items={}\n", s.shed_items));
+                out.push_str(&format!("computed_axiom={}\n", s.computed_axiom));
+                out.push_str(&format!("computed_explorer={}\n", s.computed_explorer));
+                out.push_str(&format!("route_fallbacks={}\n", s.route_fallbacks));
             }
             Response::Trace { report } => {
                 out.push_str(&format!("{PROTOCOL_VERSION} ok trace\n"));
@@ -692,6 +763,11 @@ impl Response {
                 .parse()
                 .map_err(|_| format!("bad {key}"))
         };
+        // Counters added after the first release: an older server omits
+        // them.
+        let get_u64_or_zero = |key: &str| -> Result<u64, String> {
+            get(key).map_or(Ok(0), |v| v.parse().map_err(|_| format!("bad {key}")))
+        };
 
         match (status, tag) {
             ("ok", "verdict") => {
@@ -716,6 +792,7 @@ impl Response {
                     steps: get_u64("steps")?,
                     cache: CacheStatus::from_str(get("cache").ok_or("missing cache")?)
                         .ok_or("bad cache status")?,
+                    engine: parse_engine(get("engine"))?,
                 })
             }
             ("ok", "sc") => Ok(Response::Sc {
@@ -725,6 +802,7 @@ impl Response {
                 steps: get_u64("steps")?,
                 cache: CacheStatus::from_str(get("cache").ok_or("missing cache")?)
                     .ok_or("bad cache status")?,
+                engine: parse_engine(get("engine"))?,
             }),
             ("ok", "pong") => Ok(Response::Pong),
             ("ok", "stats") => {
@@ -748,10 +826,11 @@ impl Response {
                     batch_depth,
                     shard_hits: parse_u64_list(get("shard_hits").unwrap_or(""))?,
                     shard_misses: parse_u64_list(get("shard_misses").unwrap_or(""))?,
-                    coalesced_in_batch: get("coalesced_in_batch")
-                        .map_or(Ok(0), |v| v.parse().map_err(|_| "bad coalesced_in_batch"))?,
-                    shed_items: get("shed_items")
-                        .map_or(Ok(0), |v| v.parse().map_err(|_| "bad shed_items"))?,
+                    coalesced_in_batch: get_u64_or_zero("coalesced_in_batch")?,
+                    shed_items: get_u64_or_zero("shed_items")?,
+                    computed_axiom: get_u64_or_zero("computed_axiom")?,
+                    computed_explorer: get_u64_or_zero("computed_explorer")?,
+                    route_fallbacks: get_u64_or_zero("route_fallbacks")?,
                 }))
             }
             ("error", code) => Ok(Response::Error {
@@ -1337,6 +1416,8 @@ pub struct ResultRef {
     pub steps: u64,
     /// How the cache participated for this item.
     pub cache: CacheStatus,
+    /// Which engine produced the answer.
+    pub engine: Option<Engine>,
     /// Canonical thread index → submitted thread index.
     pub thread_unmap: Vec<usize>,
     /// Canonical location → submitted location.
@@ -1358,6 +1439,7 @@ pub fn encode_batch_result_ref(rref: &ResultRef) -> Vec<u8> {
     }
     out.push_str(&format!("steps={}\n", rref.steps));
     out.push_str(&format!("cache={}\n", rref.cache.as_str()));
+    push_engine_line(&mut out, rref.engine);
     out.push_str(&format!("unmap_threads={}\n", encode_usize_list(&rref.thread_unmap)));
     out.push_str(&format!(
         "unmap_locs={}\n",
@@ -1417,6 +1499,7 @@ pub fn decode_batch_result_ref(payload: &[u8]) -> Result<ResultRef, String> {
         get("steps")?.parse().map_err(|_| "bad steps in resultref".to_string())?;
     let cache = CacheStatus::from_str(get("cache")?)
         .ok_or_else(|| format!("unknown cache status {:?}", get("cache").unwrap_or("")))?;
+    let engine = parse_engine(get("engine").ok())?;
     let parse_list = |value: &str| -> Result<Vec<u64>, String> {
         if value.is_empty() {
             return Ok(Vec::new());
@@ -1432,7 +1515,7 @@ pub fn decode_batch_result_ref(payload: &[u8]) -> Result<ResultRef, String> {
         .into_iter()
         .map(|v| u32::try_from(v).map_err(|_| format!("unmap loc {v} out of range")))
         .collect::<Result<Vec<u32>, String>>()?;
-    Ok(ResultRef { id, block_id, verdict, steps, cache, thread_unmap, loc_unmap })
+    Ok(ResultRef { id, block_id, verdict, steps, cache, engine, thread_unmap, loc_unmap })
 }
 
 #[cfg(test)]
@@ -1520,12 +1603,14 @@ mod tests {
                 ],
                 steps: 421,
                 cache: CacheStatus::Miss,
+                engine: Some(Engine::Explorer),
             },
             Response::Verdict {
                 verdict: Verdict::Unknown { reason: "deadline".into() },
                 races: vec![],
                 steps: 10_000,
                 cache: CacheStatus::Miss,
+                engine: None,
             },
             Response::Sc {
                 outcomes: 4,
@@ -1533,6 +1618,7 @@ mod tests {
                 reason: None,
                 steps: 99,
                 cache: CacheStatus::Hit,
+                engine: Some(Engine::Axiom),
             },
             Response::Pong,
             Response::Stats(ServerStats {
@@ -1549,6 +1635,9 @@ mod tests {
                 shard_misses: vec![0, 2, 0],
                 coalesced_in_batch: 5,
                 shed_items: 2,
+                computed_axiom: 1,
+                computed_explorer: 3,
+                route_fallbacks: 2,
             }),
             Response::Trace { report: "verdict: racy\nsegments: 2\nraces: 1\n".into() },
             Response::Error {
@@ -1558,6 +1647,41 @@ mod tests {
         ];
         for r in samples {
             assert_eq!(Response::decode(&r.encode()).unwrap(), r, "{r:?}");
+        }
+    }
+
+    /// A response from a server that predates the `engine=` line still
+    /// decodes, with no engine; an unknown engine token is an error.
+    #[test]
+    fn engine_line_is_optional_on_read() {
+        let old = "wo-serve/1 ok verdict\nverdict=drf0\nsteps=7\ncache=miss\nraces=0\n";
+        match Response::decode(old.as_bytes()).unwrap() {
+            Response::Verdict { verdict: Verdict::Drf0, steps: 7, engine: None, .. } => {}
+            other => panic!("unexpected {other:?}"),
+        }
+        let old_sc = "wo-serve/1 ok sc\noutcomes=2\ncomplete=true\nsteps=5\ncache=hit\n";
+        assert!(matches!(
+            Response::decode(old_sc.as_bytes()).unwrap(),
+            Response::Sc { outcomes: 2, engine: None, .. }
+        ));
+        let bogus = "wo-serve/1 ok sc\noutcomes=2\ncomplete=true\nsteps=5\ncache=hit\nengine=oracle\n";
+        assert!(Response::decode(bogus.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn result_refs_roundtrip_with_and_without_an_engine() {
+        for engine in [Some(Engine::Explorer), Some(Engine::Axiom), None] {
+            let rref = ResultRef {
+                id: 4,
+                block_id: 2,
+                verdict: Verdict::Racy,
+                steps: 31,
+                cache: CacheStatus::Coalesced,
+                engine,
+                thread_unmap: vec![1, 0],
+                loc_unmap: vec![5, 3],
+            };
+            assert_eq!(decode_batch_result_ref(&encode_batch_result_ref(&rref)).unwrap(), rref);
         }
     }
 
@@ -1690,6 +1814,7 @@ mod tests {
             races: vec![],
             steps: 12,
             cache: CacheStatus::Hit,
+            engine: Some(Engine::Axiom),
         };
         let payload = resp.encode();
         let framed = encode_batch_result(9, &payload);
@@ -1757,6 +1882,9 @@ mod tests {
                 "shard_misses",
                 "coalesced_in_batch",
                 "shed_items",
+                "computed_axiom",
+                "computed_explorer",
+                "route_fallbacks",
             ]
         );
     }

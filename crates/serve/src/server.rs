@@ -46,11 +46,11 @@ use crate::journal::{Journal, JournalRecord};
 use crate::protocol::{
     batch_depth_bucket, encode_batch_race_block, encode_batch_result, encode_batch_result_ref,
     is_batch_frame, peek_item_id, read_frame, split_batch_frame, write_frame, BatchItem,
-    CacheStatus, ErrorCode, QueryKind, Request, Response, ResultRef, ServerStats, Verdict,
+    CacheStatus, Engine, ErrorCode, QueryKind, Request, Response, ResultRef, ServerStats, Verdict,
     BATCH_DEPTH_BUCKETS, DEFAULT_MAX_BATCH_FRAME_BYTES, DEFAULT_MAX_BATCH_ITEMS,
     DEFAULT_MAX_FRAME_BYTES, RACE_BLOCK_MIN_RACES,
 };
-use crate::{answer_to_response, compute_answer, explore_verdict, kind_group};
+use crate::{answer_to_response, compute, explore_verdict, kind_group};
 
 /// Tuning knobs for [`Server::spawn`].
 #[derive(Debug, Clone)]
@@ -223,6 +223,9 @@ struct ServeCounters {
     batch_depth: [AtomicU64; BATCH_DEPTH_BUCKETS],
     coalesced_in_batch: AtomicU64,
     shed_items: AtomicU64,
+    computed_axiom: AtomicU64,
+    computed_explorer: AtomicU64,
+    route_fallbacks: AtomicU64,
 }
 
 struct Shared {
@@ -456,6 +459,9 @@ fn snapshot_stats(shared: &Shared) -> ServerStats {
         shard_misses,
         coalesced_in_batch: shared.counters.coalesced_in_batch.load(Ordering::Relaxed),
         shed_items: shared.counters.shed_items.load(Ordering::Relaxed),
+        computed_axiom: shared.counters.computed_axiom.load(Ordering::Relaxed),
+        computed_explorer: shared.counters.computed_explorer.load(Ordering::Relaxed),
+        route_fallbacks: shared.counters.route_fallbacks.load(Ordering::Relaxed),
     }
 }
 
@@ -540,7 +546,8 @@ impl Resolution {
             Resolution::Answered(answer, status) => {
                 answer_to_response(query.kind, answer, &query.form, *status)
             }
-            // `steps = 0`: nothing was expanded on this request's behalf.
+            // `steps = 0` and no engine: nothing ran on this request's
+            // behalf.
             Resolution::Expired => match query.kind {
                 QueryKind::Sc => Response::Sc {
                     outcomes: 0,
@@ -548,12 +555,14 @@ impl Resolution {
                     reason: Some("deadline".into()),
                     steps: 0,
                     cache: CacheStatus::Miss,
+                    engine: None,
                 },
                 _ => Response::Verdict {
                     verdict: Verdict::Unknown { reason: "deadline".into() },
                     races: Vec::new(),
                     steps: 0,
                     cache: CacheStatus::Miss,
+                    engine: None,
                 },
             },
             Resolution::Failed(code, message) => error(*code, *message),
@@ -566,7 +575,8 @@ impl Resolution {
 /// lookup, coalesced wait, admission, budget clamp, the engines. The
 /// leading submission's deadline and budgets govern the exploration,
 /// exactly as an in-flight leader's budgets govern what joiners from
-/// other connections receive. Counts `explored` once per exploration and
+/// other connections receive. Counts `explored` (and which engine
+/// answered, and whether the route fell back) once per computation and
 /// `overloaded` / `degraded` once per subscriber. Returns the journal
 /// record of a fresh definitive answer; the caller persists it after its
 /// responses are written.
@@ -606,10 +616,19 @@ fn resolve(
                     ecfg.max_ops_per_execution = ops.min(ecfg.max_ops_per_execution);
                 }
                 ecfg.deadline = deadline;
-                let answer = compute_answer(query.group, &query.form.program, &ecfg);
+                let (answer, fell_back) = compute(query.group, &query.form.program, &ecfg);
                 let answer = guard.complete(answer);
                 drop(permit);
-                shared.counters.explored.fetch_add(1, Ordering::Relaxed);
+                let counters = &shared.counters;
+                counters.explored.fetch_add(1, Ordering::Relaxed);
+                match answer.engine() {
+                    Some(Engine::Axiom) => &counters.computed_axiom,
+                    _ => &counters.computed_explorer,
+                }
+                .fetch_add(1, Ordering::Relaxed);
+                if fell_back {
+                    counters.route_fallbacks.fetch_add(1, Ordering::Relaxed);
+                }
                 if answer.is_definitive() {
                     record = Some(JournalRecord {
                         group: query.group,
@@ -888,7 +907,9 @@ fn resolve_key(
         } else {
             *status
         };
-        if let CachedAnswer::Explore { racy, races, steps, definitive, reason } = &**answer {
+        if let CachedAnswer::Explore { racy, races, steps, definitive, reason, engine } =
+            &**answer
+        {
             if races.len() >= RACE_BLOCK_MIN_RACES
                 && matches!(kind, QueryKind::Drf0 | QueryKind::Races)
             {
@@ -902,6 +923,7 @@ fn resolve_key(
                     verdict: explore_verdict(*racy, *definitive, reason.as_deref()),
                     steps: *steps,
                     cache: status,
+                    engine: *engine,
                     thread_unmap: form.thread_unmap.clone(),
                     loc_unmap: form.loc_unmap.clone(),
                 };

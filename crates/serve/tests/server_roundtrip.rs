@@ -9,14 +9,17 @@ use std::time::Duration;
 
 use wo_serve::client::{BatchClient, ClientConfig, ClientError, ServeClient};
 use wo_serve::protocol::{
-    batch_depth_bucket, read_frame, write_frame, CacheStatus, ErrorCode, QueryKind, Request,
-    Response, ServerStats, Verdict, BATCH_DEPTH_BUCKETS,
+    batch_depth_bucket, read_frame, write_frame, CacheStatus, Engine, ErrorCode, QueryKind,
+    Request, Response, ServerStats, Verdict, BATCH_DEPTH_BUCKETS,
 };
 use wo_serve::server::{Server, ServerConfig, ServerHandle};
 
 const RACY_MP: &str = "P0:\n  W(m5) := 1\n  Set(m6) := 1\nP1:\n  r0 := Test(m6)\n  r1 := R(m5)\n";
 const DRF_HANDOFF: &str =
     "P0:\n  W(m0) := 7\n  Set(m1) := 1\nP1:\n  r0 := Test(m1)\n  if r0 != 1 goto 3\n  r1 := R(m0)\n";
+/// IRIW with every access a sync operation: 4 threads, no loops, DRF0.
+const IRIW_SYNC: &str = "P0:\n  Set(m0) := 1\nP1:\n  Set(m1) := 1\n\
+     P2:\n  r0 := Test(m0)\n  r1 := Test(m1)\nP3:\n  r0 := Test(m1)\n  r1 := Test(m0)\n";
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -212,6 +215,9 @@ struct Counters {
     shard_misses: u64,
     coalesced_in_batch: u64,
     shed_items: u64,
+    computed_axiom: u64,
+    computed_explorer: u64,
+    route_fallbacks: u64,
 }
 
 fn counters(client: &mut ServeClient) -> Counters {
@@ -233,6 +239,9 @@ fn counters(client: &mut ServeClient) -> Counters {
         shard_misses: stats.shard_misses.iter().sum(),
         coalesced_in_batch: stats.coalesced_in_batch,
         shed_items: stats.shed_items,
+        computed_axiom: stats.computed_axiom,
+        computed_explorer: stats.computed_explorer,
+        route_fallbacks: stats.route_fallbacks,
     }
 }
 
@@ -246,10 +255,18 @@ fn cache_status(response: &Response) -> Option<CacheStatus> {
 /// Pins every counter, exactly, across a fixed v1 sequence and then one
 /// batch frame on a fresh daemon. The batch-only counters
 /// (`batch_depth`, `coalesced_in_batch`, `shed_items`) must not move on
-/// v1 traffic, and the `stats` answer never counts itself.
+/// v1 traffic, and the `stats` answer never counts itself. Every
+/// computation is counted under the engine that answered it, so
+/// `computed_axiom + computed_explorer == explored`; the two tight-budget
+/// queries are the only ones whose first engine (the explorer) was
+/// undecided.
 #[test]
 fn counters_are_exact_across_a_v1_sequence_and_one_batch() {
     let handle = spawn(None);
+    let check = |c: Counters| {
+        assert_eq!(c.computed_axiom + c.computed_explorer, c.explored, "{c:?}");
+        c
+    };
     let mut client = client_for(&handle);
     let renamed_mp =
         "P0:\n  W(m77) := 1\n  Set(m3) := 1\nP1:\n  r0 := Test(m3)\n  r1 := R(m77)\n";
@@ -271,7 +288,7 @@ fn counters_are_exact_across_a_v1_sequence_and_one_batch() {
         ClientError::Permanent { code: ErrorCode::Parse, .. }
     ));
     assert_eq!(
-        counters(&mut client),
+        check(counters(&mut client)),
         Counters {
             served: 5,
             cache_hits: 1,
@@ -286,12 +303,16 @@ fn counters_are_exact_across_a_v1_sequence_and_one_batch() {
             shard_misses: 2,
             coalesced_in_batch: 0,
             shed_items: 0,
+            computed_axiom: 0,
+            computed_explorer: 2,
+            route_fallbacks: 1,
         }
     );
 
     // Phase 2, one batch frame: a cached key asked twice (one probe), a
     // fresh key asked twice (one exploration, one in-batch follower), a
-    // tight-budget SC query, a ping and a parse error.
+    // tight-budget SC query, a ping, a parse error, and a 4-thread
+    // loop-free program the relational engine answers first.
     let mut races = Request::new(QueryKind::Races, renamed_mp);
     races.deadline_ms = Some(0);
     let mut tight_sc = Request::new(QueryKind::Sc, DRF_HANDOFF);
@@ -304,6 +325,7 @@ fn counters_are_exact_across_a_v1_sequence_and_one_batch() {
         tight_sc,
         Request::new(QueryKind::Ping, ""),
         Request::new(QueryKind::Drf0, "P0:\n  W(m0"),
+        Request::new(QueryKind::Drf0, IRIW_SYNC),
     ];
     let mut batch_cfg = ClientConfig::new(handle.addr().to_string());
     batch_cfg.io_timeout = Duration::from_secs(60);
@@ -319,28 +341,40 @@ fn counters_are_exact_across_a_v1_sequence_and_one_batch() {
             Some(CacheStatus::Miss),
             None,
             None,
+            Some(CacheStatus::Miss),
         ]
     );
     assert!(matches!(responses[4], Response::Sc { complete: false, .. }), "{:?}", responses[4]);
     assert!(matches!(responses[6], Response::Error { code: ErrorCode::Parse, .. }));
+    assert!(
+        matches!(
+            responses[7],
+            Response::Verdict { verdict: Verdict::Drf0, engine: Some(Engine::Axiom), .. }
+        ),
+        "{:?}",
+        responses[7]
+    );
     let mut batch_depth = [0; BATCH_DEPTH_BUCKETS];
     batch_depth[batch_depth_bucket(batch.len())] = 1;
     assert_eq!(
-        counters(&mut client),
+        check(counters(&mut client)),
         Counters {
-            served: 6 + 7,
+            served: 6 + 8,
             cache_hits: 2,
             coalesced: 0,
-            explored: 4,
+            explored: 5,
             overloaded: 0,
             degraded: 2,
             journal_replayed: 0,
             shedding: false,
             batch_depth,
             shard_hits: 2,
-            shard_misses: 4,
+            shard_misses: 5,
             coalesced_in_batch: 1,
             shed_items: 0,
+            computed_axiom: 1,
+            computed_explorer: 4,
+            route_fallbacks: 2,
         }
     );
     handle.shutdown();
