@@ -10,10 +10,13 @@
 //!
 //! Every completed run must (a) pass the `check_sc` appearance test and
 //! (b) produce a result contained in the idealized SC outcome set.
-//! Aborted runs are acceptable only as *structured* [`RunError`]s (with a
-//! diagnostic dump), and only under fault profiles that actually lose
-//! messages; panics are never acceptable. Failures print the
-//! machine/profile/seed triple that reproduces them.
+//! Aborted runs are acceptable only as *structured*
+//! [`memsim::RunError`]s (with a diagnostic dump), and only under fault
+//! profiles that actually lose messages; panics are never acceptable. Failures print the
+//! machine/profile/seed triple that reproduces them. Every run is judged
+//! by the one Definition 2 audit, [`weakord::verify::audit`], on the
+//! chaos grid the fuzz oracle shares ([`weakord::verify::machines`] ×
+//! [`weakord::verify::profiles`]).
 //!
 //! Usage:
 //!
@@ -29,9 +32,8 @@ use std::collections::BTreeMap;
 
 use litmus::explore::{sc_outcomes, ExploreConfig, ScOutcomes};
 use litmus::Program;
-use memory_model::sc::{check_sc, ScCheckConfig};
-use memsim::sweep::{sweep, Cell, CellOutcome};
-use memsim::{presets, FaultConfig, MachineConfig, Policy, RunError};
+use memsim::sweep::CellOutcome;
+use weakord::verify::{self, CellVerdict};
 use wo_bench::table;
 
 struct Args {
@@ -75,25 +77,6 @@ fn usage(err: &str) -> ! {
     std::process::exit(2);
 }
 
-/// The fault profiles swept, with whether the profile can legitimately
-/// wedge a run (lose messages for good).
-fn profiles() -> Vec<(&'static str, FaultConfig, bool)> {
-    vec![
-        ("latency", FaultConfig::latency_heavy(), false),
-        ("dup", FaultConfig::dup_heavy(), false),
-        ("drop", FaultConfig::drop_heavy(), true),
-    ]
-}
-
-fn machines(smoke: bool) -> Vec<(&'static str, Policy)> {
-    let mut m = vec![("def2", presets::wo_def2())];
-    if !smoke {
-        m.push(("def2opt", presets::wo_def2_optimized()));
-        m.push(("def2queued", presets::wo_def2_queued()));
-    }
-    m
-}
-
 /// The sweep's program set: the hand-written DRF0 corpus plus every
 /// DRF0-labeled file from the checked-in generated sample in
 /// `litmus-tests/gen/` (wo-fuzz output; see `export_gen_litmus`).
@@ -134,6 +117,11 @@ fn reference_outcomes(program: &Program) -> ScOutcomes {
     sc_outcomes(program, &cfg)
 }
 
+/// The structured error of an aborted run.
+fn abort_error(outcome: CellOutcome) -> memsim::RunError {
+    outcome.into_result().expect_err("aborts are errors")
+}
+
 #[derive(Default)]
 struct Tally {
     runs: u64,
@@ -146,8 +134,11 @@ struct Tally {
 fn main() {
     let args = parse_args();
     let suite = sweep_suite();
-    let machines = machines(args.smoke);
-    let profiles = profiles();
+    let mut machines = verify::machines();
+    if args.smoke {
+        machines.truncate(1);
+    }
+    let profiles = verify::profiles();
     println!(
         "chaos litmus sweep — {} DRF0 program(s) x {} machine(s) x {} profile(s) x {} seed(s)\n",
         suite.len(),
@@ -159,88 +150,60 @@ fn main() {
     let mut tallies: BTreeMap<(String, &'static str), Tally> = BTreeMap::new();
     let mut failures = 0u64;
 
-    for (name, program) in &suite {
-        let reference = reference_outcomes(program);
+    for (name, program) in suite {
+        let reference = reference_outcomes(&program);
         if !reference.complete {
             println!("  note: {name}: SC outcome enumeration incomplete; containment check skipped");
         }
-        // One work-stealing sweep per program over the machine × profile
-        // × seed grid; outcomes come back in cell order, so the tallies
-        // fill exactly as the former inline loop did. Per-cell panics are
-        // already caught (and the panicking worker machine dropped) by
-        // the engine.
-        let cells: Vec<Cell> = machines
-            .iter()
-            .flat_map(|&(_, policy)| {
-                profiles.iter().flat_map(move |&(_, fault, _)| {
-                    (args.seed_base..args.seed_base + args.seeds).map(move |seed| Cell {
-                        program,
-                        config: MachineConfig {
-                            chaos: Some(fault),
-                            ..presets::network_cached(program.num_threads(), policy, seed)
-                        },
-                    })
-                })
-            })
-            .collect();
-        let mut outcomes = sweep(&cells, 0).into_iter();
-        for &(machine, _) in &machines {
-            for &(profile, _, may_wedge) in &profiles {
-                let tally = tallies.entry(((*name).to_string(), profile)).or_default();
-                for seed in args.seed_base..args.seed_base + args.seeds {
-                    tally.runs += 1;
-                    let repro = format!("{name} machine={machine} profile={profile} seed={seed}");
-                    match outcomes.next().expect("one outcome per cell") {
-                        CellOutcome::Panicked(_) => {
-                            tally.failures.push(format!("PANIC: {repro}"));
-                        }
-                        CellOutcome::Err(err) => {
-                            if may_wedge && !matches!(err, RunError::Protocol { .. }) {
-                                // A lossy profile may wedge the machine —
-                                // but only into a structured, diagnosable
-                                // abort.
-                                tally.aborted += 1;
-                                if args.verbose {
-                                    println!("  abort ({repro}):\n{err}");
-                                }
-                            } else {
-                                tally.failures.push(format!("UNEXPECTED ABORT: {repro}: {err}"));
-                            }
-                        }
-                        CellOutcome::Ok(result) => {
-                            if let Some(chaos) = result.stats.chaos {
-                                tally.retries += chaos.retries;
-                            }
-                            if !result.completed {
-                                tally.failures.push(format!("INCOMPLETE: {repro}"));
-                                continue;
-                            }
-                            let appears_sc = check_sc(
-                                &result.observation(),
-                                &program.initial_memory(),
-                                &ScCheckConfig::default(),
-                            )
-                            .is_consistent();
-                            if !appears_sc {
-                                tally.failures.push(format!("NOT SC: {repro}"));
-                                continue;
-                            }
-                            if reference.complete
-                                && !reference.allows(&result.execution_result())
-                            {
-                                tally
-                                    .failures
-                                    .push(format!("OUTCOME OUTSIDE SC SET: {repro}"));
-                                continue;
-                            }
-                            tally.sc += 1;
-                            if args.verbose {
-                                println!("  ok    ({repro})");
-                            }
-                        }
-                    }
+        // One audit per program over the machine × profile × seed grid;
+        // outcomes come back in grid order, so the tallies fill exactly as
+        // the grid is walked below.
+        let seeds = args.seed_base..args.seed_base + args.seeds;
+        let mut grid = Vec::new();
+        let mut runs = Vec::new();
+        for &(machine, policy) in &machines {
+            for &(profile, fault, may_wedge) in &profiles {
+                for seed in seeds.clone() {
+                    grid.push((machine, profile, seed));
+                    runs.push(verify::chaos_run(&program, policy, fault, may_wedge, seed));
                 }
             }
+        }
+        let audited = verify::audit(&program, &runs, Some(&reference), 0);
+        for ((outcome, verdict), (machine, profile, seed)) in audited.into_iter().zip(grid) {
+            let tally = tallies.entry((name.clone(), profile)).or_default();
+            tally.runs += 1;
+            if let Some(chaos) = outcome.ok().and_then(|r| r.stats.chaos) {
+                tally.retries += chaos.retries;
+            }
+            let repro = format!("{name} machine={machine} profile={profile} seed={seed}");
+            let failure = match verdict {
+                CellVerdict::AppearsSc => {
+                    tally.sc += 1;
+                    if args.verbose {
+                        println!("  ok    ({repro})");
+                    }
+                    continue;
+                }
+                CellVerdict::TolerableAbort => {
+                    // A lossy profile may wedge the machine — but only
+                    // into a structured, diagnosable abort.
+                    tally.aborted += 1;
+                    if args.verbose {
+                        println!("  abort ({repro}):\n{}", abort_error(outcome));
+                    }
+                    continue;
+                }
+                CellVerdict::Panic => format!("PANIC: {repro}"),
+                CellVerdict::UnexpectedAbort => {
+                    format!("UNEXPECTED ABORT: {repro}: {}", abort_error(outcome))
+                }
+                CellVerdict::Incomplete => format!("INCOMPLETE: {repro}"),
+                CellVerdict::NotSc => format!("NOT SC: {repro}"),
+                CellVerdict::ScUndecided => format!("SC CHECK UNDECIDED: {repro}"),
+                CellVerdict::OutsideScSet => format!("OUTCOME OUTSIDE SC SET: {repro}"),
+            };
+            tally.failures.push(failure);
         }
     }
 

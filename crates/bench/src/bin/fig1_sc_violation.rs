@@ -12,35 +12,30 @@
 //! violations on *every* class once its relaxation is enabled.
 
 use litmus::corpus;
-use memory_model::sc::ScVerdict;
 use memsim::{presets, InterconnectConfig, MachineConfig, Policy};
-use wo_bench::{run_and_check, table};
+use weakord::verify::{audit, seeded_runs, CellVerdict};
+use wo_bench::table;
 
 fn main() {
     let program = corpus::fig1_dekker();
-    let seeds: Vec<u64> = (0..40).collect();
+    let seeds = 40;
 
     let mut rows = Vec::new();
     for (class, strict) in presets::fig1_classes(2, presets::sc(), 0) {
         let relaxed = relaxed_variant(&strict);
         for (mode, base) in [("SC", strict), ("relaxed", relaxed)] {
-            let mut violations = 0;
-            let mut both_zero = 0;
-            for &seed in &seeds {
-                let cfg = MachineConfig { seed, ..base };
-                let (result, verdict) = run_and_check(&program, &cfg);
-                if matches!(verdict, ScVerdict::Inconsistent) {
-                    violations += 1;
-                }
-                if result.outcome.regs[0][0] == 0 && result.outcome.regs[1][0] == 0 {
-                    both_zero += 1;
-                }
-            }
+            let audited = audit(&program, &seeded_runs(&base, 0..seeds), None, 0);
+            let violations = audited.iter().filter(|(_, v)| *v == CellVerdict::NotSc).count();
+            let both_zero = audited
+                .iter()
+                .filter_map(|(outcome, _)| outcome.ok())
+                .filter(|r| r.outcome.regs[0][0] == 0 && r.outcome.regs[1][0] == 0)
+                .count();
             rows.push(vec![
                 class.to_string(),
                 mode.to_string(),
-                format!("{violations}/{}", seeds.len()),
-                format!("{both_zero}/{}", seeds.len()),
+                format!("{violations}/{seeds}"),
+                format!("{both_zero}/{seeds}"),
             ]);
         }
     }

@@ -18,8 +18,8 @@ use std::path::PathBuf;
 use litmus::explore::ExploreConfig;
 use litmus::parse::parse_program;
 use litmus::Program;
-use memory_model::sc::ScVerdict;
 use memsim::{presets, MachineConfig, Policy};
+use weakord::verify::{audit, seeded_runs, CellVerdict};
 use weakord::{Drf0, ModelVerdict, SynchronizationModel};
 use wo_bench::table;
 
@@ -104,14 +104,13 @@ fn main() {
         let mut sc_runs = 0u64;
         let mut non_sc = 0u64;
         let mut incomplete = 0u64;
-        for seed in 0..seeds {
-            let cfg = MachineConfig { seed, ..base };
-            let (result, verdict) = wo_bench::run_and_check(&program, &cfg);
+        for (outcome, verdict) in audit(&program, &seeded_runs(&base, 0..seeds), None, 0) {
             match verdict {
-                ScVerdict::Consistent(_) => sc_runs += 1,
-                ScVerdict::Inconsistent => non_sc += 1,
-                ScVerdict::BudgetExhausted => incomplete += 1,
+                CellVerdict::AppearsSc => sc_runs += 1,
+                CellVerdict::NotSc => non_sc += 1,
+                _ => incomplete += 1,
             }
+            let Some(result) = outcome.ok() else { continue };
             let summary: Vec<String> = result
                 .outcome
                 .regs

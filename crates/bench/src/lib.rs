@@ -10,8 +10,6 @@ use std::path::Path;
 
 use litmus::parse::{parse_litmus_dir, LoadError};
 use litmus::{corpus, Program};
-use memory_model::sc::{check_sc, ScCheckConfig, ScVerdict};
-use memsim::{Machine, MachineConfig, RunResult};
 
 /// The DRF0 sweep `explore_bench` and `axiom_bench` both run: the in-tree
 /// corpus suites (`corpus/…`), then every shipped `.litmus` file
@@ -81,46 +79,6 @@ pub fn table(header: &[&str], rows: &[Vec<String>]) -> String {
     out
 }
 
-/// Runs `program` on `config` and reports whether the run appeared
-/// sequentially consistent, together with the result.
-///
-/// # Panics
-///
-/// Panics if the machine cannot start — harness configurations are static.
-#[must_use]
-pub fn run_and_check(program: &Program, config: &MachineConfig) -> (RunResult, ScVerdict) {
-    let result = Machine::run_program(program, config).expect("harness config is valid");
-    let verdict = if result.completed {
-        check_sc(
-            &result.observation(),
-            &program.initial_memory(),
-            &ScCheckConfig::default(),
-        )
-    } else {
-        ScVerdict::BudgetExhausted
-    };
-    (result, verdict)
-}
-
-/// Counts, over `seeds`, how many runs appear SC and how many violate it.
-/// Returns `(sc, violating, incomplete)`.
-#[must_use]
-pub fn sc_census(program: &Program, base: &MachineConfig, seeds: &[u64]) -> (u32, u32, u32) {
-    let mut sc = 0;
-    let mut violating = 0;
-    let mut incomplete = 0;
-    for &seed in seeds {
-        let cfg = MachineConfig { seed, ..*base };
-        let (_, verdict) = run_and_check(program, &cfg);
-        match verdict {
-            ScVerdict::Consistent(_) => sc += 1,
-            ScVerdict::Inconsistent => violating += 1,
-            ScVerdict::BudgetExhausted => incomplete += 1,
-        }
-    }
-    (sc, violating, incomplete)
-}
-
 /// Writes `rows` (with `header`) as a CSV file under
 /// `target/wo-results/<name>.csv`, creating the directory as needed, and
 /// returns the path. Cells containing commas or quotes are quoted.
@@ -171,8 +129,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use litmus::corpus;
-    use memsim::presets;
 
     #[test]
     fn table_aligns_columns() {
@@ -184,15 +140,6 @@ mod tests {
         assert_eq!(lines.len(), 4);
         assert!(lines[0].starts_with("a     bbbb"));
         assert!(lines[2].starts_with("xxxx  y"));
-    }
-
-    #[test]
-    fn sc_census_counts() {
-        let p = corpus::sync_only_tas();
-        let base = presets::network_cached(2, presets::wo_def2(), 0);
-        let (sc, violating, incomplete) = sc_census(&p, &base, &[0, 1, 2]);
-        assert_eq!(sc, 3);
-        assert_eq!(violating + incomplete, 0);
     }
 
     #[test]

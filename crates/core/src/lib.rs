@@ -13,10 +13,14 @@
 //!   set of constraints on memory accesses. [`Drf0`] implements the
 //!   paper's Data-Race-Free-0 model (Definition 3) by exhaustively
 //!   exploring a program's idealized executions and race-checking each.
-//! * [`verify`] — the hardware side: run programs obeying the model on a
-//!   simulated machine across seeds and check that every execution
-//!   *appears sequentially consistent* (via the witness-order search in
-//!   `memory_model::sc`).
+//! * [`verify`] — the hardware side: one audit runs a program obeying the
+//!   model on a list of simulated machines (seeds, fault profiles) through
+//!   `memsim::sweep`, and one judge gives each run one verdict: appears
+//!   SC, not SC, SC check undecided, outside the reference SC outcome set,
+//!   incomplete, tolerable or unexpected abort, or panic. The *appears
+//!   sequentially consistent* test is the witness-order search in
+//!   `memory_model::sc`. The module also holds the chaos grid (machines ×
+//!   fault profiles) that the chaos-litmus sweep and the fuzz oracle audit.
 //! * [`conditions`] — the five sufficient hardware conditions of
 //!   Section 5.1, checked directly against simulator traces (an
 //!   executable stand-in for the Appendix B proof).

@@ -36,7 +36,7 @@
 use wo_bench::table;
 use wo_fuzz::campaign::{run_campaign, CampaignConfig};
 use wo_fuzz::gen::{generate, GenConfig};
-use wo_fuzz::oracle::SeedVerdict;
+use wo_fuzz::oracle::{machines, profiles, SeedVerdict};
 
 struct Args {
     cfg: CampaignConfig,
@@ -124,10 +124,11 @@ fn main() {
     let args = parse_args();
     let cfg = &args.cfg;
     println!(
-        "wo-fuzz campaign — seeds {}..{} ({} machines x 3 fault profiles x {} fault seed(s)){}{}",
+        "wo-fuzz campaign — seeds {}..{} ({} machines x {} fault profiles x {} fault seed(s)){}{}",
         cfg.seed_start,
         cfg.seed_end,
-        3,
+        machines().len(),
+        profiles().len(),
         cfg.oracle.fault_seeds,
         match &cfg.oracle.remote {
             Some(addr) => format!("  [DRF0 verdicts via wo-serve at {addr}]"),

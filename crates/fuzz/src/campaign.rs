@@ -1,18 +1,17 @@
 //! The parallel campaign driver.
 //!
-//! A campaign sweeps a seed range through generate → oracle, sharding
-//! seeds across worker threads via a shared atomic cursor (dynamic
-//! work-stealing: a worker grabs the next unclaimed seed the moment it
-//! finishes its current one, so slow seeds never stall the queue behind a
-//! static partition).
+//! A campaign sweeps a seed range through generate → oracle on the
+//! workspace's work-stealing pool ([`memsim::pool::run_until`]): a worker
+//! grabs the next unclaimed seed the moment it finishes its current one,
+//! so slow seeds never stall the queue behind a static partition.
 //!
 //! **Determinism:** every per-seed verdict is a pure function of
 //! (seed, [`GenConfig`], [`OracleConfig`]) — worker threads only decide
-//! *who* computes each seed, never *what* the answer is. Records are
-//! merged and sorted by seed after the join, and failing seeds are shrunk
-//! single-threaded in seed order, so a fixed seed range yields an
-//! identical summary at any `--threads` value. The one exception is the
-//! optional wall-clock budget, which truncates the range
+//! *who* computes each seed, never *what* the answer is. The pool returns
+//! records in seed order, and failing seeds are shrunk single-threaded in
+//! seed order, so a fixed seed range yields an identical summary at any
+//! `--threads` value. The one exception is the optional wall-clock
+//! budget, the pool's stop check, which truncates the range
 //! scheduling-dependently; summaries then say so
 //! ([`CampaignSummary::truncated`]).
 //!
@@ -26,7 +25,6 @@
 //! stay byte-identical across wire paths.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -34,6 +32,7 @@ use litmus::explore::Drf0Verdict;
 
 use litmus::explore::drf0_verdict;
 use litmus::serialize::{to_litmus, Expectation};
+use memsim::pool::run_until;
 
 use crate::gen::{generate, GenConfig, GenProgram, Label};
 use crate::oracle::{check_seed, FindingKind, OracleConfig, SeedVerdict};
@@ -188,7 +187,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
     } else {
         cfg.threads
     };
-    let cursor = AtomicU64::new(cfg.seed_start);
     let deadline = cfg.max_seconds.map(|s| Instant::now() + Duration::from_secs(s));
     let started = Instant::now();
 
@@ -201,47 +199,24 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignSummary {
     }
     let oracle = &oracle;
 
-    let mut records: Vec<SeedRecord> = Vec::new();
-    let mut truncated = false;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    let mut hit_deadline = false;
-                    loop {
-                        if let Some(d) = deadline {
-                            if Instant::now() >= d {
-                                hit_deadline = true;
-                                break;
-                            }
-                        }
-                        let seed = cursor.fetch_add(1, Ordering::Relaxed);
-                        if seed >= cfg.seed_end {
-                            break;
-                        }
-                        let gp = generate(seed, &cfg.gen);
-                        let verdict = check_seed(&gp, oracle);
-                        local.push(SeedRecord {
-                            seed,
-                            name: gp.name(),
-                            label: gp.label,
-                            verdict,
-                        });
-                    }
-                    (local, hit_deadline)
-                })
-            })
-            .collect();
-        for handle in handles {
-            let (local, hit_deadline) = handle.join().expect("worker panicked");
-            records.extend(local);
-            truncated |= hit_deadline;
-        }
-    });
+    // The pool claims seeds in order and returns them in seed order; the
+    // deadline stops workers before their next claim.
+    let span = usize::try_from(cfg.seed_end.saturating_sub(cfg.seed_start))
+        .unwrap_or(usize::MAX);
+    let records = run_until(
+        span,
+        threads,
+        || (),
+        |(), i| {
+            let seed = cfg.seed_start + i as u64;
+            let gp = generate(seed, &cfg.gen);
+            let verdict = check_seed(&gp, oracle);
+            SeedRecord { seed, name: gp.name(), label: gp.label, verdict }
+        },
+        || deadline.is_some_and(|d| Instant::now() >= d),
+    );
     let sweep_time = started.elapsed();
-    records.sort_by_key(|r| r.seed);
+    let truncated = records.len() < span;
 
     let mut summary = CampaignSummary {
         seeds_run: records.len() as u64,

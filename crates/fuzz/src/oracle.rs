@@ -7,12 +7,13 @@
 //!   drives the dynamic vector-clock race detector over every idealized
 //!   interleaving. A mismatch is a bug in the generator's reasoning (or
 //!   the detector) and fails the seed.
-//! * **Definition 2** — DRF0-labeled programs are run on the three
+//! * **Definition 2** — DRF0-labeled programs are audited
+//!   ([`weakord::verify::audit`]) on the chaos grid: the three
 //!   weak-ordering machine classes under fault-injecting interconnects.
 //!   Every completed run must pass the `check_sc` appearance test and
 //!   produce a result inside the idealized SC outcome set. Structured
 //!   aborts are tolerated only under message-losing profiles; panics
-//!   never are.
+//!   never are. Each failing run's verdict maps to one [`FindingKind`].
 //! * **Racy shakeout** — racy-labeled programs get one plain machine run
 //!   purely to catch panics; no SC assertion is made (Definition 2
 //!   promises nothing for racy software).
@@ -41,11 +42,11 @@ use litmus::explore::{
 };
 use litmus::ideal::{IdealState, StepOutcome};
 use litmus::Program;
-use memory_model::sc::{check_sc, ScCheckConfig};
 use memory_model::ExecutionResult;
+use memsim::presets;
 use memsim::sweep::{sweep, Cell, CellOutcome};
-use memsim::{presets, FaultConfig, MachineConfig, Policy, RunError};
 use simx::rng::SplitMix64;
+use weakord::verify::{audit, chaos_run, AuditRun, CellVerdict};
 
 use crate::gen::{GenProgram, Label};
 
@@ -225,25 +226,9 @@ impl SeedVerdict {
     }
 }
 
-/// Machine presets swept for DRF0-labeled programs.
-#[must_use]
-pub fn machines() -> Vec<(&'static str, Policy)> {
-    vec![
-        ("def2", presets::wo_def2()),
-        ("def2opt", presets::wo_def2_optimized()),
-        ("def2queued", presets::wo_def2_queued()),
-    ]
-}
-
-/// Fault profiles swept, with whether each may legitimately wedge a run.
-#[must_use]
-pub fn profiles() -> Vec<(&'static str, FaultConfig, bool)> {
-    vec![
-        ("latency", FaultConfig::latency_heavy(), false),
-        ("dup", FaultConfig::dup_heavy(), false),
-        ("drop", FaultConfig::drop_heavy(), true),
-    ]
-}
+/// The chaos grid the Definition 2 sweep audits: machine presets and
+/// fault profiles (with whether each may legitimately wedge a run).
+pub use weakord::verify::{machines, profiles};
 
 /// Runs the full oracle against one generated program.
 #[must_use]
@@ -408,46 +393,22 @@ fn remote_drf0_verdict(
     verdict_from_response(&response)
 }
 
-/// The Definition 2 sweep for a DRF0-labeled program, run as a
-/// single-thread [`memsim::sweep`] grid: the campaign driver already
-/// parallelizes across seeds, so the win here is the engine's recycled
-/// machine (one construction for all nine runs), not more threads.
+/// The Definition 2 sweep for a DRF0-labeled program: every machine ×
+/// fault profile × fault seed of the chaos grid.
 fn check_drf0_program(gp: &GenProgram, cfg: &OracleConfig) -> SeedVerdict {
     let reference = reference_outcomes(&gp.program, cfg);
     if !reference.complete {
         return SeedVerdict::BudgetExceeded(IncompleteReason::MaxTotalSteps);
     }
-
-    let mut grid = Vec::new();
-    for (machine, policy) in machines() {
-        for (profile, fault, may_wedge) in profiles() {
+    let mut triples = Vec::new();
+    for (machine, _) in machines() {
+        for (profile, _, _) in profiles() {
             for k in 0..cfg.fault_seeds.max(1) {
-                let fault_seed = derive_fault_seed(gp.seed, machine, profile, k);
-                grid.push((machine, profile, policy, fault, may_wedge, fault_seed));
+                triples.push((machine, profile, derive_fault_seed(gp.seed, machine, profile, k)));
             }
         }
     }
-    let cells: Vec<Cell> = grid
-        .iter()
-        .map(|&(_, _, policy, fault, _, fault_seed)| Cell {
-            program: &gp.program,
-            config: cell_config(&gp.program, policy, fault, fault_seed),
-        })
-        .collect();
-
-    let mut findings = Vec::new();
-    for (outcome, &(machine, profile, _, _, may_wedge, fault_seed)) in
-        sweep(&cells, 1).into_iter().zip(&grid)
-    {
-        if let Some(kind) = judge(outcome, &gp.program, may_wedge, &reference) {
-            findings.push(Finding {
-                kind,
-                machine: Some(machine),
-                profile: Some(profile),
-                fault_seed: Some(fault_seed),
-            });
-        }
-    }
+    let findings = audit_triples(&gp.program, &reference, &triples);
     if findings.is_empty() {
         SeedVerdict::Pass
     } else {
@@ -468,83 +429,50 @@ pub(crate) fn recheck_triples(
     if !reference.complete {
         return Vec::new();
     }
-    let machines = machines();
-    let profiles = profiles();
-    let resolved: Vec<(Policy, FaultConfig, bool, u64)> = triples
+    audit_triples(program, &reference, triples).into_iter().map(|f| f.kind).collect()
+}
+
+/// Audits `program` on the named chaos-grid triples as a single-thread
+/// [`weakord::verify::audit`]: the campaign driver already parallelizes
+/// across seeds, so the win here is the sweep engine's recycled machine,
+/// not more threads. Returns one finding per failing triple; names not
+/// in the grid are skipped.
+fn audit_triples(
+    program: &Program,
+    reference: &ScOutcomes,
+    triples: &[(&'static str, &'static str, u64)],
+) -> Vec<Finding> {
+    let (machines, profiles) = (machines(), profiles());
+    let (named, runs): (Vec<_>, Vec<AuditRun>) = triples
         .iter()
-        .filter_map(|&(machine, profile, fault_seed)| {
+        .filter_map(|triple @ &(machine, profile, fault_seed)| {
             let policy = machines.iter().find(|(m, _)| *m == machine)?.1;
-            let &(_, fault, may_wedge) =
-                profiles.iter().find(|(p, _, _)| *p == profile)?;
-            Some((policy, fault, may_wedge, fault_seed))
+            let &(_, fault, may_wedge) = profiles.iter().find(|(p, _, _)| *p == profile)?;
+            Some((triple, chaos_run(program, policy, fault, may_wedge, fault_seed)))
         })
-        .collect();
-    let cells: Vec<Cell> = resolved
-        .iter()
-        .map(|&(policy, fault, _, fault_seed)| Cell {
-            program,
-            config: cell_config(program, policy, fault, fault_seed),
-        })
-        .collect();
-    sweep(&cells, 1)
+        .unzip();
+    audit(program, &runs, Some(reference), 1)
         .into_iter()
-        .zip(&resolved)
-        .filter_map(|(outcome, &(_, _, may_wedge, _))| {
-            judge(outcome, program, may_wedge, &reference)
+        .zip(named)
+        .filter_map(|((outcome, verdict), &(machine, profile, fault_seed))| {
+            let kind = match verdict {
+                CellVerdict::AppearsSc | CellVerdict::TolerableAbort => return None,
+                CellVerdict::NotSc | CellVerdict::ScUndecided => FindingKind::NotSc,
+                CellVerdict::OutsideScSet => FindingKind::OutsideScSet,
+                CellVerdict::Incomplete => FindingKind::Incomplete,
+                CellVerdict::Panic => FindingKind::Panic,
+                CellVerdict::UnexpectedAbort => FindingKind::UnexpectedAbort {
+                    error: outcome.into_result().expect_err("aborts are errors").to_string(),
+                },
+            };
+            Some(Finding {
+                kind,
+                machine: Some(machine),
+                profile: Some(profile),
+                fault_seed: Some(fault_seed),
+            })
         })
         .collect()
-}
-
-/// The machine configuration of one fault-injected cell.
-fn cell_config(
-    program: &Program,
-    policy: Policy,
-    fault: FaultConfig,
-    fault_seed: u64,
-) -> MachineConfig {
-    MachineConfig {
-        chaos: Some(fault),
-        ..presets::network_cached(program.num_threads(), policy, fault_seed)
-    }
-}
-
-/// Classifies one cell outcome against the reference. Returns `None` when
-/// the run is acceptable. (The sweep engine already caught panics and
-/// dropped the poisoned worker machine.)
-fn judge(
-    outcome: CellOutcome,
-    program: &Program,
-    may_wedge: bool,
-    reference: &ScOutcomes,
-) -> Option<FindingKind> {
-    match outcome {
-        CellOutcome::Panicked(_) => Some(FindingKind::Panic),
-        CellOutcome::Err(err) => {
-            if may_wedge && !matches!(err, RunError::Protocol { .. }) {
-                None // a lossy profile may wedge, structured abort tolerated
-            } else {
-                Some(FindingKind::UnexpectedAbort { error: err.to_string() })
-            }
-        }
-        CellOutcome::Ok(result) => {
-            if !result.completed {
-                return Some(FindingKind::Incomplete);
-            }
-            let appears_sc = check_sc(
-                &result.observation(),
-                &program.initial_memory(),
-                &ScCheckConfig::default(),
-            )
-            .is_consistent();
-            if !appears_sc {
-                return Some(FindingKind::NotSc);
-            }
-            if !reference.allows(&result.execution_result()) {
-                return Some(FindingKind::OutsideScSet);
-            }
-            None
-        }
-    }
 }
 
 /// One plain (fault-free) run of a racy program to shake out panics. No SC

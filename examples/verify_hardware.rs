@@ -11,30 +11,28 @@
 //! Run with: `cargo run --example verify_hardware`
 
 use weak_ordering::litmus::corpus;
-use weak_ordering::memsim::{presets, Machine, MachineConfig};
-use weak_ordering::weakord::{conditions, verify};
+use weak_ordering::memsim::presets;
+use weak_ordering::weakord::conditions;
+use weak_ordering::weakord::verify::{audit, seeded_runs, CellVerdict};
 
 fn main() {
-    let seeds: Vec<u64> = (0..12).collect();
     let policy = presets::wo_def2();
     println!("Hardware under test: network + directory caches, policy {}\n", policy.name());
 
     let mut all_ok = true;
     for (name, program) in corpus::drf0_suite() {
         let base = presets::network_cached(program.num_threads(), policy, 0);
+        let audited = audit(&program, &seeded_runs(&base, 0..12), None, 0);
 
         // Definition 2: every run must appear sequentially consistent.
-        let report = verify::check_appears_sc(&program, &base, &seeds);
-        let sc_ok = report.all_sc();
+        let sc_ok = audited.iter().all(|(_, v)| *v == CellVerdict::AppearsSc);
 
-        // Section 5.1: audit the mechanism on each trace.
-        let mut condition_violations = 0;
-        for &seed in &seeds {
-            let cfg = MachineConfig { seed, ..base };
-            let result = Machine::run_program(&program, &cfg).expect("valid config");
-            condition_violations +=
-                conditions::check_all(&result, &program.initial_memory()).len();
-        }
+        // Section 5.1: audit the mechanism on the same traces.
+        let condition_violations: usize = audited
+            .iter()
+            .filter_map(|(outcome, _)| outcome.ok())
+            .map(|run| conditions::check_all(run, &program.initial_memory()).len())
+            .sum();
 
         println!(
             "  {name:<22} appears-SC: {}   condition violations: {}",
