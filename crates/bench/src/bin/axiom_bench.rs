@@ -34,9 +34,11 @@
 //! repeat exactly from run to run and host to host: a change that only
 //! makes the engine's steps cheaper moves the times and leaves them be.
 //!
-//! Exits nonzero on any verdict divergence, when a speedup floor is
-//! given and the measured speedup falls below it, or when a routed-regret
-//! ceiling is given and the routed regret exceeds it.
+//! Writes the [`wo_bench::report`] schema: the aggregates as `metrics`,
+//! one row per program, and a gate for each given floor or ceiling plus
+//! two that always apply (at least one program of each workload certified
+//! DRF0 by both engines, else the fast path is not firing). Exits 1 after
+//! writing on any verdict divergence or failed gate.
 //!
 //! Usage:
 //!
@@ -52,136 +54,18 @@
 //!   --max-routed-regret F  fail if the routed regret over every program > F
 //! ```
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
 
+use litmus::corpus::{iriw_fan, mp_fan, pipeline};
 use litmus::explore::{drf0_verdict, Drf0Verdict, ExploreConfig};
-use litmus::{Program, Reg, Thread};
-use memory_model::Loc;
+use litmus::Program;
 use wo_axiom::{decide_drf0, AxiomConfig, AxiomVerdict};
+use wo_bench::report::{self, best_of, Report};
 use wo_serve::cache::KindGroup;
 use wo_serve::compute_answer;
 
-struct Args {
-    smoke: bool,
-    out: PathBuf,
-    corpus_dir: Option<PathBuf>,
-    min_speedup: Option<f64>,
-    min_sweep_speedup: Option<f64>,
-    max_routed_regret: Option<f64>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        out: PathBuf::from("BENCH_axiom.json"),
-        corpus_dir: None,
-        min_speedup: None,
-        min_sweep_speedup: None,
-        max_routed_regret: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--out" => {
-                args.out = it.next().map(PathBuf::from).unwrap_or_else(|| usage("--out needs a path"));
-            }
-            "--corpus" => {
-                args.corpus_dir =
-                    Some(it.next().map(PathBuf::from).unwrap_or_else(|| usage("--corpus needs a dir")));
-            }
-            "--min-speedup" => {
-                args.min_speedup = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--min-speedup needs a number")),
-                );
-            }
-            "--min-sweep-speedup" => {
-                args.min_sweep_speedup = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--min-sweep-speedup needs a number")),
-                );
-            }
-            "--max-routed-regret" => {
-                args.max_routed_regret = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--max-routed-regret needs a number")),
-                );
-            }
-            other => usage(&format!("unknown argument {other}")),
-        }
-    }
-    args
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("axiom_bench: {msg}");
-    eprintln!(
-        "usage: axiom_bench [--smoke] [--out PATH] [--corpus DIR] [--min-speedup F] \
-         [--min-sweep-speedup F] [--max-routed-regret F]"
-    );
-    std::process::exit(2);
-}
-
-/// One writer publishes data behind a sync flag; `readers` threads each
-/// sync-read the flag and touch the data only when they saw it set. Every
-/// subset of readers can win the race to the flag, so the explorer walks
-/// an interleaving space exponential in `readers`, while each relational
-/// candidate fixes one flag observation per reader and the Lemma 1 fast
-/// path emits its unique result directly.
-fn mp_fan(readers: usize) -> Program {
-    let mut threads = vec![Thread::new().write(Loc(0), 42).sync_write(Loc(1), 1)];
-    for _ in 0..readers {
-        threads.push(
-            Thread::new()
-                .sync_read(Loc(1), Reg(0))
-                .branch_eq(Reg(0), 0u64, 3)
-                .read(Loc(0), Reg(1)),
-        );
-    }
-    Program::new(threads).expect("mp_fan is well-formed")
-}
-
-/// `k` writers each sync-publish a distinct location; `k` readers each
-/// sync-read two of them (IRIW widened from 2+2 to k+k).
-fn iriw_fan(k: usize) -> Program {
-    let mut threads = Vec::with_capacity(2 * k);
-    for j in 0..k {
-        threads.push(Thread::new().sync_write(Loc(j as u32), 1));
-    }
-    for i in 0..k {
-        threads.push(
-            Thread::new()
-                .sync_read(Loc(i as u32), Reg(0))
-                .sync_read(Loc(((i + 1) % k) as u32), Reg(1)),
-        );
-    }
-    Program::new(threads).expect("iriw_fan is well-formed")
-}
-
-/// A flag-gated pipeline: stage `i` waits (one shot) on stage `i-1`'s
-/// flag, forwards the datum, and raises its own flag.
-fn pipeline(stages: usize) -> Program {
-    let data = |i: usize| Loc(2 * i as u32);
-    let flag = |i: usize| Loc(2 * i as u32 + 1);
-    let mut threads = vec![Thread::new().write(data(0), 7).sync_write(flag(0), 1)];
-    for i in 1..stages {
-        threads.push(
-            Thread::new()
-                .sync_read(flag(i - 1), Reg(0))
-                .branch_eq(Reg(0), 0u64, 5)
-                .read(data(i - 1), Reg(1))
-                .write(data(i), Reg(1))
-                .sync_write(flag(i), 1),
-        );
-    }
-    Program::new(threads).expect("pipeline is well-formed")
-}
+const USAGE: &str = "axiom_bench [--smoke] [--out PATH] [--corpus DIR] [--min-speedup F] \
+                     [--min-sweep-speedup F] [--max-routed-regret F]";
 
 /// Parametric DRF0 scaling families: programs whose *interleaving* count
 /// explodes with width while their candidate-execution count stays small
@@ -205,19 +89,6 @@ fn scaled_workload(smoke: bool) -> Vec<(String, Program)> {
     programs
 }
 
-/// Minimum wall time over `iters` runs of `f`, plus the last result.
-fn timed<T>(iters: u32, mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..iters {
-        let start = Instant::now();
-        let r = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        out = Some(r);
-    }
-    (best, out.expect("iters >= 1"))
-}
-
 struct Row {
     name: String,
     explorer_secs: f64,
@@ -229,13 +100,27 @@ struct Row {
 }
 
 fn main() {
-    let args = parse_args();
-    let mut programs =
-        wo_bench::workload(args.corpus_dir.as_deref()).unwrap_or_else(|e| usage(&e.to_string()));
-    programs.extend(scaled_workload(args.smoke));
+    let mut smoke = false;
+    let mut out = PathBuf::from("BENCH_axiom.json");
+    let mut corpus_dir: Option<PathBuf> = None;
+    let (mut min_speedup, mut min_sweep_speedup, mut max_routed_regret) = (None, None, None);
+    report::parse_args(USAGE, |flag, args| {
+        match flag {
+            "--smoke" => smoke = true,
+            "--out" => out = args.value(flag)?,
+            "--corpus" => corpus_dir = Some(args.value(flag)?),
+            "--min-speedup" => min_speedup = Some(args.value(flag)?),
+            "--min-sweep-speedup" => min_sweep_speedup = Some(args.value(flag)?),
+            "--max-routed-regret" => max_routed_regret = Some(args.value(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
+    let mut programs = wo_bench::workload(corpus_dir.as_deref()).expect("load the litmus corpus");
+    programs.extend(scaled_workload(smoke));
     let explore_budget = ExploreConfig {
-        max_ops_per_execution: if args.smoke { 40 } else { 48 },
-        max_total_steps: if args.smoke { 300_000 } else { 3_000_000 },
+        max_ops_per_execution: if smoke { 40 } else { 48 },
+        max_total_steps: if smoke { 300_000 } else { 3_000_000 },
         ..ExploreConfig::default()
     };
     let axiom_budget = AxiomConfig {
@@ -244,26 +129,26 @@ fn main() {
         max_work: 50_000_000,
         ..AxiomConfig::from_explore(&explore_budget)
     };
-    let iters: u32 = if args.smoke { 1 } else { 3 };
+    let iters: u32 = if smoke { 1 } else { 3 };
     println!(
         "axiom_bench: {} programs, {} timing iters{}",
         programs.len(),
         iters,
-        if args.smoke { " (smoke)" } else { "" }
+        if smoke { " (smoke)" } else { "" }
     );
 
+    let mut report = Report::new("axiom_bench", "drf0-scaling + litmus-sweep", smoke);
     let mut rows: Vec<Row> = Vec::new();
-    let mut divergences: Vec<String> = Vec::new();
     for (name, program) in &programs {
-        let (ax_secs, ax) = timed(iters, || decide_drf0(program, &axiom_budget));
-        let (op_secs, op) = timed(iters, || drf0_verdict(program, &explore_budget));
+        let (ax_secs, ax) = best_of(iters, || decide_drf0(program, &axiom_budget));
+        let (op_secs, op) = best_of(iters, || drf0_verdict(program, &explore_budget));
         let (routed_secs, _) =
-            timed(iters, || compute_answer(KindGroup::Explore, program, &explore_budget));
+            best_of(iters, || compute_answer(KindGroup::Explore, program, &explore_budget));
         match (&ax.verdict, &op) {
             (AxiomVerdict::Unknown(_), _) | (_, Drf0Verdict::BudgetExceeded(_)) => {}
             (AxiomVerdict::Drf0, Drf0Verdict::Drf0)
             | (AxiomVerdict::Racy, Drf0Verdict::Racy) => {}
-            (a, o) => divergences.push(format!("{name}: axiomatic {a}, operational {o}")),
+            (a, o) => report.diverge(format!("{name}: axiomatic {a}, operational {o}")),
         }
         println!(
             "  {name:<40} axiom {:>10.1}us ({})  explorer {:>10.1}us ({})  routed {:>10.1}us",
@@ -287,9 +172,9 @@ fn main() {
     // The gated headline: explorer time vs axiomatic time over the DRF0
     // scaling corpus, restricted to rows *both* engines decide
     // definitively Drf0 (a budget-limited run's wall time measures the
-    // budget, not the decider). The litmus sweep gets the same aggregate
-    // reported — un-gated — so the JSON also records where the explorer's
-    // DPOR reduction wins on microsecond-scale programs.
+    // budget, not the decider). The litmus sweep gets the same aggregate,
+    // so the JSON also records where the explorer's DPOR reduction wins on
+    // microsecond-scale programs.
     let definitive = |r: &&Row| {
         r.axiom_verdict == AxiomVerdict::Drf0 && r.operational == Drf0Verdict::Drf0
     };
@@ -308,7 +193,6 @@ fn main() {
     let sweep_axiom_work: u64 = sweep_rows.iter().map(|r| r.axiom_work).sum();
     let total_explorer: f64 = rows.iter().map(|r| r.explorer_secs).sum();
     let total_axiom: f64 = rows.iter().map(|r| r.axiom_secs).sum();
-    let total_speedup = ratio(total_explorer, total_axiom);
     // The routed kernel against the best engine the daemon could have
     // served each program from.
     let best_servable = |r: &Row| {
@@ -322,51 +206,8 @@ fn main() {
     let total_best: f64 = rows.iter().map(best_servable).sum();
     let routed_regret = ratio(total_routed, total_best);
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"workload\": \"drf0-scaling + litmus-sweep\",");
-    let _ = writeln!(json, "  \"programs\": {},", rows.len());
-    let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
-    let _ = writeln!(json, "  \"timing_iters\": {iters},");
-    let _ = writeln!(json, "  \"divergences\": {},", divergences.len());
-    let _ = writeln!(json, "  \"drf0_corpus_programs\": {},", drf0_rows.len());
-    let _ = writeln!(json, "  \"drf0_explorer_seconds\": {drf0_explorer:.6},");
-    let _ = writeln!(json, "  \"drf0_axiom_seconds\": {drf0_axiom:.6},");
-    let _ = writeln!(json, "  \"drf0_axiom_speedup\": {drf0_speedup:.3},");
-    let _ = writeln!(json, "  \"sweep_drf0_programs\": {},", sweep_rows.len());
-    let _ = writeln!(json, "  \"sweep_explorer_seconds\": {sweep_explorer:.6},");
-    let _ = writeln!(json, "  \"sweep_axiom_seconds\": {sweep_axiom:.6},");
-    let _ = writeln!(json, "  \"sweep_axiom_speedup\": {sweep_speedup:.3},");
-    let _ = writeln!(json, "  \"sweep_axiom_work\": {sweep_axiom_work},");
-    let _ = writeln!(json, "  \"total_explorer_seconds\": {total_explorer:.6},");
-    let _ = writeln!(json, "  \"total_axiom_seconds\": {total_axiom:.6},");
-    let _ = writeln!(json, "  \"total_axiom_speedup\": {total_speedup:.3},");
-    let _ = writeln!(json, "  \"total_routed_seconds\": {total_routed:.6},");
-    let _ = writeln!(json, "  \"total_best_servable_seconds\": {total_best:.6},");
-    let _ = writeln!(json, "  \"routed_regret\": {routed_regret:.3},");
-    let _ = writeln!(json, "  \"per_program\": [");
-    for (i, row) in rows.iter().enumerate() {
-        let comma = if i + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"axiom_us\": {:.1}, \"explorer_us\": {:.1}, \
-             \"routed_us\": {:.1}, \"axiom_work\": {}, \"axiom_verdict\": \"{}\", \
-             \"operational_verdict\": \"{}\"}}{comma}",
-            row.name,
-            row.axiom_secs * 1e6,
-            row.explorer_secs * 1e6,
-            row.routed_secs * 1e6,
-            row.axiom_work,
-            row.axiom_verdict,
-            row.operational,
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    json.push_str("}\n");
-    std::fs::write(&args.out, &json).expect("write BENCH_axiom.json");
-
-    println!("\nwrote {}", args.out.display());
     println!(
-        "drf0 scaling corpus ({} programs): explorer {:.3}s  axiom {:.3}s  speedup {drf0_speedup:.1}x",
+        "\ndrf0 scaling corpus ({} programs): explorer {:.3}s  axiom {:.3}s  speedup {drf0_speedup:.1}x",
         drf0_rows.len(),
         drf0_explorer,
         drf0_axiom,
@@ -384,46 +225,41 @@ fn main() {
         total_routed,
         total_best,
     );
-    if !divergences.is_empty() {
-        eprintln!("\nVERDICT DIVERGENCE ({}):", divergences.len());
-        for d in &divergences {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
+
+    report.metric("programs", rows.len());
+    report.metric("timing_iters", u64::from(iters));
+    report.metric("drf0_corpus_programs", drf0_rows.len());
+    report.metric("drf0_explorer_seconds", drf0_explorer);
+    report.metric("drf0_axiom_seconds", drf0_axiom);
+    report.metric("drf0_axiom_speedup", drf0_speedup);
+    report.metric("sweep_drf0_programs", sweep_rows.len());
+    report.metric("sweep_explorer_seconds", sweep_explorer);
+    report.metric("sweep_axiom_seconds", sweep_axiom);
+    report.metric("sweep_axiom_speedup", sweep_speedup);
+    report.metric("sweep_axiom_work", sweep_axiom_work);
+    report.metric("total_explorer_seconds", total_explorer);
+    report.metric("total_axiom_seconds", total_axiom);
+    report.metric("total_axiom_speedup", ratio(total_explorer, total_axiom));
+    report.metric("total_routed_seconds", total_routed);
+    report.metric("total_best_servable_seconds", total_best);
+    report.metric("routed_regret", routed_regret);
+    for r in &rows {
+        report.row(
+            report::Row::new(r.name.clone())
+                .with("axiom_us", r.axiom_secs * 1e6)
+                .with("explorer_us", r.explorer_secs * 1e6)
+                .with("routed_us", r.routed_secs * 1e6)
+                .with("axiom_work", r.axiom_work)
+                .with("axiom_verdict", r.axiom_verdict.to_string())
+                .with("operational_verdict", r.operational.to_string()),
+        );
     }
-    assert!(
-        !drf0_rows.is_empty() && !sweep_rows.is_empty(),
-        "no program was certified DRF0 axiomatically; the fast path is not firing"
-    );
-    if let Some(floor) = args.min_speedup {
-        if drf0_speedup < floor {
-            eprintln!(
-                "SPEEDUP REGRESSION: axiomatic DRF0 deciding ran at {drf0_speedup:.2}x the \
-                 explorer on the scaling corpus, below the --min-speedup floor of {floor:.2}"
-            );
-            std::process::exit(1);
-        }
-        println!("speedup gate: {drf0_speedup:.2}x >= {floor:.2}x");
-    }
-    if let Some(floor) = args.min_sweep_speedup {
-        if sweep_speedup < floor {
-            eprintln!(
-                "SWEEP SPEEDUP REGRESSION: the relational engine ran the litmus sweep at \
-                 {sweep_speedup:.3}x the explorer, below the --min-sweep-speedup floor \
-                 of {floor:.3}"
-            );
-            std::process::exit(1);
-        }
-        println!("sweep speedup gate: {sweep_speedup:.3}x >= {floor:.3}x");
-    }
-    if let Some(ceiling) = args.max_routed_regret {
-        if routed_regret > ceiling {
-            eprintln!(
-                "ROUTING REGRESSION: the routed kernel took {routed_regret:.3}x the best \
-                 servable engine time, above the --max-routed-regret ceiling of {ceiling:.3}"
-            );
-            std::process::exit(1);
-        }
-        println!("routed regret gate: {routed_regret:.3} <= {ceiling:.3}");
-    }
+    // No program certified DRF0 by both engines means the relational
+    // engine's fast path is not firing.
+    report.min("drf0_corpus_programs", Some(1.0));
+    report.min("sweep_drf0_programs", Some(1.0));
+    report.min("drf0_axiom_speedup", min_speedup);
+    report.min("sweep_axiom_speedup", min_sweep_speedup);
+    report.max("routed_regret", max_routed_regret);
+    std::process::exit(report.write(&out));
 }

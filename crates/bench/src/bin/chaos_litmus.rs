@@ -34,48 +34,9 @@ use litmus::explore::{sc_outcomes, ExploreConfig, ScOutcomes};
 use litmus::Program;
 use memsim::sweep::CellOutcome;
 use weakord::verify::{self, CellVerdict};
-use wo_bench::table;
+use wo_bench::{report, table};
 
-struct Args {
-    seeds: u64,
-    seed_base: u64,
-    smoke: bool,
-    verbose: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { seeds: 25, seed_base: 0, smoke: false, verbose: false };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--seeds" => {
-                args.seeds = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seeds needs a number"));
-            }
-            "--seed-base" => {
-                args.seed_base = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--seed-base needs a number"));
-            }
-            "--smoke" => args.smoke = true,
-            "--verbose" => args.verbose = true,
-            other => usage(&format!("unknown argument `{other}`")),
-        }
-    }
-    if args.smoke {
-        args.seeds = args.seeds.min(3);
-    }
-    args
-}
-
-fn usage(err: &str) -> ! {
-    eprintln!("chaos_litmus: {err}");
-    eprintln!("usage: chaos_litmus [--seeds N] [--seed-base B] [--smoke] [--verbose]");
-    std::process::exit(2);
-}
+const USAGE: &str = "chaos_litmus [--seeds N] [--seed-base B] [--smoke] [--verbose]";
 
 /// The sweep's program set: the hand-written DRF0 corpus plus every
 /// DRF0-labeled file from the checked-in generated sample in
@@ -132,10 +93,23 @@ struct Tally {
 }
 
 fn main() {
-    let args = parse_args();
+    let (mut seeds, mut seed_base, mut smoke, mut verbose) = (25u64, 0u64, false, false);
+    report::parse_args(USAGE, |flag, args| {
+        match flag {
+            "--seeds" => seeds = args.value(flag)?,
+            "--seed-base" => seed_base = args.value(flag)?,
+            "--smoke" => smoke = true,
+            "--verbose" => verbose = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
+    if smoke {
+        seeds = seeds.min(3);
+    }
     let suite = sweep_suite();
     let mut machines = verify::machines();
-    if args.smoke {
+    if smoke {
         machines.truncate(1);
     }
     let profiles = verify::profiles();
@@ -144,7 +118,7 @@ fn main() {
         suite.len(),
         machines.len(),
         profiles.len(),
-        args.seeds
+        seeds
     );
 
     let mut tallies: BTreeMap<(String, &'static str), Tally> = BTreeMap::new();
@@ -158,12 +132,12 @@ fn main() {
         // One audit per program over the machine × profile × seed grid;
         // outcomes come back in grid order, so the tallies fill exactly as
         // the grid is walked below.
-        let seeds = args.seed_base..args.seed_base + args.seeds;
+        let seed_range = seed_base..seed_base + seeds;
         let mut grid = Vec::new();
         let mut runs = Vec::new();
         for &(machine, policy) in &machines {
             for &(profile, fault, may_wedge) in &profiles {
-                for seed in seeds.clone() {
+                for seed in seed_range.clone() {
                     grid.push((machine, profile, seed));
                     runs.push(verify::chaos_run(&program, policy, fault, may_wedge, seed));
                 }
@@ -180,7 +154,7 @@ fn main() {
             let failure = match verdict {
                 CellVerdict::AppearsSc => {
                     tally.sc += 1;
-                    if args.verbose {
+                    if verbose {
                         println!("  ok    ({repro})");
                     }
                     continue;
@@ -189,7 +163,7 @@ fn main() {
                     // A lossy profile may wedge the machine — but only
                     // into a structured, diagnosable abort.
                     tally.aborted += 1;
-                    if args.verbose {
+                    if verbose {
                         println!("  abort ({repro}):\n{}", abort_error(outcome));
                     }
                     continue;

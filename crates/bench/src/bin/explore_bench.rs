@@ -8,24 +8,25 @@
 //!
 //! cross-checking `results`/`outcomes`/`races` and the DRF0 verdict
 //! between them on every program where both complete (the differential
-//! discipline that caught PR 1's unsound prune), and emits a
-//! machine-readable `BENCH_explore.json` so later PRs have a perf
-//! trajectory to beat: programs/sec per strategy, states visited, states
-//! pruned, peak visited-set size, and the DPOR speedup over the
-//! unreduced baseline. The third row, `converged_state`, benchmarks
-//! [`litmus::explore::explore_results`] — the interned-digest converged
-//! state explorer — on the same sweep, and checks its `results` and
-//! `outcomes` against the unreduced explorer's.
+//! discipline that caught PR 1's unsound prune), and writes
+//! `BENCH_explore.json` in the [`wo_bench::report`] schema so later PRs
+//! have a perf trajectory to beat: programs/sec per strategy, states
+//! visited, states pruned, peak visited-set size, and the DPOR speedup
+//! over the unreduced baseline. The third strategy, `converged_state`,
+//! benchmarks [`litmus::explore::explore_results`] — the interned-digest
+//! converged state explorer — on the same sweep, and checks its `results`
+//! and `outcomes` against the unreduced explorer's.
 //!
 //! `peak_visited_set` is the **maximum** visited-set size any single
 //! program reached, not a sum across programs (visited sets are
 //! per-program and freed between programs, so summing would overstate
 //! memory by orders of magnitude).
 //!
-//! Exits nonzero on any differential divergence, or when
-//! `--min-converged-pps` is given and the converged-state explorer falls
-//! below that throughput floor (the regression gate for PR 8's
-//! state-key fix).
+//! Exits 1 after writing on any differential divergence, when no program
+//! completed under both explorers (the budget is too small to compare
+//! anything), or when `--min-converged-pps` is given and the
+//! converged-state explorer falls below that throughput floor (the
+//! regression gate for PR 8's state-key fix).
 //!
 //! Usage:
 //!
@@ -37,57 +38,13 @@
 //!   --min-converged-pps F   fail if converged_state programs/sec < F
 //! ```
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
 
 use litmus::explore::{explore, explore_dpor, verdict_of, ExploreConfig, ExploreReport};
+use wo_bench::report::{self, best_of, Report};
 
-struct Args {
-    smoke: bool,
-    out: PathBuf,
-    corpus_dir: Option<PathBuf>,
-    min_converged_pps: Option<f64>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        out: PathBuf::from("BENCH_explore.json"),
-        corpus_dir: None,
-        min_converged_pps: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--out" => {
-                args.out = it.next().map(PathBuf::from).unwrap_or_else(|| usage("--out needs a path"));
-            }
-            "--corpus" => {
-                args.corpus_dir =
-                    Some(it.next().map(PathBuf::from).unwrap_or_else(|| usage("--corpus needs a dir")));
-            }
-            "--min-converged-pps" => {
-                args.min_converged_pps = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--min-converged-pps needs a number")),
-                );
-            }
-            other => usage(&format!("unknown argument {other}")),
-        }
-    }
-    args
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("explore_bench: {msg}");
-    eprintln!(
-        "usage: explore_bench [--smoke] [--out PATH] [--corpus DIR] [--min-converged-pps F]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str =
+    "explore_bench [--smoke] [--out PATH] [--corpus DIR] [--min-converged-pps F]";
 
 #[derive(Default)]
 struct StrategyStats {
@@ -114,38 +71,44 @@ impl StrategyStats {
     }
 }
 
-fn timed(f: impl FnOnce() -> ExploreReport) -> (f64, ExploreReport) {
-    let start = Instant::now();
-    let report = f();
-    (start.elapsed().as_secs_f64(), report)
-}
-
 fn main() {
-    let args = parse_args();
-    let programs =
-        wo_bench::workload(args.corpus_dir.as_deref()).unwrap_or_else(|e| usage(&e.to_string()));
+    let mut smoke = false;
+    let mut out = PathBuf::from("BENCH_explore.json");
+    let mut corpus_dir: Option<PathBuf> = None;
+    let mut min_converged_pps = None;
+    report::parse_args(USAGE, |flag, args| {
+        match flag {
+            "--smoke" => smoke = true,
+            "--out" => out = args.value(flag)?,
+            "--corpus" => corpus_dir = Some(args.value(flag)?),
+            "--min-converged-pps" => min_converged_pps = Some(args.value(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
+    let programs = wo_bench::workload(corpus_dir.as_deref()).expect("load the litmus corpus");
     let budget = ExploreConfig {
-        max_ops_per_execution: if args.smoke { 40 } else { 48 },
-        max_total_steps: if args.smoke { 300_000 } else { 3_000_000 },
+        max_ops_per_execution: if smoke { 40 } else { 48 },
+        max_total_steps: if smoke { 300_000 } else { 3_000_000 },
         ..ExploreConfig::default()
     };
     println!(
         "explore_bench: {} programs, budget {} steps{}",
         programs.len(),
         budget.max_total_steps,
-        if args.smoke { " (smoke)" } else { "" }
+        if smoke { " (smoke)" } else { "" }
     );
 
+    let mut report = Report::new("explore_bench", "drf0-sweep", smoke);
     let mut full = StrategyStats::default();
     let mut dpor = StrategyStats::default();
     let mut pruned_results = StrategyStats::default();
-    let mut divergences: Vec<String> = Vec::new();
     let mut compared = 0usize;
 
     for (name, program) in &programs {
-        let (tf, rf) = timed(|| explore(program, &budget));
-        let (td, rd) = timed(|| explore_dpor(program, &budget));
-        let (tr, rr) = timed(|| litmus::explore::explore_results(program, &budget));
+        let (tf, rf) = best_of(1, || explore(program, &budget));
+        let (td, rd) = best_of(1, || explore_dpor(program, &budget));
+        let (tr, rr) = best_of(1, || litmus::explore::explore_results(program, &budget));
         full.record(tf, &rf);
         dpor.record(td, &rd);
         pruned_results.record(tr, &rr);
@@ -155,27 +118,27 @@ fn main() {
         if rf.complete && rd.complete {
             compared += 1;
             if rf.results != rd.results {
-                divergences.push(format!("{name}: dpor results differ from full"));
+                report.diverge(format!("{name}: dpor results differ from full"));
             }
             if rf.outcomes != rd.outcomes {
-                divergences.push(format!("{name}: dpor outcomes differ from full"));
+                report.diverge(format!("{name}: dpor outcomes differ from full"));
             }
             if rf.races != rd.races {
-                divergences.push(format!("{name}: dpor races differ from full"));
+                report.diverge(format!("{name}: dpor races differ from full"));
             }
             if verdict_of(&rf) != verdict_of(&rd) {
-                divergences.push(format!("{name}: dpor verdict differs from full"));
+                report.diverge(format!("{name}: dpor verdict differs from full"));
             }
             if rd.steps > rf.steps {
-                divergences.push(format!("{name}: dpor expanded more states than full"));
+                report.diverge(format!("{name}: dpor expanded more states than full"));
             }
         }
         if rf.complete && rr.complete {
             if rf.results != rr.results {
-                divergences.push(format!("{name}: converged-state results differ from full"));
+                report.diverge(format!("{name}: converged-state results differ from full"));
             }
             if rf.outcomes != rr.outcomes {
-                divergences.push(format!("{name}: converged-state outcomes differ from full"));
+                report.diverge(format!("{name}: converged-state outcomes differ from full"));
             }
         }
         println!(
@@ -189,57 +152,26 @@ fn main() {
 
     let n = programs.len();
     let speedup = if dpor.total_secs > 0.0 { full.total_secs / dpor.total_secs } else { f64::INFINITY };
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"workload\": \"drf0-sweep\",");
-    let _ = writeln!(json, "  \"programs\": {n},");
-    let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
-    let _ = writeln!(json, "  \"max_total_steps\": {},", budget.max_total_steps);
-    let _ = writeln!(json, "  \"compared_complete_pairs\": {compared},");
-    let _ = writeln!(json, "  \"divergences\": {},", divergences.len());
-    for (key, stats) in [
-        ("full", &full),
-        ("dpor", &dpor),
-        ("converged_state", &pruned_results),
-    ] {
-        let _ = writeln!(json, "  \"{key}\": {{");
-        let _ = writeln!(json, "    \"seconds\": {:.6},", stats.total_secs);
-        let _ = writeln!(json, "    \"programs_per_sec\": {:.3},", stats.programs_per_sec(n));
-        let _ = writeln!(json, "    \"states_visited\": {},", stats.steps);
-        let _ = writeln!(json, "    \"states_pruned\": {},", stats.pruned);
-        let _ = writeln!(json, "    \"peak_visited_set\": {},", stats.peak_visited);
-        let _ = writeln!(json, "    \"completed_programs\": {}", stats.completed);
-        let _ = writeln!(json, "  }},");
-    }
-    let _ = writeln!(json, "  \"dpor_speedup_vs_full\": {speedup:.3}");
-    json.push_str("}\n");
-    std::fs::write(&args.out, &json).expect("write BENCH_explore.json");
-
-    println!("\nwrote {}", args.out.display());
     println!(
-        "full: {:.2} programs/sec   dpor: {:.2} programs/sec   speedup {speedup:.1}x",
+        "\nfull: {:.2} programs/sec   dpor: {:.2} programs/sec   speedup {speedup:.1}x   \
+         {compared} complete pairs compared",
         full.programs_per_sec(n),
         dpor.programs_per_sec(n),
     );
-    if !divergences.is_empty() {
-        eprintln!("\nDIFFERENTIAL DIVERGENCE ({}):", divergences.len());
-        for d in &divergences {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
-    }
-    assert!(compared > 0, "no program completed under both explorers; budget too small");
-    println!("differential check: {compared} complete pairs agree");
 
-    if let Some(floor) = args.min_converged_pps {
-        let pps = pruned_results.programs_per_sec(n);
-        if pps < floor {
-            eprintln!(
-                "THROUGHPUT REGRESSION: converged_state ran at {pps:.3} programs/sec, \
-                 below the --min-converged-pps floor of {floor:.3}"
-            );
-            std::process::exit(1);
-        }
-        println!("converged_state throughput gate: {pps:.3} >= {floor:.3} programs/sec");
+    report.metric("programs", n);
+    report.metric("max_total_steps", budget.max_total_steps);
+    report.metric("compared_complete_pairs", compared);
+    for (key, stats) in [("full", &full), ("dpor", &dpor), ("converged_state", &pruned_results)] {
+        report.metric(format!("{key}.seconds"), stats.total_secs);
+        report.metric(format!("{key}.programs_per_sec"), stats.programs_per_sec(n));
+        report.metric(format!("{key}.states_visited"), stats.steps);
+        report.metric(format!("{key}.states_pruned"), stats.pruned);
+        report.metric(format!("{key}.peak_visited_set"), stats.peak_visited);
+        report.metric(format!("{key}.completed_programs"), stats.completed);
     }
+    report.metric("dpor_speedup_vs_full", speedup);
+    report.min("compared_complete_pairs", Some(1.0));
+    report.min("converged_state.programs_per_sec", min_converged_pps);
+    std::process::exit(report.write(&out));
 }

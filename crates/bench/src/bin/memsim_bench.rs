@@ -14,12 +14,12 @@
 //! identical down to the Debug rendering (cycles, records, stall
 //! breakdowns, event-queue counters). Any divergence means machine
 //! recycling or the parallel merge changed simulation behavior — the
-//! binary exits nonzero so CI fails.
+//! binary exits 1, after writing its file, so CI fails.
 //!
-//! Writes a machine-readable `BENCH_memsim.json` with wall-clock numbers,
-//! speedups, and the grid's observability counters (events popped, peak
-//! event-queue length, interconnect messages) so later PRs have a perf
-//! trajectory to beat.
+//! Writes `BENCH_memsim.json` in the [`wo_bench::report`] schema with
+//! wall-clock numbers, speedups, and the grid's observability counters
+//! (events popped, peak event-queue length, interconnect messages) so
+//! later PRs have a perf trajectory to beat.
 //!
 //! Usage:
 //!
@@ -31,55 +31,16 @@
 //!   --out PATH     where to write the JSON (default BENCH_memsim.json)
 //! ```
 
-use std::fmt::Write as _;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use memsim::sweep::{sweep, CellOutcome};
 use memsim::Machine;
 use wo_bench::perf_grid::PerfGrid;
+use wo_bench::report::{self, Report};
 
-struct Args {
-    smoke: bool,
-    threads: usize,
-    reps: usize,
-    out: PathBuf,
-}
-
-fn parse_args() -> Args {
-    let mut args =
-        Args { smoke: false, threads: 0, reps: 3, out: PathBuf::from("BENCH_memsim.json") };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--threads needs a number"));
-            }
-            "--reps" => {
-                args.reps = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("--reps needs a positive number"));
-            }
-            "--out" => {
-                args.out = it.next().map(PathBuf::from).unwrap_or_else(|| usage("--out needs a path"));
-            }
-            other => usage(&format!("unknown argument {other}")),
-        }
-    }
-    args
-}
-
-fn usage(msg: &str) -> ! {
-    eprintln!("memsim_bench: {msg}");
-    eprintln!("usage: memsim_bench [--smoke] [--threads N] [--reps N] [--out PATH]");
-    std::process::exit(2);
-}
+const USAGE: &str = "memsim_bench [--smoke] [--threads N] [--reps N] [--out PATH]";
 
 /// A comparable rendering of one cell's result, shared by all three
 /// modes. Panics have no stable rendering across modes, so they keep a
@@ -93,31 +54,39 @@ fn render(outcome: &CellOutcome) -> String {
 }
 
 fn main() {
-    let args = parse_args();
-    let grid = if args.smoke { PerfGrid::smoke() } else { PerfGrid::full() };
+    let (mut smoke, mut threads, mut reps) = (false, 0usize, 3usize);
+    let mut out = PathBuf::from("BENCH_memsim.json");
+    report::parse_args(USAGE, |flag, args| {
+        match flag {
+            "--smoke" => smoke = true,
+            "--threads" => threads = args.value(flag)?,
+            "--reps" => reps = args.value::<NonZeroUsize>(flag)?.get(),
+            "--out" => out = args.value(flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
+    let grid = if smoke { PerfGrid::smoke() } else { PerfGrid::full() };
     let cells = grid.cells();
-    let threads = if args.threads == 0 {
-        std::thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        args.threads
-    };
+    if threads == 0 {
+        threads = std::thread::available_parallelism().map_or(1, usize::from);
+    }
     println!(
-        "memsim_bench: {} cells ({} rows x 4 policies x {} seeds){}, {threads} threads, best of {} reps",
+        "memsim_bench: {} cells ({} rows x 4 policies x {} seeds){}, {threads} threads, best of {reps} reps",
         cells.len(),
         grid.rows.len(),
         grid.seeds.len(),
-        if args.smoke { " (smoke)" } else { "" },
-        args.reps
+        if smoke { " (smoke)" } else { "" },
     );
 
     // Each repetition times all three modes and cross-checks them
     // cell-for-cell; reported seconds are the best of the repetitions.
+    let mut report = Report::new("memsim_bench", "perf-grid", smoke);
     let mut cold_secs = f64::INFINITY;
     let mut reused_secs = f64::INFINITY;
     let mut parallel_secs = f64::INFINITY;
-    let mut divergences: Vec<String> = Vec::new();
     let mut parallel = Vec::new();
-    for rep in 0..args.reps {
+    for rep in 0..reps {
         // Mode 1: the baseline path — fresh machine per cell, serial.
         let start = Instant::now();
         let cold: Vec<CellOutcome> = cells
@@ -143,12 +112,10 @@ fn main() {
         for (i, ((c, r), p)) in cold.iter().zip(&reused).zip(&par).enumerate() {
             let cold_key = render(c);
             if cold_key != render(r) {
-                divergences
-                    .push(format!("rep {rep} cell {i}: recycled machine diverged from cold run"));
+                report.diverge(format!("rep {rep} cell {i}: recycled machine diverged from cold run"));
             }
             if cold_key != render(p) {
-                divergences
-                    .push(format!("rep {rep} cell {i}: parallel sweep diverged from cold run"));
+                report.diverge(format!("rep {rep} cell {i}: parallel sweep diverged from cold run"));
             }
         }
         parallel = par;
@@ -175,36 +142,6 @@ fn main() {
     let parallel_speedup =
         if parallel_secs > 0.0 { cold_secs / parallel_secs } else { f64::INFINITY };
     let cps = |secs: f64| if secs > 0.0 { n as f64 / secs } else { f64::INFINITY };
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"workload\": \"perf-grid\",");
-    let _ = writeln!(json, "  \"cells\": {n},");
-    let _ = writeln!(json, "  \"rows\": {},", grid.rows.len());
-    let _ = writeln!(json, "  \"seeds\": {},", grid.seeds.len());
-    let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"reps\": {},", args.reps);
-    let _ = writeln!(json, "  \"divergences\": {},", divergences.len());
-    let _ = writeln!(json, "  \"completed_cells\": {completed},");
-    for (key, secs) in [
-        ("serial_cold", cold_secs),
-        ("serial_reused", reused_secs),
-        ("parallel", parallel_secs),
-    ] {
-        let _ = writeln!(json, "  \"{key}\": {{");
-        let _ = writeln!(json, "    \"seconds\": {secs:.6},");
-        let _ = writeln!(json, "    \"cells_per_sec\": {:.3}", cps(secs));
-        let _ = writeln!(json, "  }},");
-    }
-    let _ = writeln!(json, "  \"reuse_speedup_vs_cold\": {reuse_speedup:.3},");
-    let _ = writeln!(json, "  \"parallel_speedup_vs_cold\": {parallel_speedup:.3},");
-    let _ = writeln!(json, "  \"events_popped_total\": {events_popped},");
-    let _ = writeln!(json, "  \"peak_queue_len_max\": {peak_queue},");
-    let _ = writeln!(json, "  \"interconnect_messages_total\": {messages}");
-    json.push_str("}\n");
-    std::fs::write(&args.out, &json).expect("write BENCH_memsim.json");
-
-    println!("\nwrote {}", args.out.display());
     println!(
         "serial cold {cold_secs:.3}s ({:.1} cells/s)   reused {reused_secs:.3}s ({:.1} cells/s)   parallel {parallel_secs:.3}s ({:.1} cells/s)",
         cps(cold_secs),
@@ -217,12 +154,25 @@ fn main() {
     println!(
         "grid work: {events_popped} events popped, peak queue {peak_queue}, {messages} interconnect messages, {completed}/{n} cells completed"
     );
-    if !divergences.is_empty() {
-        eprintln!("\nDETERMINISM DIVERGENCE ({}):", divergences.len());
-        for d in &divergences {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
+
+    report.metric("cells", n);
+    report.metric("grid_rows", grid.rows.len());
+    report.metric("seeds", grid.seeds.len());
+    report.metric("threads", threads);
+    report.metric("reps", reps);
+    report.metric("completed_cells", completed);
+    for (key, secs) in [
+        ("serial_cold", cold_secs),
+        ("serial_reused", reused_secs),
+        ("parallel", parallel_secs),
+    ] {
+        report.metric(format!("{key}.seconds"), secs);
+        report.metric(format!("{key}.cells_per_sec"), cps(secs));
     }
-    println!("determinism check: all three modes agree on every cell");
+    report.metric("reuse_speedup_vs_cold", reuse_speedup);
+    report.metric("parallel_speedup_vs_cold", parallel_speedup);
+    report.metric("events_popped_total", events_popped);
+    report.metric("peak_queue_len_max", peak_queue);
+    report.metric("interconnect_messages_total", messages);
+    std::process::exit(report.write(&out));
 }

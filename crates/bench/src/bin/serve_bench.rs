@@ -19,10 +19,13 @@
 //!   response must still be structured (no drops, no panics);
 //! * **batched** — the wo-serve/2 pipelined path: a byte-equality grid
 //!   (every batched response must equal the v1 per-request stream, at
-//!   batch sizes {1, 7, 256} x pool threads {1, 4}; any divergence makes
-//!   the bench exit nonzero) and a hot-path throughput comparison against
-//!   the v1 numbers from the same run, which must show at least a 5x
-//!   speedup.
+//!   batch sizes {1, 7, 256} x pool threads {1, 4}; any divergence fails
+//!   the run) and a hot-path throughput comparison against the v1 numbers
+//!   from the same run, gated at a 5x speedup.
+//!
+//! Writes `BENCH_serve.json` in the [`wo_bench::report`] schema (one row
+//! per grid cell) and exits 1 after writing on a divergence or a failed
+//! gate.
 //!
 //! Usage:
 //!
@@ -34,80 +37,24 @@
 //!   --min-hot-qps Q  exit nonzero if v1 hot-path throughput lands below Q
 //! ```
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use litmus::corpus;
 use litmus::Program;
+use wo_bench::harness::median;
+use wo_bench::report::{self, Report, Row};
 use wo_bench::table;
 use wo_serve::client::{BatchClient, ClientConfig, ServeClient};
 use wo_serve::protocol::{CacheStatus, QueryKind, Request, Response};
 use wo_serve::server::{Server, ServerConfig, ServerHandle};
 
+const USAGE: &str = "serve_bench [--smoke] [--renames N] [--out PATH] [--min-hot-qps Q]";
+
 /// Timed passes per hot phase (v1 and batched). The reported number is
 /// the median pass: single ~30 ms passes swing by 2x under scheduler
 /// noise on small machines, and two gates ride on the ratio.
 const HOT_PASSES: usize = 3;
-
-/// The median of a non-empty slice of pass timings.
-fn median(xs: &[f64]) -> f64 {
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    sorted[sorted.len() / 2]
-}
-
-struct Args {
-    smoke: bool,
-    renames: u64,
-    out: PathBuf,
-    min_hot_qps: Option<f64>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        renames: 20,
-        out: PathBuf::from("BENCH_serve.json"),
-        min_hot_qps: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--renames" => {
-                args.renames = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--renames needs a number"));
-            }
-            "--out" => {
-                args.out = it
-                    .next()
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| usage("--out needs a path"));
-            }
-            "--min-hot-qps" => {
-                args.min_hot_qps = Some(
-                    it.next()
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| usage("--min-hot-qps needs a number")),
-                );
-            }
-            other => usage(&format!("unknown argument `{other}`")),
-        }
-    }
-    if args.smoke {
-        args.renames = args.renames.min(5);
-    }
-    args
-}
-
-fn usage(err: &str) -> ! {
-    eprintln!("serve_bench: {err}");
-    eprintln!("usage: serve_bench [--smoke] [--renames N] [--out PATH] [--min-hot-qps Q]");
-    std::process::exit(2);
-}
 
 /// Corpus: bounded programs whose exploration completes in sane time at
 /// these budgets — the bench measures the serving machinery, not DPOR.
@@ -172,8 +119,24 @@ fn stats_of(client: &mut ServeClient) -> wo_serve::protocol::ServerStats {
 }
 
 fn main() {
-    let args = parse_args();
-    let programs = workload(args.smoke);
+    let (mut smoke, mut renames) = (false, 20u64);
+    let mut out = PathBuf::from("BENCH_serve.json");
+    let mut min_hot_qps = None;
+    report::parse_args(USAGE, |flag, args| {
+        match flag {
+            "--smoke" => smoke = true,
+            "--renames" => renames = args.value(flag)?,
+            "--out" => out = args.value(flag)?,
+            "--min-hot-qps" => min_hot_qps = Some(args.value(flag)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
+    if smoke {
+        renames = renames.min(5);
+    }
+    let mut report = Report::new("serve_bench", "serve-corpus", smoke);
+    let programs = workload(smoke);
     let journal = std::env::temp_dir().join(format!("wo-serve-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&journal);
 
@@ -202,14 +165,14 @@ fn main() {
     let hot_requests: Vec<Request> = programs
         .iter()
         .flat_map(|(_, program)| {
-            (0..args.renames).map(move |k| {
+            (0..renames).map(move |k| {
                 let renamed = wo_serve::canon::random_renaming(program, k);
                 request_for(&renamed.to_string())
             })
         })
         .collect();
     let before_hot = stats_of(&mut client);
-    let mut hot_pass_secs = Vec::new();
+    let mut hot_pass_nanos = Vec::new();
     for pass in 0..HOT_PASSES {
         let hot_t0 = Instant::now();
         for (i, req) in hot_requests.iter().enumerate() {
@@ -218,10 +181,11 @@ fn main() {
                 other => panic!("hot pass {pass} item {i}: expected a hit, got {other:?}"),
             }
         }
-        hot_pass_secs.push(hot_t0.elapsed().as_secs_f64());
+        hot_pass_nanos.push(hot_t0.elapsed().as_nanos() as u64);
     }
     let hot_queries = hot_requests.len() as u64;
-    let hot_secs = median(&hot_pass_secs);
+    hot_pass_nanos.sort_unstable();
+    let hot_secs = median(&hot_pass_nanos) as f64 / 1e9;
     let after_hot = stats_of(&mut client);
     let hot_hits = after_hot.cache_hits - before_hot.cache_hits;
     let explored_during_hot = after_hot.explored - before_hot.explored;
@@ -255,7 +219,7 @@ fn main() {
     })
     .expect("starved spawn");
     let addr = starved.addr().to_string();
-    let fire = if args.smoke { 8 } else { 16 };
+    let fire = if smoke { 8 } else { 16 };
     let mut joins = Vec::new();
     for i in 0..fire {
         let addr = addr.clone();
@@ -315,7 +279,6 @@ fn main() {
         bytes
     };
     let mut grid_rows = Vec::new();
-    let mut divergences = 0u64;
     for pool_threads in [1usize, 4] {
         for batch_size in [1usize, 7, 256] {
             let fresh = Server::spawn(ServerConfig {
@@ -335,13 +298,12 @@ fn main() {
             for (i, (response, want)) in responses.iter().zip(&reference).enumerate() {
                 if &response.encode() != want {
                     cell_divergences += 1;
-                    eprintln!(
-                        "DIVERGENCE at batch_size={batch_size} pool_threads={pool_threads} \
-                         item {i}: batched {response:?}"
-                    );
+                    report.diverge(format!(
+                        "batch_size={batch_size} pool_threads={pool_threads} item {i}: \
+                         batched {response:?}"
+                    ));
                 }
             }
-            divergences += cell_divergences;
             grid_rows.push((
                 batch_size,
                 pool_threads,
@@ -367,8 +329,7 @@ fn main() {
                 other => panic!("{name}: warm-up failed: {other:?}"),
             }
         }
-        let passes: u64 = if args.smoke { 8 } else { 4 };
-        let renames = args.renames;
+        let passes: u64 = if smoke { 8 } else { 4 };
         let requests: Vec<Request> = (0..passes)
             .flat_map(|pass| {
                 programs.iter().flat_map(move |(_, program)| {
@@ -388,11 +349,11 @@ fn main() {
         let mut client = BatchClient::new(cfg);
         // Same pass structure as the v1 hot phase: the reported number is
         // the median of HOT_PASSES identical passes over the request set.
-        let mut pass_secs = Vec::new();
+        let mut pass_nanos = Vec::new();
         for pass in 0..HOT_PASSES {
             let t0 = Instant::now();
             let responses = client.query_batch(&requests).expect("batched hot");
-            pass_secs.push(t0.elapsed().as_secs_f64());
+            pass_nanos.push(t0.elapsed().as_nanos() as u64);
             for (i, response) in responses.iter().enumerate() {
                 match response {
                     Response::Verdict { .. } => {}
@@ -401,7 +362,8 @@ fn main() {
             }
         }
         fresh.shutdown();
-        let secs = median(&pass_secs);
+        pass_nanos.sort_unstable();
+        let secs = median(&pass_nanos) as f64 / 1e9;
         (requests.len() as u64, secs, requests.len() as f64 / secs.max(1e-9))
     };
 
@@ -436,6 +398,15 @@ fn main() {
             format!("{qps:.0}"),
             diverged.to_string(),
         ]);
+        report.row(
+            Row::new(format!("batch_size={batch_size} pool_threads={pool_threads}"))
+                .with("batch_size", batch_size)
+                .with("pool_threads", pool_threads)
+                .with("queries", queries)
+                .with("seconds", secs)
+                .with("queries_per_sec", qps)
+                .with("divergences", diverged),
+        );
     }
     println!(
         "{}",
@@ -448,86 +419,31 @@ fn main() {
         "batched hot: {batched_hot_queries} renamed queries x{HOT_PASSES} passes, median \
          {batched_hot_secs:.3}s ({batched_hot_qps:.0} q/s, {speedup:.1}x the v1 hot path)"
     );
-
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"workload\": \"serve-corpus\",");
-    let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
-    let _ = writeln!(json, "  \"programs\": {},", programs.len());
-    let _ = writeln!(json, "  \"renames_per_program\": {},", args.renames);
-    let _ = writeln!(json, "  \"cold\": {{");
-    let _ = writeln!(json, "    \"seconds\": {cold_secs:.6},");
-    let _ = writeln!(json, "    \"queries_per_sec\": {cold_qps:.3}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"hot\": {{");
-    let _ = writeln!(json, "    \"queries\": {hot_queries},");
-    let _ = writeln!(json, "    \"passes\": {HOT_PASSES},");
-    let _ = writeln!(json, "    \"seconds\": {hot_secs:.6},");
-    let _ = writeln!(json, "    \"queries_per_sec\": {hot_qps:.3},");
-    let _ = writeln!(json, "    \"cache_hits\": {hot_hits},");
-    let _ = writeln!(json, "    \"re_explorations\": {explored_during_hot}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"restart\": {{");
-    let _ = writeln!(json, "    \"replayed\": {replayed},");
-    let _ = writeln!(json, "    \"recovery_seconds\": {restart_secs:.6},");
-    let _ = writeln!(json, "    \"warm_requery_seconds\": {warm_secs:.6}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"overload\": {{");
-    let _ = writeln!(json, "    \"concurrent\": {fire},");
-    let _ = writeln!(json, "    \"answered\": {answered},");
-    let _ = writeln!(json, "    \"rejected\": {overloaded},");
-    let _ = writeln!(json, "    \"other\": {other}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"batched\": {{");
-    let _ = writeln!(json, "    \"v1_hot_queries_per_sec\": {hot_qps:.3},");
-    let _ = writeln!(json, "    \"hot_queries\": {batched_hot_queries},");
-    let _ = writeln!(json, "    \"hot_passes\": {HOT_PASSES},");
-    let _ = writeln!(json, "    \"hot_seconds\": {batched_hot_secs:.6},");
-    let _ = writeln!(json, "    \"hot_queries_per_sec\": {batched_hot_qps:.3},");
-    let _ = writeln!(json, "    \"speedup_vs_v1\": {speedup:.3},");
-    let _ = writeln!(json, "    \"divergences\": {divergences},");
-    let _ = writeln!(json, "    \"grid\": [");
-    for (i, &(batch_size, pool_threads, queries, secs, qps, diverged)) in
-        grid_rows.iter().enumerate()
-    {
-        let comma = if i + 1 == grid_rows.len() { "" } else { "," };
-        let _ = writeln!(
-            json,
-            "      {{\"batch_size\": {batch_size}, \"pool_threads\": {pool_threads}, \
-             \"queries\": {queries}, \"seconds\": {secs:.6}, \
-             \"queries_per_sec\": {qps:.3}, \"divergences\": {diverged}}}{comma}"
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }}");
-    json.push_str("}\n");
-    std::fs::write(&args.out, &json).expect("write BENCH_serve.json");
-    println!("wrote {}", args.out.display());
-
     let _ = std::fs::remove_dir_all(&journal);
 
-    // ---- gates: divergence, batched speedup, and the optional v1
-    // hot-path floor all fail the run after the JSON is on disk, so a red
-    // CI job still uploads the numbers that explain it.
-    let mut failed = false;
-    if divergences > 0 {
-        eprintln!("serve_bench: FAIL — {divergences} batched response(s) diverged from v1");
-        failed = true;
-    }
-    if speedup < 5.0 {
-        eprintln!(
-            "serve_bench: FAIL — batched hot path is only {speedup:.2}x v1 (need >= 5x)"
-        );
-        failed = true;
-    }
-    if let Some(floor) = args.min_hot_qps {
-        if hot_qps < floor {
-            eprintln!(
-                "serve_bench: FAIL — v1 hot path {hot_qps:.1} q/s is below the floor {floor}"
-            );
-            failed = true;
-        }
-    }
-    if failed {
-        std::process::exit(1);
-    }
+    report.metric("programs", programs.len());
+    report.metric("renames_per_program", renames);
+    report.metric("cold.seconds", cold_secs);
+    report.metric("cold.queries_per_sec", cold_qps);
+    report.metric("hot.queries", hot_queries);
+    report.metric("hot.passes", HOT_PASSES);
+    report.metric("hot.seconds", hot_secs);
+    report.metric("hot.queries_per_sec", hot_qps);
+    report.metric("hot.cache_hits", hot_hits);
+    report.metric("hot.re_explorations", explored_during_hot);
+    report.metric("restart.replayed", replayed);
+    report.metric("restart.recovery_seconds", restart_secs);
+    report.metric("restart.warm_requery_seconds", warm_secs);
+    report.metric("overload.concurrent", fire);
+    report.metric("overload.answered", answered);
+    report.metric("overload.rejected", overloaded);
+    report.metric("overload.other", other);
+    report.metric("batched.hot_queries", batched_hot_queries);
+    report.metric("batched.hot_passes", HOT_PASSES);
+    report.metric("batched.hot_seconds", batched_hot_secs);
+    report.metric("batched.hot_queries_per_sec", batched_hot_qps);
+    report.metric("batched.speedup_vs_v1", speedup);
+    report.min("batched.speedup_vs_v1", Some(5.0));
+    report.min("hot.queries_per_sec", min_hot_qps);
+    std::process::exit(report.write(&out));
 }

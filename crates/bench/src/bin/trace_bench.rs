@@ -9,11 +9,14 @@
 //!   the vector-clock engine (join / snapshot / epoch check / tick);
 //! * **sharded** — the default shard count on the work-stealing pool:
 //!   parallel speedup of phase-2 checking. The canonical report must be
-//!   **byte-identical** to the cold report (the bench exits nonzero on
-//!   any divergence — determinism is load-bearing, not best-effort);
+//!   **byte-identical** to the cold report (any divergence fails the run —
+//!   determinism is load-bearing, not best-effort);
 //! * **pipeline** — `memsim::sweep::sweep_traced` writes a multi-segment
 //!   trace file, `check_trace_file` streams it back: end-to-end
 //!   simulate → serialize → deserialize → verdict throughput.
+//!
+//! Writes `BENCH_trace.json` in the [`wo_bench::report`] schema (one row
+//! per phase, with its verdict) and exits 1 after writing on a divergence.
 //!
 //! Usage:
 //!
@@ -24,61 +27,33 @@
 //!   --out PATH  where to write the JSON (default BENCH_trace.json)
 //! ```
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Instant;
 
 use litmus::corpus;
 use memsim::{presets, sweep, TraceWriter};
+use wo_bench::report::{self, Report, Row};
 use wo_bench::table;
 use wo_trace::synth::{SynthConfig, SynthStream};
 use wo_trace::{check_ops, check_trace_file, CheckerConfig, Verdict};
 
-struct Args {
-    smoke: bool,
-    events: u64,
-    out: PathBuf,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args { smoke: false, events: 4_000_000, out: PathBuf::from("BENCH_trace.json") };
-    let mut events_set = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--smoke" => args.smoke = true,
-            "--events" => {
-                args.events = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--events needs a number"));
-                events_set = true;
-            }
-            "--out" => {
-                args.out = it
-                    .next()
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| usage("--out needs a path"));
-            }
-            other => usage(&format!("unknown argument `{other}`")),
-        }
-    }
-    if args.smoke && !events_set {
-        args.events = 400_000;
-    }
-    args
-}
-
-fn usage(err: &str) -> ! {
-    eprintln!("trace_bench: {err}");
-    eprintln!("usage: trace_bench [--smoke] [--events N] [--out PATH]");
-    std::process::exit(2);
-}
+const USAGE: &str = "trace_bench [--smoke] [--events N] [--out PATH]";
 
 fn main() {
-    let args = parse_args();
+    let (mut smoke, mut events) = (false, None);
+    let mut out = PathBuf::from("BENCH_trace.json");
+    report::parse_args(USAGE, |flag, args| {
+        match flag {
+            "--smoke" => smoke = true,
+            "--events" => events = Some(args.value(flag)?),
+            "--out" => out = args.value(flag)?,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    });
+    let mut report = Report::new("trace_bench", "trace-synth-locked", smoke);
     let synth = SynthConfig {
-        events: args.events,
+        events: events.unwrap_or(if smoke { 400_000 } else { 4_000_000 }),
         procs: 8,
         locations: 1 << 14,
         sync_locations: 128,
@@ -108,14 +83,13 @@ fn main() {
     // The whole design hinges on this: parallelism must never change the
     // report. Divergence is a hard failure, not a footnote.
     if sharded.canonical_text() != cold.canonical_text() {
-        eprintln!("FATAL: sharded report diverged from the single-shard report");
         eprintln!("--- cold ---\n{}", cold.canonical_text());
         eprintln!("--- sharded ---\n{}", sharded.canonical_text());
-        std::process::exit(1);
+        report.diverge("sharded report diverged from the single-shard report");
     }
 
     // ---- pipeline: simulate → trace file → streamed verdict.
-    let seeds: u64 = if args.smoke { 4 } else { 16 };
+    let seeds: u64 = if smoke { 4 } else { 16 };
     let program = corpus::fig3_handoff(1);
     let cells: Vec<sweep::Cell> = (0..seeds)
         .map(|seed| sweep::Cell {
@@ -174,41 +148,28 @@ fn main() {
         pipeline.verdict
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"workload\": \"trace-synth-locked\",");
-    let _ = writeln!(json, "  \"smoke\": {},", args.smoke);
-    let _ = writeln!(json, "  \"events\": {},", ops.len());
-    let _ = writeln!(json, "  \"procs\": {},", synth.procs);
-    let _ = writeln!(json, "  \"locations\": {},", synth.locations);
-    let _ = writeln!(json, "  \"sync_percent\": {},", synth.sync_percent);
-    let _ = writeln!(json, "  \"cold\": {{");
-    let _ = writeln!(json, "    \"shards\": 1,");
-    let _ = writeln!(json, "    \"seconds\": {cold_secs:.6},");
-    let _ = writeln!(json, "    \"events_per_sec\": {cold_eps:.0},");
-    let _ = writeln!(json, "    \"verdict\": \"{}\",", cold.verdict);
-    let _ = writeln!(
-        json,
-        "    \"approx_state_bytes_high_water\": {}",
-        cold.approx_state_bytes_high_water
-    );
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"sharded\": {{");
-    let _ = writeln!(json, "    \"shards\": {},", sharded_cfg.shards);
-    let _ = writeln!(json, "    \"seconds\": {sharded_secs:.6},");
-    let _ = writeln!(json, "    \"events_per_sec\": {sharded_eps:.0},");
-    let _ = writeln!(json, "    \"speedup\": {:.3},", sharded_eps / cold_eps.max(1e-9));
-    let _ = writeln!(json, "    \"report_identical_to_cold\": true");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"pipeline\": {{");
-    let _ = writeln!(json, "    \"segments\": {},", pipeline.segments);
-    let _ = writeln!(json, "    \"events\": {},", pipeline.events);
-    let _ = writeln!(json, "    \"trace_bytes\": {trace_bytes},");
-    let _ = writeln!(json, "    \"simulate_seconds\": {sim_secs:.6},");
-    let _ = writeln!(json, "    \"check_seconds\": {check_secs:.6},");
-    let _ = writeln!(json, "    \"events_per_sec\": {pipe_eps:.0},");
-    let _ = writeln!(json, "    \"verdict\": \"{}\"", pipeline.verdict);
-    let _ = writeln!(json, "  }}");
-    json.push_str("}\n");
-    std::fs::write(&args.out, &json).expect("write BENCH_trace.json");
-    println!("wrote {}", args.out.display());
+    report.metric("events", ops.len());
+    report.metric("procs", u64::from(synth.procs));
+    report.metric("locations", u64::from(synth.locations));
+    report.metric("sync_percent", u64::from(synth.sync_percent));
+    report.metric("cold.shards", 1u64);
+    report.metric("cold.seconds", cold_secs);
+    report.metric("cold.events_per_sec", cold_eps);
+    report.metric("cold.approx_state_bytes_high_water", cold.approx_state_bytes_high_water);
+    report.metric("sharded.shards", sharded_cfg.shards);
+    report.metric("sharded.seconds", sharded_secs);
+    report.metric("sharded.events_per_sec", sharded_eps);
+    report.metric("sharded.speedup", sharded_eps / cold_eps.max(1e-9));
+    report.metric("pipeline.segments", pipeline.segments);
+    report.metric("pipeline.events", pipeline.events);
+    report.metric("pipeline.trace_bytes", trace_bytes);
+    report.metric("pipeline.simulate_seconds", sim_secs);
+    report.metric("pipeline.check_seconds", check_secs);
+    report.metric("pipeline.events_per_sec", pipe_eps);
+    for (phase, verdict) in
+        [("cold", cold.verdict), ("sharded", sharded.verdict), ("pipeline", pipeline.verdict)]
+    {
+        report.row(Row::new(phase).with("verdict", verdict.to_string()));
+    }
+    std::process::exit(report.write(&out));
 }

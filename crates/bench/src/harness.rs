@@ -95,8 +95,7 @@ impl Harness {
     /// passes to bench binaries (`--bench`, filters).
     #[must_use]
     pub fn new(name: &'static str) -> Self {
-        let quick = std::env::args().any(|a| a == "--quick")
-            || std::env::var_os("WO_BENCH_QUICK").is_some();
+        let quick = std::env::args().any(|a| a == "--quick");
         println!("bench: {name}{}", if quick { " (quick)" } else { "" });
         Harness { name, quick }
     }

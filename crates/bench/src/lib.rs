@@ -1,10 +1,12 @@
 //! Shared helpers for the benchmark harness: table rendering and run
-//! orchestration used by the figure-regeneration binaries.
+//! orchestration used by the figure-regeneration binaries, and the one
+//! report every `*_bench` binary writes ([`report`]).
 
 #![deny(missing_docs)]
 
 pub mod harness;
 pub mod perf_grid;
+pub mod report;
 
 use std::path::Path;
 

@@ -553,6 +553,70 @@ pub fn spinlock_bounded(threads: usize, increments: u64, spins: u64) -> Program 
     Program::new(ts).expect("static corpus program is valid")
 }
 
+// The scaling families below number their locations densely from m0
+// (each location is either data or sync, never both).
+
+/// One writer publishes data behind a sync flag; `readers` threads each
+/// sync-read the flag and touch the data only when they saw it set. Every
+/// subset of readers can win the race to the flag, so the explorer walks
+/// an interleaving space exponential in `readers`, while each relational
+/// candidate fixes one flag observation per reader and the Lemma 1 fast
+/// path emits its unique result directly. DRF0 and loop-free,
+/// `readers + 1` threads wide, 2 thread-identity classes.
+#[must_use]
+pub fn mp_fan(readers: usize) -> Program {
+    let mut threads = vec![Thread::new().write(Loc(0), 42).sync_write(Loc(1), 1)];
+    for _ in 0..readers {
+        threads.push(
+            Thread::new()
+                .sync_read(Loc(1), Reg(0))
+                .branch_eq(Reg(0), 0u64, 3)
+                .read(Loc(0), Reg(1)),
+        );
+    }
+    Program::new(threads).expect("mp_fan is well-formed")
+}
+
+/// `k` writers each sync-publish a distinct location; `k` readers each
+/// sync-read two of them (IRIW widened from 2+2 to k+k). DRF0 and
+/// loop-free, `2k` threads wide, `2k` thread-identity classes.
+#[must_use]
+pub fn iriw_fan(k: usize) -> Program {
+    let mut threads = Vec::with_capacity(2 * k);
+    for j in 0..k {
+        threads.push(Thread::new().sync_write(Loc(j as u32), 1));
+    }
+    for i in 0..k {
+        threads.push(
+            Thread::new()
+                .sync_read(Loc(i as u32), Reg(0))
+                .sync_read(Loc(((i + 1) % k) as u32), Reg(1)),
+        );
+    }
+    Program::new(threads).expect("iriw_fan is well-formed")
+}
+
+/// A flag-gated pipeline: stage `i` waits (one shot) on stage `i-1`'s
+/// flag, forwards the datum, and raises its own flag. DRF0 and loop-free,
+/// `stages` threads wide.
+#[must_use]
+pub fn pipeline(stages: usize) -> Program {
+    let data = |i: usize| Loc(2 * i as u32);
+    let flag = |i: usize| Loc(2 * i as u32 + 1);
+    let mut threads = vec![Thread::new().write(data(0), 7).sync_write(flag(0), 1)];
+    for i in 1..stages {
+        threads.push(
+            Thread::new()
+                .sync_read(flag(i - 1), Reg(0))
+                .branch_eq(Reg(0), 0u64, 5)
+                .read(data(i - 1), Reg(1))
+                .write(data(i), Reg(1))
+                .sync_write(flag(i), 1),
+        );
+    }
+    Program::new(threads).expect("pipeline is well-formed")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

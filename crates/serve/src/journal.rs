@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 
 use crate::cache::{CachedAnswer, KindGroup};
 use crate::canon::fnv1a;
-use crate::protocol::{push_engine_line, Engine, RaceCoord};
+use crate::protocol::{parse_race, push_engine_line, push_race_lines, Engine, RaceCoord};
 
 /// Hard cap on one journal record (canonical text + headers). Matches the
 /// frame cap's order of magnitude; a record above this is corruption.
@@ -219,12 +219,7 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
             payload.push_str(&format!("steps={steps}\n"));
             push_engine_line(&mut payload, record.answer.engine());
             payload.push_str(&format!("races={}\n", races.len()));
-            for r in races {
-                payload.push_str(&format!(
-                    "race={} {} {} {} {}\n",
-                    r.first_thread, r.first_seq, r.second_thread, r.second_seq, r.loc
-                ));
-            }
+            push_race_lines(&mut payload, races);
         }
         CachedAnswer::Sc { outcomes, steps, complete, .. } => {
             debug_assert!(*complete);
@@ -300,23 +295,7 @@ fn parse_payload(payload: &[u8]) -> Option<JournalRecord> {
             "outcomes" => outcomes = value.parse::<u64>().ok(),
             "races" => declared_races = value.parse::<usize>().ok(),
             "engine" => engine = Some(Engine::parse_token(value)?),
-            "race" => {
-                let fields: Vec<u32> = value
-                    .split_whitespace()
-                    .map(str::parse)
-                    .collect::<Result<_, _>>()
-                    .ok()?;
-                if fields.len() != 5 {
-                    return None;
-                }
-                races.push(RaceCoord {
-                    first_thread: fields[0],
-                    first_seq: fields[1],
-                    second_thread: fields[2],
-                    second_seq: fields[3],
-                    loc: fields[4],
-                });
-            }
+            "race" => races.push(parse_race(value).ok()?),
             _ => {}
         }
     }

@@ -847,8 +847,9 @@ impl Response {
 /// thousands of entries on heavily racy programs; `format!` per line (an
 /// allocation each) is the dominant cost of encoding such a payload, so
 /// each line is assembled in a stack buffer and appended in one push.
-/// Shared by [`Response::encode`] and [`encode_batch_race_block`].
-fn push_race_lines(out: &mut String, races: &[RaceCoord]) {
+/// Shared by [`Response::encode`], [`encode_batch_race_block`] and the
+/// journal's record encoder.
+pub(crate) fn push_race_lines(out: &mut String, races: &[RaceCoord]) {
     out.reserve(races.len() * 32);
     let mut line = [0u8; 64];
     for r in races {
@@ -890,7 +891,9 @@ fn write_u32(buf: &mut [u8], v: u32) -> usize {
     n
 }
 
-fn parse_race(value: &str) -> Result<RaceCoord, String> {
+/// Parses the value of one `race=` line: five decimal fields separated by
+/// single spaces. The journal's record decoder shares it.
+pub(crate) fn parse_race(value: &str) -> Result<RaceCoord, String> {
     // A hand-rolled byte scanner: race lines dominate decode time on
     // heavily racy programs, where `split` + `str::parse` per field (and
     // especially a `Vec` of the fields) costs more than the parse itself.

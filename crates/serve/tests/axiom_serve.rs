@@ -19,7 +19,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use litmus::corpus;
+use litmus::corpus::{self, iriw_fan, mp_fan};
 use litmus::explore::{explore_dpor, ExploreConfig};
 use litmus::Program;
 use wo_axiom::{decide_drf0, AxiomConfig, AxiomVerdict};
@@ -27,9 +27,6 @@ use wo_serve::canon;
 use wo_serve::client::{BatchClient, ClientConfig, ServeClient};
 use wo_serve::protocol::{CacheStatus, Engine, QueryKind, Request, Response, Verdict};
 use wo_serve::server::{Server, ServerConfig, ServerHandle};
-
-mod common;
-use common::{iriw_fan, mp_fan};
 
 /// The explore budget every server in this file runs — mirrored on the
 /// test side so the engines run standalone see exactly what the daemon's

@@ -13,7 +13,7 @@
 //! usually decide), one explorer execution (only the relational engine
 //! can decide), and 3 steps (neither decides).
 
-use litmus::corpus;
+use litmus::corpus::{self, iriw_fan, mp_fan};
 use litmus::explore::{explore_dpor, explore_results, ExploreConfig};
 use litmus::parse::parse_litmus_dir;
 use litmus::Program;
@@ -23,9 +23,6 @@ use wo_serve::cache::{CachedAnswer, KindGroup};
 use wo_serve::canon::{canonicalize, random_renaming};
 use wo_serve::compute_answer;
 use wo_serve::protocol::{Engine, RaceCoord};
-
-mod common;
-use common::{iriw_fan, mp_fan};
 
 fn programs() -> Vec<(String, Program)> {
     let mut out: Vec<(String, Program)> = corpus::drf0_suite()
