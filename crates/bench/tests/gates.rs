@@ -69,6 +69,17 @@ fn serve_bench_fails_its_hot_path_floor() {
 }
 
 #[test]
+fn trace_bench_fails_its_throughput_floor() {
+    let (status, report) = run(
+        env!("CARGO_BIN_EXE_trace_bench"),
+        "trace",
+        &["--events", "20000", "--min-cold-eps", "1e12"],
+    );
+    assert_eq!(status, Some(1), "{report}");
+    assert_failed(&report, "cold.events_per_sec");
+}
+
+#[test]
 fn usage_errors_exit_2() {
     for args in [&["--renames"][..], &["--bogus"], &["--min-hot-qps", "fast"]] {
         let run = Command::new(env!("CARGO_BIN_EXE_serve_bench"))

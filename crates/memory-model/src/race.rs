@@ -32,9 +32,20 @@ type Access = (u32, OpId);
 /// never shadowed by a later synchronization access: only sync-sync pairs
 /// on a location are exempt from racing, and collapsing the classes would
 /// hide data accesses behind that exemption. Per class there is one slot
-/// per processor — `4 × procs` slots in a flat boxed array, so a location
-/// costs a fixed [`LocationState::approx_bytes`] regardless of how many
-/// events touch it.
+/// per processor, `4 × procs` slots in all, laid out epoch-first
+/// (FastTrack's layout, Flanagan & Freund, PLDI 2009):
+///
+/// * `epochs` holds each slot's epoch, the accessing processor's clock
+///   component *plus one*, so a recorded epoch is at least 1 and **epoch 0
+///   means "no access"**. The race check scans only this array, and an
+///   empty slot can never be later than any clock entry, so it needs no
+///   test of its own.
+/// * `ids` holds each slot's operation id. It is read only to record an
+///   access or to report a race, and is meaningless where the epoch is 0.
+///
+/// A location costs a fixed [`LocationState::approx_bytes`] regardless of
+/// how many events touch it. The exploring detector's per-location digest
+/// is kept by [`RaceDetector`], its only reader, not here.
 ///
 /// # Examples
 ///
@@ -52,22 +63,18 @@ type Access = (u32, OpId);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LocationState {
-    procs: usize,
-    /// `slots[class * procs + q]` = `P_q`'s last access of this location
-    /// in `class` (see the `*_CLASS` constants).
-    slots: Box<[Option<Access>]>,
-    /// XOR of one hash contribution per occupied slot, maintained
-    /// incrementally through [`LocationState::observe`] /
-    /// [`LocationState::undo`] — the undo-coupled hashing hook explorers
-    /// use to fold detector state into an O(1) state digest. Empty
-    /// history ⇒ 0.
-    digest: u64,
+    /// `epochs[class * procs + q]` = the epoch of `P_q`'s last access of
+    /// this location in `class` (see the `*_CLASS` constants), 0 for none.
+    epochs: Box<[u32]>,
+    /// `ids[slot]` = the operation recorded at `epochs[slot]`.
+    ids: Box<[OpId]>,
 }
 
 const READ_DATA_CLASS: usize = 0;
 const READ_SYNC_CLASS: usize = 1;
 const WRITE_DATA_CLASS: usize = 2;
 const WRITE_SYNC_CLASS: usize = 3;
+const CLASSES: usize = 4;
 
 /// The digest contribution of one occupied slot.
 fn slot_contrib(slot: usize, access: Access) -> u64 {
@@ -77,13 +84,23 @@ fn slot_contrib(slot: usize, access: Access) -> u64 {
 
 use crate::vc::mix;
 
-/// A record reversing one [`LocationState::observe`] call (at most two
-/// displaced slots).
+/// A record reversing one [`LocationState::observe`] call: the (at most
+/// two) slots it overwrote, each with its previous epoch and id.
 #[derive(Debug)]
 pub struct LocationUndo {
-    read: Option<(usize, Option<Access>)>,
-    write: Option<(usize, Option<Access>)>,
-    prev_digest: u64,
+    read: Option<(usize, u32, OpId)>,
+    write: Option<(usize, u32, OpId)>,
+}
+
+impl LocationUndo {
+    /// The overwritten slots, each with the access it held before
+    /// (`None` for an empty slot).
+    fn displaced(&self) -> impl Iterator<Item = (usize, Option<Access>)> + '_ {
+        self.read
+            .iter()
+            .chain(&self.write)
+            .map(|&(slot, at, id)| (slot, (at != 0).then_some((at, id))))
+    }
 }
 
 impl LocationState {
@@ -91,27 +108,28 @@ impl LocationState {
     #[must_use]
     pub fn new(procs: usize) -> Self {
         LocationState {
-            procs,
-            slots: vec![None; 4 * procs].into_boxed_slice(),
-            digest: 0,
+            epochs: vec![0; CLASSES * procs].into_boxed_slice(),
+            ids: vec![OpId::default(); CLASSES * procs].into_boxed_slice(),
         }
     }
 
-    /// The incrementally maintained slot digest (0 for an empty history).
-    #[must_use]
-    pub fn digest(&self) -> u64 {
-        self.digest
+    fn procs(&self) -> usize {
+        self.epochs.len() / CLASSES
     }
 
-    /// Recomputes the digest from the slots alone — the independent oracle
-    /// the digest-maintenance tests compare [`LocationState::digest`]
-    /// against.
+    /// The access recorded in `slot`, if any.
+    fn slot(&self, slot: usize) -> Option<Access> {
+        let at = self.epochs[slot];
+        (at != 0).then(|| (at, self.ids[slot]))
+    }
+
+    /// The XOR of one contribution per occupied slot (0 for an empty
+    /// history), computed from the slots alone — the independent oracle
+    /// for the digest [`RaceDetector`] keeps per location.
     #[must_use]
     pub fn digest_from_scratch(&self) -> u64 {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|a| slot_contrib(i, a)))
+        (0..self.epochs.len())
+            .filter_map(|i| self.slot(i).map(|a| slot_contrib(i, a)))
             .fold(0, |acc, c| acc ^ c)
     }
 
@@ -119,7 +137,8 @@ impl LocationState {
     /// what a bounded-memory consumer charges per tracked location.
     #[must_use]
     pub fn approx_bytes(procs: usize) -> usize {
-        std::mem::size_of::<Self>() + 4 * procs * std::mem::size_of::<Option<Access>>()
+        std::mem::size_of::<Self>()
+            + CLASSES * procs * (std::mem::size_of::<u32>() + std::mem::size_of::<OpId>())
     }
 
     /// Race-checks and records one operation on this location.
@@ -143,22 +162,23 @@ impl LocationState {
         clock: &[u32],
         out: &mut Vec<Race>,
     ) -> LocationUndo {
-        let procs = self.procs;
+        let procs = self.procs();
         assert!(p < procs, "processor index {p} out of range");
         assert!(clock.len() >= procs, "clock narrower than the processor count");
+        let clock = &clock[..procs];
         let start = out.len();
         let cur_sync = op.kind.is_sync();
 
         let check = |class: usize, out: &mut Vec<Race>| {
-            let slots = &self.slots[class * procs..(class + 1) * procs];
-            for (q, slot) in slots.iter().enumerate() {
-                if q == p {
-                    continue;
-                }
-                if let Some((at, prev)) = slot {
-                    if *at > clock[q] {
-                        out.push(Race { first: *prev, second: op.id, loc: op.loc });
-                    }
+            let base = class * procs;
+            let epochs = &self.epochs[base..base + procs];
+            // Races are rare: one pass over the epochs clears the class.
+            if epochs.iter().zip(clock).all(|(&at, &c)| at <= c) {
+                return;
+            }
+            for (q, (&at, &c)) in epochs.iter().zip(clock).enumerate() {
+                if q != p && at > c {
+                    out.push(Race { first: self.ids[base + q], second: op.id, loc: op.loc });
                 }
             }
         };
@@ -193,42 +213,33 @@ impl LocationState {
 
         // Record this access with the epoch after the caller's tick.
         let stamp = clock[p] + 1;
-        let mut undo =
-            LocationUndo { read: None, write: None, prev_digest: self.digest };
+        let mut undo = LocationUndo { read: None, write: None };
         if op.kind.is_read() {
             let class = if cur_sync { READ_SYNC_CLASS } else { READ_DATA_CLASS };
-            let slot = class * procs + p;
-            undo.read = Some((slot, self.slots[slot]));
-            self.set_slot(slot, (stamp, op.id));
+            undo.read = Some(self.record(class * procs + p, stamp, op.id));
         }
         if op.kind.is_write() {
             let class = if cur_sync { WRITE_SYNC_CLASS } else { WRITE_DATA_CLASS };
-            let slot = class * procs + p;
-            undo.write = Some((slot, self.slots[slot]));
-            self.set_slot(slot, (stamp, op.id));
+            undo.write = Some(self.record(class * procs + p, stamp, op.id));
         }
         undo
     }
 
-    /// Overwrites one slot, keeping the XOR digest exact.
-    fn set_slot(&mut self, slot: usize, access: Access) {
-        if let Some(old) = self.slots[slot] {
-            self.digest ^= slot_contrib(slot, old);
-        }
-        self.digest ^= slot_contrib(slot, access);
-        self.slots[slot] = Some(access);
+    /// Overwrites one slot, returning it as it was.
+    fn record(&mut self, slot: usize, at: u32, id: OpId) -> (usize, u32, OpId) {
+        let prev = (slot, self.epochs[slot], self.ids[slot]);
+        self.epochs[slot] = at;
+        self.ids[slot] = id;
+        prev
     }
 
     /// Reverses the [`LocationState::observe`] call that produced `undo`
     /// (LIFO order, like every undo log in this workspace).
     pub fn undo(&mut self, undo: LocationUndo) {
-        if let Some((slot, prev)) = undo.read {
-            self.slots[slot] = prev;
+        for (slot, at, id) in undo.read.into_iter().chain(undo.write) {
+            self.epochs[slot] = at;
+            self.ids[slot] = id;
         }
-        if let Some((slot, prev)) = undo.write {
-            self.slots[slot] = prev;
-        }
-        self.digest = undo.prev_digest;
     }
 }
 
@@ -241,6 +252,8 @@ pub struct ObserveUndo {
     prev_clock: VectorClock,
     /// Displaced history slots of the accessed location.
     loc_undo: LocationUndo,
+    /// The accessed location's history digest before the observation.
+    prev_hist_digest: u64,
     /// `Some(displaced)` when the operation released (published a clock).
     prev_sync_clock: Option<Option<VectorClock>>,
     races_len: usize,
@@ -264,6 +277,10 @@ fn sync_contrib(loc: Loc, clock: &VectorClock) -> u64 {
 /// Empty histories contribute 0, so a `history` entry created and then
 /// rolled back to empty is indistinguishable from one never created —
 /// undo leaves the empty shell in the map.
+///
+/// `digest` is the location's history digest: the XOR of
+/// [`slot_contrib`] over its occupied slots, kept next to the history in
+/// [`RaceDetector`] and equal to [`LocationState::digest_from_scratch`].
 fn hist_contrib(loc: Loc, digest: u64) -> u64 {
     if digest == 0 {
         0
@@ -294,13 +311,17 @@ fn hist_contrib(loc: Loc, digest: u64) -> u64 {
 pub struct RaceDetector {
     proc_clock: Vec<VectorClock>,
     sync_clock: HashMap<Loc, VectorClock>,
-    history: HashMap<Loc, LocationState>,
+    /// Each touched location's history, next to its history digest
+    /// (see [`hist_contrib`]). The detector is the digest's only reader,
+    /// so it keeps it, from the slots each observation displaces.
+    history: HashMap<Loc, (LocationState, u64)>,
     races: Vec<Race>,
     mode: SyncMode,
     /// Incrementally maintained XOR-digest of the detector state:
     /// `⊕ proc_contrib(p, clock[p]) ⊕ sync_contrib(loc, published)
-    /// ⊕ hist_contrib(loc, history-digest)` over all processors, published
-    /// sync clocks, and non-empty location histories. Kept in lock-step by
+    /// ⊕ hist_contrib(loc, history digest)` over all processors, published
+    /// sync clocks, and non-empty location histories (each history digest
+    /// is the one kept next to it in `history`). Kept in lock-step by
     /// [`RaceDetector::observe_undoable`] / [`RaceDetector::undo`] so
     /// explorers can fold detector state into a visited-set key in O(1)
     /// extra work per transition.
@@ -382,14 +403,19 @@ impl RaceDetector {
             }
         }
 
-        let hist =
-            self.history.entry(op.loc).or_insert_with(|| LocationState::new(procs));
-        let hist_before = hist.digest();
+        let (hist, hist_digest) =
+            self.history.entry(op.loc).or_insert_with(|| (LocationState::new(procs), 0));
+        let prev_hist_digest = *hist_digest;
         let loc_undo =
             hist.observe(op, p, self.proc_clock[p].as_slice(), &mut self.races);
-        let hist_after = hist.digest();
+        for (slot, prev) in loc_undo.displaced() {
+            if let Some(prev) = prev {
+                *hist_digest ^= slot_contrib(slot, prev);
+            }
+            *hist_digest ^= slot_contrib(slot, hist.slot(slot).expect("observe filled the slot"));
+        }
         self.digest ^=
-            hist_contrib(op.loc, hist_before) ^ hist_contrib(op.loc, hist_after);
+            hist_contrib(op.loc, prev_hist_digest) ^ hist_contrib(op.loc, *hist_digest);
 
         self.proc_clock[p].tick(p);
         self.digest ^= proc_contrib(p, &self.proc_clock[p]);
@@ -410,6 +436,7 @@ impl RaceDetector {
             loc: op.loc,
             prev_clock,
             loc_undo,
+            prev_hist_digest,
             prev_sync_clock,
             races_len,
             prev_digest,
@@ -431,10 +458,12 @@ impl RaceDetector {
                 }
             }
         }
-        self.history
+        let (hist, hist_digest) = self
+            .history
             .get_mut(&undo.loc)
-            .expect("observation touched this location's history")
-            .undo(undo.loc_undo);
+            .expect("observation touched this location's history");
+        hist.undo(undo.loc_undo);
+        *hist_digest = undo.prev_hist_digest;
         self.digest = undo.prev_digest;
     }
 
@@ -464,7 +493,7 @@ impl RaceDetector {
         for (loc, vc) in &self.sync_clock {
             d ^= sync_contrib(*loc, vc);
         }
-        for (loc, hist) in &self.history {
+        for (loc, (hist, _)) in &self.history {
             // Empty histories contribute 0 by construction, so entries left
             // behind by undo (created, then rolled back to empty) cancel.
             d ^= hist_contrib(*loc, hist.digest_from_scratch());
@@ -825,10 +854,83 @@ mod tests {
     #[test]
     fn location_state_digest_is_maintained_incrementally() {
         let mut det = RaceDetector::new(2);
-        for op in [w(0, 0, 0), r(1, 1, 0), w(2, 1, 0), r(3, 0, 0)] {
-            det.observe(&op);
-            let hist = &det.history[&Loc(0)];
-            assert_eq!(hist.digest(), hist.digest_from_scratch());
+        let mut undos = Vec::new();
+        let rmw = Operation::sync_rmw(OpId(4), ProcId(0), Loc(0), 0, 1);
+        // The last two overwrite occupied slots (P0's data write, P1's
+        // data read), so each must take the displaced access out.
+        for op in [w(0, 0, 0), r(1, 1, 0), w(2, 1, 0), r(3, 0, 0), rmw, w(5, 0, 0), r(6, 1, 0)] {
+            undos.push(det.observe_undoable(&op));
+            let (hist, digest) = &det.history[&Loc(0)];
+            assert_eq!(*digest, hist.digest_from_scratch(), "after {op:?}");
         }
+        while let Some(undo) = undos.pop() {
+            det.undo(undo);
+            let (hist, digest) = &det.history[&Loc(0)];
+            assert_eq!(*digest, hist.digest_from_scratch());
+        }
+        assert_eq!(det.history[&Loc(0)].1, 0, "undone to empty");
+    }
+
+    #[test]
+    fn empty_slots_never_race_whatever_the_clock() {
+        let ops = [
+            w(0, 0, 0),
+            r(0, 0, 0),
+            s(0, 0, 0),
+            sr(0, 0, 0),
+            Operation::sync_rmw(OpId(0), ProcId(0), Loc(0), 0, 1),
+        ];
+        for op in ops {
+            for clock in [[0, 0, 0], [7, 0, 3], [u32::MAX - 1; 3]] {
+                let mut races = Vec::new();
+                // Only P0's own slots are ever filled: every other slot
+                // stays at epoch 0.
+                let mut loc = LocationState::new(3);
+                loc.observe(&op, 0, &[0, 0, 0], &mut races);
+                loc.observe(&op, 0, &clock, &mut races);
+                assert!(races.is_empty(), "{op:?} at {clock:?}");
+                // A fresh history holds nothing to race with.
+                let mut fresh = LocationState::new(3);
+                fresh.observe(&Operation { proc: ProcId(2), ..op }, 2, &clock, &mut races);
+                assert!(races.is_empty(), "{op:?} at {clock:?} on a fresh history");
+            }
+        }
+    }
+
+    #[test]
+    fn undo_back_to_empty_slots_leaves_a_zero_digest() {
+        let mut loc = LocationState::new(2);
+        let mut races = Vec::new();
+        let rmw = Operation::sync_rmw(OpId(2), ProcId(1), Loc(0), 0, 1);
+        let mut undos = vec![
+            loc.observe(&w(0, 0, 0), 0, &[0, 0], &mut races),
+            loc.observe(&r(1, 0, 0), 0, &[1, 0], &mut races),
+            loc.observe(&rmw, 1, &[2, 0], &mut races),
+            loc.observe(&w(3, 0, 0), 0, &[2, 0], &mut races),
+        ];
+        assert_ne!(loc.digest_from_scratch(), 0);
+        while let Some(undo) = undos.pop() {
+            loc.undo(undo);
+        }
+        assert_eq!(loc.digest_from_scratch(), 0);
+        assert!(loc.epochs.iter().all(|&at| at == 0), "every slot is empty again");
+    }
+
+    #[test]
+    fn approx_bytes_matches_the_layout() {
+        for procs in [1, 2, 8, 32] {
+            let loc = LocationState::new(procs);
+            let heap = std::mem::size_of_val(&*loc.epochs) + std::mem::size_of_val(&*loc.ids);
+            assert_eq!(
+                LocationState::approx_bytes(procs),
+                std::mem::size_of::<LocationState>() + heap,
+                "procs={procs}"
+            );
+            assert_eq!(loc.epochs.len(), 4 * procs);
+            assert_eq!(loc.ids.len(), 4 * procs);
+        }
+        // Two boxed slices, then 4 × 8 epochs of 4 bytes and ids of 8.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(LocationState::approx_bytes(8), 32 + 128 + 256);
     }
 }

@@ -28,7 +28,7 @@
 //! [`TraceError::Corrupt`] — never a panic, mirroring the journal
 //! discipline in `wo-serve`.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -693,6 +693,9 @@ pub enum TraceItem {
 /// until it returns `Ok(None)` (clean end of file). Every checksum is
 /// verified before a block is decoded; malformed input yields a
 /// [`TraceError`], never a panic.
+///
+/// One payload buffer and one decoded-record buffer serve every block, so
+/// a long stream allocates only while a block is larger than any before.
 #[derive(Debug)]
 pub struct TraceReader<R: Read> {
     r: R,
@@ -700,7 +703,12 @@ pub struct TraceReader<R: Read> {
     in_segment: bool,
     has_times: bool,
     seg_events: u64,
-    pending: VecDeque<OpRecord>,
+    /// The current block's payload bytes.
+    payload: Vec<u8>,
+    /// The current events block, decoded; `records[next..]` are not yet
+    /// returned.
+    records: Vec<OpRecord>,
+    next: usize,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -727,7 +735,9 @@ impl<R: Read> TraceReader<R> {
             in_segment: false,
             has_times: false,
             seg_events: 0,
-            pending: VecDeque::new(),
+            payload: Vec::new(),
+            records: Vec::new(),
+            next: 0,
         })
     }
 
@@ -738,9 +748,18 @@ impl<R: Read> TraceReader<R> {
     /// Any [`TraceError`]: torn tails are [`TraceError::Truncated`],
     /// checksum or structural failures [`TraceError::Corrupt`].
     pub fn next_item(&mut self) -> Result<Option<TraceItem>, TraceError> {
-        if let Some(rec) = self.pending.pop_front() {
+        if let Some(&rec) = self.records.get(self.next) {
+            self.next += 1;
             return Ok(Some(TraceItem::Record(rec)));
         }
+        self.next_block()
+    }
+
+    /// Reads, verifies and decodes the next block, returning its first
+    /// item. Kept out of [`TraceReader::next_item`], which most calls
+    /// leave from its first lines.
+    #[inline(never)]
+    fn next_block(&mut self) -> Result<Option<TraceItem>, TraceError> {
         let block_offset = self.offset;
         let mut tag = [0u8; 1];
         match self.r.read(&mut tag) {
@@ -752,7 +771,7 @@ impl<R: Read> TraceReader<R> {
                 };
             }
             Ok(_) => self.offset += 1,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => return self.next_item(),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return self.next_block(),
             Err(e) => return Err(TraceError::Io(e)),
         }
         let mut len_bytes = [0u8; 4];
@@ -765,78 +784,72 @@ impl<R: Read> TraceReader<R> {
                 detail: format!("block length {len} exceeds the {MAX_BLOCK_LEN} cap"),
             });
         }
-        let mut payload = vec![0u8; len as usize];
-        read_exact_at(&mut self.r, &mut payload, block_offset)?;
-        self.offset += u64::from(len);
+        // Grow-only: `read_exact` overwrites all `len` bytes, so only a
+        // block larger than any before costs an allocation.
+        let len = len as usize;
+        if self.payload.len() < len {
+            self.payload.resize(len, 0);
+        }
+        read_exact_at(&mut self.r, &mut self.payload[..len], block_offset)?;
+        self.offset += len as u64;
         let mut crc_bytes = [0u8; 8];
         read_exact_at(&mut self.r, &mut crc_bytes, block_offset)?;
         self.offset += 8;
-        if fnv1a64(&[&tag, &len_bytes, &payload]) != u64::from_le_bytes(crc_bytes) {
-            return Err(TraceError::Corrupt {
-                offset: block_offset,
-                detail: "checksum mismatch".into(),
-            });
+        let payload = &self.payload[..len];
+        if fnv1a64(&[&tag, &len_bytes, payload]) != u64::from_le_bytes(crc_bytes) {
+            return Err(corrupt(block_offset, "checksum mismatch"));
         }
-        self.decode_block(tag[0], &payload, block_offset).map(Some)
-    }
-
-    fn corrupt(&self, offset: u64, detail: impl Into<String>) -> TraceError {
-        TraceError::Corrupt { offset, detail: detail.into() }
-    }
-
-    fn decode_block(
-        &mut self,
-        tag: u8,
-        payload: &[u8],
-        offset: u64,
-    ) -> Result<TraceItem, TraceError> {
-        let mut cur = Cursor { bytes: payload, pos: 0 };
-        match tag {
+        let mut cur = Cursor { bytes: payload, pos: 0, offset: block_offset };
+        match tag[0] {
             TAG_SEGMENT_START => {
                 if self.in_segment {
-                    return Err(self.corrupt(offset, "segment start inside a segment"));
+                    return Err(corrupt(block_offset, "segment start inside a segment"));
                 }
-                let procs = cur.u16(self, offset)?;
-                let has_times = cur.u8(self, offset)? != 0;
-                let _reserved = cur.u8(self, offset)?;
-                let label_len = cur.u16(self, offset)? as usize;
-                let label_bytes = cur.take(label_len, self, offset)?;
+                let procs = cur.u16()?;
+                let has_times = cur.u8()? != 0;
+                let _reserved = cur.u8()?;
+                let label_len = cur.u16()? as usize;
+                let label_bytes = cur.take(label_len)?;
                 let label = String::from_utf8(label_bytes.to_vec())
-                    .map_err(|_| self.corrupt(offset, "segment label is not utf-8"))?;
-                cur.expect_end(self, offset)?;
+                    .map_err(|_| corrupt(block_offset, "segment label is not utf-8"))?;
+                cur.expect_end()?;
                 self.in_segment = true;
                 self.has_times = has_times;
                 self.seg_events = 0;
-                Ok(TraceItem::SegmentStart { procs, has_times, label })
+                Ok(Some(TraceItem::SegmentStart { procs, has_times, label }))
             }
             TAG_EVENTS => {
                 if !self.in_segment {
-                    return Err(self.corrupt(offset, "events block outside a segment"));
+                    return Err(corrupt(block_offset, "events block outside a segment"));
                 }
-                let count = cur.u32(self, offset)?;
+                let count = cur.u32()?;
                 if count == 0 {
-                    return Err(self.corrupt(offset, "empty events block"));
+                    return Err(corrupt(block_offset, "empty events block"));
                 }
-                let has_times = self.has_times;
-                let mut records = VecDeque::with_capacity(count as usize);
-                for _ in 0..count {
-                    records.push_back(self.decode_event(&mut cur, has_times, offset)?);
+                // A block that fails to decode leaves nothing to return.
+                self.records.clear();
+                self.next = 0;
+                let decoded = (0..count).try_for_each(|_| {
+                    self.records.push(cur.event(self.has_times)?);
+                    Ok(())
+                });
+                if let Err(e) = decoded.and_then(|()| cur.expect_end()) {
+                    self.records.clear();
+                    return Err(e);
                 }
-                cur.expect_end(self, offset)?;
                 self.seg_events += u64::from(count);
-                self.pending = records;
-                let first = self.pending.pop_front().expect("count >= 1");
-                Ok(TraceItem::Record(first))
+                self.next = 1;
+                Ok(Some(TraceItem::Record(self.records[0])))
             }
             TAG_SEGMENT_END => {
                 if !self.in_segment {
-                    return Err(self.corrupt(offset, "segment end outside a segment"));
+                    return Err(corrupt(block_offset, "segment end outside a segment"));
                 }
-                let declared = cur.u64(self, offset)?;
-                cur.expect_end(self, offset)?;
+                let declared = cur.u64()?;
+                cur.expect_end()?;
                 if declared != self.seg_events {
-                    return Err(self.corrupt(
-                        offset,
+                    return Err(corrupt(
+                        block_offset,
                         format!(
                             "segment declared {declared} events but carried {}",
                             self.seg_events
@@ -844,58 +857,31 @@ impl<R: Read> TraceReader<R> {
                     ));
                 }
                 self.in_segment = false;
-                Ok(TraceItem::SegmentEnd { events: declared })
+                Ok(Some(TraceItem::SegmentEnd { events: declared }))
             }
-            other => Err(self.corrupt(offset, format!("unknown block tag {other}"))),
+            other => Err(corrupt(block_offset, format!("unknown block tag {other}"))),
         }
-    }
-
-    fn decode_event(
-        &self,
-        cur: &mut Cursor<'_>,
-        has_times: bool,
-        offset: u64,
-    ) -> Result<OpRecord, TraceError> {
-        let kind_byte = cur.u8(self, offset)?;
-        let kind = kind_of(kind_byte & KIND_MASK)
-            .ok_or_else(|| self.corrupt(offset, format!("unknown op kind {kind_byte:#x}")))?;
-        let has_read = kind_byte & HAS_READ_BIT != 0;
-        let has_write = kind_byte & HAS_WRITE_BIT != 0;
-        if (has_read && !kind.is_read()) || (has_write && !kind.is_write()) {
-            return Err(self.corrupt(offset, "value-presence bits contradict the op kind"));
-        }
-        let proc = ProcId(cur.u16(self, offset)?);
-        let loc = Loc(cur.u32(self, offset)?);
-        let id = OpId(cur.u64(self, offset)?);
-        let read_value = if has_read { Some(cur.u64(self, offset)?) } else { None };
-        let write_value = if has_write { Some(cur.u64(self, offset)?) } else { None };
-        let (issue, commit, gp) = if has_times {
-            (cur.u64(self, offset)?, cur.u64(self, offset)?, cur.u64(self, offset)?)
-        } else {
-            (0, 0, 0)
-        };
-        Ok(OpRecord {
-            op: Operation { id, proc, kind, loc, read_value, write_value },
-            issue: SimTime(issue),
-            commit: SimTime(commit),
-            globally_performed: SimTime(gp),
-        })
     }
 }
 
-/// A bounds-checked little-endian cursor over one block payload.
+fn corrupt(offset: u64, detail: impl Into<String>) -> TraceError {
+    TraceError::Corrupt { offset, detail: detail.into() }
+}
+
+/// A bounds-checked little-endian cursor over one block payload; every
+/// error names the block's `offset`. Its methods run once per field of
+/// every event; they are `#[inline]` so they can inline into the
+/// reader's block decode, which is generic and so compiled in the
+/// caller's crate.
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    offset: u64,
 }
 
 impl<'a> Cursor<'a> {
-    fn take<R: Read>(
-        &mut self,
-        n: usize,
-        reader: &TraceReader<R>,
-        offset: u64,
-    ) -> Result<&'a [u8], TraceError> {
+    #[inline]
+    fn take(&mut self, n: usize) -> Result<&'a [u8], TraceError> {
         let end = self.pos.checked_add(n).filter(|&e| e <= self.bytes.len());
         match end {
             Some(end) => {
@@ -903,35 +889,66 @@ impl<'a> Cursor<'a> {
                 self.pos = end;
                 Ok(s)
             }
-            None => Err(reader.corrupt(offset, "block payload shorter than its contents")),
+            None => Err(corrupt(self.offset, "block payload shorter than its contents")),
         }
     }
 
-    fn u8<R: Read>(&mut self, r: &TraceReader<R>, o: u64) -> Result<u8, TraceError> {
-        Ok(self.take(1, r, o)?[0])
+    #[inline]
+    fn u8(&mut self) -> Result<u8, TraceError> {
+        Ok(self.take(1)?[0])
     }
 
-    fn u16<R: Read>(&mut self, r: &TraceReader<R>, o: u64) -> Result<u16, TraceError> {
-        let b = self.take(2, r, o)?;
+    #[inline]
+    fn u16(&mut self) -> Result<u16, TraceError> {
+        let b = self.take(2)?;
         Ok(u16::from_le_bytes([b[0], b[1]]))
     }
 
-    fn u32<R: Read>(&mut self, r: &TraceReader<R>, o: u64) -> Result<u32, TraceError> {
-        let b = self.take(4, r, o)?;
+    #[inline]
+    fn u32(&mut self) -> Result<u32, TraceError> {
+        let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn u64<R: Read>(&mut self, r: &TraceReader<R>, o: u64) -> Result<u64, TraceError> {
-        let b = self.take(8, r, o)?;
+    #[inline]
+    fn u64(&mut self) -> Result<u64, TraceError> {
+        let b = self.take(8)?;
         Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
     }
 
-    fn expect_end<R: Read>(&self, r: &TraceReader<R>, o: u64) -> Result<(), TraceError> {
+    #[inline]
+    fn expect_end(&self) -> Result<(), TraceError> {
         if self.pos == self.bytes.len() {
             Ok(())
         } else {
-            Err(r.corrupt(o, "trailing bytes in block payload"))
+            Err(corrupt(self.offset, "trailing bytes in block payload"))
         }
+    }
+
+    /// Decodes one event of a segment with or without event times.
+    #[inline]
+    fn event(&mut self, has_times: bool) -> Result<OpRecord, TraceError> {
+        let kind_byte = self.u8()?;
+        let kind = kind_of(kind_byte & KIND_MASK)
+            .ok_or_else(|| corrupt(self.offset, format!("unknown op kind {kind_byte:#x}")))?;
+        let has_read = kind_byte & HAS_READ_BIT != 0;
+        let has_write = kind_byte & HAS_WRITE_BIT != 0;
+        if (has_read && !kind.is_read()) || (has_write && !kind.is_write()) {
+            return Err(corrupt(self.offset, "value-presence bits contradict the op kind"));
+        }
+        let proc = ProcId(self.u16()?);
+        let loc = Loc(self.u32()?);
+        let id = OpId(self.u64()?);
+        let read_value = if has_read { Some(self.u64()?) } else { None };
+        let write_value = if has_write { Some(self.u64()?) } else { None };
+        let (issue, commit, gp) =
+            if has_times { (self.u64()?, self.u64()?, self.u64()?) } else { (0, 0, 0) };
+        Ok(OpRecord {
+            op: Operation { id, proc, kind, loc, read_value, write_value },
+            issue: SimTime(issue),
+            commit: SimTime(commit),
+            globally_performed: SimTime(gp),
+        })
     }
 }
 
@@ -1235,6 +1252,167 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    /// `n` timestamped records spread over three processors and a few
+    /// kinds, so reads and writes carry their value fields.
+    fn timed_records(n: u64, salt: u64) -> Vec<OpRecord> {
+        (0..n)
+            .map(|i| {
+                let (proc, loc) = (ProcId((i % 3) as u16), Loc((i % 11) as u32));
+                let id = OpId(i ^ salt);
+                let op = match i % 4 {
+                    0 => Operation::data_read(id, proc, loc, i),
+                    1 => Operation::sync_rmw(id, proc, loc, i, i + 1),
+                    _ => Operation::data_write(id, proc, loc, i),
+                };
+                OpRecord {
+                    op,
+                    issue: SimTime(3 * i + salt),
+                    commit: SimTime(3 * i + salt + 1),
+                    globally_performed: SimTime(3 * i + salt + 2),
+                }
+            })
+            .collect()
+    }
+
+    fn write_segment(w: &mut TraceWriter<Vec<u8>>, label: &str, has_times: bool, recs: &[OpRecord]) {
+        w.begin_segment(3, has_times, label).unwrap();
+        for rec in recs {
+            w.write_record(rec).unwrap();
+        }
+        w.end_segment().unwrap();
+    }
+
+    /// Every record the reader returns, until its first error.
+    fn read_records(bytes: &[u8]) -> (Vec<OpRecord>, Result<(), TraceError>) {
+        let mut reader = TraceReader::new(bytes).unwrap();
+        let mut records = Vec::new();
+        loop {
+            match reader.next_item() {
+                Ok(Some(TraceItem::Record(rec))) => records.push(rec),
+                Ok(Some(_)) => {}
+                Ok(None) => return (records, Ok(())),
+                Err(e) => return (records, Err(e)),
+            }
+        }
+    }
+
+    #[test]
+    fn blocks_share_the_readers_buffers_and_roundtrip_record_for_record() {
+        // Three full events blocks and a short fourth.
+        let n = 3 * u64::from(EVENTS_PER_BLOCK) + 17;
+        let recs = timed_records(n, 0);
+        let mut w = TraceWriter::new(Vec::new()).unwrap();
+        write_segment(&mut w, "blocks", true, &recs);
+        let bytes = w.finish().unwrap();
+
+        let mut reader = TraceReader::new(&bytes[..]).unwrap();
+        assert!(matches!(reader.next_item().unwrap(), Some(TraceItem::SegmentStart { .. })));
+        let mut buffers = None;
+        for (i, want) in recs.iter().enumerate() {
+            match reader.next_item().unwrap() {
+                Some(TraceItem::Record(got)) => assert_eq!(&got, want, "record {i}"),
+                other => panic!("record {i}: got {other:?}"),
+            }
+            // After the first block, no block allocates again.
+            let now = (reader.payload.as_ptr(), reader.records.as_ptr());
+            if i == 0 {
+                buffers = Some(now);
+            }
+            assert_eq!(Some(now), buffers, "record {i}: a block reallocated a buffer");
+        }
+        assert_eq!(reader.next_item().unwrap(), Some(TraceItem::SegmentEnd { events: n }));
+        assert_eq!(reader.next_item().unwrap(), None);
+    }
+
+    #[test]
+    fn corrupt_second_block_fails_at_its_offset_after_the_first_blocks_records() {
+        let recs = timed_records(2 * u64::from(EVENTS_PER_BLOCK), 5);
+        let mut w = TraceWriter::new(Vec::new()).unwrap();
+        write_segment(&mut w, "flip", true, &recs);
+        let mut bytes = w.finish().unwrap();
+        // Header, segment start, then the first events block.
+        let block_len = |at: usize| {
+            let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap());
+            1 + 4 + len as usize + 8
+        };
+        let first_events = 12 + block_len(12);
+        let second_events = first_events + block_len(first_events);
+        bytes[second_events + 5 + 100] ^= 0x04;
+
+        let (records, end) = read_records(&bytes);
+        assert_eq!(records, recs[..EVENTS_PER_BLOCK as usize], "the first block's records");
+        match end {
+            Err(TraceError::Corrupt { offset, detail }) => {
+                assert_eq!(offset, second_events as u64);
+                assert_eq!(detail, "checksum mismatch");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_block_that_fails_to_decode_returns_none_of_its_records() {
+        let ops = [
+            Operation::data_write(OpId(0), ProcId(0), Loc(0), 1),
+            Operation::data_write(OpId(1), ProcId(1), Loc(0), 2),
+        ];
+        let mut w = TraceWriter::new(Vec::new()).unwrap();
+        w.write_execution("bad kind", 2, &ops).unwrap();
+        let mut bytes = w.finish().unwrap();
+        // The events block follows the segment start; its payload is the
+        // count, then 23-byte data writes. Give the second write an
+        // unknown kind and re-seal the checksum, so only decoding fails.
+        let start_len = u32::from_le_bytes(bytes[13..17].try_into().unwrap()) as usize;
+        let block = 12 + 1 + 4 + start_len + 8;
+        let len = u32::from_le_bytes(bytes[block + 1..block + 5].try_into().unwrap()) as usize;
+        bytes[block + 5 + 4 + 23] = 7;
+        let crc = fnv1a64(&[&bytes[block..block + 5 + len]]);
+        bytes[block + 5 + len..block + 5 + len + 8].copy_from_slice(&crc.to_le_bytes());
+
+        let mut reader = TraceReader::new(&bytes[..]).unwrap();
+        assert!(matches!(reader.next_item(), Ok(Some(TraceItem::SegmentStart { .. }))));
+        match reader.next_item() {
+            Err(TraceError::Corrupt { offset, detail }) => {
+                assert_eq!(offset, block as u64);
+                assert!(detail.contains("unknown op kind"), "{detail}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // The first write decoded before the failure; it must not surface.
+        let after = reader.next_item();
+        assert!(!matches!(after, Ok(Some(TraceItem::Record(_)))), "{after:?}");
+    }
+
+    #[test]
+    fn back_to_back_segments_switch_event_times_on_and_off() {
+        let timed = timed_records(u64::from(EVENTS_PER_BLOCK) + 3, 7);
+        let bare: Vec<OpRecord> = timed_records(u64::from(EVENTS_PER_BLOCK) + 900, 9)
+            .into_iter()
+            .map(|r| OpRecord {
+                issue: SimTime(0),
+                commit: SimTime(0),
+                globally_performed: SimTime(0),
+                ..r
+            })
+            .collect();
+        let mut w = TraceWriter::new(Vec::new()).unwrap();
+        write_segment(&mut w, "timed", true, &timed);
+        write_segment(&mut w, "bare", false, &bare);
+        write_segment(&mut w, "timed again", true, &timed[..40]);
+        let segments = read_trace(&w.finish().unwrap()[..]).unwrap();
+        let shapes: Vec<(&str, bool, usize)> = segments
+            .iter()
+            .map(|s| (s.label.as_str(), s.has_times, s.records.len()))
+            .collect();
+        assert_eq!(
+            shapes,
+            [("timed", true, timed.len()), ("bare", false, bare.len()), ("timed again", true, 40)]
+        );
+        assert_eq!(segments[0].records, timed);
+        assert_eq!(segments[1].records, bare);
+        assert_eq!(segments[2].records, timed[..40]);
     }
 
     #[test]

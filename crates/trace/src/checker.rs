@@ -13,17 +13,24 @@
 //!    previous release on its location. This pass joins, snapshots each
 //!    event's post-acquire/pre-tick clock into a flat arena, ticks, and
 //!    publishes releases — O(procs) per event, no hashing of races.
-//!    It also decides **location admission** (see below) and buckets each
-//!    admitted event by its location's shard.
+//!    Each event costs **one** location lookup, in a map (std
+//!    `RandomState`: trace files are untrusted input) that holds all the
+//!    pass knows of a location: its published clock, if any, and its
+//!    **admission** (see below). On a location's first appearance the pass
+//!    admits it and hands it a `(shard, dense index)`: the shard by hash,
+//!    the index in first-appearance order within that shard. Each
+//!    admitted event is bucketed by shard together with that index.
 //!
-//! 2. **Parallel shard pass.** Locations are partitioned across shards by
-//!    hash; each shard race-checks its bucketed events in stream order
-//!    against its own [`LocationState`] map, on the same work-stealing
-//!    pool the memsim sweep engine uses ([`memsim::pool`]). Because every
-//!    event carries its phase-1 clock snapshot and two events on one
-//!    location always land in one shard in stream order, the union of
-//!    shard races equals the sequential detector's race set exactly —
-//!    at any shard or thread count.
+//! 2. **Parallel shard pass.** Each shard race-checks its bucketed events
+//!    in stream order against its own `Vec` of [`LocationState`]s, indexed
+//!    directly by the dense index from phase 1 — no second lookup. A
+//!    location's first event in a shard meets an index one past the end
+//!    and appends the location's history. The shards run on the same
+//!    work-stealing pool the memsim sweep engine uses ([`memsim::pool`]).
+//!    Because every event carries its phase-1 clock snapshot and two
+//!    events on one location always land in one shard in stream order,
+//!    the union of shard races equals the sequential detector's race set
+//!    exactly — at any shard or thread count.
 //!
 //! Races are merged at segment end, sorted by `(first, second, loc)` and
 //! deduplicated, so reports are **byte-identical** regardless of
@@ -245,17 +252,23 @@ impl TraceReport {
     }
 }
 
-/// Where events of one location go: a shard's history, or the floor.
+/// All the sequential pass keeps of one location, found by one lookup.
 #[derive(Clone, Copy)]
-enum Admission {
-    Tracked(u32),
-    Dropped,
+struct LocEntry {
+    /// Where the location's events are checked: its history is
+    /// `shards[shard].locations[index]`. `None` once the tracked-location
+    /// cap dropped it.
+    history: Option<(u32, u32)>,
+    /// The location's published clock in `sync_clocks`, once a release
+    /// published one.
+    published: Option<u32>,
 }
 
-/// One shard: the location histories it owns and the races it found.
+/// One shard: the location histories it owns, by dense index, and the
+/// races it found.
 #[derive(Default)]
 struct Shard {
-    locations: HashMap<Loc, LocationState>,
+    locations: Vec<LocationState>,
     races: Vec<Race>,
 }
 
@@ -282,13 +295,17 @@ pub struct StreamChecker {
     in_segment: bool,
     procs: usize,
     proc_clock: Vec<VectorClock>,
-    sync_clock: HashMap<Loc, VectorClock>,
-    admission: HashMap<Loc, Admission>,
+    locations: HashMap<Loc, LocEntry>,
+    /// Published clocks, by [`LocEntry::published`].
+    sync_clocks: Vec<VectorClock>,
     tracked: usize,
+    /// Locations admitted to each shard so far: the next dense index.
+    shard_len: Vec<u32>,
     shards: Vec<Mutex<Shard>>,
     batch_ops: Vec<Operation>,
     arena: Vec<u32>,
-    buckets: Vec<Vec<u32>>,
+    /// Per shard: `(event index in the batch, dense location index)`.
+    buckets: Vec<Vec<(u32, u32)>>,
     // --- cumulative accounting ------------------------------------------
     segments: u64,
     events: u64,
@@ -309,9 +326,14 @@ impl StreamChecker {
     /// Creates a checker; feed it segments via [`StreamChecker::begin_segment`].
     #[must_use]
     pub fn new(cfg: CheckerConfig) -> Self {
+        // Shard and location indexes and batch positions are kept as
+        // `u32`; no cap beyond that range could be reached in memory.
+        let most = u32::MAX as usize;
         let cfg = CheckerConfig {
-            shards: cfg.shards.max(1),
-            batch: cfg.batch.max(1),
+            shards: cfg.shards.clamp(1, most),
+            batch: cfg.batch.clamp(1, most),
+            max_tracked_locations: cfg.max_tracked_locations.min(most),
+            max_sync_locations: cfg.max_sync_locations.min(most),
             ..cfg
         };
         StreamChecker {
@@ -319,9 +341,10 @@ impl StreamChecker {
             in_segment: false,
             procs: 0,
             proc_clock: Vec::new(),
-            sync_clock: HashMap::new(),
-            admission: HashMap::new(),
+            locations: HashMap::new(),
+            sync_clocks: Vec::new(),
             tracked: 0,
+            shard_len: Vec::new(),
             shards: Vec::new(),
             batch_ops: Vec::new(),
             arena: Vec::new(),
@@ -356,9 +379,11 @@ impl StreamChecker {
         self.procs = procs;
         self.proc_clock.clear();
         self.proc_clock.resize(procs, VectorClock::new(procs));
-        self.sync_clock.clear();
-        self.admission.clear();
+        self.locations.clear();
+        self.sync_clocks.clear();
         self.tracked = 0;
+        self.shard_len.clear();
+        self.shard_len.resize(self.cfg.shards, 0);
         self.shards = (0..self.cfg.shards).map(|_| Mutex::new(Shard::default())).collect();
         self.batch_ops.clear();
         self.arena.clear();
@@ -474,12 +499,32 @@ impl StreamChecker {
         self.arena.clear();
         self.arena.reserve(self.batch_ops.len() * procs);
 
-        // Phase 1: sequential clock pass.
+        // Phase 1: sequential clock pass, one location lookup per event.
         for (i, op) in self.batch_ops.iter().enumerate() {
             let p = op.proc.index();
+            let entry = match self.locations.entry(op.loc) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    // Admission: global, first-appearance order —
+                    // independent of shard count, so degraded verdicts
+                    // stay deterministic.
+                    let history = if self.tracked < self.cfg.max_tracked_locations {
+                        self.tracked += 1;
+                        let hash = u64::from(op.loc.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        let shard = (hash >> 32) as usize % self.cfg.shards;
+                        let index = self.shard_len[shard];
+                        self.shard_len[shard] += 1;
+                        Some((shard as u32, index))
+                    } else {
+                        self.dropped_locations += 1;
+                        None
+                    };
+                    e.insert(LocEntry { history, published: None })
+                }
+            };
             if op.kind.is_sync() {
-                if let Some(sc) = self.sync_clock.get(&op.loc) {
-                    self.proc_clock[p].join(sc);
+                if let Some(c) = entry.published {
+                    self.proc_clock[p].join(&self.sync_clocks[c as usize]);
                 }
             }
             // Snapshot the post-acquire, pre-tick clock: exactly what the
@@ -487,37 +532,20 @@ impl StreamChecker {
             self.arena.extend_from_slice(self.proc_clock[p].as_slice());
             self.proc_clock[p].tick(p);
             if mode.releases(op.kind) {
-                // Publishing to an already-tracked location costs nothing
-                // new; only *new* sync locations are capped.
-                if let Some(slot) = self.sync_clock.get_mut(&op.loc) {
-                    slot.clone_from(&self.proc_clock[p]);
-                } else if self.sync_clock.len() < self.cfg.max_sync_locations {
-                    self.sync_clock.insert(op.loc, self.proc_clock[p].clone());
-                } else {
-                    self.sync_overflow = true;
+                // Publishing to an already-published location costs
+                // nothing new; only *new* sync locations are capped.
+                match entry.published {
+                    Some(c) => self.sync_clocks[c as usize].clone_from(&self.proc_clock[p]),
+                    None if self.sync_clocks.len() < self.cfg.max_sync_locations => {
+                        entry.published = Some(self.sync_clocks.len() as u32);
+                        self.sync_clocks.push(self.proc_clock[p].clone());
+                    }
+                    None => self.sync_overflow = true,
                 }
             }
-            // Admission: global, first-appearance order — independent of
-            // shard count, so degraded verdicts stay deterministic.
-            let slot = match self.admission.entry(op.loc) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    let slot = if self.tracked < self.cfg.max_tracked_locations {
-                        self.tracked += 1;
-                        let hash = u64::from(op.loc.0).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        Admission::Tracked(((hash >> 32) as usize % self.cfg.shards) as u32)
-                    } else {
-                        self.dropped_locations += 1;
-                        Admission::Dropped
-                    };
-                    *e.insert(slot)
-                }
-            };
-            match slot {
-                Admission::Tracked(shard) => {
-                    self.buckets[shard as usize].push(i as u32);
-                }
-                Admission::Dropped => self.dropped_events += 1,
+            match entry.history {
+                Some((shard, index)) => self.buckets[shard as usize].push((i as u32, index)),
+                None => self.dropped_events += 1,
             }
         }
 
@@ -534,14 +562,16 @@ impl StreamChecker {
                 |(), s| {
                     let mut shard = shards[s].lock().expect("no poisoned shard");
                     let Shard { locations, races } = &mut *shard;
-                    for &i in &buckets[s] {
-                        let i = i as usize;
+                    for &(i, index) in &buckets[s] {
+                        let (i, index) = (i as usize, index as usize);
                         let op = &ops[i];
                         let clock = &arena[i * procs..(i + 1) * procs];
-                        locations
-                            .entry(op.loc)
-                            .or_insert_with(|| LocationState::new(procs))
-                            .observe(op, op.proc.index(), clock, races);
+                        // Phase 1 hands out a shard's indexes in the order
+                        // this loop meets them: a new one is one past the end.
+                        if index == locations.len() {
+                            locations.push(LocationState::new(procs));
+                        }
+                        locations[index].observe(op, op.proc.index(), clock, races);
                     }
                 },
             );
@@ -554,10 +584,10 @@ impl StreamChecker {
 
         // High-water accounting, from *counts* so it is deterministic.
         self.tracked_hw = self.tracked_hw.max(self.tracked as u64);
-        self.sync_hw = self.sync_hw.max(self.sync_clock.len() as u64);
+        self.sync_hw = self.sync_hw.max(self.sync_clocks.len() as u64);
         let sync_entry_bytes = std::mem::size_of::<(Loc, VectorClock)>() + procs * 4;
         let state_bytes = (self.tracked * LocationState::approx_bytes(procs)
-            + self.sync_clock.len() * sync_entry_bytes) as u64;
+            + self.sync_clocks.len() * sync_entry_bytes) as u64;
         self.state_bytes_hw = self.state_bytes_hw.max(state_bytes);
     }
 }
