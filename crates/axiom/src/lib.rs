@@ -11,7 +11,7 @@
 //!
 //! An execution candidate is a tuple of per-thread symbolic paths
 //! ([`paths`]) plus a reads-from choice for every read and a coherence
-//! order per location ([`engine`], private). Sequential consistency is the
+//! order per location (`engine`, private). Sequential consistency is the
 //! acyclicity of `po ∪ rf ∪ co ∪ fr`, kept in [`memory_model::rel::Rel`]
 //! (the bitset order `memory_model::hb` closes happens-before in, which
 //! the explorer never uses): it maintains the transitive closure

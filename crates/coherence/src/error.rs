@@ -11,7 +11,7 @@ use memory_model::{Loc, ProcId};
 
 use crate::msg::RequestId;
 
-/// Why a wire message failed to decode (see [`crate::msg`]'s byte codec).
+/// Why a wire message failed to decode (see `crate::msg`'s byte codec).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeError {
     /// The buffer ended before the fixed-size frame was complete.

@@ -18,7 +18,7 @@
 //!    the three Definition-2 machine classes under fault-injecting
 //!    interconnects and asserts every completed run appears SC and lands
 //!    inside the idealized SC outcome set.
-//! 3. [`shrink`] greedily minimizes any failing program while preserving
+//! 3. [`shrink`](mod@shrink) greedily minimizes any failing program while preserving
 //!    the failure, and emits a replayable `.litmus` repro.
 //! 4. [`campaign`] shards seed ranges across worker threads and merges
 //!    per-seed verdicts into a summary that is deterministic for a fixed

@@ -549,7 +549,7 @@ impl Reduction for SleepSets {
 ///
 /// Why the reduction is sound for races, not just final states: sleep
 /// sets skip an interleaving only when it differs from an explored one by
-/// the order of *independent* operations ([`dependent`] pairs — conflicts
+/// the order of *independent* operations (`dependent` pairs — conflicts
 /// and same-location synchronization pairs — are never commuted). The
 /// happens-before relation, and hence the set of racing pairs the
 /// vector-clock detector reports, is a function of program order plus the
@@ -734,11 +734,11 @@ impl<A: DigestAudit> Reduction for Converged<A> {
 /// detection (see module docs for why pruning is unsound for races).
 ///
 /// States are deduplicated on the O(1) incremental [`StateDigest`]
-/// maintained by [`IdealState`], interned in a flat [`InternTable`] arena.
+/// maintained by [`IdealState`], interned in a flat `InternTable` arena.
 /// Because the digest is invariant under permutations of identical threads
 /// (see [`StateDigest`]), symmetric twins prune as converged states; the
 /// results their subtrees would have produced are reconstructed exactly by
-/// [`close_under_thread_symmetry`] before the report is returned.
+/// `close_under_thread_symmetry` before the report is returned.
 #[must_use]
 pub fn explore_results(program: &Program, cfg: &ExploreConfig) -> ExploreReport {
     let (mut report, _) = walk(program, cfg, Converged { visited: InternTable::new(), audit: () });
@@ -914,7 +914,7 @@ impl DigestAudit for Auditor {
 /// digest equals a from-scratch recomputation (both after the step that
 /// entered the state and after the undo that leaves it), and that the
 /// digest-to-canonical-state mapping is injective: no two states with
-/// distinct [`CanonKey`]s (i.e. genuinely different up to same-class
+/// distinct `CanonKey`s (i.e. genuinely different up to same-class
 /// thread permutation) may share a digest.
 ///
 /// # Panics

@@ -4,12 +4,16 @@
 //! matrix; vector clocks compute the same relation in one forward pass with
 //! O(p) state per operation. The two implementations cross-check each other
 //! in tests and are compared in the `hb_ablation` benchmark.
+//!
+//! [`HbClocks`] is the one clock step every vector-clock consumer takes:
+//! [`VcHb`] here, the exploring [`crate::race::RaceDetector`] (with undo)
+//! and the streaming `wo-trace` checker (with a cap on published clocks).
 
 use std::collections::HashMap;
 use std::fmt;
 
 use crate::hb::SyncMode;
-use crate::{Execution, OpId, ProcId};
+use crate::{Execution, Loc, OpId, Operation, ProcId};
 
 /// A vector clock over the processors of an execution.
 ///
@@ -94,32 +98,6 @@ impl VectorClock {
     pub fn as_slice(&self) -> &[u32] {
         &self.components
     }
-
-    /// A 64-bit position-sensitive hash of the clock under `seed`.
-    ///
-    /// This is the undo-coupled hashing hook for explorers that fold
-    /// detector state into an incrementally maintained state digest (see
-    /// [`crate::race::RaceDetector::state_digest`]): O(width), no
-    /// allocation, and distinct seeds give independent hash functions so
-    /// multi-lane digests can reuse one clock walk per lane.
-    #[must_use]
-    pub fn fingerprint(&self, seed: u64) -> u64 {
-        let mut h = mix(seed);
-        for &c in &self.components {
-            h = mix(h ^ u64::from(c) ^ seed);
-        }
-        h
-    }
-}
-
-/// SplitMix64 finalizer — the workspace's standard cheap 64-bit mixer.
-#[inline]
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl fmt::Display for VectorClock {
@@ -132,6 +110,168 @@ impl fmt::Display for VectorClock {
             write!(f, "{c}")?;
         }
         write!(f, "⟩")
+    }
+}
+
+/// The clock step of DRF0's happens-before `(po ∪ so)+` over one
+/// execution: one clock per processor, and the clocks synchronization
+/// operations published, each in a numbered *slot*.
+///
+/// Each operation takes two calls, in completion order:
+/// [`HbClocks::acquire`] joins the clock a synchronization operation's
+/// location published (the `so` edge) and yields the processor's
+/// post-acquire, pre-tick clock, which a race check compares histories
+/// against; [`HbClocks::release`] ticks the processor's own component (the
+/// `po` edge) and, where [`SyncMode::releases`] says so, publishes the
+/// clock into the location's slot. The caller keeps each location's slot
+/// (`None` until its first publish) in its own per-location entry, so one
+/// location lookup per event serves both the step and the race check.
+///
+/// # Examples
+///
+/// ```
+/// use memory_model::vc::HbClocks;
+/// use memory_model::{Loc, Operation, OpId, ProcId, SyncMode};
+///
+/// let mut clocks = HbClocks::new(2, SyncMode::Drf0, usize::MAX);
+/// let mut slot = None; // m9's slot, kept by the caller
+/// let release = Operation::sync_write(OpId(0), ProcId(0), Loc(9), 1);
+/// let acquire = Operation::sync_read(OpId(1), ProcId(1), Loc(9), 1);
+/// assert_eq!(clocks.acquire(&release, 0, slot), &[0, 0]);
+/// assert!(clocks.release(&release, 0, &mut slot));
+/// // P1 acquires P0's release: it now knows P0's first operation.
+/// assert_eq!(clocks.acquire(&acquire, 1, slot), &[1, 0]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct HbClocks {
+    mode: SyncMode,
+    clocks: Vec<VectorClock>,
+    published: Vec<VectorClock>,
+    max_published: usize,
+}
+
+/// Reverses one [`HbClocks::acquire`] and [`HbClocks::release`] pair; made
+/// by [`HbClocks::mark`] before the pair and applied by [`HbClocks::undo`].
+#[derive(Debug)]
+pub struct ClockUndo {
+    p: usize,
+    clock: VectorClock,
+    /// `Some` when the operation releases: the slot's clock before the
+    /// release, `None` for a slot it opened.
+    published: Option<Option<VectorClock>>,
+}
+
+impl HbClocks {
+    /// Zero clocks for processors `0 .. procs` under `mode`; at most
+    /// `max_published` locations (and never more than `u32::MAX`) get a
+    /// slot.
+    #[must_use]
+    pub fn new(procs: usize, mode: SyncMode, max_published: usize) -> Self {
+        HbClocks {
+            mode,
+            clocks: vec![VectorClock::new(procs); procs],
+            published: Vec::new(),
+            max_published: max_published.min(u32::MAX as usize),
+        }
+    }
+
+    /// Number of processors.
+    #[inline]
+    #[must_use]
+    pub fn procs(&self) -> usize {
+        self.clocks.len()
+    }
+
+    /// Processor `p`'s clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is out of range.
+    #[must_use]
+    pub fn clock(&self, p: usize) -> &VectorClock {
+        &self.clocks[p]
+    }
+
+    /// Number of slots opened: locations that published a clock.
+    #[must_use]
+    pub fn published(&self) -> usize {
+        self.published.len()
+    }
+
+    /// Acquires for `op` on processor `p`: a synchronization operation
+    /// joins the clock published in its location's `slot`, if any. Returns
+    /// `p`'s clock after the acquire and before the tick.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `slot` is out of range.
+    #[inline]
+    pub fn acquire(&mut self, op: &Operation, p: usize, slot: Option<u32>) -> &[u32] {
+        if op.kind.is_sync() {
+            if let Some(s) = slot {
+                self.clocks[p].join(&self.published[s as usize]);
+            }
+        }
+        self.clocks[p].as_slice()
+    }
+
+    /// Releases for `op` on processor `p`: ticks `p`'s component and, when
+    /// the mode says `op` releases, publishes `p`'s clock into `slot`,
+    /// opening a slot for a location that had none. Returns `false` when
+    /// that first publish was refused because `max_published` slots are
+    /// open; `slot` then stays `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `slot` is out of range.
+    #[inline]
+    pub fn release(&mut self, op: &Operation, p: usize, slot: &mut Option<u32>) -> bool {
+        self.clocks[p].tick(p);
+        if !self.mode.releases(op.kind) {
+            return true;
+        }
+        match *slot {
+            Some(s) => self.published[s as usize].clone_from(&self.clocks[p]),
+            None if self.published.len() < self.max_published => {
+                *slot = Some(self.published.len() as u32);
+                self.published.push(self.clocks[p].clone());
+            }
+            None => return false,
+        }
+        true
+    }
+
+    /// Records what `acquire` and `release` of `op` on `p`, with the
+    /// location's `slot` as it is now, may change.
+    #[must_use]
+    pub fn mark(&self, op: &Operation, p: usize, slot: Option<u32>) -> ClockUndo {
+        ClockUndo {
+            p,
+            clock: self.clocks[p].clone(),
+            published: self
+                .mode
+                .releases(op.kind)
+                .then(|| slot.map(|s| self.published[s as usize].clone())),
+        }
+    }
+
+    /// Puts back what the `acquire` and `release` recorded by `undo`
+    /// changed, `slot` included. Undo records must be applied in LIFO
+    /// order (most recent operation first), so a slot the release opened
+    /// is the last one.
+    pub fn undo(&mut self, undo: ClockUndo, slot: &mut Option<u32>) {
+        self.clocks[undo.p] = undo.clock;
+        match (undo.published, *slot) {
+            // The release displaced `prior` from the slot.
+            (Some(Some(prior)), Some(s)) => self.published[s as usize] = prior,
+            // The release opened the slot, the last one.
+            (Some(None), Some(_)) => {
+                self.published.pop();
+                *slot = None;
+            }
+            // Nothing was published, or a first publish was refused.
+            _ => {}
+        }
     }
 }
 
@@ -164,25 +304,17 @@ impl VcHb {
         let procs = exec.procs();
         let proc_index: HashMap<ProcId, usize> =
             procs.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-        let width = procs.len();
 
-        let mut proc_clock: Vec<VectorClock> =
-            vec![VectorClock::new(width); width];
-        let mut sync_clock: HashMap<crate::Loc, VectorClock> = HashMap::new();
+        let mut clocks = HbClocks::new(procs.len(), mode, usize::MAX);
+        let mut slots: HashMap<Loc, Option<u32>> = HashMap::new();
         let mut timestamps = HashMap::with_capacity(exec.len());
 
         for op in exec.ops() {
             let p = proc_index[&op.proc];
-            if op.kind.is_sync() {
-                if let Some(sc) = sync_clock.get(&op.loc) {
-                    proc_clock[p].join(sc);
-                }
-            }
-            proc_clock[p].tick(p);
-            timestamps.insert(op.id, (p, proc_clock[p].clone()));
-            if mode.releases(op.kind) {
-                sync_clock.insert(op.loc, proc_clock[p].clone());
-            }
+            let slot = slots.entry(op.loc).or_default();
+            clocks.acquire(op, p, *slot);
+            clocks.release(op, p, slot);
+            timestamps.insert(op.id, (p, clocks.clock(p).clone()));
         }
 
         VcHb { timestamps }
@@ -246,22 +378,6 @@ mod tests {
         a.tick(0);
         b.tick(1);
         assert!(!a.le(&b) && !b.le(&a));
-    }
-
-    #[test]
-    fn fingerprint_is_positional_and_seeded() {
-        let mut a = VectorClock::new(2);
-        let mut b = VectorClock::new(2);
-        a.tick(0);
-        b.tick(1);
-        // ⟨1,0⟩ and ⟨0,1⟩ must not collide: position matters.
-        assert_ne!(a.fingerprint(7), b.fingerprint(7));
-        // Distinct seeds give distinct hash functions.
-        assert_ne!(a.fingerprint(7), a.fingerprint(8));
-        // Deterministic, and equal clocks agree.
-        let mut c = VectorClock::new(2);
-        c.tick(0);
-        assert_eq!(a.fingerprint(7), c.fingerprint(7));
     }
 
     fn paper_chain() -> Execution {

@@ -295,6 +295,38 @@ fn trace_ingest_errors_surface_as_structured_results() {
 }
 
 #[test]
+fn a_segment_wider_than_the_checker_bound_is_refused_and_the_daemon_keeps_serving() {
+    let handle = server_with(1);
+    let mut client = BatchClient::new(client_cfg(&handle));
+    client.trace_open(false).expect("trace_open");
+    // One processor past the bound: the checker allocates no clocks for
+    // it and refuses the first event.
+    let wide = u16::try_from(wo_trace::checker::MAX_PROCS + 1).unwrap();
+    let op = memory_model::Operation::data_write(
+        memory_model::OpId(1),
+        memory_model::ProcId(0),
+        memory_model::Loc(0),
+        1,
+    );
+    client.trace_segment(wide, &[op]).expect("send is unacknowledged");
+    match client.trace_finish() {
+        Err(ClientError::Permanent { code: ErrorCode::Parse, message }) => {
+            assert!(message.contains("257 processors"), "{message}");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+
+    // The daemon still answers an ordinary drf0 query.
+    let mut query = ServeClient::new(client_cfg(&handle));
+    let handoff = "P0:\n  W(m0) := 1\n  Set(m1) := 1\nP1:\n  r0 := Test(m1)\n  r1 := R(m0)\n";
+    match query.drf0(handoff).expect("a query after the refused segment") {
+        Response::Verdict { .. } => {}
+        other => panic!("unexpected {other:?}"),
+    }
+    handle.shutdown();
+}
+
+#[test]
 fn stats_report_batch_depth_shards_and_coalescing() {
     let handle = server_with(2);
     let mut client = BatchClient::new(client_cfg(&handle));

@@ -2,24 +2,25 @@
 //!
 //! [`StreamChecker`] consumes one execution's events in completion order
 //! (one *segment* at a time) and maintains an online DRF0 verdict with
-//! bounded memory. It is a **batch-pipelined** reimplementation of the
-//! driver loop in [`memory_model::race::RaceDetector`], built on the same
-//! [`LocationState`] per-location history — one race-checking logic, two
-//! drivers, no fork. Events are buffered into batches and each batch is
-//! processed in two phases:
+//! bounded memory. It is a **batch-pipelined** user of the same two
+//! pieces [`memory_model::race::RaceDetector`] is made of: the clock step
+//! [`HbClocks`] and the per-location history [`LocationState`] — one
+//! clock step, one race-checking logic, no fork. Events are buffered into
+//! batches and each batch is processed in two phases:
 //!
 //! 1. **Sequential clock pass.** Vector clocks are inherently sequential:
 //!    a synchronization operation acquires the clock published by the
-//!    previous release on its location. This pass joins, snapshots each
-//!    event's post-acquire/pre-tick clock into a flat arena, ticks, and
-//!    publishes releases — O(procs) per event, no hashing of races.
-//!    Each event costs **one** location lookup, in a map (std
-//!    `RandomState`: trace files are untrusted input) that holds all the
-//!    pass knows of a location: its published clock, if any, and its
-//!    **admission** (see below). On a location's first appearance the pass
-//!    admits it and hands it a `(shard, dense index)`: the shard by hash,
-//!    the index in first-appearance order within that shard. Each
-//!    admitted event is bucketed by shard together with that index.
+//!    previous release on its location. For each event this pass takes
+//!    the [`HbClocks`] acquire, snapshots the post-acquire/pre-tick clock
+//!    it yields into a flat arena, and takes the release (tick, publish) —
+//!    O(procs) per event, no hashing of races. Each event costs **one**
+//!    location lookup, in a map (std `RandomState`: trace files are
+//!    untrusted input) that holds all the pass knows of a location: its
+//!    published-clock slot, if any, and its **admission** (see below). On
+//!    a location's first appearance the pass admits it and hands it a
+//!    `(shard, dense index)`: the shard by hash, the index in
+//!    first-appearance order within that shard. Each admitted event is
+//!    bucketed by shard together with that index.
 //!
 //! 2. **Parallel shard pass.** Each shard race-checks its bucketed events
 //!    in stream order against its own `Vec` of [`LocationState`]s, indexed
@@ -53,9 +54,14 @@
 //!   [`UnknownReason::LocationCapExceeded`], while a racy one stays
 //!   [`Verdict::Racy`].
 //! * [`CheckerConfig::max_sync_locations`] bounds published sync-location
-//!   clocks. Overflow here loses happens-before edges: later events may be
-//!   *wrongly* flagged as races, so both race presence and absence become
-//!   unsound and the verdict is [`UnknownReason::SyncCapExceeded`].
+//!   clocks (the [`HbClocks`] refuses a first publish past it). Overflow
+//!   here loses happens-before edges: later events may be *wrongly*
+//!   flagged as races, so both race presence and absence become unsound
+//!   and the verdict is [`UnknownReason::SyncCapExceeded`].
+//!
+//! A segment's width is bounded too, by [`MAX_PROCS`]: its clocks and
+//! every history are O(procs), and a segment header names `procs` before
+//! any event arrives.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -64,7 +70,7 @@ use std::sync::Mutex;
 
 use memory_model::drf0::Race;
 use memory_model::race::LocationState;
-use memory_model::vc::VectorClock;
+use memory_model::vc::{HbClocks, VectorClock};
 use memory_model::{Loc, Operation, SyncMode};
 
 /// Tuning knobs of a [`StreamChecker`].
@@ -107,6 +113,16 @@ impl Default for CheckerConfig {
     }
 }
 
+/// The most processors one segment may declare. A segment from `procs`
+/// processors costs `procs` clocks of `procs` 4-byte components before
+/// its first event, and a history of
+/// [`LocationState::approx_bytes`]`(procs)` per tracked location: at 256
+/// that is 256 KiB of clocks and 12,320 bytes per location, where the
+/// 65,535 a segment header can name would ask for about 16 GiB of clocks.
+/// A wider segment allocates nothing, and its first event is refused with
+/// [`IngestError::TooManyProcs`].
+pub const MAX_PROCS: usize = 256;
+
 /// Why a stream could not be ingested.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestError {
@@ -120,6 +136,11 @@ pub enum IngestError {
         /// Processors the segment declared.
         procs: usize,
     },
+    /// The segment declared more than [`MAX_PROCS`] processors.
+    TooManyProcs {
+        /// Processors the segment declared.
+        procs: usize,
+    },
 }
 
 impl fmt::Display for IngestError {
@@ -128,6 +149,9 @@ impl fmt::Display for IngestError {
             IngestError::NoOpenSegment => write!(f, "event outside any segment"),
             IngestError::ProcOutOfRange { proc, procs } => {
                 write!(f, "event names processor {proc} but the segment declared {procs}")
+            }
+            IngestError::TooManyProcs { procs } => {
+                write!(f, "the segment declared {procs} processors, more than {MAX_PROCS}")
             }
         }
     }
@@ -259,8 +283,8 @@ struct LocEntry {
     /// `shards[shard].locations[index]`. `None` once the tracked-location
     /// cap dropped it.
     history: Option<(u32, u32)>,
-    /// The location's published clock in `sync_clocks`, once a release
-    /// published one.
+    /// The location's published-clock slot in the [`HbClocks`], once a
+    /// release published one.
     published: Option<u32>,
 }
 
@@ -294,10 +318,8 @@ pub struct StreamChecker {
     // --- per-segment state, rebuilt by `begin_segment` -------------------
     in_segment: bool,
     procs: usize,
-    proc_clock: Vec<VectorClock>,
+    clocks: HbClocks,
     locations: HashMap<Loc, LocEntry>,
-    /// Published clocks, by [`LocEntry::published`].
-    sync_clocks: Vec<VectorClock>,
     tracked: usize,
     /// Locations admitted to each shard so far: the next dense index.
     shard_len: Vec<u32>,
@@ -340,9 +362,8 @@ impl StreamChecker {
             cfg,
             in_segment: false,
             procs: 0,
-            proc_clock: Vec::new(),
+            clocks: HbClocks::new(0, cfg.mode, 0),
             locations: HashMap::new(),
-            sync_clocks: Vec::new(),
             tracked: 0,
             shard_len: Vec::new(),
             shards: Vec::new(),
@@ -366,7 +387,9 @@ impl StreamChecker {
     }
 
     /// Opens a segment: one execution from `procs` processors. Races never
-    /// span segments, so all per-segment state resets here.
+    /// span segments, so all per-segment state resets here. A segment of
+    /// more than [`MAX_PROCS`] processors gets no clocks, and its first
+    /// event is refused.
     ///
     /// # Panics
     ///
@@ -377,10 +400,9 @@ impl StreamChecker {
         let procs = usize::from(procs);
         self.in_segment = true;
         self.procs = procs;
-        self.proc_clock.clear();
-        self.proc_clock.resize(procs, VectorClock::new(procs));
+        let width = if procs > MAX_PROCS { 0 } else { procs };
+        self.clocks = HbClocks::new(width, self.cfg.mode, self.cfg.max_sync_locations);
         self.locations.clear();
-        self.sync_clocks.clear();
         self.tracked = 0;
         self.shard_len.clear();
         self.shard_len.resize(self.cfg.shards, 0);
@@ -400,15 +422,22 @@ impl StreamChecker {
     /// # Errors
     ///
     /// [`IngestError::NoOpenSegment`] outside a segment,
+    /// [`IngestError::TooManyProcs`] in a segment wider than [`MAX_PROCS`],
     /// [`IngestError::ProcOutOfRange`] when the event names a processor
     /// the segment did not declare.
     pub fn ingest(&mut self, op: &Operation) -> Result<(), IngestError> {
         if !self.in_segment {
             return Err(IngestError::NoOpenSegment);
         }
-        let p = op.proc.index();
-        if p >= self.procs {
-            return Err(IngestError::ProcOutOfRange { proc: op.proc.0, procs: self.procs });
+        // The clocks span every declared processor, or none in a segment
+        // wider than the bound.
+        if op.proc.index() >= self.clocks.procs() {
+            let procs = self.procs;
+            return Err(if procs > MAX_PROCS {
+                IngestError::TooManyProcs { procs }
+            } else {
+                IngestError::ProcOutOfRange { proc: op.proc.0, procs }
+            });
         }
         self.events += 1;
         if op.kind.is_sync() {
@@ -495,7 +524,6 @@ impl StreamChecker {
             return;
         }
         let procs = self.procs;
-        let mode = self.cfg.mode;
         self.arena.clear();
         self.arena.reserve(self.batch_ops.len() * procs);
 
@@ -522,26 +550,12 @@ impl StreamChecker {
                     e.insert(LocEntry { history, published: None })
                 }
             };
-            if op.kind.is_sync() {
-                if let Some(c) = entry.published {
-                    self.proc_clock[p].join(&self.sync_clocks[c as usize]);
-                }
-            }
             // Snapshot the post-acquire, pre-tick clock: exactly what the
             // sequential detector hands LocationState::observe.
-            self.arena.extend_from_slice(self.proc_clock[p].as_slice());
-            self.proc_clock[p].tick(p);
-            if mode.releases(op.kind) {
-                // Publishing to an already-published location costs
-                // nothing new; only *new* sync locations are capped.
-                match entry.published {
-                    Some(c) => self.sync_clocks[c as usize].clone_from(&self.proc_clock[p]),
-                    None if self.sync_clocks.len() < self.cfg.max_sync_locations => {
-                        entry.published = Some(self.sync_clocks.len() as u32);
-                        self.sync_clocks.push(self.proc_clock[p].clone());
-                    }
-                    None => self.sync_overflow = true,
-                }
+            self.arena.extend_from_slice(self.clocks.acquire(op, p, entry.published));
+            // Only a *new* sync location's first publish can be refused.
+            if !self.clocks.release(op, p, &mut entry.published) {
+                self.sync_overflow = true;
             }
             match entry.history {
                 Some((shard, index)) => self.buckets[shard as usize].push((i as u32, index)),
@@ -584,10 +598,11 @@ impl StreamChecker {
 
         // High-water accounting, from *counts* so it is deterministic.
         self.tracked_hw = self.tracked_hw.max(self.tracked as u64);
-        self.sync_hw = self.sync_hw.max(self.sync_clocks.len() as u64);
+        let published = self.clocks.published();
+        self.sync_hw = self.sync_hw.max(published as u64);
         let sync_entry_bytes = std::mem::size_of::<(Loc, VectorClock)>() + procs * 4;
         let state_bytes = (self.tracked * LocationState::approx_bytes(procs)
-            + self.sync_clocks.len() * sync_entry_bytes) as u64;
+            + published * sync_entry_bytes) as u64;
         self.state_bytes_hw = self.state_bytes_hw.max(state_bytes);
     }
 }
@@ -729,6 +744,30 @@ mod tests {
         );
         checker.end_segment();
         assert_eq!(checker.finish().events, 0);
+    }
+
+    #[test]
+    fn a_segment_wider_than_the_bound_gets_no_clocks_and_refuses_its_first_event() {
+        let wide = u16::try_from(MAX_PROCS + 1).unwrap();
+        let op = Operation::data_write(OpId(0), ProcId(0), Loc(0), 1);
+        let mut checker = StreamChecker::new(CheckerConfig::default());
+        checker.begin_segment(wide);
+        assert_eq!(checker.clocks.procs(), 0, "nothing allocated per processor");
+        assert_eq!(
+            checker.ingest(&op),
+            Err(IngestError::TooManyProcs { procs: MAX_PROCS + 1 })
+        );
+        checker.end_segment();
+        // A segment at the bound is checked as usual.
+        let at_bound = u16::try_from(MAX_PROCS).unwrap();
+        checker.begin_segment(at_bound);
+        assert_eq!(checker.clocks.procs(), MAX_PROCS);
+        let last = Operation::data_read(OpId(1), ProcId(at_bound - 1), Loc(0), 1);
+        checker.ingest(&op).unwrap();
+        checker.ingest(&last).unwrap();
+        checker.end_segment();
+        let report = checker.finish();
+        assert_eq!((report.events, report.total_races), (2, 1));
     }
 
     #[test]

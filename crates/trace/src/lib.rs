@@ -12,15 +12,17 @@
 //!
 //! * [`StreamChecker`] — the sharded incremental vector-clock engine
 //!   (see [`checker`] for the two-phase batch algorithm and the proof
-//!   sketch of shard-count independence). It reuses
-//!   [`memory_model::race::LocationState`] — the same epoch-compressed
-//!   per-location history the exploring `RaceDetector` uses — so the
-//!   streaming and exploring checkers cannot drift apart. A history is
-//!   laid out epoch-first: the race check scans one array of 4-byte
-//!   epochs, and operation ids are read only to record or report. Each
-//!   event costs one location lookup: the sequential pass gives every
-//!   admitted location a `(shard, dense index)`, and the shard pass
-//!   indexes its `Vec` of histories with it.
+//!   sketch of shard-count independence). It reuses the two pieces the
+//!   exploring `RaceDetector` is made of — the clock step
+//!   [`memory_model::vc::HbClocks`] and the epoch-compressed per-location
+//!   history [`memory_model::race::LocationState`] — so the streaming and
+//!   exploring checkers cannot drift apart. A history is laid out
+//!   epoch-first: the race check scans one array of 4-byte epochs, and
+//!   operation ids are read only to record or report. Each event costs
+//!   one location lookup: the sequential pass gives every admitted
+//!   location a `(shard, dense index)`, and the shard pass indexes its
+//!   `Vec` of histories with it. A segment may declare at most
+//!   [`checker::MAX_PROCS`] processors.
 //! * [`pipeline`] — drivers: [`check_trace_file`] (streamed, bounded),
 //!   [`check_run`] (live [`memsim::RunResult`]), [`check_ops`] (slices).
 //! * [`synth`] — deterministic synthetic streams for benchmarks and

@@ -187,6 +187,26 @@ mod tests {
     }
 
     #[test]
+    fn a_segment_wider_than_the_bound_fails_at_its_first_event() {
+        let procs = u16::try_from(crate::checker::MAX_PROCS + 1).unwrap();
+        let op = memory_model::Operation::data_write(
+            memory_model::OpId(0),
+            memory_model::ProcId(0),
+            memory_model::Loc(0),
+            1,
+        );
+        let mut writer = TraceWriter::new(Vec::new()).unwrap();
+        writer.write_execution("wide", procs, &[op]).unwrap();
+        let bytes = writer.finish().unwrap();
+        match check_reader(TraceReader::new(&bytes[..]).unwrap(), CheckerConfig::default()) {
+            Err(PipelineError::Ingest { segment: 0, error: IngestError::TooManyProcs { procs } }) => {
+                assert_eq!(procs, crate::checker::MAX_PROCS + 1);
+            }
+            other => panic!("expected TooManyProcs, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn truncated_file_yields_structured_error() {
         let program = corpus::fig3_handoff(1);
         let config = presets::network_cached(2, presets::wo_def2(), 7);

@@ -1,23 +1,24 @@
-//! The exploring race detector's state digest, pinned by one constant.
+//! The exploring race detector's race trail, pinned by one constant.
 //!
-//! [`RaceDetector::state_digest`] is the detector's share of a
-//! visited-set key: an explorer that folds it into its key prunes on it.
-//! A change to *how* the digest is kept — where the per-location part
-//! lives, how the histories are laid out — must therefore leave every
-//! value of it unchanged. This test runs the detector over fixed seeded
-//! synthetic streams in both happens-before modes, interleaving
-//! `observe_undoable` with runs of `undo` and re-observation, and folds
-//! every digest it passes through, and the race count after each step,
-//! into one FNV-1a value. A change that alters the digest's definition
-//! must re-record the constant and say why.
+//! The explorer drives [`RaceDetector`] with `observe_undoable` and LIFO
+//! `undo`, and what it reads back is the races each observation reports.
+//! A change to how the detector keeps its state — the clock step, the
+//! history layout, a history garbage collection — must leave those races
+//! unchanged, at every step and after every undo. This test runs the
+//! detector over fixed seeded synthetic streams in both happens-before
+//! modes, interleaving `observe_undoable` with runs of `undo` and
+//! re-observation, and folds every race each observation reports (`first`,
+//! `second`, `loc`) and the race count after every undo into one FNV-1a
+//! value. A change that alters the race set must re-record the constant
+//! and say why.
 
 use memory_model::race::RaceDetector;
 use memory_model::SyncMode;
 use wo_trace::synth::{SynthConfig, SynthStream};
 
-/// The digest of both trails below, recorded while each location's
-/// digest was still kept inside its history.
-const EXPECTED: u64 = 0x6a40_53a3_f581_9f65;
+/// The race trail of both streams below in both modes, recorded on the
+/// detector that still kept a state digest beside its races.
+const EXPECTED: u64 = 0x3704_1cd4_bfd6_7711;
 
 struct Fnv(u64);
 
@@ -36,29 +37,33 @@ impl Fnv {
 fn trail(h: &mut Fnv, mode: SyncMode, synth: SynthConfig) {
     let ops: Vec<_> = SynthStream::new(synth).collect();
     let mut det = RaceDetector::with_mode(usize::from(synth.procs), mode);
-    h.u64(det.state_digest());
     let mut undos = Vec::new();
     let (mut next, mut step) = (0, 0usize);
     while next < ops.len() {
+        let before = det.races().len();
         undos.push(det.observe_undoable(&ops[next]));
         next += 1;
         step += 1;
-        h.u64(det.state_digest());
-        h.u64(det.races().len() as u64);
+        let reported = &det.races()[before..];
+        h.u64(reported.len() as u64);
+        for race in reported {
+            h.u64(race.first.0);
+            h.u64(race.second.0);
+            h.u64(u64::from(race.loc.0));
+        }
         if step % 5 == 0 {
             for _ in 0..1 + (step / 5) % 4 {
                 det.undo(undos.pop().expect("at least five observations made"));
                 next -= 1;
-                h.u64(det.state_digest());
+                h.u64(det.races().len() as u64);
             }
         }
     }
-    assert_eq!(det.state_digest(), det.state_digest_from_scratch(), "{mode:?}");
-    assert!(!det.races().is_empty(), "the streams carry a racy share");
+    assert!(!det.races().is_empty(), "{mode:?}: the streams carry a racy share");
 }
 
 #[test]
-fn detector_digest_trail_is_pinned() {
+fn detector_race_trail_is_pinned() {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     let base = SynthConfig {
         procs: 4,
@@ -69,8 +74,11 @@ fn detector_digest_trail_is_pinned() {
         racy_percent: 5,
         seed: 19,
     };
-    trail(&mut h, SyncMode::Drf0, base);
-    let release_writes = SynthConfig { procs: 3, racy_percent: 20, seed: 23, ..base };
-    trail(&mut h, SyncMode::ReleaseWrites, release_writes);
-    assert_eq!(h.0, EXPECTED, "digest trail moved: {:#018x}", h.0);
+    let racier = SynthConfig { procs: 3, racy_percent: 20, seed: 23, ..base };
+    for synth in [base, racier] {
+        for mode in [SyncMode::Drf0, SyncMode::ReleaseWrites] {
+            trail(&mut h, mode, synth);
+        }
+    }
+    assert_eq!(h.0, EXPECTED, "race trail moved: {:#018x}", h.0);
 }

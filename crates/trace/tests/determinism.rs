@@ -2,6 +2,7 @@
 //! byte-identical at any shard and thread count — including when memory
 //! caps degrade the verdict.
 
+use memory_model::SyncMode;
 use wo_trace::synth::{SynthConfig, SynthStream};
 use wo_trace::{check_ops, CheckerConfig, UnknownReason, Verdict};
 
@@ -138,12 +139,13 @@ fn batch_size_never_changes_the_report() {
         seed: 21,
     };
     let ops: Vec<_> = SynthStream::new(synth).collect();
-    let baseline = check_ops(&ops, synth.procs, CheckerConfig::default())
-        .unwrap()
-        .canonical_text();
-    for batch in [1, 7, 1 << 10] {
-        let cfg = CheckerConfig { batch, shards: 3, threads: 2, ..CheckerConfig::default() };
-        let text = check_ops(&ops, synth.procs, cfg).unwrap().canonical_text();
-        assert_eq!(text, baseline, "batch {batch} diverged");
+    for mode in [SyncMode::Drf0, SyncMode::ReleaseWrites] {
+        let base = CheckerConfig { mode, ..CheckerConfig::default() };
+        let baseline = check_ops(&ops, synth.procs, base).unwrap().canonical_text();
+        for batch in [1, 7, 1 << 10] {
+            let cfg = CheckerConfig { batch, shards: 3, threads: 2, ..base };
+            let text = check_ops(&ops, synth.procs, cfg).unwrap().canonical_text();
+            assert_eq!(text, baseline, "{mode:?}: batch {batch} diverged");
+        }
     }
 }

@@ -5,10 +5,11 @@
 //! [`wo_trace::StreamChecker`] computes from the execution's event stream
 //! must **exactly equal** the set the sequential
 //! [`memory_model::race::RaceDetector`] computes (via `races_of`) — at
-//! any shard count. The explorer's aggregate race set must equal the
-//! union over executions whenever the exploration completed. Trace-format
-//! robustness rides along: a generated trace torn at any byte or with a
-//! flipped byte must fail *structurally*, never panic.
+//! any shard count, under DRF0 and under Section 6's `ReleaseWrites`.
+//! The explorer's aggregate race set must equal the union over executions
+//! (DRF0, the explorer's mode) whenever the exploration completed.
+//! Trace-format robustness rides along: a generated trace torn at any
+//! byte or with a flipped byte must fail *structurally*, never panic.
 //!
 //! Seeds default to 500; override with `WO_TRACE_DIFF_SEEDS` (CI smoke
 //! uses a smaller corpus).
@@ -58,30 +59,35 @@ fn streamed_race_sets_match_the_explorer_exactly() {
         let mut union: HashSet<Race> = HashSet::new();
         for exec in &report.executions {
             let ops = exec.ops().to_vec();
-            let expected = canonical(races_of(exec, SyncMode::Drf0));
-            union.extend(expected.iter().copied());
-            for shards in [1, 3] {
-                let cfg = CheckerConfig {
-                    shards,
-                    threads: 1,
-                    // A tiny batch forces multi-batch processing even on
-                    // short executions.
-                    batch: 16,
-                    ..CheckerConfig::default()
-                };
-                let streamed = check_ops(&ops, procs, cfg).unwrap();
-                assert_eq!(
-                    streamed.races, expected,
-                    "seed {seed} shards {shards}: streamed race set diverged\nprogram:\n{}",
-                    program.program
-                );
-                let expected_verdict =
-                    if expected.is_empty() { Verdict::Drf0 } else { Verdict::Racy };
-                assert_eq!(streamed.verdict, expected_verdict, "seed {seed}");
-            }
-            checked_execs += 1;
-            if !expected.is_empty() {
-                racy_execs += 1;
+            for mode in [SyncMode::Drf0, SyncMode::ReleaseWrites] {
+                let expected = canonical(races_of(exec, mode));
+                if mode == SyncMode::Drf0 {
+                    union.extend(expected.iter().copied());
+                    checked_execs += 1;
+                    if !expected.is_empty() {
+                        racy_execs += 1;
+                    }
+                }
+                for shards in [1, 3] {
+                    let cfg = CheckerConfig {
+                        shards,
+                        threads: 1,
+                        mode,
+                        // A tiny batch forces multi-batch processing even on
+                        // short executions.
+                        batch: 16,
+                        ..CheckerConfig::default()
+                    };
+                    let streamed = check_ops(&ops, procs, cfg).unwrap();
+                    assert_eq!(
+                        streamed.races, expected,
+                        "seed {seed} {mode:?} shards {shards}: streamed race set diverged\nprogram:\n{}",
+                        program.program
+                    );
+                    let expected_verdict =
+                        if expected.is_empty() { Verdict::Drf0 } else { Verdict::Racy };
+                    assert_eq!(streamed.verdict, expected_verdict, "seed {seed} {mode:?}");
+                }
             }
         }
 

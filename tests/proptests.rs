@@ -7,7 +7,7 @@
 //! iteration seed.
 
 use weak_ordering::memory_model::hb::HbRelation;
-use weak_ordering::memory_model::race::RaceDetector;
+use weak_ordering::memory_model::race::{races_of, RaceDetector};
 use weak_ordering::memory_model::rel::Rel;
 use weak_ordering::memory_model::sc::{check_sc, ScCheckConfig, ScVerdict};
 use weak_ordering::memory_model::vc::VcHb;
@@ -180,7 +180,9 @@ fn bulk_built_rel_equals_edge_by_edge_rel() {
     });
 }
 
-/// The streaming detector and the pairwise check agree on race freedom.
+/// The streaming detector and the pairwise check agree on race freedom,
+/// and every race the detector reports is one the pairwise scan over the
+/// happens-before matrix finds (code that shares nothing with the clocks).
 #[test]
 fn race_detectors_agree() {
     for_each_case("race_detectors_agree", |rng| {
@@ -190,11 +192,15 @@ fn race_detectors_agree() {
             RaceDetector::check_execution(&exec),
             drf0::is_data_race_free(&exec)
         );
+        let pairwise = drf0::races_in(&exec);
+        for race in races_of(&exec, SyncMode::Drf0) {
+            assert!(pairwise.contains(&race), "{race:?} is not a DRF0 race");
+        }
     });
 }
 
 /// The mode-aware streaming detector agrees with the pairwise refined
-/// check (Section 6 semantics).
+/// check (Section 6 semantics), race by race.
 #[test]
 fn refined_race_detectors_agree() {
     for_each_case("refined_race_detectors_agree", |rng| {
@@ -208,6 +214,10 @@ fn refined_race_detectors_agree() {
             }
         }
         assert_eq!(streaming_clean, drf1::is_refined_race_free(&exec));
+        let pairwise = drf1::refined_races_in(&exec);
+        for race in det.races() {
+            assert!(pairwise.contains(race), "{race:?} is not a refined race");
+        }
     });
 }
 
