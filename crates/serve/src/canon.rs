@@ -470,7 +470,7 @@ pub fn random_renaming(p: &Program, seed: u64) -> Program {
         .threads()
         .iter()
         .flat_map(|t| t.instrs().iter())
-        .filter_map(instr_loc)
+        .filter_map(Instr::memory_loc)
         .map(|l| l.0)
         .collect();
 
@@ -579,19 +579,6 @@ pub fn random_renaming(p: &Program, seed: u64) -> Program {
     Program::new(threads)
         .expect("renaming preserves branch targets and registers")
         .with_init(init)
-}
-
-/// The location an instruction touches, if any.
-fn instr_loc(i: &Instr) -> Option<Loc> {
-    match i {
-        Instr::Read { loc, .. }
-        | Instr::Write { loc, .. }
-        | Instr::SyncRead { loc, .. }
-        | Instr::SyncWrite { loc, .. }
-        | Instr::TestAndSet { loc, .. }
-        | Instr::FetchAdd { loc, .. } => Some(*loc),
-        _ => None,
-    }
 }
 
 /// Constant operands value relabelling touches. `Add`/`FetchAdd` consts

@@ -24,7 +24,7 @@
 //!   amplification unbounded hedging invites.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::mpsc;
 use std::time::Duration;
@@ -260,14 +260,6 @@ fn connect(cfg: &ClientConfig) -> io::Result<TcpStream> {
     // earlier ones (Nagle): a pipelined batch client writes many of them.
     stream.set_nodelay(true)?;
     Ok(stream)
-}
-
-// `&TcpStream` implements Read/Write; these helpers keep the borrow
-// sites monomorphic without cloning the socket handle.
-#[allow(unused)]
-fn _assert_stream_io(stream: &TcpStream) {
-    fn takes_rw(_r: impl Read, _w: impl Write) {}
-    takes_rw(stream, stream);
 }
 
 // ---------------------------------------------------------------------

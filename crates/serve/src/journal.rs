@@ -27,7 +27,8 @@
 //!
 //! The payload is text: `key=value` header lines (group, answer fields,
 //! and the `engine=` that produced the answer), a blank line, then the
-//! canonical program text. A record without an `engine=` line, as written
+//! canonical program text, read by the wire's text-frame grammar
+//! ([`crate::protocol`]). A record without an `engine=` line, as written
 //! before the field existed, replays with no engine.
 
 use std::fs::{self, File, OpenOptions};
@@ -36,7 +37,9 @@ use std::path::{Path, PathBuf};
 
 use crate::cache::{CachedAnswer, KindGroup};
 use crate::canon::fnv1a;
-use crate::protocol::{parse_race, push_engine_line, push_race_lines, Engine, RaceCoord};
+use crate::protocol::{push_engine_line, push_race_lines, Headers};
+#[cfg(test)]
+use crate::protocol::{Engine, RaceCoord};
 
 /// Hard cap on one journal record (canonical text + headers). Matches the
 /// frame cap's order of magnitude; a record above this is corruption.
@@ -271,62 +274,33 @@ fn decode_record(bytes: &[u8]) -> DecodeOutcome {
     }
 }
 
-fn parse_payload(payload: &[u8]) -> Option<JournalRecord> {
-    let text = std::str::from_utf8(payload).ok()?;
-    let mut lines = text.split('\n');
-    let mut group = None;
-    let mut answer_kind = None;
-    let mut racy = None;
-    let mut steps = None;
-    let mut outcomes = None;
-    let mut declared_races = None;
-    let mut engine = None;
-    let mut races: Vec<RaceCoord> = Vec::new();
-    for line in lines.by_ref() {
-        if line.is_empty() {
-            break;
-        }
-        let (key, value) = line.split_once('=')?;
-        match key {
-            "group" => group = KindGroup::parse_token(value),
-            "answer" => answer_kind = Some(value.to_string()),
-            "racy" => racy = Some(value == "true"),
-            "steps" => steps = value.parse::<u64>().ok(),
-            "outcomes" => outcomes = value.parse::<u64>().ok(),
-            "races" => declared_races = value.parse::<usize>().ok(),
-            "engine" => engine = Some(Engine::parse_token(value)?),
-            "race" => races.push(parse_race(value).ok()?),
-            _ => {}
-        }
-    }
-    let key = lines.collect::<Vec<_>>().join("\n");
-    if key.is_empty() {
-        return None;
-    }
-    let answer = match answer_kind?.as_str() {
-        "explore" => {
-            if declared_races? != races.len() {
-                return None;
-            }
-            CachedAnswer::Explore {
-                racy: racy?,
-                races,
-                steps: steps?,
-                definitive: true,
-                reason: None,
-                engine,
-            }
-        }
+/// Reads a record's payload with the wire's text-frame grammar: a
+/// header block, a blank line, and the canonical text as the body.
+pub(crate) fn parse_payload(payload: &[u8]) -> Option<JournalRecord> {
+    let h = Headers::parse(payload).ok()?;
+    let key = std::str::from_utf8(h.body).ok().filter(|key| !key.is_empty())?.to_string();
+    let group = KindGroup::parse_token(h.get("group")?)?;
+    let steps = h.num("steps").ok()?;
+    let engine = h.engine().ok()?;
+    let answer = match h.get("answer")? {
+        "explore" => CachedAnswer::Explore {
+            racy: h.get("racy")? == "true",
+            races: h.races?,
+            steps,
+            definitive: true,
+            reason: None,
+            engine,
+        },
         "sc" => CachedAnswer::Sc {
-            outcomes: outcomes?,
+            outcomes: h.num("outcomes").ok()?,
             complete: true,
             reason: None,
-            steps: steps?,
+            steps,
             engine,
         },
         _ => return None,
     };
-    Some(JournalRecord { group: group?, key, answer })
+    Some(JournalRecord { group, key, answer })
 }
 
 #[cfg(test)]

@@ -31,9 +31,28 @@
 //!   0: r0 := R(m0)
 //! ```
 //!
-//! Everything is decoded defensively: unknown keys are ignored (forward
-//! compatibility), malformed numbers and truncated payloads produce
-//! structured errors, and nothing in this module panics on wire input.
+//! Every frame kind of both protocol versions, and every journal record
+//! ([`crate::journal`]), is read by one grammar with one set of rules:
+//!
+//! 1. The first line ends at the first `\n`; a payload without one is an
+//!    error. Its first whitespace-separated token is the version. (A
+//!    journal record has no first line.)
+//! 2. The header block is every following line up to the first blank
+//!    line or the end. Each line is `key=value`, split at the first `=`;
+//!    a line without `=` is an error.
+//! 3. `race=` is the one repeatable key. Its lines are parsed in order,
+//!    and a `races=` line must declare their count; race lines without
+//!    one are an error. Any other repeated key is an error.
+//! 4. Unknown keys are skipped (forward compatibility), except in a
+//!    batch frame header and a race block, which admit only their own.
+//! 5. The body is the bytes after the blank line. A `trace_seg` item, a
+//!    batch frame and a `trace` response require the blank line; a
+//!    request's body is its program (empty if absent); a journal
+//!    record's body is its key and must be non-empty; every other kind
+//!    rejects a non-empty body.
+//!
+//! Malformed numbers and truncated payloads produce structured errors,
+//! and nothing in this module panics on wire input.
 //!
 //! # Batch mode (`wo-serve/2`)
 //!
@@ -65,6 +84,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::str::{FromStr, SplitWhitespace};
 
 use memory_model::{Loc, OpId, Operation, ProcId};
 
@@ -181,6 +201,155 @@ pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> io::Result<Option<Vec<
 }
 
 // ---------------------------------------------------------------------
+// The text-frame grammar (rules 1–5 of the module docs)
+// ---------------------------------------------------------------------
+
+/// Splits `bytes` at its first `\n` into the line and the bytes after it.
+fn split_line(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let n = bytes.iter().position(|&b| b == b'\n')?;
+    Some((&bytes[..n], &bytes[n + 1..]))
+}
+
+/// Rule 1: splits off a payload's first line and checks its version
+/// token. Returns the line's other tokens and the bytes after the line.
+/// The one first-line tokenizer of every frame kind.
+fn first_line<'a>(
+    payload: &'a [u8],
+    version: &str,
+) -> Result<(SplitWhitespace<'a>, &'a [u8]), String> {
+    let (line, rest) = split_line(payload).ok_or("missing first line")?;
+    let line = std::str::from_utf8(line).map_err(|e| format!("first line not UTF-8: {e}"))?;
+    let mut tokens = line.split_whitespace();
+    match tokens.next() {
+        Some(v) if v == version => Ok((tokens, rest)),
+        Some(v) => Err(format!("unsupported protocol version {v:?}")),
+        None => Err("missing protocol version".into()),
+    }
+}
+
+/// Parses the next first-line token as a decimal id.
+fn id_token(tokens: &mut SplitWhitespace<'_>, what: &str) -> Result<u64, String> {
+    let token = tokens.next().ok_or_else(|| format!("missing {what}"))?;
+    token.parse().map_err(|_| format!("bad {what} {token:?}"))
+}
+
+/// A header block and body split by rules 2–5 of the module docs.
+pub(crate) struct Headers<'a> {
+    /// The `key=value` lines other than `race=`, sorted by key; no key
+    /// twice.
+    pairs: Vec<(&'a str, &'a str)>,
+    /// The `race=` lines in order, present exactly when `races=` is.
+    pub(crate) races: Option<Vec<RaceCoord>>,
+    /// Whether a blank line ended the block.
+    blank: bool,
+    /// The bytes after the blank line (empty without one).
+    pub(crate) body: &'a [u8],
+}
+
+impl<'a> Headers<'a> {
+    /// Reads the header block at the start of `bytes`.
+    pub(crate) fn parse(mut bytes: &'a [u8]) -> Result<Self, String> {
+        let mut pairs: Vec<(&str, &str)> = Vec::new();
+        let mut races = Vec::new();
+        let mut declared = None;
+        let mut blank = false;
+        while !bytes.is_empty() {
+            let (line, rest) = split_line(bytes).unwrap_or((bytes, &[]));
+            bytes = rest;
+            if line.is_empty() {
+                blank = true;
+                break;
+            }
+            let line = std::str::from_utf8(line).map_err(|e| format!("header not UTF-8: {e}"))?;
+            let Some((key, value)) = line.split_once('=') else {
+                return Err(format!("malformed header line {line:?}"));
+            };
+            if key == "race" {
+                races.push(parse_race(value)?);
+                continue;
+            }
+            if key == "races" {
+                let n: usize = value.parse().map_err(|_| format!("bad races {value:?}"))?;
+                // Every encoder writes the count before the race lines,
+                // each at least 14 bytes: size the vector once.
+                races.reserve(n.min(bytes.len() / 14));
+                declared = Some(n);
+            }
+            pairs.push((key, value));
+        }
+        // Sorted, a repeated key sits next to itself (and lookups bisect),
+        // so a hostile block of many keys costs O(n log n), not O(n²).
+        pairs.sort_unstable_by_key(|&(k, _)| k);
+        if let Some(w) = pairs.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(format!("repeated header {:?}", w[0].0));
+        }
+        let races = match declared {
+            Some(n) if n != races.len() => {
+                return Err(format!("race count mismatch: declared {n}, got {}", races.len()))
+            }
+            Some(_) => Some(races),
+            None if races.is_empty() => None,
+            None => return Err("race lines without a races= count".into()),
+        };
+        Ok(Headers { pairs, races, blank, body: bytes })
+    }
+
+    /// The value of `key`, if present.
+    pub(crate) fn get(&self, key: &str) -> Option<&'a str> {
+        let at = self.pairs.binary_search_by_key(&key, |&(k, _)| k).ok()?;
+        Some(self.pairs[at].1)
+    }
+
+    /// The value of a required `key`.
+    fn require(&self, key: &str) -> Result<&'a str, String> {
+        self.get(key).ok_or_else(|| format!("missing {key}"))
+    }
+
+    /// A required decimal value.
+    pub(crate) fn num<T: FromStr>(&self, key: &str) -> Result<T, String> {
+        self.opt_num(key)?.ok_or_else(|| format!("missing {key}"))
+    }
+
+    /// An optional decimal value: absent is `None`, malformed an error.
+    fn opt_num<T: FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.get(key).map(|v| v.parse().map_err(|_| format!("bad {key} {v:?}"))).transpose()
+    }
+
+    /// The optional `engine=` line: absent is `None` (an answer from
+    /// before the field existed), an unknown token is an error.
+    pub(crate) fn engine(&self) -> Result<Option<Engine>, String> {
+        self.get("engine")
+            .map(|v| Engine::parse_token(v).ok_or_else(|| format!("unknown engine {v:?}")))
+            .transpose()
+    }
+
+    /// Rule 4 for the two kinds that admit only their own keys.
+    fn only(&self, keys: &[&str]) -> Result<(), String> {
+        match self.pairs.iter().find(|(k, _)| !keys.contains(k)) {
+            Some((k, v)) => Err(format!("unexpected header {k}={v}")),
+            None => Ok(()),
+        }
+    }
+
+    /// Rule 5 for a kind whose body follows a required blank line.
+    fn required_body(&self, what: &str) -> Result<&'a [u8], String> {
+        if self.blank {
+            Ok(self.body)
+        } else {
+            Err(format!("{what} missing blank line"))
+        }
+    }
+
+    /// Rule 5 for every kind that carries no body.
+    fn no_body(&self) -> Result<(), String> {
+        match self.body.len() {
+            0 => Ok(()),
+            n => Err(format!("{n} unexpected bytes after the header block")),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------
 
@@ -290,44 +459,19 @@ impl Request {
     /// Returns a human-readable reason on any malformed payload; never
     /// panics on wire input.
     pub fn decode(payload: &[u8]) -> Result<Self, String> {
-        let text = std::str::from_utf8(payload).map_err(|e| format!("not UTF-8: {e}"))?;
-        let mut lines = text.split('\n');
-        let first = lines.next().ok_or("empty payload")?;
-        let mut parts = first.split_whitespace();
-        let version = parts.next().ok_or("missing protocol version")?;
-        if version != PROTOCOL_VERSION {
-            return Err(format!("unsupported protocol version {version:?}"));
-        }
-        let kind_token = parts.next().ok_or("missing query kind")?;
+        let (mut tokens, rest) = first_line(payload, PROTOCOL_VERSION)?;
+        let kind_token = tokens.next().ok_or("missing query kind")?;
         let kind = QueryKind::from_str(kind_token)
             .ok_or_else(|| format!("unknown query kind {kind_token:?}"))?;
-        let mut req = Request::new(kind, "");
-        for line in lines.by_ref() {
-            if line.is_empty() {
-                break;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(format!("malformed header line {line:?}"));
-            };
-            match key {
-                "deadline_ms" => {
-                    req.deadline_ms =
-                        Some(value.parse().map_err(|_| format!("bad deadline_ms {value:?}"))?);
-                }
-                "steps" => {
-                    req.max_total_steps =
-                        Some(value.parse().map_err(|_| format!("bad steps {value:?}"))?);
-                }
-                "ops" => {
-                    req.max_ops_per_execution =
-                        Some(value.parse().map_err(|_| format!("bad ops {value:?}"))?);
-                }
-                // Unknown headers are ignored for forward compatibility.
-                _ => {}
-            }
-        }
-        req.program = lines.collect::<Vec<_>>().join("\n");
-        Ok(req)
+        let h = Headers::parse(rest)?;
+        let program = std::str::from_utf8(h.body).map_err(|e| format!("program not UTF-8: {e}"))?;
+        Ok(Request {
+            kind,
+            deadline_ms: h.opt_num("deadline_ms")?,
+            max_total_steps: h.opt_num("steps")?,
+            max_ops_per_execution: h.opt_num("ops")?,
+            program: program.to_string(),
+        })
     }
 }
 
@@ -411,14 +555,6 @@ pub(crate) fn push_engine_line(out: &mut String, engine: Option<Engine>) {
     }
 }
 
-/// Decodes an optional `engine=` header: absent is `None` (an answer
-/// from before the field existed), an unknown token is an error.
-fn parse_engine(value: Option<&str>) -> Result<Option<Engine>, String> {
-    value
-        .map(|v| Engine::parse_token(v).ok_or_else(|| format!("unknown engine {v:?}")))
-        .transpose()
-}
-
 /// The DRF0 classification carried on the wire. `Unknown` is the
 /// *degraded partial verdict*: the budget or deadline gave out before the
 /// exploration covered the interleaving space, and the response says so
@@ -436,14 +572,48 @@ pub enum Verdict {
     },
 }
 
-impl Verdict {
-    fn encode(&self) -> String {
-        match self {
-            Verdict::Drf0 => "drf0".into(),
-            Verdict::Racy => "racy".into(),
-            Verdict::Unknown { .. } => "unknown".into(),
-        }
+/// Appends the `verdict`, `reason`, `steps`, `cache` and `engine` lines
+/// that a verdict response and a [`ResultRef`] share.
+fn push_verdict_lines(
+    out: &mut String,
+    verdict: &Verdict,
+    steps: u64,
+    cache: CacheStatus,
+    engine: Option<Engine>,
+) {
+    let token = match verdict {
+        Verdict::Drf0 => "drf0",
+        Verdict::Racy => "racy",
+        Verdict::Unknown { .. } => "unknown",
+    };
+    out.push_str(&format!("verdict={token}\n"));
+    if let Verdict::Unknown { reason } = verdict {
+        out.push_str(&format!("reason={}\n", sanitize(reason)));
     }
+    out.push_str(&format!("steps={steps}\n"));
+    out.push_str(&format!("cache={}\n", cache.as_str()));
+    push_engine_line(out, engine);
+}
+
+/// Reads the lines [`push_verdict_lines`] writes.
+fn parse_verdict_lines(
+    h: &Headers<'_>,
+) -> Result<(Verdict, u64, CacheStatus, Option<Engine>), String> {
+    let verdict = match h.require("verdict")? {
+        "drf0" => Verdict::Drf0,
+        "racy" => Verdict::Racy,
+        "unknown" => {
+            Verdict::Unknown { reason: h.get("reason").unwrap_or("unspecified").to_string() }
+        }
+        other => return Err(format!("unknown verdict {other:?}")),
+    };
+    Ok((verdict, h.num("steps")?, parse_cache(h)?, h.engine()?))
+}
+
+/// Reads the `cache=` line of an answer.
+fn parse_cache(h: &Headers<'_>) -> Result<CacheStatus, String> {
+    let cache = h.require("cache")?;
+    CacheStatus::from_str(cache).ok_or_else(|| format!("bad cache status {cache:?}"))
 }
 
 /// A race in the *submitter's* coordinates: thread indices and location
@@ -649,13 +819,7 @@ impl Response {
         match self {
             Response::Verdict { verdict, races, steps, cache, engine } => {
                 out.push_str(&format!("{PROTOCOL_VERSION} ok verdict\n"));
-                out.push_str(&format!("verdict={}\n", verdict.encode()));
-                if let Verdict::Unknown { reason } = verdict {
-                    out.push_str(&format!("reason={}\n", sanitize(reason)));
-                }
-                out.push_str(&format!("steps={steps}\n"));
-                out.push_str(&format!("cache={}\n", cache.as_str()));
-                push_engine_line(&mut out, *engine);
+                push_verdict_lines(&mut out, verdict, *steps, *cache, *engine);
                 out.push_str(&format!("races={}\n", races.len()));
                 push_race_lines(&mut out, races);
             }
@@ -683,9 +847,9 @@ impl Response {
                 out.push_str(&format!("degraded={}\n", s.degraded));
                 out.push_str(&format!("journal_replayed={}\n", s.journal_replayed));
                 out.push_str(&format!("shedding={}\n", s.shedding));
-                out.push_str(&format!("batch_depth={}\n", encode_u64_list(&s.batch_depth)));
-                out.push_str(&format!("shard_hits={}\n", encode_u64_list(&s.shard_hits)));
-                out.push_str(&format!("shard_misses={}\n", encode_u64_list(&s.shard_misses)));
+                out.push_str(&format!("batch_depth={}\n", encode_list(&s.batch_depth)));
+                out.push_str(&format!("shard_hits={}\n", encode_list(&s.shard_hits)));
+                out.push_str(&format!("shard_misses={}\n", encode_list(&s.shard_misses)));
                 out.push_str(&format!("coalesced_in_batch={}\n", s.coalesced_in_batch));
                 out.push_str(&format!("shed_items={}\n", s.shed_items));
                 out.push_str(&format!("computed_axiom={}\n", s.computed_axiom));
@@ -712,131 +876,67 @@ impl Response {
     /// Returns a human-readable reason on any malformed payload; never
     /// panics on wire input.
     pub fn decode(payload: &[u8]) -> Result<Self, String> {
-        let text = std::str::from_utf8(payload).map_err(|e| format!("not UTF-8: {e}"))?;
-        let (first, rest) = text.split_once('\n').unwrap_or((text, ""));
-        if first.is_empty() {
-            return Err("empty payload".into());
-        }
-        let mut parts = first.split_whitespace();
-        let version = parts.next().ok_or("missing protocol version")?;
-        if version != PROTOCOL_VERSION {
-            return Err(format!("unsupported protocol version {version:?}"));
-        }
-        let status = parts.next().ok_or("missing status")?;
-        let tag = parts.next().ok_or("missing response tag")?;
-
-        if status == "ok" && tag == "trace" {
-            // The report body is multi-line and carried verbatim after the
-            // blank line — it is not key=value shaped.
-            let report = rest.strip_prefix('\n').ok_or("trace response missing blank line")?;
+        let (mut tokens, rest) = first_line(payload, PROTOCOL_VERSION)?;
+        let status = tokens.next().ok_or("missing status")?;
+        let tag = tokens.next().ok_or("missing response tag")?;
+        let h = Headers::parse(rest)?;
+        if (status, tag) == ("ok", "trace") {
+            // The report is multi-line and carried verbatim as the body.
+            let report = std::str::from_utf8(h.required_body("trace response")?)
+                .map_err(|e| format!("trace report not UTF-8: {e}"))?;
             return Ok(Response::Trace { report: report.to_string() });
         }
-
-        let mut headers: Vec<(&str, &str)> = Vec::new();
-        let mut races: Vec<RaceCoord> = Vec::new();
-        for line in rest.lines() {
-            if line.is_empty() {
-                continue;
-            }
-            // Race lines dominate heavily racy responses; take them
-            // before the generic header split.
-            if let Some(value) = line.strip_prefix("race=") {
-                races.push(parse_race(value)?);
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(format!("malformed response line {line:?}"));
-            };
-            headers.push((key, value));
-            // The race count header precedes the race block; size the
-            // vector once instead of growing it through reallocations.
-            if key == "races" {
-                if let Ok(n) = value.parse::<usize>() {
-                    races.reserve(n.min(1 << 20));
-                }
-            }
-        }
-        let get = |key: &str| headers.iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
-        let get_u64 = |key: &str| -> Result<u64, String> {
-            get(key)
-                .ok_or_else(|| format!("missing {key}"))?
-                .parse()
-                .map_err(|_| format!("bad {key}"))
-        };
+        h.no_body()?;
         // Counters added after the first release: an older server omits
         // them.
-        let get_u64_or_zero = |key: &str| -> Result<u64, String> {
-            get(key).map_or(Ok(0), |v| v.parse().map_err(|_| format!("bad {key}")))
-        };
-
+        let or_zero = |key: &str| h.opt_num(key).map(Option::unwrap_or_default);
         match (status, tag) {
             ("ok", "verdict") => {
-                let verdict = match get("verdict").ok_or("missing verdict")? {
-                    "drf0" => Verdict::Drf0,
-                    "racy" => Verdict::Racy,
-                    "unknown" => Verdict::Unknown {
-                        reason: get("reason").unwrap_or("unspecified").to_string(),
-                    },
-                    other => return Err(format!("unknown verdict {other:?}")),
-                };
-                let declared = get_u64("races")? as usize;
-                if declared != races.len() {
-                    return Err(format!(
-                        "race count mismatch: declared {declared}, got {}",
-                        races.len()
-                    ));
-                }
-                Ok(Response::Verdict {
-                    verdict,
-                    races,
-                    steps: get_u64("steps")?,
-                    cache: CacheStatus::from_str(get("cache").ok_or("missing cache")?)
-                        .ok_or("bad cache status")?,
-                    engine: parse_engine(get("engine"))?,
-                })
+                let (verdict, steps, cache, engine) = parse_verdict_lines(&h)?;
+                let races = h.races.ok_or("missing races")?;
+                Ok(Response::Verdict { verdict, races, steps, cache, engine })
             }
             ("ok", "sc") => Ok(Response::Sc {
-                outcomes: get_u64("outcomes")?,
-                complete: get("complete") == Some("true"),
-                reason: get("reason").map(str::to_string),
-                steps: get_u64("steps")?,
-                cache: CacheStatus::from_str(get("cache").ok_or("missing cache")?)
-                    .ok_or("bad cache status")?,
-                engine: parse_engine(get("engine"))?,
+                outcomes: h.num("outcomes")?,
+                complete: h.get("complete") == Some("true"),
+                reason: h.get("reason").map(str::to_string),
+                steps: h.num("steps")?,
+                cache: parse_cache(&h)?,
+                engine: h.engine()?,
             }),
             ("ok", "pong") => Ok(Response::Pong),
             ("ok", "stats") => {
                 let mut batch_depth = [0u64; BATCH_DEPTH_BUCKETS];
-                if let Some(raw) = get("batch_depth") {
-                    let buckets = parse_u64_list(raw)?;
+                if let Some(raw) = h.get("batch_depth") {
+                    let buckets = parse_list(raw)?;
                     if buckets.len() != BATCH_DEPTH_BUCKETS {
                         return Err(format!("bad batch_depth bucket count {}", buckets.len()));
                     }
                     batch_depth.copy_from_slice(&buckets);
                 }
                 Ok(Response::Stats(ServerStats {
-                    served: get_u64("served")?,
-                    cache_hits: get_u64("cache_hits")?,
-                    coalesced: get_u64("coalesced")?,
-                    explored: get_u64("explored")?,
-                    overloaded: get_u64("overloaded")?,
-                    degraded: get_u64("degraded")?,
-                    journal_replayed: get_u64("journal_replayed")?,
-                    shedding: get("shedding") == Some("true"),
+                    served: h.num("served")?,
+                    cache_hits: h.num("cache_hits")?,
+                    coalesced: h.num("coalesced")?,
+                    explored: h.num("explored")?,
+                    overloaded: h.num("overloaded")?,
+                    degraded: h.num("degraded")?,
+                    journal_replayed: h.num("journal_replayed")?,
+                    shedding: h.get("shedding") == Some("true"),
                     batch_depth,
-                    shard_hits: parse_u64_list(get("shard_hits").unwrap_or(""))?,
-                    shard_misses: parse_u64_list(get("shard_misses").unwrap_or(""))?,
-                    coalesced_in_batch: get_u64_or_zero("coalesced_in_batch")?,
-                    shed_items: get_u64_or_zero("shed_items")?,
-                    computed_axiom: get_u64_or_zero("computed_axiom")?,
-                    computed_explorer: get_u64_or_zero("computed_explorer")?,
-                    route_fallbacks: get_u64_or_zero("route_fallbacks")?,
+                    shard_hits: parse_list(h.get("shard_hits").unwrap_or(""))?,
+                    shard_misses: parse_list(h.get("shard_misses").unwrap_or(""))?,
+                    coalesced_in_batch: or_zero("coalesced_in_batch")?,
+                    shed_items: or_zero("shed_items")?,
+                    computed_axiom: or_zero("computed_axiom")?,
+                    computed_explorer: or_zero("computed_explorer")?,
+                    route_fallbacks: or_zero("route_fallbacks")?,
                 }))
             }
             ("error", code) => Ok(Response::Error {
                 code: ErrorCode::from_str(code)
                     .ok_or_else(|| format!("unknown error code {code:?}"))?,
-                message: get("message").unwrap_or("").to_string(),
+                message: h.get("message").unwrap_or("").to_string(),
             }),
             _ => Err(format!("unknown response shape {status} {tag}")),
         }
@@ -892,8 +992,8 @@ fn write_u32(buf: &mut [u8], v: u32) -> usize {
 }
 
 /// Parses the value of one `race=` line: five decimal fields separated by
-/// single spaces. The journal's record decoder shares it.
-pub(crate) fn parse_race(value: &str) -> Result<RaceCoord, String> {
+/// single spaces. [`Headers::parse`] reads every race line through it.
+fn parse_race(value: &str) -> Result<RaceCoord, String> {
     // A hand-rolled byte scanner: race lines dominate decode time on
     // heavily racy programs, where `split` + `str::parse` per field (and
     // especially a `Vec` of the fields) costs more than the parse itself.
@@ -939,11 +1039,13 @@ fn sanitize(s: &str) -> String {
     s.replace(['\n', '\r'], " ")
 }
 
-fn encode_u64_list(values: &[u64]) -> String {
-    values.iter().map(u64::to_string).collect::<Vec<_>>().join(",")
+/// Joins a list header's values with commas.
+fn encode_list<T: fmt::Display>(values: &[T]) -> String {
+    values.iter().map(T::to_string).collect::<Vec<_>>().join(",")
 }
 
-fn parse_u64_list(raw: &str) -> Result<Vec<u64>, String> {
+/// Splits a list header's value at its commas (empty is an empty list).
+fn parse_list<T: FromStr>(raw: &str) -> Result<Vec<T>, String> {
     if raw.is_empty() {
         return Ok(Vec::new());
     }
@@ -1054,6 +1156,13 @@ fn take<const N: usize>(bytes: &mut &[u8]) -> Result<[u8; N], String> {
 fn decode_op(bytes: &mut &[u8]) -> Result<Operation, String> {
     let [flags] = take::<1>(bytes)?;
     let kind = op_kind_from_code(flags & OP_KIND_MASK)?;
+    // The trace file's rule (`memsim::TraceReader`): a value the kind
+    // cannot carry makes the record corrupt.
+    if (flags & OP_HAS_READ != 0 && !kind.is_read())
+        || (flags & OP_HAS_WRITE != 0 && !kind.is_write())
+    {
+        return Err(format!("value-presence bits {flags:#04x} contradict the op kind"));
+    }
     let proc = ProcId(u16::from_le_bytes(take::<2>(bytes)?));
     let loc = Loc(u32::from_le_bytes(take::<4>(bytes)?));
     let id = OpId(u64::from_le_bytes(take::<8>(bytes)?));
@@ -1120,73 +1229,28 @@ impl BatchItem {
     /// first line parsed far enough to carry an id, the error is still
     /// attributable via [`peek_item_id`].
     pub fn decode(item: &[u8]) -> Result<Self, String> {
-        let newline = item
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or("batch item missing first line")?;
-        let first = std::str::from_utf8(&item[..newline])
-            .map_err(|e| format!("batch item first line not UTF-8: {e}"))?;
-        let rest = &item[newline + 1..];
-        let mut parts = first.split_whitespace();
-        let version = parts.next().ok_or("missing protocol version")?;
-        if version != PROTOCOL_VERSION_2 {
-            return Err(format!("unsupported batch item version {version:?}"));
+        let (mut tokens, rest) = first_line(item, PROTOCOL_VERSION_2)?;
+        let tag = tokens.next().ok_or("missing batch item tag")?;
+        let id = id_token(&mut tokens, "batch item id")?;
+        if tag == "q" {
+            return Ok(BatchItem::Query { id, request: Request::decode(rest)? });
         }
-        let tag = parts.next().ok_or("missing batch item tag")?;
-        let id: u64 = parts
-            .next()
-            .ok_or("missing batch item id")?
-            .parse()
-            .map_err(|_| "bad batch item id".to_string())?;
+        let h = Headers::parse(rest)?;
         match tag {
-            "q" => Ok(BatchItem::Query { id, request: Request::decode(rest)? }),
             "trace_open" => {
-                let text = std::str::from_utf8(rest)
-                    .map_err(|e| format!("trace_open headers not UTF-8: {e}"))?;
-                let mut release_writes = false;
-                for line in text.lines().filter(|l| !l.is_empty()) {
-                    let Some((key, value)) = line.split_once('=') else {
-                        return Err(format!("malformed trace_open header {line:?}"));
-                    };
-                    if key == "mode" {
-                        release_writes = match value {
-                            "drf0" => false,
-                            "release-writes" => true,
-                            other => return Err(format!("unknown trace mode {other:?}")),
-                        };
-                    }
-                }
+                h.no_body()?;
+                let release_writes = match h.get("mode") {
+                    None | Some("drf0") => false,
+                    Some("release-writes") => true,
+                    Some(other) => return Err(format!("unknown trace mode {other:?}")),
+                };
                 Ok(BatchItem::TraceOpen { id, release_writes })
             }
             "trace_seg" => {
                 // Text headers up to the blank line, then binary op records.
-                let header_end = rest
-                    .windows(2)
-                    .position(|w| w == b"\n\n")
-                    .ok_or("trace_seg missing blank line")?;
-                let headers = std::str::from_utf8(&rest[..header_end])
-                    .map_err(|e| format!("trace_seg headers not UTF-8: {e}"))?;
-                let mut procs: Option<u16> = None;
-                let mut count: Option<usize> = None;
-                for line in headers.lines() {
-                    let Some((key, value)) = line.split_once('=') else {
-                        return Err(format!("malformed trace_seg header {line:?}"));
-                    };
-                    match key {
-                        "procs" => {
-                            procs =
-                                Some(value.parse().map_err(|_| format!("bad procs {value:?}"))?);
-                        }
-                        "ops" => {
-                            count =
-                                Some(value.parse().map_err(|_| format!("bad ops {value:?}"))?);
-                        }
-                        _ => {}
-                    }
-                }
-                let procs = procs.ok_or("trace_seg missing procs")?;
-                let count = count.ok_or("trace_seg missing ops count")?;
-                let mut bytes = &rest[header_end + 2..];
+                let mut bytes = h.required_body("trace_seg")?;
+                let procs = h.num("procs")?;
+                let count: usize = h.num("ops")?;
                 // An op record is at least 15 bytes, so a hostile count is
                 // bounded by the (already capped) item length before any
                 // allocation happens.
@@ -1202,7 +1266,10 @@ impl BatchItem {
                 }
                 Ok(BatchItem::TraceSeg { id, procs, ops })
             }
-            "trace_finish" => Ok(BatchItem::TraceFinish { id }),
+            "trace_finish" => {
+                h.no_body()?;
+                Ok(BatchItem::TraceFinish { id })
+            }
             other => Err(format!("unknown batch item tag {other:?}")),
         }
     }
@@ -1210,11 +1277,11 @@ impl BatchItem {
 
 /// Extracts the client-assigned id from an item's first line without fully
 /// decoding it, so even a malformed item's error result can be tagged.
+/// A first line without the `wo-serve/2` version yields `None`.
 #[must_use]
 pub fn peek_item_id(item: &[u8]) -> Option<u64> {
-    let newline = item.iter().position(|&b| b == b'\n')?;
-    let first = std::str::from_utf8(&item[..newline]).ok()?;
-    first.split_whitespace().nth(2)?.parse().ok()
+    let (mut tokens, _) = first_line(item, PROTOCOL_VERSION_2).ok()?;
+    tokens.nth(1)?.parse().ok()
 }
 
 /// Whether a frame payload is a v2 batch frame (vs a v1 request).
@@ -1253,21 +1320,13 @@ pub fn split_batch_frame(payload: &[u8], max_items: usize) -> Result<Vec<&[u8]>,
     if !is_batch_frame(payload) {
         return Err("not a batch frame".into());
     }
-    let mut rest = &payload[BATCH_MAGIC.len() + 1..];
-    let newline =
-        rest.iter().position(|&b| b == b'\n').ok_or("batch frame missing items header")?;
-    let header = std::str::from_utf8(&rest[..newline])
-        .map_err(|e| format!("batch header not UTF-8: {e}"))?;
-    let count: usize = header
-        .strip_prefix("items=")
-        .ok_or_else(|| format!("expected items header, got {header:?}"))?
-        .parse()
-        .map_err(|_| format!("bad items count {header:?}"))?;
+    let h = Headers::parse(first_line(payload, PROTOCOL_VERSION_2)?.1)?;
+    h.only(&["items"])?;
+    let mut rest = h.required_body("batch frame")?;
+    let count: usize = h.num("items")?;
     if count > max_items {
         return Err(format!("batch of {count} items exceeds cap of {max_items}"));
     }
-    rest = &rest[newline + 1..];
-    rest = rest.strip_prefix(b"\n").ok_or("batch frame missing blank line")?;
     let mut items = Vec::with_capacity(count.min(rest.len() / 4));
     for _ in 0..count {
         let len_bytes: [u8; 4] = take::<4>(&mut rest).map_err(|_| "torn batch sub-frame")?;
@@ -1301,24 +1360,17 @@ pub fn encode_batch_result(id: u64, response_payload: &[u8]) -> Vec<u8> {
 /// A human-readable reason if the payload is not a v2 result frame (for
 /// example the bare error frame a daemon rejects a damaged batch with).
 pub fn decode_batch_result(payload: &[u8]) -> Result<(u64, &[u8]), String> {
-    let newline =
-        payload.iter().position(|&b| b == b'\n').ok_or("result frame missing first line")?;
-    let first = std::str::from_utf8(&payload[..newline])
-        .map_err(|e| format!("result first line not UTF-8: {e}"))?;
-    let mut parts = first.split_whitespace();
-    let version = parts.next().ok_or("missing protocol version")?;
-    if version != PROTOCOL_VERSION_2 {
-        return Err(format!("not a v2 result frame ({version:?})"));
+    let (mut tokens, rest) = first_line(payload, PROTOCOL_VERSION_2)?;
+    expect_tag(&mut tokens, "result")?;
+    Ok((id_token(&mut tokens, "result id")?, rest))
+}
+
+/// Checks that a v2 stream frame's first line carries `tag`.
+fn expect_tag(tokens: &mut SplitWhitespace<'_>, tag: &str) -> Result<(), String> {
+    match tokens.next() {
+        Some(t) if t == tag => Ok(()),
+        other => Err(format!("expected a {tag} frame, got tag {other:?}")),
     }
-    if parts.next() != Some("result") {
-        return Err(format!("expected result frame, got {first:?}"));
-    }
-    let id: u64 = parts
-        .next()
-        .ok_or("missing result id")?
-        .parse()
-        .map_err(|_| "bad result id".to_string())?;
-    Ok((id, &payload[newline + 1..]))
 }
 
 // ---------------------------------------------------------------------
@@ -1337,13 +1389,7 @@ pub const RACE_BLOCK_MIN_RACES: usize = 64;
 /// frame a daemon rejects a damaged batch with.
 #[must_use]
 pub fn batch_frame_tag(payload: &[u8]) -> Option<&str> {
-    let newline = payload.iter().position(|&b| b == b'\n')?;
-    let first = std::str::from_utf8(&payload[..newline]).ok()?;
-    let mut parts = first.split_whitespace();
-    if parts.next()? != PROTOCOL_VERSION_2 {
-        return None;
-    }
-    parts.next()
+    first_line(payload, PROTOCOL_VERSION_2).ok()?.0.next()
 }
 
 /// Encodes a race block: the canonical-space race set that `resultref`
@@ -1364,42 +1410,13 @@ pub fn encode_batch_race_block(block_id: u64, races: &[RaceCoord]) -> Vec<u8> {
 /// A human-readable reason on anything that is not a well-formed race
 /// block frame; never panics on wire input.
 pub fn decode_batch_race_block(payload: &[u8]) -> Result<(u64, Vec<RaceCoord>), String> {
-    let text =
-        std::str::from_utf8(payload).map_err(|e| format!("race block not UTF-8: {e}"))?;
-    let (first, rest) = text.split_once('\n').ok_or("race block missing first line")?;
-    let mut parts = first.split_whitespace();
-    if parts.next() != Some(PROTOCOL_VERSION_2) || parts.next() != Some("races") {
-        return Err(format!("not a race block frame ({first:?})"));
-    }
-    let block_id: u64 = parts
-        .next()
-        .ok_or("missing race block id")?
-        .parse()
-        .map_err(|_| "bad race block id".to_string())?;
-    let mut count: Option<usize> = None;
-    let mut races = Vec::new();
-    for line in rest.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(value) = line.strip_prefix("race=") {
-            races.push(parse_race(value)?);
-        } else if let Some(value) = line.strip_prefix("races=") {
-            let n: usize =
-                value.parse().map_err(|_| format!("bad race count {value:?}"))?;
-            races.reserve(n.min(1 << 20));
-            count = Some(n);
-        } else {
-            return Err(format!("unexpected race block line {line:?}"));
-        }
-    }
-    if count != Some(races.len()) {
-        return Err(format!(
-            "race block carries {} races but declares {count:?}",
-            races.len()
-        ));
-    }
-    Ok((block_id, races))
+    let (mut tokens, rest) = first_line(payload, PROTOCOL_VERSION_2)?;
+    expect_tag(&mut tokens, "races")?;
+    let block_id = id_token(&mut tokens, "race block id")?;
+    let h = Headers::parse(rest)?;
+    h.only(&["races"])?;
+    h.no_body()?;
+    Ok((block_id, h.races.ok_or("race block declares no races")?))
 }
 
 /// A batched result that references a shared race block instead of
@@ -1427,27 +1444,13 @@ pub struct ResultRef {
     pub loc_unmap: Vec<u32>,
 }
 
-/// Joins list values for the unmap headers of a `resultref` frame.
-fn encode_usize_list(values: &[usize]) -> String {
-    values.iter().map(usize::to_string).collect::<Vec<_>>().join(",")
-}
-
 /// Encodes a result-reference frame.
 #[must_use]
 pub fn encode_batch_result_ref(rref: &ResultRef) -> Vec<u8> {
     let mut out = format!("{PROTOCOL_VERSION_2} resultref {} {}\n", rref.id, rref.block_id);
-    out.push_str(&format!("verdict={}\n", rref.verdict.encode()));
-    if let Verdict::Unknown { reason } = &rref.verdict {
-        out.push_str(&format!("reason={}\n", sanitize(reason)));
-    }
-    out.push_str(&format!("steps={}\n", rref.steps));
-    out.push_str(&format!("cache={}\n", rref.cache.as_str()));
-    push_engine_line(&mut out, rref.engine);
-    out.push_str(&format!("unmap_threads={}\n", encode_usize_list(&rref.thread_unmap)));
-    out.push_str(&format!(
-        "unmap_locs={}\n",
-        rref.loc_unmap.iter().map(u32::to_string).collect::<Vec<_>>().join(",")
-    ));
+    push_verdict_lines(&mut out, &rref.verdict, rref.steps, rref.cache, rref.engine);
+    out.push_str(&format!("unmap_threads={}\n", encode_list(&rref.thread_unmap)));
+    out.push_str(&format!("unmap_locs={}\n", encode_list(&rref.loc_unmap)));
     out.into_bytes()
 }
 
@@ -1458,66 +1461,15 @@ pub fn encode_batch_result_ref(rref: &ResultRef) -> Vec<u8> {
 /// A human-readable reason on anything that is not a well-formed
 /// `resultref` frame; never panics on wire input.
 pub fn decode_batch_result_ref(payload: &[u8]) -> Result<ResultRef, String> {
-    let text = std::str::from_utf8(payload).map_err(|e| format!("resultref not UTF-8: {e}"))?;
-    let (first, rest) = text.split_once('\n').ok_or("resultref missing first line")?;
-    let mut parts = first.split_whitespace();
-    if parts.next() != Some(PROTOCOL_VERSION_2) || parts.next() != Some("resultref") {
-        return Err(format!("not a resultref frame ({first:?})"));
-    }
-    let id: u64 = parts
-        .next()
-        .ok_or("missing resultref id")?
-        .parse()
-        .map_err(|_| "bad resultref id".to_string())?;
-    let block_id: u64 = parts
-        .next()
-        .ok_or("missing resultref block id")?
-        .parse()
-        .map_err(|_| "bad resultref block id".to_string())?;
-    let mut headers: Vec<(&str, &str)> = Vec::new();
-    for line in rest.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(format!("malformed resultref line {line:?}"));
-        };
-        headers.push((key, value));
-    }
-    let get = |key: &str| -> Result<&str, String> {
-        headers
-            .iter()
-            .find_map(|(k, v)| (*k == key).then_some(*v))
-            .ok_or_else(|| format!("resultref missing {key}"))
-    };
-    let verdict = match get("verdict")? {
-        "drf0" => Verdict::Drf0,
-        "racy" => Verdict::Racy,
-        "unknown" => Verdict::Unknown {
-            reason: get("reason").unwrap_or("unspecified").to_string(),
-        },
-        other => return Err(format!("unknown verdict {other:?}")),
-    };
-    let steps: u64 =
-        get("steps")?.parse().map_err(|_| "bad steps in resultref".to_string())?;
-    let cache = CacheStatus::from_str(get("cache")?)
-        .ok_or_else(|| format!("unknown cache status {:?}", get("cache").unwrap_or("")))?;
-    let engine = parse_engine(get("engine").ok())?;
-    let parse_list = |value: &str| -> Result<Vec<u64>, String> {
-        if value.is_empty() {
-            return Ok(Vec::new());
-        }
-        value
-            .split(',')
-            .map(|v| v.parse::<u64>().map_err(|_| format!("bad unmap entry {v:?}")))
-            .collect()
-    };
-    let thread_unmap =
-        parse_list(get("unmap_threads")?)?.into_iter().map(|v| v as usize).collect();
-    let loc_unmap = parse_list(get("unmap_locs")?)?
-        .into_iter()
-        .map(|v| u32::try_from(v).map_err(|_| format!("unmap loc {v} out of range")))
-        .collect::<Result<Vec<u32>, String>>()?;
+    let (mut tokens, rest) = first_line(payload, PROTOCOL_VERSION_2)?;
+    expect_tag(&mut tokens, "resultref")?;
+    let id = id_token(&mut tokens, "resultref id")?;
+    let block_id = id_token(&mut tokens, "resultref block id")?;
+    let h = Headers::parse(rest)?;
+    h.no_body()?;
+    let (verdict, steps, cache, engine) = parse_verdict_lines(&h)?;
+    let thread_unmap = parse_list(h.require("unmap_threads")?)?;
+    let loc_unmap = parse_list(h.require("unmap_locs")?)?;
     Ok(ResultRef { id, block_id, verdict, steps, cache, engine, thread_unmap, loc_unmap })
 }
 
@@ -1800,6 +1752,12 @@ mod tests {
             b"wo-serve/2 trace_seg 1\nprocs=2\n\n",
             b"wo-serve/2 trace_seg 1\nprocs=2\nops=9999\n\n\x00",
             b"wo-serve/2 trace_seg 1\nprocs=2\nops=1\n\n\x05\x00\x00\x00\x00\x00\x00",
+            // A data read with the has-write bit, a data write with the
+            // has-read bit: value-presence bits the kind cannot have.
+            b"wo-serve/2 trace_seg 1\nprocs=2\nops=1\n\n\x80\x00\x00\x03\x00\x00\x00\
+              \x01\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00",
+            b"wo-serve/2 trace_seg 1\nprocs=2\nops=1\n\n\x41\x00\x00\x03\x00\x00\x00\
+              \x01\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00",
         ];
         for case in cases {
             assert!(BatchItem::decode(case).is_err(), "{case:?}");
@@ -1890,5 +1848,153 @@ mod tests {
                 "route_fallbacks",
             ]
         );
+    }
+
+    /// A decoder of the text-frame grammar: a name and whether it
+    /// accepts a payload.
+    type Decoder = (&'static str, fn(&[u8]) -> bool);
+
+    const REQUEST: Decoder = ("request", |p| Request::decode(p).is_ok());
+    const RESPONSE: Decoder = ("response", |p| Response::decode(p).is_ok());
+    const ITEM: Decoder = ("batch item", |p| BatchItem::decode(p).is_ok());
+    const BATCH: Decoder = ("batch frame", |p| split_batch_frame(p, 16).is_ok());
+    const RESULT: Decoder = ("result frame", |p| decode_batch_result(p).is_ok());
+    const RACE_BLOCK: Decoder = ("race block", |p| decode_batch_race_block(p).is_ok());
+    const RESULTREF: Decoder = ("resultref", |p| decode_batch_result_ref(p).is_ok());
+    const JOURNAL: Decoder = ("journal record", |p| crate::journal::parse_payload(p).is_some());
+    const PEEK: Decoder = ("peek_item_id", |p| peek_item_id(p).is_some());
+    const TAG: Decoder = ("batch_frame_tag", |p| batch_frame_tag(p).is_some());
+
+    /// Rules 1–5 of the module docs, each fed to every decoder that can
+    /// see it: `(rule, decoder, payload, accepted)`.
+    const RULES: &[(u8, Decoder, &[u8], bool)] = &[
+        // 1. The first line ends at the first `\n` and starts with the
+        //    version.
+        (1, REQUEST, b"wo-serve/1 ping\n", true),
+        (1, REQUEST, b"wo-serve/1 ping", false),
+        (1, REQUEST, b"wo-serve/2 ping\n", false),
+        (1, REQUEST, b"\nwo-serve/1 ping\n", false),
+        (1, RESPONSE, b"wo-serve/1 ok pong\n", true),
+        (1, RESPONSE, b"wo-serve/1 ok pong", false),
+        (1, RESPONSE, b"wo-serve/2 ok pong\n", false),
+        (1, ITEM, b"wo-serve/2 trace_finish 1\n", true),
+        (1, ITEM, b"wo-serve/2 trace_finish 1", false),
+        (1, ITEM, b"wo-serve/1 trace_finish 1\n", false),
+        (1, BATCH, b"wo-serve/2 batch", false),
+        (1, RESULT, b"wo-serve/2 result 3\nwo-serve/1 ok pong\n", true),
+        (1, RESULT, b"wo-serve/2 result 3", false),
+        (1, RESULT, b"wo-serve/1 result 3\n", false),
+        (1, RACE_BLOCK, b"wo-serve/2 races 2", false),
+        (1, RESULTREF, b"wo-serve/2 resultref 4 2", false),
+        (1, PEEK, b"wo-serve/2 q 7\n", true),
+        (1, PEEK, b"wo-serve/2 q 7", false),
+        (1, PEEK, b"wo-serve/1 q 7\n", false),
+        (1, TAG, b"wo-serve/2 result 3\n", true),
+        (1, TAG, b"wo-serve/2 result 3", false),
+        // 2. Header lines are `key=value`, split at the first `=`.
+        (2, REQUEST, b"wo-serve/1 drf0\nnot a header\n\nP0:\n", false),
+        (2, REQUEST, b"wo-serve/1 ping\nnote=a=b\n", true),
+        (2, REQUEST, b"wo-serve/1 drf0\nsteps=1=2\n\n", false),
+        (2, RESPONSE, b"wo-serve/1 ok pong\nnot a header\n", false),
+        (2, RESPONSE, b"wo-serve/1 error parse\nmessage=a=b\n", true),
+        (2, ITEM, b"wo-serve/2 trace_open 1\nmode\n", false),
+        (2, ITEM, b"wo-serve/2 trace_seg 1\nprocs=2\nops\n\n", false),
+        (2, ITEM, b"wo-serve/2 trace_finish 1\ngarbage\n", false),
+        (2, BATCH, b"wo-serve/2 batch\nitems\n\n", false),
+        (2, RACE_BLOCK, b"wo-serve/2 races 2\nraces=0\nrace\n", false),
+        (2, RESULTREF, b"wo-serve/2 resultref 4 2\nverdict=drf0\nsteps=3\ncache=hit\nunmap_threads=\nunmap_locs=\nnote\n", false),
+        (2, JOURNAL, b"group=sc\nanswer=sc\noutcomes=4\nsteps=99\nnote\n\nP0:\n", false),
+        // 3. `race=` is the one repeatable key, counted by `races=`.
+        (3, RESPONSE, b"wo-serve/1 ok verdict\nverdict=racy\nsteps=1\ncache=miss\nraces=1\nrace=0 0 1 0 3\n", true),
+        (3, RESPONSE, b"wo-serve/1 ok verdict\nverdict=racy\nsteps=1\ncache=miss\nraces=2\nrace=0 0 1 0 3\n", false),
+        (3, RESPONSE, b"wo-serve/1 ok verdict\nverdict=racy\nsteps=1\ncache=miss\nrace=0 0 1 0 3\n", false),
+        (3, RESPONSE, b"wo-serve/1 ok verdict\nverdict=drf0\nsteps=1\ncache=miss\nraces=0\nraces=0\n", false),
+        (3, RESPONSE, b"wo-serve/1 ok verdict\nverdict=drf0\nsteps=1\nsteps=2\ncache=miss\nraces=0\n", false),
+        (3, RESPONSE, b"wo-serve/1 ok sc\noutcomes=2\ncomplete=true\nsteps=5\ncache=hit\nrace=0 0 1 0 3\n", false),
+        (3, REQUEST, b"wo-serve/1 ping\nrace=0 0 1 0 3\n", false),
+        (3, REQUEST, b"wo-serve/1 ping\nraces=1\nrace=0 0 1 0 3\n", true),
+        (3, REQUEST, b"wo-serve/1 drf0\nsteps=5\nsteps=6\n\n", false),
+        (3, ITEM, b"wo-serve/2 trace_open 1\nmode=drf0\nmode=release-writes\n", false),
+        (3, ITEM, b"wo-serve/2 trace_seg 1\nprocs=2\nprocs=3\nops=0\n\n", false),
+        (3, BATCH, b"wo-serve/2 batch\nitems=0\nrace=0 0 1 0 3\n\n", false),
+        (3, RACE_BLOCK, b"wo-serve/2 races 2\nraces=1\nrace=0 0 1 0 3\n", true),
+        (3, RACE_BLOCK, b"wo-serve/2 races 2\nraces=2\nrace=0 0 1 0 3\n", false),
+        (3, RACE_BLOCK, b"wo-serve/2 races 2\nrace=0 0 1 0 3\n", false),
+        (3, RESULTREF, b"wo-serve/2 resultref 4 2\nverdict=drf0\nsteps=3\nsteps=3\ncache=hit\nunmap_threads=\nunmap_locs=\n", false),
+        (3, JOURNAL, b"group=explore\nanswer=explore\nracy=true\nsteps=42\nraces=1\nrace=0 1 1 0 3\n\nP0:\n", true),
+        (3, JOURNAL, b"group=explore\nanswer=explore\nracy=true\nsteps=42\nraces=2\nrace=0 1 1 0 3\n\nP0:\n", false),
+        (3, JOURNAL, b"group=sc\nanswer=sc\noutcomes=4\nsteps=99\nrace=0 1 1 0 3\n\nP0:\n", false),
+        (3, JOURNAL, b"group=sc\nanswer=sc\noutcomes=4\nsteps=99\nsteps=98\n\nP0:\n", false),
+        // 4. Unknown keys are skipped, except by the batch frame header
+        //    and the race block.
+        (4, REQUEST, b"wo-serve/1 ping\nfuture=1\n", true),
+        (4, RESPONSE, b"wo-serve/1 ok sc\noutcomes=2\ncomplete=true\nsteps=5\ncache=hit\nfuture=1\n", true),
+        (4, ITEM, b"wo-serve/2 trace_open 1\nfuture=1\nmode=drf0\n", true),
+        (4, ITEM, b"wo-serve/2 trace_seg 1\nfuture=1\nprocs=2\nops=0\n\n", true),
+        (4, ITEM, b"wo-serve/2 trace_finish 1\nfuture=1\n", true),
+        (4, RESULTREF, b"wo-serve/2 resultref 4 2\nverdict=drf0\nsteps=3\ncache=hit\nunmap_threads=\nunmap_locs=\nfuture=1\n", true),
+        (4, JOURNAL, b"group=sc\nanswer=sc\nfuture=1\noutcomes=4\nsteps=99\n\nP0:\n", true),
+        (4, BATCH, b"wo-serve/2 batch\nitems=0\nfuture=1\n\n", false),
+        (4, BATCH, b"wo-serve/2 batch\nitems=0\nraces=0\n\n", false),
+        (4, RACE_BLOCK, b"wo-serve/2 races 2\nraces=0\nfuture=1\n", false),
+        // 5. The body follows the blank line.
+        (5, ITEM, b"wo-serve/2 trace_seg 1\nprocs=2\nops=0\n\n", true),
+        (5, ITEM, b"wo-serve/2 trace_seg 1\nprocs=2\nops=0\n", false),
+        (5, BATCH, b"wo-serve/2 batch\nitems=0\n\n", true),
+        (5, BATCH, b"wo-serve/2 batch\nitems=0\n", false),
+        (5, RESPONSE, b"wo-serve/1 ok trace\n\nverdict: drf0\n", true),
+        (5, RESPONSE, b"wo-serve/1 ok trace\n", false),
+        (5, REQUEST, b"wo-serve/1 drf0\nsteps=5\n", true),
+        (5, JOURNAL, b"group=sc\nanswer=sc\noutcomes=4\nsteps=99\n\n", false),
+        (5, JOURNAL, b"group=sc\nanswer=sc\noutcomes=4\nsteps=99\n", false),
+        (5, RESPONSE, b"wo-serve/1 ok pong\n\n", true),
+        (5, RESPONSE, b"wo-serve/1 ok pong\n\nx", false),
+        (5, RESPONSE, b"wo-serve/1 ok verdict\nverdict=drf0\n\nsteps=1\ncache=miss\nraces=0\n", false),
+        (5, RESULTREF, b"wo-serve/2 resultref 4 2\nverdict=drf0\n\nsteps=3\ncache=hit\nunmap_threads=\nunmap_locs=\n", false),
+        (5, ITEM, b"wo-serve/2 trace_open 1\nmode=drf0\n\nfuture=1\n", false),
+        (5, ITEM, b"wo-serve/2 trace_finish 1\n\nx", false),
+        (5, RACE_BLOCK, b"wo-serve/2 races 2\nraces=1\n\nrace=0 0 1 0 3\n", false),
+    ];
+
+    #[test]
+    fn every_decoder_follows_the_text_frame_rules() {
+        for &(rule, (name, accepts), payload, accepted) in RULES {
+            let shown = payload.escape_ascii();
+            assert_eq!(accepts(payload), accepted, "rule {rule}, {name}: {shown}");
+        }
+        // A request's program is its body, byte for byte.
+        let req = Request::decode(b"wo-serve/1 drf0\nops=3\n\nP0:\n\n  0: W(m0) := 1").unwrap();
+        assert_eq!(req.program, "P0:\n\n  0: W(m0) := 1");
+    }
+
+    /// Malformed input the decoders accepted before they shared the
+    /// grammar, which no encoder writes; each case is now an error.
+    const TIGHTENED: &[(Decoder, &[u8])] = &[
+        // A repeated non-race key (the last one won here before).
+        (REQUEST, b"wo-serve/1 drf0\nsteps=5\nsteps=6\n\n"),
+        (ITEM, b"wo-serve/2 trace_open 1\nmode=drf0\nmode=release-writes\n"),
+        (JOURNAL, b"group=sc\nanswer=sc\noutcomes=4\nsteps=99\nsteps=98\n\nP0:\n"),
+        // ... and here the first.
+        (RESPONSE, b"wo-serve/1 ok sc\noutcomes=2\ncomplete=true\nsteps=5\nsteps=6\ncache=hit\n"),
+        (RESULTREF, b"wo-serve/2 resultref 4 2\nverdict=drf0\nsteps=3\nsteps=3\ncache=hit\nunmap_threads=\nunmap_locs=\n"),
+        // A blank line followed by more lines.
+        (RESPONSE, b"wo-serve/1 ok verdict\nverdict=drf0\n\nsteps=1\ncache=miss\nraces=0\n"),
+        (RESULTREF, b"wo-serve/2 resultref 4 2\nverdict=drf0\n\nsteps=3\ncache=hit\nunmap_threads=\nunmap_locs=\n"),
+        (ITEM, b"wo-serve/2 trace_open 1\nmode=drf0\n\nfuture=1\n"),
+        // Race lines in an `sc` response, which declares no `races=`.
+        (RESPONSE, b"wo-serve/1 ok sc\noutcomes=2\ncomplete=true\nsteps=5\ncache=hit\nrace=0 0 1 0 3\n"),
+        // Bytes after `trace_finish`.
+        (ITEM, b"wo-serve/2 trace_finish 1\n\nx"),
+        (ITEM, b"wo-serve/2 trace_finish 1\ngarbage\n"),
+        // No newline after a v1 first line.
+        (REQUEST, b"wo-serve/1 ping"),
+        (RESPONSE, b"wo-serve/1 ok pong"),
+    ];
+
+    #[test]
+    fn input_accepted_before_the_shared_grammar_is_now_rejected() {
+        for &((name, accepts), payload) in TIGHTENED {
+            assert!(!accepts(payload), "{name}: {}", payload.escape_ascii());
+        }
     }
 }

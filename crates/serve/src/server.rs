@@ -8,9 +8,10 @@
 //! hands back the journal record of a fresh definitive answer. A v1
 //! frame is a one-item resolution; a `wo-serve/2` batch frame resolves
 //! each distinct canonical key once for all the items that share it. The
-//! front ends keep only what really differs: decoding, frame-level caps,
-//! and rendering (a bare v1 frame vs tagged results, race blocks and the
-//! encode memo). Answers are journaled after they are written.
+//! front ends keep only what really differs: decoding (one text-frame
+//! grammar in [`crate::protocol`] for both), frame-level caps, and
+//! rendering (a bare v1 frame vs tagged results and race blocks).
+//! Answers are journaled after they are written.
 //!
 //! The ladder prefers cheap honest answers over expensive or hung ones:
 //!
@@ -708,14 +709,8 @@ enum Item {
 /// every small segment, and on a machine where the reader and writer
 /// share a core that ping-pongs the scheduler once per item.
 fn push_result(shared: &Shared, out: &mut Vec<u8>, id: u64, response: &Response) {
-    push_result_payload(shared, out, id, &response.encode());
-}
-
-/// [`push_result`] for an already-encoded response payload, so one
-/// encoding can answer every batch item that shares it.
-fn push_result_payload(shared: &Shared, out: &mut Vec<u8>, id: u64, response_payload: &[u8]) {
     shared.counters.served.fetch_add(1, Ordering::Relaxed);
-    push_frame(out, &encode_batch_result(id, response_payload));
+    push_frame(out, &encode_batch_result(id, &response.encode()));
 }
 
 /// Appends one length-prefixed frame payload to an output buffer.
@@ -880,14 +875,6 @@ fn resolve_key(
             .coalesced_in_batch
             .fetch_add(subscribers.len() as u64 - 1, Ordering::Relaxed);
     }
-    // All the key's items share one answer, and items whose submissions
-    // were renamings with the same inverse maps get byte-identical
-    // responses — translate and encode once per distinct
-    // (kind, unmaps, status) and reuse the bytes. On heavily racy
-    // programs a response carries thousands of race lines, so this memo
-    // is the difference between one encode per key and one per item.
-    type MemoEntry = (QueryKind, CacheStatus, Vec<usize>, Vec<u32>, Vec<u8>);
-    let mut memo: Vec<MemoEntry> = Vec::new();
     // Once a key's answer is known to carry a large race set, its
     // canonical races go out once as a race block and every item answers
     // with a small reference frame carrying its own inverse maps; the
@@ -932,31 +919,7 @@ fn resolve_key(
                 continue;
             }
         }
-        // The memo only pays off when responses are large (inline race
-        // lists) — race-free and Sc responses are a few short lines, and
-        // for renamed near-duplicate traffic the unmaps all differ, so
-        // probing would be pure overhead.
-        let large = matches!(&**answer, CachedAnswer::Explore { races, .. } if !races.is_empty());
-        if !large {
-            push_result(shared, &mut out, id, &answer_to_response(kind, answer, form, status));
-            continue;
-        }
-        let pos = memo
-            .iter()
-            .position(|(k, s, tu, lu, _)| {
-                *k == kind && *s == status && *tu == form.thread_unmap && *lu == form.loc_unmap
-            })
-            .unwrap_or_else(|| {
-                memo.push((
-                    kind,
-                    status,
-                    form.thread_unmap.clone(),
-                    form.loc_unmap.clone(),
-                    answer_to_response(kind, answer, form, status).encode(),
-                ));
-                memo.len() - 1
-            });
-        push_result_payload(shared, &mut out, id, &memo[pos].4);
+        push_result(shared, &mut out, id, &answer_to_response(kind, answer, form, status));
     }
     let _ = flush_results(writer, &mut out);
     record

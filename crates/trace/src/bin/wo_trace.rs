@@ -5,7 +5,7 @@
 //!                       [--batch N] [--max-locations N] [--max-sync N]
 //! wo_trace stats <FILE>
 //! wo_trace top <FILE> [--limit N] [checker flags]
-//! wo_trace emit <PROGRAM> --out FILE [--procs N] [--seeds N] [--policy P]
+//! wo_trace emit <PROGRAM> --out FILE [--seeds N] [--policy P]
 //! wo_trace synth --out FILE [--events N] [--procs N] [--locations N]
 //!                [--sync-locations N] [--sync-percent P] [--racy-percent P]
 //!                [--seed S]
@@ -16,9 +16,11 @@
 //! scripts can branch on the verdict without parsing output.
 //!
 //! `<PROGRAM>` is a corpus name (`dekker`, `handoff`, `mp-sync`,
-//! `racy-counter`, `spinlock`, `iriw-sync`) or a path to a litmus file
-//! parsed by `litmus::parse_program`. `--policy` is one of `sc`,
-//! `relaxed`, `wo-def1`, `wo-def2` (default `wo-def2`).
+//! `mp-data`, `racy-counter`, `spinlock`, `iriw-sync`) or a path to a
+//! litmus file parsed by `litmus::parse_program`; the machine has one
+//! processor per program thread. `--policy` is one of `sc`, `relaxed`,
+//! `wo-def1`, `wo-def2` (default `wo-def2`). `emit` exits 2 when every
+//! run fails, naming the first run's error.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -28,6 +30,7 @@ use std::process::ExitCode;
 use litmus::parse::parse_program;
 use litmus::{corpus, Program};
 use memory_model::SyncMode;
+use memsim::sweep::CellOutcome;
 use memsim::{presets, sweep, Policy, TraceItem, TraceReader, TraceWriter};
 use wo_trace::{check_trace_file, write_synth, CheckerConfig, SynthConfig, TraceReport, Verdict};
 
@@ -37,7 +40,7 @@ fn usage() -> ! {
          \x20                      [--batch N] [--max-locations N] [--max-sync N]\n\
          \x20      wo_trace stats <FILE>\n\
          \x20      wo_trace top <FILE> [--limit N] [checker flags]\n\
-         \x20      wo_trace emit <PROGRAM> --out FILE [--procs N] [--seeds N] [--policy P]\n\
+         \x20      wo_trace emit <PROGRAM> --out FILE [--seeds N] [--policy P]\n\
          \x20      wo_trace synth --out FILE [--events N] [--procs N] [--locations N]\n\
          \x20                     [--sync-locations N] [--sync-percent P] [--racy-percent P]\n\
          \x20                     [--seed S]"
@@ -228,7 +231,6 @@ fn policy_by_name(name: &str) -> Policy {
 
 fn cmd_emit(args: &[String]) -> ExitCode {
     let mut out = None;
-    let mut procs = 0usize;
     let mut seeds = 8u64;
     let mut policy = presets::wo_def2();
     let mut program_arg = None;
@@ -242,7 +244,6 @@ fn cmd_emit(args: &[String]) -> ExitCode {
         };
         match flag.as_str() {
             "--out" => out = Some(value("--out").to_string()),
-            "--procs" => procs = parse_num(flag, value("--procs")),
             "--seeds" => seeds = parse_num(flag, value("--seeds")),
             "--policy" => policy = policy_by_name(value("--policy")),
             other if other.starts_with("--") => {
@@ -269,11 +270,10 @@ fn cmd_emit(args: &[String]) -> ExitCode {
             }
         },
     };
-    let procs = if procs == 0 { program.num_threads() } else { procs };
     let cells: Vec<sweep::Cell> = (0..seeds)
         .map(|seed| sweep::Cell {
             program: &program,
-            config: presets::network_cached(procs, policy, seed),
+            config: presets::network_cached(program.num_threads(), policy, seed),
         })
         .collect();
     let file = match File::create(&out) {
@@ -294,7 +294,12 @@ fn cmd_emit(args: &[String]) -> ExitCode {
             let ok = outcomes.iter().filter(|o| o.ok().is_some()).count();
             println!("emitted {ok}/{} runs of {program_arg} to {out}", outcomes.len());
             if ok == 0 {
-                eprintln!("wo_trace: every cell failed; trace is empty");
+                let first = match outcomes.first() {
+                    Some(CellOutcome::Err(e)) => format!("first cell: {e:?}"),
+                    Some(CellOutcome::Panicked(msg)) => format!("first cell panicked: {msg}"),
+                    _ => "no cell ran".into(),
+                };
+                eprintln!("wo_trace: every cell failed; trace is empty; {first}");
                 return ExitCode::from(2);
             }
             ExitCode::SUCCESS
