@@ -21,7 +21,9 @@
 //!   (every batched response must equal the v1 per-request stream, at
 //!   batch sizes {1, 7, 256} x pool threads {1, 4}; any divergence fails
 //!   the run) and a hot-path throughput comparison against the v1 numbers
-//!   from the same run, gated at a 5x speedup.
+//!   from the same run (`batched.speedup_vs_v1`, reported, not gated: it
+//!   divides by the v1 rate, so a faster v1 path would read as a
+//!   batched regression).
 //!
 //! Writes `BENCH_serve.json` in the [`wo_bench::report`] schema (one row
 //! per grid cell) and exits 1 after writing on a divergence or a failed
@@ -30,11 +32,12 @@
 //! Usage:
 //!
 //! ```text
-//! serve_bench [--smoke] [--renames N] [--out PATH] [--min-hot-qps Q]
-//!   --smoke          CI variant: fewer programs, fewer renamings
-//!   --renames N      renamed variants per program in the hot phase (default 20)
-//!   --out PATH       where to write the JSON (default BENCH_serve.json)
-//!   --min-hot-qps Q  exit nonzero if v1 hot-path throughput lands below Q
+//! serve_bench [--smoke] [--renames N] [--out PATH] [--min-hot-qps Q] [--min-batched-qps Q]
+//!   --smoke              CI variant: fewer programs, fewer renamings
+//!   --renames N          renamed variants per program in the hot phase (default 20)
+//!   --out PATH           where to write the JSON (default BENCH_serve.json)
+//!   --min-hot-qps Q      exit nonzero if v1 hot-path throughput lands below Q
+//!   --min-batched-qps Q  exit nonzero if batched hot-path throughput lands below Q
 //! ```
 
 use std::path::PathBuf;
@@ -49,11 +52,12 @@ use wo_serve::client::{BatchClient, ClientConfig, ServeClient};
 use wo_serve::protocol::{CacheStatus, QueryKind, Request, Response};
 use wo_serve::server::{Server, ServerConfig, ServerHandle};
 
-const USAGE: &str = "serve_bench [--smoke] [--renames N] [--out PATH] [--min-hot-qps Q]";
+const USAGE: &str =
+    "serve_bench [--smoke] [--renames N] [--out PATH] [--min-hot-qps Q] [--min-batched-qps Q]";
 
 /// Timed passes per hot phase (v1 and batched). The reported number is
 /// the median pass: single ~30 ms passes swing by 2x under scheduler
-/// noise on small machines, and two gates ride on the ratio.
+/// noise on small machines, and a gate rides on each path's rate.
 const HOT_PASSES: usize = 3;
 
 /// Corpus: bounded programs whose exploration completes in sane time at
@@ -121,13 +125,14 @@ fn stats_of(client: &mut ServeClient) -> wo_serve::protocol::ServerStats {
 fn main() {
     let (mut smoke, mut renames) = (false, 20u64);
     let mut out = PathBuf::from("BENCH_serve.json");
-    let mut min_hot_qps = None;
+    let (mut min_hot_qps, mut min_batched_qps) = (None, None);
     report::parse_args(USAGE, |flag, args| {
         match flag {
             "--smoke" => smoke = true,
             "--renames" => renames = args.value(flag)?,
             "--out" => out = args.value(flag)?,
             "--min-hot-qps" => min_hot_qps = Some(args.value(flag)?),
+            "--min-batched-qps" => min_batched_qps = Some(args.value(flag)?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -160,8 +165,8 @@ fn main() {
     // Requests are pre-generated (renaming and rendering stay outside the
     // timing window, as on the batched path) and the phase runs
     // HOT_PASSES times: a ~30 ms single pass is at the mercy of one
-    // scheduler hiccup on a small machine, and the batched-vs-v1 gate
-    // rides on this number, so the median pass is what gets reported.
+    // scheduler hiccup on a small machine, and the v1 floor rides on this
+    // number, so the median pass is what gets reported.
     let hot_requests: Vec<Request> = programs
         .iter()
         .flat_map(|(_, program)| {
@@ -443,7 +448,7 @@ fn main() {
     report.metric("batched.hot_seconds", batched_hot_secs);
     report.metric("batched.hot_queries_per_sec", batched_hot_qps);
     report.metric("batched.speedup_vs_v1", speedup);
-    report.min("batched.speedup_vs_v1", Some(5.0));
     report.min("hot.queries_per_sec", min_hot_qps);
+    report.min("batched.hot_queries_per_sec", min_batched_qps);
     std::process::exit(report.write(&out));
 }

@@ -62,10 +62,14 @@ fn explore_bench_fails_its_throughput_floor() {
 
 #[test]
 fn serve_bench_fails_its_hot_path_floor() {
-    let (status, report) =
-        run(env!("CARGO_BIN_EXE_serve_bench"), "serve", &["--min-hot-qps", "1e12"]);
+    let (status, report) = run(
+        env!("CARGO_BIN_EXE_serve_bench"),
+        "serve",
+        &["--min-hot-qps", "1e12", "--min-batched-qps", "1e12"],
+    );
     assert_eq!(status, Some(1), "{report}");
     assert_failed(&report, "hot.queries_per_sec");
+    assert_failed(&report, "batched.hot_queries_per_sec");
 }
 
 #[test]

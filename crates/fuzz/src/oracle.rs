@@ -33,6 +33,7 @@
 //! catch this and shrink it to a tiny repro — that is the end-to-end test
 //! that the whole apparatus actually detects oracle-level defects.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -47,6 +48,7 @@ use memsim::presets;
 use memsim::sweep::{sweep, Cell, CellOutcome};
 use simx::rng::SplitMix64;
 use weakord::verify::{audit, chaos_run, AuditRun, CellVerdict};
+use wo_serve::client::{ClientConfig, ServeClient};
 
 use crate::gen::{GenProgram, Label};
 
@@ -253,14 +255,16 @@ pub fn check_seed(gp: &GenProgram, cfg: &OracleConfig) -> SeedVerdict {
     // 2. Axiomatic second opinion: the relational engine must agree with
     // the (definitive, at this point) operational verdict, and with the
     // honest SC enumeration whenever both complete.
+    let mut honest = None;
     if cfg.axiom {
-        if let Some(finding) = axiom_cross_check(&gp.program, cfg, &dynamic) {
-            return SeedVerdict::Fail(vec![finding]);
+        match axiom_cross_check(&gp.program, cfg, &dynamic) {
+            Ok(set) => honest = set,
+            Err(finding) => return SeedVerdict::Fail(vec![finding]),
         }
     }
 
     match gp.label {
-        Label::Drf0 => check_drf0_program(gp, cfg),
+        Label::Drf0 => check_drf0_program(gp, cfg, honest),
         Label::Racy => racy_shakeout(gp),
     }
 }
@@ -270,12 +274,13 @@ pub fn check_seed(gp: &GenProgram, cfg: &OracleConfig) -> SeedVerdict {
 /// exhaustion returned earlier). Only both-definitive verdicts and
 /// both-complete outcome sets are compared; an `Unknown` axiomatic run is
 /// never a finding — the engine is allowed to give up, just not to
-/// disagree.
+/// disagree. `Ok` carries the honest SC enumeration when the comparison
+/// ran it, for the Definition 2 sweep to reuse.
 fn axiom_cross_check(
     program: &Program,
     cfg: &OracleConfig,
     operational: &Drf0Verdict,
-) -> Option<Finding> {
+) -> Result<Option<ScOutcomes>, Finding> {
     use wo_axiom::{analyze, AxiomConfig, AxiomVerdict};
 
     let acfg = AxiomConfig {
@@ -288,7 +293,7 @@ fn axiom_cross_check(
         (AxiomVerdict::Drf0, Drf0Verdict::Racy) | (AxiomVerdict::Racy, Drf0Verdict::Drf0)
     );
     if diverged {
-        return Some(Finding {
+        return Err(Finding {
             kind: FindingKind::AxiomVerdictDivergence {
                 axiomatic: report.verdict,
                 operational: *operational,
@@ -304,7 +309,7 @@ fn axiom_cross_check(
         // Definition 2 containment check, not be intercepted here.
         let honest = sc_outcomes(program, &cfg.explore);
         if honest.complete && honest.results != report.results {
-            return Some(Finding {
+            return Err(Finding {
                 kind: FindingKind::AxiomScSetDivergence {
                     axiomatic: report.results.len(),
                     operational: honest.results.len(),
@@ -314,8 +319,9 @@ fn axiom_cross_check(
                 fault_seed: None,
             });
         }
+        return Ok(Some(honest));
     }
-    None
+    Ok(None)
 }
 
 /// The DRF0 verdict for label soundness: prefetched when the campaign's
@@ -377,26 +383,44 @@ pub(crate) fn verdict_from_response(
     }
 }
 
-/// Asks a wo-serve daemon for one DRF0 verdict over the v1 protocol.
-/// `None` on any client failure or unexpected response shape — the caller
-/// falls back to local.
+thread_local! {
+    /// This thread's client and the daemon address it was built for: one
+    /// kept connection per campaign worker (and for the shrinker).
+    static REMOTE: RefCell<Option<(String, ServeClient)>> = const { RefCell::new(None) };
+}
+
+/// Asks a wo-serve daemon for one DRF0 verdict over the v1 protocol, on
+/// this thread's kept connection. `None` on any client failure or
+/// unexpected response shape — the caller falls back to local.
 fn remote_drf0_verdict(
     addr: &str,
     program_text: String,
     explore: &ExploreConfig,
 ) -> Option<Drf0Verdict> {
-    use wo_serve::client::{ClientConfig, ServeClient};
-
     let request = drf0_request(program_text, explore);
-    let mut client = ServeClient::new(ClientConfig::new(addr));
-    let response = client.query(&request).ok()?;
+    let response = REMOTE.with_borrow_mut(|slot| {
+        if slot.as_ref().is_none_or(|(kept, _)| kept != addr) {
+            *slot = Some((addr.to_string(), ServeClient::new(ClientConfig::new(addr))));
+        }
+        let (_, client) = slot.as_mut().expect("filled above");
+        client.query(&request).ok()
+    })?;
     verdict_from_response(&response)
 }
 
 /// The Definition 2 sweep for a DRF0-labeled program: every machine ×
-/// fault profile × fault seed of the chaos grid.
-fn check_drf0_program(gp: &GenProgram, cfg: &OracleConfig) -> SeedVerdict {
-    let reference = reference_outcomes(&gp.program, cfg);
+/// fault profile × fault seed of the chaos grid. `honest` is the SC
+/// enumeration the axiomatic cross-check already ran, if it ran one; it
+/// stands in for the reference unless the prune bug is injected.
+fn check_drf0_program(
+    gp: &GenProgram,
+    cfg: &OracleConfig,
+    honest: Option<ScOutcomes>,
+) -> SeedVerdict {
+    let reference = match honest {
+        Some(honest) if !cfg.inject_prune_bug => honest,
+        _ => reference_outcomes(&gp.program, cfg),
+    };
     if !reference.complete {
         return SeedVerdict::BudgetExceeded(IncompleteReason::MaxTotalSteps);
     }
@@ -679,6 +703,51 @@ mod tests {
         assert!(passes > 0, "at least one seed should fully pass");
     }
 
+    /// The per-seed remote path keeps one connection per thread. A stub
+    /// daemon answers every frame with `Pong`, so every seed falls back
+    /// to its local verdict over the same kept connection.
+    #[test]
+    fn the_remote_path_keeps_one_connection_per_thread() {
+        use std::net::TcpListener;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use wo_serve::protocol::{read_frame, write_frame, Response};
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&accepted);
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                count.fetch_add(1, Ordering::SeqCst);
+                std::thread::spawn(move || {
+                    while let Ok(Some(_)) = read_frame(&mut &stream, 1 << 20) {
+                        if write_frame(&mut &stream, &Response::Pong.encode()).is_err() {
+                            return;
+                        }
+                    }
+                });
+            }
+        });
+        let local = OracleConfig {
+            explore: ExploreConfig {
+                max_ops_per_execution: 48,
+                max_total_steps: 150_000,
+                ..ExploreConfig::default()
+            },
+            ..OracleConfig::default()
+        };
+        let remote = OracleConfig {
+            remote: Some(addr),
+            prefetched: Some(Arc::new(HashMap::new())),
+            ..local.clone()
+        };
+        for seed in 0..4 {
+            let gp = generate(seed, &GenConfig::default());
+            assert_eq!(check_seed(&gp, &remote), check_seed(&gp, &local), "seed {seed}");
+        }
+        assert_eq!(accepted.load(Ordering::SeqCst), 1, "one kept connection for 4 seeds");
+    }
+
     /// The planted axiomatic defect (skipping the hb check on write/write
     /// conflict pairs in the Lemma 1 fast path) must flip a pure
     /// two-writer race to a bogus Drf0 certificate — and the cross-check
@@ -694,13 +763,13 @@ mod tests {
         let cfg = OracleConfig::default();
         assert_eq!(drf0_verdict(&p, &cfg.explore), Drf0Verdict::Racy);
         assert!(
-            axiom_cross_check(&p, &cfg, &Drf0Verdict::Racy).is_none(),
+            axiom_cross_check(&p, &cfg, &Drf0Verdict::Racy).is_ok(),
             "honest engine must agree the program is racy"
         );
 
         let buggy = OracleConfig { inject_hb_bug: true, ..cfg };
         let finding = axiom_cross_check(&p, &buggy, &Drf0Verdict::Racy)
-            .expect("planted defect must surface as a divergence");
+            .expect_err("planted defect must surface as a divergence");
         match finding.kind {
             FindingKind::AxiomVerdictDivergence { axiomatic, operational } => {
                 assert_eq!(axiomatic, wo_axiom::AxiomVerdict::Drf0);

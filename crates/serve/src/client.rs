@@ -1,7 +1,7 @@
-//! The retrying clients: [`ServeClient`] sends one `wo-serve/1` request
-//! per connection, with exponential backoff, seeded jitter and one bounded
-//! hedged attempt for tail latency; [`BatchClient`] pipelines
-//! `wo-serve/2` batches over one connection.
+//! The retrying clients: [`ServeClient`] sends `wo-serve/1` requests
+//! over one kept connection, with exponential backoff, seeded jitter and
+//! one bounded hedged attempt for tail latency; [`BatchClient`]
+//! pipelines `wo-serve/2` batches over one connection.
 //!
 //! The clients own the *transient* failure modes so callers don't have
 //! to: connection refused while the daemon restarts, connections dropped
@@ -22,6 +22,20 @@
 //!   `hedge_after`, ONE duplicate attempt races it and the first answer
 //!   wins. Bounded hedging keeps p99 down without the retry-storm
 //!   amplification unbounded hedging invites.
+//! * **Keep the connection that answered.** A [`ServeClient`] writes each
+//!   query on the connection that carried its last answer and dials only
+//!   when it has none. A whole, decodable response frame keeps the
+//!   connection whatever it says, a `parse` or `malformed` error
+//!   included. A kept connection the daemon has closed since (EOF, reset
+//!   or broken pipe before a whole response frame, or a `shutting_down`
+//!   answer) is redialed at once, within the same attempt and without
+//!   backoff, so a daemon restart costs no attempt. A timeout, an
+//!   undecodable frame or one over `max_frame_bytes` drops the
+//!   connection and fails the attempt, with no redial; on a fresh
+//!   connection every failure costs an attempt. The primary attempt
+//!   carries the kept connection and a hedge dials fresh; the winner's
+//!   connection is kept, and the loser's is dropped, since it still owes
+//!   an answer.
 
 use std::fmt;
 use std::io;
@@ -118,19 +132,24 @@ impl fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// A client handle. Holds no connection — each attempt dials fresh, which
-/// is exactly what surviving server restarts requires.
+/// A `wo-serve/1` client holding at most one kept connection: each query
+/// goes out on the connection that carried the last answer, and a query
+/// dials only when there is none or the daemon has closed it (see the
+/// module docs for the redial rule). A hedged attempt takes the kept
+/// connection into its thread and hands back the winner's with the
+/// answer.
 pub struct ServeClient {
     cfg: ClientConfig,
     rng: SplitMix64,
+    conn: Option<TcpStream>,
 }
 
 impl ServeClient {
-    /// A client for `cfg`.
+    /// A client for `cfg`. It dials on its first query.
     #[must_use]
     pub fn new(cfg: ClientConfig) -> Self {
         let rng = SplitMix64::new(cfg.jitter_seed);
-        ServeClient { cfg, rng }
+        ServeClient { cfg, rng, conn: None }
     }
 
     /// Sends `request`, retrying transient failures with backoff and one
@@ -177,28 +196,32 @@ impl ServeClient {
         backoff_for(&self.cfg, &mut self.rng, attempt)
     }
 
-    /// One attempt window: the primary connection, plus one hedged
-    /// duplicate if the primary is slow. First answer wins.
-    fn raced_attempt(&self, payload: &[u8]) -> Result<Response, String> {
+    /// One attempt window: the primary exchange on the kept connection,
+    /// plus one hedged duplicate on a fresh connection if the primary is
+    /// slow. First answer wins, and its connection is kept.
+    fn raced_attempt(&mut self, payload: &[u8]) -> Result<Response, String> {
+        let kept = self.conn.take();
         let Some(hedge_after) = self.cfg.hedge_after else {
-            return one_shot(&self.cfg, payload);
+            let (result, conn) = exchange(&self.cfg, kept, payload);
+            self.conn = conn;
+            return result;
         };
         let (tx, rx) = mpsc::channel();
-        spawn_attempt(&self.cfg, payload, tx.clone());
-        match rx.recv_timeout(hedge_after) {
-            Ok(result) => result,
+        spawn_exchange(&self.cfg, kept, payload, tx.clone());
+        let (result, conn) = match rx.recv_timeout(hedge_after) {
+            Ok(outcome) => outcome,
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 // Primary is slow: race exactly one duplicate.
-                spawn_attempt(&self.cfg, payload, tx);
-                match rx.recv_timeout(self.cfg.io_timeout + self.cfg.connect_timeout) {
-                    Ok(result) => result,
-                    Err(_) => Err("both primary and hedge timed out".into()),
-                }
+                spawn_exchange(&self.cfg, None, payload, tx);
+                rx.recv_timeout(self.cfg.io_timeout + self.cfg.connect_timeout)
+                    .map_err(|_| "both primary and hedge timed out".to_string())?
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                Err("attempt thread lost".into())
+                return Err("attempt thread lost".into());
             }
-        }
+        };
+        self.conn = conn;
+        result
     }
 }
 
@@ -217,49 +240,102 @@ fn backoff_for(cfg: &ClientConfig, rng: &mut SplitMix64, attempt: u32) -> Durati
     half + Duration::from_millis(jitter_ms)
 }
 
-fn spawn_attempt(
+/// What one exchange returns: the outcome, and the connection to keep.
+type Exchanged = (Result<Response, String>, Option<TcpStream>);
+
+/// Runs [`exchange`] on a thread of its own and sends its outcome.
+fn spawn_exchange(
     cfg: &ClientConfig,
+    kept: Option<TcpStream>,
     payload: &[u8],
-    tx: mpsc::Sender<Result<Response, String>>,
+    tx: mpsc::Sender<Exchanged>,
 ) {
     let cfg = cfg.clone();
     let payload = payload.to_vec();
     std::thread::spawn(move || {
-        // A lost receiver just means the other attempt won the race.
-        let _ = tx.send(one_shot(&cfg, &payload));
+        // A lost receiver means the other attempt won the race; this
+        // connection still owes an answer, so it is dropped with the send.
+        let _ = tx.send(exchange(&cfg, kept, &payload));
     });
 }
 
-/// One connect → send → receive → decode cycle.
-fn one_shot(cfg: &ClientConfig, payload: &[u8]) -> Result<Response, String> {
-    let stream = connect(cfg).map_err(|e| format!("connect: {e}"))?;
-    stream
-        .set_read_timeout(Some(cfg.io_timeout))
-        .and_then(|()| stream.set_write_timeout(Some(cfg.io_timeout)))
-        .map_err(|e| format!("socket setup: {e}"))?;
-    let mut writer = &stream;
-    let mut reader = &stream;
-    write_frame(&mut writer, payload).map_err(|e| format!("send: {e}"))?;
-    match read_frame(&mut reader, cfg.max_frame_bytes) {
-        Ok(Some(frame)) => Response::decode(&frame).map_err(|e| format!("decode: {e}")),
-        Ok(None) => Err("connection closed before response".into()),
-        Err(e) => Err(format!("receive: {e}")),
+/// One request out and one response frame back: on `kept` when there is
+/// one, on a fresh connection otherwise, and on a fresh one at once when
+/// the daemon turns out to have closed `kept`. Returns the outcome and
+/// the connection that carried a whole, decodable response (`None` after
+/// any failure).
+fn exchange(cfg: &ClientConfig, kept: Option<TcpStream>, payload: &[u8]) -> Exchanged {
+    if let Some(stream) = kept {
+        match round_trip(cfg, &stream, payload) {
+            Ok(Response::Error { code: ErrorCode::ShuttingDown, .. }) | Err(Failure::Closed(_)) => {}
+            Ok(response) => return (Ok(response), Some(stream)),
+            Err(Failure::Failed(e)) => return (Err(e), None),
+        }
+    }
+    match connect(cfg) {
+        Ok(stream) => match round_trip(cfg, &stream, payload) {
+            Ok(response) => (Ok(response), Some(stream)),
+            Err(Failure::Closed(e) | Failure::Failed(e)) => (Err(e), None),
+        },
+        Err(e) => (Err(e), None),
     }
 }
 
-fn connect(cfg: &ClientConfig) -> io::Result<TcpStream> {
-    let addrs: Vec<SocketAddr> = cfg.addr.to_socket_addrs()?.collect();
-    let Some(addr) = addrs.first() else {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "address resolved to nothing",
-        ));
+/// How a round trip on one connection failed.
+enum Failure {
+    /// The daemon had closed the connection: EOF, reset or broken pipe
+    /// before a whole response frame.
+    Closed(String),
+    /// Anything else: a timeout, an undecodable or oversized frame.
+    Failed(String),
+}
+
+impl Failure {
+    fn io(stage: &str, e: &io::Error) -> Failure {
+        let message = format!("{stage}: {e}");
+        match e.kind() {
+            io::ErrorKind::UnexpectedEof
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::BrokenPipe => Failure::Closed(message),
+            _ => Failure::Failed(message),
+        }
+    }
+}
+
+/// Writes one request frame on `stream` and reads one response frame.
+fn round_trip(cfg: &ClientConfig, stream: &TcpStream, payload: &[u8]) -> Result<Response, Failure> {
+    write_frame(&mut &*stream, payload).map_err(|e| Failure::io("send", &e))?;
+    match read_frame(&mut &*stream, cfg.max_frame_bytes) {
+        Ok(Some(frame)) => {
+            Response::decode(&frame).map_err(|e| Failure::Failed(format!("decode: {e}")))
+        }
+        Ok(None) => Err(Failure::Closed("connection closed before response".into())),
+        Err(e) => Err(Failure::io("receive", &e)),
+    }
+}
+
+/// Dials `cfg.addr` and sets the socket up: no Nagle, `io_timeout` on
+/// reads and writes.
+fn connect(cfg: &ClientConfig) -> Result<TcpStream, String> {
+    let dial = || -> io::Result<TcpStream> {
+        let addrs: Vec<SocketAddr> = cfg.addr.to_socket_addrs()?.collect();
+        let Some(addr) = addrs.first() else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "address resolved to nothing",
+            ));
+        };
+        let stream = TcpStream::connect_timeout(addr, cfg.connect_timeout)?;
+        // Small request frames must not sit in the socket waiting for ACKs
+        // of earlier ones (Nagle): a pipelined batch client writes many of
+        // them.
+        stream.set_nodelay(true)?;
+        stream.set_read_timeout(Some(cfg.io_timeout))?;
+        stream.set_write_timeout(Some(cfg.io_timeout))?;
+        Ok(stream)
     };
-    let stream = TcpStream::connect_timeout(addr, cfg.connect_timeout)?;
-    // Small request frames must not sit in the socket waiting for ACKs of
-    // earlier ones (Nagle): a pipelined batch client writes many of them.
-    stream.set_nodelay(true)?;
-    Ok(stream)
+    dial().map_err(|e| format!("connect: {e}"))
 }
 
 // ---------------------------------------------------------------------
@@ -510,12 +586,7 @@ impl BatchClient {
 
     fn ensure_conn(&mut self) -> Result<(), String> {
         if self.conn.is_none() {
-            let stream = connect(&self.cfg).map_err(|e| format!("connect: {e}"))?;
-            stream
-                .set_read_timeout(Some(self.cfg.io_timeout))
-                .and_then(|()| stream.set_write_timeout(Some(self.cfg.io_timeout)))
-                .map_err(|e| format!("socket setup: {e}"))?;
-            self.conn = Some(stream);
+            self.conn = Some(connect(&self.cfg)?);
         }
         Ok(())
     }
@@ -663,6 +734,8 @@ fn unexpected_response(response: &Response) -> ClientError {
 mod tests {
     use super::*;
     use std::net::TcpListener;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     fn cfg_for(addr: impl Into<String>) -> ClientConfig {
         let mut cfg = ClientConfig::new(addr);
@@ -723,6 +796,159 @@ mod tests {
         let err = client.drf0("garbage").unwrap_err();
         assert!(matches!(err, ClientError::Permanent { code: ErrorCode::Parse, .. }));
         assert_eq!(server.join().unwrap(), 1, "no retry after a permanent error");
+    }
+
+    /// A listener on an ephemeral port serving its `n`th accepted
+    /// connection with `serve(n, stream)` on a thread of its own. Returns
+    /// the address and the count of accepted connections.
+    fn counting_listener(serve: fn(usize, TcpStream)) -> (String, Arc<AtomicUsize>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let accepted = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&accepted);
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                let n = count.fetch_add(1, Ordering::SeqCst);
+                std::thread::spawn(move || serve(n, stream));
+            }
+        });
+        (addr, accepted)
+    }
+
+    /// Answers every frame with `Pong` until the peer hangs up.
+    fn pong_every_frame(_: usize, stream: TcpStream) {
+        while let Ok(Some(_)) = read_frame(&mut &stream, 1 << 20) {
+            if write_frame(&mut &stream, &Response::Pong.encode()).is_err() {
+                return;
+            }
+        }
+    }
+
+    fn ping(client: &mut ServeClient) -> Result<Response, ClientError> {
+        client.query(&Request::new(crate::protocol::QueryKind::Ping, ""))
+    }
+
+    #[test]
+    fn ten_queries_share_one_connection_hedged_or_not() {
+        for hedge_after in [None, Some(Duration::from_secs(5))] {
+            let (addr, accepted) = counting_listener(pong_every_frame);
+            let mut cfg = cfg_for(addr);
+            cfg.hedge_after = hedge_after;
+            let mut client = ServeClient::new(cfg);
+            for _ in 0..10 {
+                assert_eq!(ping(&mut client), Ok(Response::Pong));
+            }
+            assert_eq!(accepted.load(Ordering::SeqCst), 1, "hedge_after {hedge_after:?}");
+        }
+    }
+
+    #[test]
+    fn a_kept_connection_closed_after_each_answer_is_redialed_within_the_attempt() {
+        let (addr, accepted) = counting_listener(|_, stream| {
+            if let Ok(Some(_)) = read_frame(&mut &stream, 1 << 20) {
+                let _ = write_frame(&mut &stream, &Response::Pong.encode());
+            }
+        });
+        let mut cfg = cfg_for(addr);
+        cfg.max_attempts = 1;
+        let mut client = ServeClient::new(cfg);
+        for i in 0..10 {
+            assert_eq!(ping(&mut client), Ok(Response::Pong), "query {i}");
+        }
+        assert_eq!(accepted.load(Ordering::SeqCst), 10);
+    }
+
+    #[test]
+    fn a_permanent_error_answer_keeps_the_connection() {
+        let (addr, accepted) = counting_listener(|_, stream| {
+            let parse = Response::Error { code: ErrorCode::Parse, message: "line 1".into() };
+            while let Ok(Some(_)) = read_frame(&mut &stream, 1 << 20) {
+                if write_frame(&mut &stream, &parse.encode()).is_err() {
+                    return;
+                }
+            }
+        });
+        let mut client = ServeClient::new(cfg_for(addr));
+        for _ in 0..5 {
+            assert!(matches!(
+                client.drf0("garbage"),
+                Err(ClientError::Permanent { code: ErrorCode::Parse, .. })
+            ));
+        }
+        assert_eq!(accepted.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_shutting_down_answer_on_a_kept_connection_is_redialed_within_the_attempt() {
+        // The first connection answers once, then says it is draining.
+        let (addr, accepted) = counting_listener(|n, stream| {
+            if n > 0 {
+                return pong_every_frame(n, stream);
+            }
+            let draining =
+                Response::Error { code: ErrorCode::ShuttingDown, message: "draining".into() };
+            for answer in [Response::Pong, draining] {
+                if read_frame(&mut &stream, 1 << 20).is_err()
+                    || write_frame(&mut &stream, &answer.encode()).is_err()
+                {
+                    return;
+                }
+            }
+        });
+        let mut cfg = cfg_for(addr);
+        cfg.max_attempts = 1;
+        let mut client = ServeClient::new(cfg);
+        for _ in 0..3 {
+            assert_eq!(ping(&mut client), Ok(Response::Pong));
+        }
+        assert_eq!(accepted.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_silent_kept_connection_fails_after_one_io_timeout() {
+        // Answers the first frame, then reads and never answers.
+        let (addr, accepted) = counting_listener(|_, stream| {
+            if let Ok(Some(_)) = read_frame(&mut &stream, 1 << 20) {
+                let _ = write_frame(&mut &stream, &Response::Pong.encode());
+            }
+            while let Ok(Some(_)) = read_frame(&mut &stream, 1 << 20) {}
+        });
+        let mut cfg = cfg_for(addr);
+        cfg.max_attempts = 1;
+        cfg.io_timeout = Duration::from_millis(400);
+        let mut client = ServeClient::new(cfg);
+        assert_eq!(ping(&mut client), Ok(Response::Pong));
+        let t0 = std::time::Instant::now();
+        match ping(&mut client) {
+            Err(ClientError::Exhausted { attempts: 1, last }) => {
+                assert!(last.contains("receive"), "{last}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        let elapsed = t0.elapsed();
+        assert!(elapsed >= Duration::from_millis(350), "{elapsed:?}");
+        assert!(elapsed < Duration::from_millis(800), "a timeout is not redialed: {elapsed:?}");
+        assert_eq!(accepted.load(Ordering::SeqCst), 1, "a timeout is not redialed");
+    }
+
+    #[test]
+    fn the_hedge_winners_connection_is_kept() {
+        // The first connection swallows its frame; every later one answers.
+        let (addr, accepted) = counting_listener(|n, stream| {
+            if n == 0 {
+                while let Ok(Some(_)) = read_frame(&mut &stream, 1 << 20) {}
+            } else {
+                pong_every_frame(n, stream);
+            }
+        });
+        let mut cfg = cfg_for(addr);
+        cfg.io_timeout = Duration::from_secs(2);
+        cfg.hedge_after = Some(Duration::from_millis(50));
+        let mut client = ServeClient::new(cfg);
+        for _ in 0..5 {
+            assert_eq!(ping(&mut client), Ok(Response::Pong));
+        }
+        assert_eq!(accepted.load(Ordering::SeqCst), 2, "one stalled primary, one kept hedge");
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! * **`kill -9` loses at most the in-flight tail.** Every record is
 //!   length-prefixed and checksummed; replay stops at the first record
 //!   that is short or fails its checksum and truncates the file there, so
-//!   a torn final write costs that one record, never the log.
+//!   a torn final write costs that one record, never the log. A whole
+//!   record (length and checksum intact) that the grammar rejects, as a
+//!   newer writer's could be, is skipped and counted, never served;
+//!   replay goes on at the next record and the next compaction drops it.
 //! * **A wrong verdict is never served.** Records store the *full*
 //!   canonical text (not a hash) next to the answer; replay re-installs
 //!   entries keyed on that text, and the per-record FNV-1a detects
@@ -61,6 +64,9 @@ pub struct JournalRecord {
 pub struct ReplayReport {
     /// Records successfully replayed.
     pub replayed: usize,
+    /// Whole records (length and checksum intact) the grammar rejected:
+    /// skipped, not served, and left for the next compaction to drop.
+    pub skipped: usize,
     /// Bytes truncated off a torn or corrupt tail (0 for a clean log).
     pub truncated_bytes: u64,
 }
@@ -75,7 +81,8 @@ pub struct Journal {
 
 impl Journal {
     /// Opens (or creates) `dir/journal.log`, replaying every intact
-    /// record and truncating any torn tail. Returns the journal, the
+    /// record, skipping unreadable whole ones and truncating any torn
+    /// tail. Returns the journal, the
     /// replayed records, and a report of what recovery did.
     ///
     /// # Errors
@@ -106,6 +113,10 @@ impl Journal {
                         records.push(rec);
                         report.replayed += 1;
                     }
+                    offset += consumed;
+                }
+                DecodeOutcome::Unreadable(consumed) => {
+                    report.skipped += 1;
                     offset += consumed;
                 }
                 DecodeOutcome::End => break,
@@ -246,6 +257,9 @@ fn encode_record(record: &JournalRecord) -> Vec<u8> {
 enum DecodeOutcome {
     /// A record and the bytes it consumed.
     Record(JournalRecord, usize),
+    /// A whole record whose length and checksum hold but which the
+    /// grammar rejects, and the bytes it spans: skip it.
+    Unreadable(usize),
     /// Exactly at end of input.
     End,
     /// A short or corrupt record: stop and truncate here.
@@ -270,7 +284,7 @@ fn decode_record(bytes: &[u8]) -> DecodeOutcome {
     }
     match parse_payload(payload) {
         Some(rec) => DecodeOutcome::Record(rec, 12 + len),
-        None => DecodeOutcome::Torn,
+        None => DecodeOutcome::Unreadable(12 + len),
     }
 }
 
@@ -509,7 +523,7 @@ mod tests {
         fs::write(dir.join("journal.log"), &bytes).unwrap();
 
         let (mut j, replayed, report) = Journal::open(&dir, 100).unwrap();
-        assert_eq!(report, ReplayReport { replayed: 1, truncated_bytes: 0 });
+        assert_eq!(report, ReplayReport { replayed: 1, skipped: 0, truncated_bytes: 0 });
         let mut expected = racy_record("P0:\n  0: W(m0) := 1\n");
         if let CachedAnswer::Explore { engine, .. } = &mut expected.answer {
             *engine = None;
@@ -521,6 +535,36 @@ mod tests {
         assert_eq!(replayed.len(), 2);
         assert_eq!(replayed[1].answer.engine(), Some(Engine::Axiom));
         assert_eq!(report.truncated_bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A whole, checksum-valid record the grammar rejects (here: a
+    /// repeated header key) is skipped and counted; the records after it
+    /// replay, nothing is truncated, and appends land after the last one.
+    #[test]
+    fn unreadable_whole_record_is_skipped_not_truncated() {
+        let dir = tmpdir("unreadable");
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal.log");
+        let payload = b"group=sc\nanswer=sc\noutcomes=4\nsteps=99\nnote=1\nnote=2\n\nprog-b\n";
+        let mut bytes = encode_record(&racy_record("prog-a\n"));
+        bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        bytes.extend_from_slice(&fnv1a(payload).to_be_bytes());
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&encode_record(&sc_record("prog-c\n")));
+        fs::write(&path, &bytes).unwrap();
+
+        let (mut j, replayed, report) = Journal::open(&dir, 100).unwrap();
+        assert_eq!(replayed, vec![racy_record("prog-a\n"), sc_record("prog-c\n")]);
+        assert_eq!(report, ReplayReport { replayed: 2, skipped: 1, truncated_bytes: 0 });
+        assert_eq!(fs::metadata(&path).unwrap().len(), bytes.len() as u64);
+
+        j.append(&sc_record("prog-d\n")).unwrap();
+        drop(j);
+        let (_j, replayed, report) = Journal::open(&dir, 100).unwrap();
+        let keys: Vec<&str> = replayed.iter().map(|r| r.key.as_str()).collect();
+        assert_eq!(keys, ["prog-a\n", "prog-c\n", "prog-d\n"]);
+        assert_eq!(report.skipped, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -268,8 +268,10 @@ impl ServerHandle {
     /// Stops accepting, wakes the acceptor, joins it, and waits for the
     /// frames being handled to finish. Answers are journaled after they
     /// are written, so this is what lets a restart on the same journal
-    /// replay every answer a client has received. Idle connection threads
-    /// notice within their poll interval and drain.
+    /// replay every answer a client has received. A frame read after this
+    /// returns is answered `shutting_down`, never computed or journaled;
+    /// idle connection threads notice within their poll interval and
+    /// drain the same way.
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Wake the blocking accept with a throwaway connection.
@@ -353,18 +355,14 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     let mut trace = TraceSession::default();
     let read_cap = shared.cfg.max_frame_bytes.max(shared.cfg.max_batch_frame_bytes);
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = send_bare(shared, &writer, &error(ErrorCode::ShuttingDown, "server draining"));
-            return;
-        }
         let payload = match read_frame(&mut reader, read_cap) {
-            Ok(Some(payload)) => payload,
+            Ok(Some(payload)) => Some(payload),
             Ok(None) => return, // clean close
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock
                     || e.kind() == io::ErrorKind::TimedOut =>
             {
-                continue; // poll tick; re-check shutdown
+                None // poll tick; re-check shutdown
             }
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // Oversized frame: answer honestly, then drop the
@@ -374,8 +372,16 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             }
             Err(_) => return, // torn frame / connection error
         };
-        // Held until this frame is answered and journaled.
+        // Held until this frame is answered and journaled. The shutdown
+        // flag is read under it, so once `shutdown` has returned no frame
+        // is computed, answered or journaled; an idle connection drains
+        // within one poll tick.
         let _busy = shared.busy.read().unwrap_or_else(|e| e.into_inner());
+        if shared.shutdown.load(Ordering::SeqCst) {
+            let _ = send_bare(shared, &writer, &error(ErrorCode::ShuttingDown, "server draining"));
+            return;
+        }
+        let Some(payload) = payload else { continue };
         if is_batch_frame(&payload) {
             if handle_batch(shared, &writer, &payload, &mut trace).is_err() {
                 return;

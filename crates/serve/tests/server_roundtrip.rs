@@ -3,6 +3,7 @@
 //! ladder (miss → hit), journal persistence across a restart, structured
 //! parse failures, ping/stats, and the exact value of every counter.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -401,4 +402,86 @@ fn oversized_v1_frame_is_answered_dropped_and_counted() {
     let stats = counters(&mut client);
     assert_eq!(stats.served, 1, "{stats:?}");
     handle.shutdown();
+}
+
+/// Writes one request on a raw connection and reads its answer.
+fn raw_query(stream: &TcpStream, request: &Request) -> Response {
+    write_frame(&mut &*stream, &request.encode()).unwrap();
+    let payload = read_frame(&mut &*stream, 1 << 20).unwrap().expect("a response frame");
+    Response::decode(&payload).unwrap()
+}
+
+/// A frame that arrives on an open connection after `shutdown` has
+/// returned is answered `shutting_down` and closes the connection; it is
+/// neither computed nor journaled, so a restart on the journal cannot
+/// race its append.
+#[test]
+fn a_frame_read_after_shutdown_is_refused_and_not_journaled() {
+    let dir = tmpdir("after-shutdown");
+    let handle = spawn(Some(dir.clone()));
+    let stream = TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    match raw_query(&stream, &Request::new(QueryKind::Drf0, RACY_MP)) {
+        Response::Verdict { verdict: Verdict::Racy, .. } => {}
+        other => panic!("unexpected {other:?}"),
+    }
+    // A ping's answer shows the connection's thread is past the first
+    // answer's journal append; then it waits in its read.
+    assert_eq!(raw_query(&stream, &Request::new(QueryKind::Ping, "")), Response::Pong);
+    std::thread::sleep(Duration::from_millis(20));
+    // The next frame's first bytes arrive before the shutdown and the rest
+    // after it, so its read spans the shutdown whatever the daemon's poll
+    // tick does.
+    let request = Request::new(QueryKind::Drf0, DRF_HANDOFF).encode();
+    let mut frame = (request.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&request);
+    (&stream).write_all(&frame[..2]).unwrap();
+    handle.shutdown();
+    let journal = dir.join("journal.log");
+    let len = std::fs::metadata(&journal).unwrap().len();
+    assert!(len > 0, "the answer before shutdown was journaled");
+
+    (&stream).write_all(&frame[2..]).unwrap();
+    let payload = read_frame(&mut &stream, 1 << 20).unwrap().expect("a response frame");
+    match Response::decode(&payload).unwrap() {
+        Response::Error { code: ErrorCode::ShuttingDown, .. } => {}
+        other => panic!("a frame read after shutdown was served: {other:?}"),
+    }
+    assert!(read_frame(&mut &stream, 1 << 20).unwrap().is_none(), "connection closed");
+    assert_eq!(std::fs::metadata(&journal).unwrap().len(), len, "nothing journaled after shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A client whose kept connection belongs to a daemon that was shut down
+/// and restarted on the same address gets its next query answered by the
+/// new daemon within one attempt: the closed connection is redialed at
+/// once, not retried after backoff.
+#[test]
+fn a_kept_connection_is_redialed_to_a_daemon_restarted_on_its_address() {
+    let first = spawn(None);
+    let addr = first.addr();
+    let mut cfg = ClientConfig::new(addr.to_string());
+    cfg.io_timeout = Duration::from_secs(60);
+    cfg.hedge_after = None;
+    cfg.max_attempts = 1;
+    let mut client = ServeClient::new(cfg);
+    for cache in [CacheStatus::Miss, CacheStatus::Hit] {
+        assert_eq!(cache_status(&client.drf0(RACY_MP).unwrap()), Some(cache));
+    }
+    first.shutdown();
+    let mut second = None;
+    for _ in 0..100 {
+        let cfg = ServerConfig { addr: addr.to_string(), ..ServerConfig::default() };
+        if let Ok(handle) = Server::spawn(cfg) {
+            second = Some(handle);
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let second = second.expect("rebind the first daemon's address");
+
+    // The new daemon's cache is empty: a miss proves it answered.
+    assert_eq!(cache_status(&client.drf0(RACY_MP).unwrap()), Some(CacheStatus::Miss));
+    assert_eq!(cache_status(&client.drf0(RACY_MP).unwrap()), Some(CacheStatus::Hit));
+    second.shutdown();
 }
