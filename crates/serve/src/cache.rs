@@ -215,34 +215,33 @@ pub enum Lookup<'a> {
     Join(Arc<Flight>),
 }
 
-/// Monotonic counters, read by the `stats` query.
-#[derive(Debug, Default)]
-pub struct CacheStats {
+/// One shard's lookup counts, as [`VerdictCache::shard_counts`] read them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ShardCounts {
     /// Lookups answered from the cache.
-    pub hits: AtomicU64,
-    /// Lookups that became leaders.
-    pub leads: AtomicU64,
-    /// Lookups that joined an existing flight.
-    pub joins: AtomicU64,
-    /// Entries installed by journal replay.
-    pub replayed: AtomicU64,
+    pub hits: u64,
+    /// Lookups that found nothing and became leaders.
+    pub leads: u64,
+    /// Lookups that joined a flight in progress.
+    pub joins: u64,
 }
 
-/// One independently locked slice of the key space, with its own hit/miss
-/// counters for the stats query.
+/// One independently locked slice of the key space, with the lookup
+/// counters the stats query reads.
 #[derive(Default)]
 struct Shard {
-    slots: Mutex<HashMap<(KindGroup, String), Slot>>,
+    /// One map per [`KindGroup`], indexed by the group's discriminant, so
+    /// a probe borrows its key instead of copying it.
+    slots: Mutex<[HashMap<String, Slot>; 2]>,
     hits: AtomicU64,
-    misses: AtomicU64,
+    leads: AtomicU64,
+    joins: AtomicU64,
 }
 
 /// The canonical-form verdict cache. All methods are `&self`; one
 /// instance is shared across every connection thread.
 pub struct VerdictCache {
     shards: Vec<Shard>,
-    /// Counters for the stats query.
-    pub stats: CacheStats,
 }
 
 impl Default for VerdictCache {
@@ -255,10 +254,7 @@ impl VerdictCache {
     /// An empty cache.
     #[must_use]
     pub fn new() -> Self {
-        VerdictCache {
-            shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
-            stats: CacheStats::default(),
-        }
+        VerdictCache { shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect() }
     }
 
     fn shard(&self, key: &str) -> &Shard {
@@ -272,7 +268,8 @@ impl VerdictCache {
             .iter()
             .map(|shard| {
                 let slots = shard.slots.lock().unwrap_or_else(|e| e.into_inner());
-                slots.values().filter(|s| matches!(s, Slot::Done(_))).count()
+                let done = |s: &&Slot| matches!(s, Slot::Done(_));
+                slots.iter().flat_map(HashMap::values).filter(done).count()
             })
             .sum()
     }
@@ -283,19 +280,19 @@ impl VerdictCache {
         self.len() == 0
     }
 
-    /// Number of shards (fixed at [`SHARD_COUNT`]).
+    /// Every shard's lookup counts, index = shard. Each counter is loaded
+    /// once, so totals derived from one call agree with its per-shard
+    /// figures.
     #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Per-shard `(hits, misses)` counter snapshots, index = shard. A miss
-    /// is a lookup that found nothing cached — it led or joined.
-    #[must_use]
-    pub fn shard_hit_miss(&self) -> (Vec<u64>, Vec<u64>) {
-        let hits = self.shards.iter().map(|s| s.hits.load(Ordering::Relaxed)).collect();
-        let misses = self.shards.iter().map(|s| s.misses.load(Ordering::Relaxed)).collect();
-        (hits, misses)
+    pub fn shard_counts(&self) -> Vec<ShardCounts> {
+        self.shards
+            .iter()
+            .map(|s| ShardCounts {
+                hits: s.hits.load(Ordering::Relaxed),
+                leads: s.leads.load(Ordering::Relaxed),
+                joins: s.joins.load(Ordering::Relaxed),
+            })
+            .collect()
     }
 
     /// Looks up `key` under `group`, installing an in-flight marker on a
@@ -303,28 +300,25 @@ impl VerdictCache {
     pub fn lookup(&self, group: KindGroup, key: &str) -> Lookup<'_> {
         let shard = self.shard(key);
         let mut slots = shard.slots.lock().unwrap_or_else(|e| e.into_inner());
-        match slots.get(&(group, key.to_string())) {
+        let map = &mut slots[group as usize];
+        match map.get(key) {
             Some(Slot::Done(ans)) => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 shard.hits.fetch_add(1, Ordering::Relaxed);
                 Lookup::Hit(Arc::clone(ans))
             }
             Some(Slot::InFlight(flight)) => {
-                self.stats.joins.fetch_add(1, Ordering::Relaxed);
-                shard.misses.fetch_add(1, Ordering::Relaxed);
+                shard.joins.fetch_add(1, Ordering::Relaxed);
                 Lookup::Join(Arc::clone(flight))
             }
             None => {
-                self.stats.leads.fetch_add(1, Ordering::Relaxed);
-                shard.misses.fetch_add(1, Ordering::Relaxed);
+                shard.leads.fetch_add(1, Ordering::Relaxed);
                 let flight = Arc::new(Flight::new());
-                slots.insert((group, key.to_string()), Slot::InFlight(Arc::clone(&flight)));
+                map.insert(key.to_string(), Slot::InFlight(Arc::clone(&flight)));
                 Lookup::Lead(LeaderGuard {
                     cache: self,
                     group,
-                    key: key.to_string(),
+                    key: Some(key.to_string()),
                     flight,
-                    resolved: false,
                 })
             }
         }
@@ -339,8 +333,7 @@ impl VerdictCache {
         }
         let shard = self.shard(&key);
         let mut slots = shard.slots.lock().unwrap_or_else(|e| e.into_inner());
-        slots.insert((group, key), Slot::Done(Arc::new(answer)));
-        self.stats.replayed.fetch_add(1, Ordering::Relaxed);
+        slots[group as usize].insert(key, Slot::Done(Arc::new(answer)));
     }
 
     /// Snapshot of every definitive entry, for journal compaction
@@ -351,39 +344,17 @@ impl VerdictCache {
             .iter()
             .flat_map(|shard| {
                 let slots = shard.slots.lock().unwrap_or_else(|e| e.into_inner());
-                slots
-                    .iter()
-                    .filter_map(|((group, key), slot)| match slot {
-                        Slot::Done(ans) => Some((*group, key.clone(), Arc::clone(ans))),
-                        Slot::InFlight(_) => None,
+                [KindGroup::Explore, KindGroup::Sc]
+                    .into_iter()
+                    .flat_map(|group| {
+                        slots[group as usize].iter().filter_map(move |(key, slot)| match slot {
+                            Slot::Done(ans) => Some((group, key.clone(), Arc::clone(ans))),
+                            Slot::InFlight(_) => None,
+                        })
                     })
                     .collect::<Vec<_>>()
             })
             .collect()
-    }
-
-    fn resolve(&self, group: KindGroup, key: &str, flight: &Flight, answer: Option<CachedAnswer>) {
-        let shard = self.shard(key);
-        let outcome = match answer {
-            Some(answer) => {
-                let shared = Arc::new(answer);
-                let mut slots = shard.slots.lock().unwrap_or_else(|e| e.into_inner());
-                if shared.is_definitive() {
-                    slots.insert((group, key.to_string()), Slot::Done(Arc::clone(&shared)));
-                } else {
-                    slots.remove(&(group, key.to_string()));
-                }
-                drop(slots);
-                FlightOutcome::Answered(shared)
-            }
-            None => {
-                let mut slots = shard.slots.lock().unwrap_or_else(|e| e.into_inner());
-                slots.remove(&(group, key.to_string()));
-                drop(slots);
-                FlightOutcome::Failed
-            }
-        };
-        flight.publish(outcome);
     }
 }
 
@@ -394,9 +365,9 @@ impl VerdictCache {
 pub struct LeaderGuard<'a> {
     cache: &'a VerdictCache,
     group: KindGroup,
-    key: String,
+    /// The key this leader owns, until the flight is resolved.
+    key: Option<String>,
     flight: Arc<Flight>,
-    resolved: bool,
 }
 
 impl LeaderGuard<'_> {
@@ -404,37 +375,35 @@ impl LeaderGuard<'_> {
     /// answer is definitive — installs it in the cache. Returns the
     /// shared answer.
     pub fn complete(mut self, answer: CachedAnswer) -> Arc<CachedAnswer> {
-        self.resolved = true;
         let shared = Arc::new(answer);
-        let outcome = {
-            let shard = self.cache.shard(&self.key);
-            let mut slots = shard.slots.lock().unwrap_or_else(|e| e.into_inner());
-            if shared.is_definitive() {
-                slots.insert(
-                    (self.group, self.key.clone()),
-                    Slot::Done(Arc::clone(&shared)),
-                );
-            } else {
-                slots.remove(&(self.group, self.key.clone()));
-            }
-            FlightOutcome::Answered(Arc::clone(&shared))
-        };
-        self.flight.publish(outcome);
+        self.resolve(FlightOutcome::Answered(Arc::clone(&shared)));
         shared
     }
 
-    /// The canonical key this leader owns (for journaling).
-    #[must_use]
-    pub fn key(&self) -> &str {
-        &self.key
+    /// Ends the flight, once: a definitive answer replaces the in-flight
+    /// marker and anything else (a degraded answer, or `Failed` from the
+    /// unwind path) clears it; then every waiter wakes to `outcome`.
+    fn resolve(&mut self, outcome: FlightOutcome) {
+        let Some(key) = self.key.take() else { return };
+        let shard = self.cache.shard(&key);
+        let mut slots = shard.slots.lock().unwrap_or_else(|e| e.into_inner());
+        let map = &mut slots[self.group as usize];
+        match &outcome {
+            FlightOutcome::Answered(answer) if answer.is_definitive() => {
+                map.insert(key, Slot::Done(Arc::clone(answer)));
+            }
+            _ => {
+                map.remove(&key);
+            }
+        }
+        drop(slots);
+        self.flight.publish(outcome);
     }
 }
 
 impl Drop for LeaderGuard<'_> {
     fn drop(&mut self) {
-        if !self.resolved {
-            self.cache.resolve(self.group, &self.key, &self.flight, None);
-        }
+        self.resolve(FlightOutcome::Failed);
     }
 }
 
@@ -537,7 +506,9 @@ mod tests {
         }
         assert_eq!(leaders.load(Ordering::SeqCst), 1, "exactly one exploration");
         assert_eq!(shared_answers.load(Ordering::SeqCst), 15);
-        assert_eq!(cache.stats.leads.load(Ordering::Relaxed), 1);
+        let counts = cache.shard_counts();
+        assert_eq!(counts.iter().map(|c| c.leads).sum::<u64>(), 1);
+        assert_eq!(counts.iter().map(|c| c.hits + c.joins).sum::<u64>(), 15);
     }
 
     #[test]
@@ -595,13 +566,13 @@ mod tests {
             assert!(matches!(cache.lookup(KindGroup::Explore, key), Lookup::Hit(_)));
         }
         assert_eq!(cache.len(), keys.len());
-        let (hits, misses) = cache.shard_hit_miss();
-        assert_eq!(hits.len(), SHARD_COUNT);
-        assert_eq!(misses.len(), SHARD_COUNT);
-        assert_eq!(hits.iter().sum::<u64>(), keys.len() as u64);
-        assert_eq!(misses.iter().sum::<u64>(), keys.len() as u64);
+        let counts = cache.shard_counts();
+        assert_eq!(counts.len(), SHARD_COUNT);
+        assert_eq!(counts.iter().map(|c| c.hits).sum::<u64>(), keys.len() as u64);
+        assert_eq!(counts.iter().map(|c| c.leads).sum::<u64>(), keys.len() as u64);
+        assert_eq!(counts.iter().map(|c| c.joins).sum::<u64>(), 0);
         assert!(
-            misses.iter().filter(|&&m| m > 0).count() > 1,
+            counts.iter().filter(|c| c.leads > 0).count() > 1,
             "64 distinct keys all hashed into one shard"
         );
     }

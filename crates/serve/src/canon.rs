@@ -20,17 +20,16 @@
 //! [`canonicalize`] picks a canonical representative of the equivalence
 //! class: for every thread permutation (all of them up to
 //! [`MAX_PERM_THREADS`] threads, identity beyond), relabel locations and
-//! values by first occurrence in the instruction stream and render the
-//! program; the lexicographically smallest rendering wins. Two programs
-//! are renamings of each other iff their canonical texts are equal — the
-//! cache keys on the text itself (not a hash), so a hash collision can
-//! never serve a wrong verdict.
+//! values by first occurrence in the instruction stream, then the init
+//! cells, and render the program; the lexicographically smallest
+//! rendering wins. Two programs are renamings of each other iff their
+//! canonical texts are equal — the cache keys on the text itself (not a
+//! hash), so a hash collision can never serve a wrong verdict.
 //!
 //! The form also carries the *inverse* maps, so answers computed on the
 //! canonical program (race sets name canonical threads and locations) can
-//! be translated back into the submitter's coordinates.
-
-use std::collections::HashMap;
+//! be translated back into the submitter's coordinates
+//! ([`crate::translate_races`]).
 
 use litmus::{Instr, Operand, Program, Thread};
 use memory_model::{Loc, Value};
@@ -50,37 +49,12 @@ pub struct CanonicalForm {
     /// The canonical rendering — the cache key. Equal texts ⇔ same
     /// renaming class (for the classes the canonicalizer recognises).
     pub text: String,
-    /// FNV-1a of `text`, for journal integrity checks and cheap indexing.
-    pub hash: u64,
     /// `thread_unmap[c]` is the submitted-program thread that canonical
     /// thread `c` corresponds to.
     pub thread_unmap: Vec<usize>,
     /// `loc_unmap[l]` is the submitted-program location that canonical
     /// location `Loc(l)` corresponds to.
     pub loc_unmap: Vec<u32>,
-    /// Whether value relabelling was applied (false when the program
-    /// contains `Add`/`FetchAdd` arithmetic).
-    pub values_relabelled: bool,
-}
-
-impl CanonicalForm {
-    /// Translates a canonical thread index back into the submitted
-    /// program's numbering. Indices outside the map (impossible for
-    /// races reported by exploring the canonical program) pass through.
-    #[must_use]
-    pub fn unmap_thread(&self, canon_thread: usize) -> usize {
-        self.thread_unmap.get(canon_thread).copied().unwrap_or(canon_thread)
-    }
-
-    /// Translates a canonical location back into the submitted program's
-    /// naming. See [`CanonicalForm::unmap_thread`].
-    #[must_use]
-    pub fn unmap_loc(&self, canon_loc: Loc) -> Loc {
-        self.loc_unmap
-            .get(canon_loc.0 as usize)
-            .copied()
-            .map_or(canon_loc, Loc)
-    }
 }
 
 /// FNV-1a over `bytes` — stable, dependency-free, good enough for journal
@@ -104,16 +78,17 @@ fn values_opaque(p: &Program) -> bool {
         .any(|i| matches!(i, Instr::Add { .. } | Instr::FetchAdd { .. }))
 }
 
-/// First-occurrence relabelling state for one permutation attempt.
+/// A location and value relabelling: first-occurrence for the canonical
+/// search, or a bijection filled up front by [`random_renaming`].
 ///
 /// Maps are association vectors, not hash maps: a litmus program touches
 /// a handful of locations and constants, a linear probe of a short vector
 /// beats hashing, and the canonical search rebuilds this state once per
 /// permutation — up to 120 times per query on the server's hot path.
 struct Relabeller {
-    /// `(submitted, canonical)` location pairs in first-occurrence order,
-    /// so the canonical id is the insertion index and `loc_unmap` is just
-    /// the submitted column.
+    /// `(submitted, relabelled)` location pairs. The canonical search adds
+    /// them in first-occurrence order, so the canonical id is the
+    /// insertion index and `loc_unmap` is just the submitted column.
     loc_map: Vec<(u32, u32)>,
     val_map: Vec<(Value, Value)>,
     next_val: Value,
@@ -208,47 +183,45 @@ impl Relabeller {
             Instr::Fence => Instr::Fence,
         }
     }
+
+    fn thread(&mut self, t: &Thread) -> Thread {
+        t.instrs().iter().fold(Thread::new(), |out, &i| out.push(self.instr(i)))
+    }
+
+    /// The canonical init line, once the instruction stream is relabelled.
+    /// Cells on accessed locations join the value scan in
+    /// canonical-location order (itself invariant under renaming). Cells
+    /// on locations the program never touches have no renaming-invariant
+    /// attribute except their raw value, so they keep it and take
+    /// canonical ids after all accessed ones, ordered by (raw value, raw
+    /// loc) — same-valued untouched cells are interchangeable, so the raw
+    /// loc tiebreak never changes the rendered text.
+    fn init_cells(&mut self, cells: &[(Loc, Value)]) -> Vec<(Loc, Value)> {
+        let mut seen: Vec<(Loc, Value)> = Vec::new();
+        let mut unseen: Vec<(Loc, Value)> = Vec::new();
+        for &(loc, v) in cells {
+            match self.lookup_loc(loc) {
+                Some(id) => seen.push((id, v)),
+                None => unseen.push((loc, v)),
+            }
+        }
+        seen.sort_by_key(|&(loc, _)| loc.0);
+        let mut init: Vec<(Loc, Value)> =
+            seen.into_iter().map(|(loc, v)| (loc, self.val(v))).collect();
+        unseen.sort_by_key(|&(loc, v)| (v, loc.0));
+        for (loc, v) in unseen {
+            init.push((self.loc(loc), v));
+        }
+        init
+    }
 }
 
-/// Relabels locations and (when sound) values by first occurrence under
-/// the given thread order, returning the rebuilt program plus the
-/// canonical→original location map.
+/// Relabels `p` under the given thread order, returning the rebuilt
+/// program plus the canonical→original location map.
 fn relabel(p: &Program, perm: &[usize], relabel_values: bool) -> (Program, Vec<u32>) {
     let mut r = Relabeller::new(relabel_values);
-    let threads: Vec<Thread> = perm
-        .iter()
-        .map(|&orig| {
-            let mut out = Thread::new();
-            for &instr in p.threads()[orig].instrs() {
-                out = out.push(r.instr(instr));
-            }
-            out
-        })
-        .collect();
-
-    // Init cells. Cells on accessed locations join the value scan in
-    // canonical-location order (itself invariant under renaming). Cells
-    // on locations the program never touches have no renaming-invariant
-    // attribute except their raw value, so they keep it and take
-    // canonical ids after all accessed ones, ordered by (raw value, raw
-    // loc) — same-valued untouched cells are interchangeable, so the raw
-    // loc tiebreak never changes the rendered text.
-    let mut seen: Vec<(Loc, Value)> = Vec::new();
-    let mut unseen: Vec<(Loc, Value)> = Vec::new();
-    for &(loc, v) in p.init() {
-        match r.lookup_loc(loc) {
-            Some(id) => seen.push((id, v)),
-            None => unseen.push((loc, v)),
-        }
-    }
-    seen.sort_by_key(|&(loc, _)| loc.0);
-    let mut init: Vec<(Loc, Value)> =
-        seen.into_iter().map(|(loc, v)| (loc, r.val(v))).collect();
-    unseen.sort_by_key(|&(loc, v)| (v, loc.0));
-    for (loc, v) in unseen {
-        init.push((r.loc(loc), v));
-    }
-
+    let threads: Vec<Thread> = perm.iter().map(|&orig| r.thread(&p.threads()[orig])).collect();
+    let init = r.init_cells(p.init());
     let program = Program::new(threads)
         .expect("relabelling preserves branch targets and registers")
         .with_init(init);
@@ -257,8 +230,7 @@ fn relabel(p: &Program, perm: &[usize], relabel_values: bool) -> (Program, Vec<u
 
 /// Advances `perm` to its lexicographic successor in place, returning
 /// `false` (leaving the array sorted descending) when it was already the
-/// last permutation. Visits the same order as [`permutations`] without
-/// allocating the whole set.
+/// last permutation.
 fn next_permutation(perm: &mut [usize]) -> bool {
     let Some(i) = perm.windows(2).rposition(|w| w[0] < w[1]) else {
         return false;
@@ -267,32 +239,6 @@ fn next_permutation(perm: &mut [usize]) -> bool {
     perm.swap(i, j);
     perm[i + 1..].reverse();
     true
-}
-
-/// All permutations of `0..n` in lexicographic order (n ≤
-/// [`MAX_PERM_THREADS`]), or just the identity beyond.
-fn permutations(n: usize) -> Vec<Vec<usize>> {
-    if n > MAX_PERM_THREADS {
-        return vec![(0..n).collect()];
-    }
-    fn rec(n: usize, current: &mut Vec<usize>, used: &mut [bool], out: &mut Vec<Vec<usize>>) {
-        if current.len() == n {
-            out.push(current.clone());
-            return;
-        }
-        for i in 0..n {
-            if !used[i] {
-                used[i] = true;
-                current.push(i);
-                rec(n, current, used, out);
-                current.pop();
-                used[i] = false;
-            }
-        }
-    }
-    let mut out = Vec::new();
-    rec(n, &mut Vec::new(), &mut vec![false; n], &mut out);
-    out
 }
 
 /// A `fmt::Write` sink that appends a candidate rendering to `buf` while
@@ -331,34 +277,49 @@ impl std::fmt::Write for CompareSink<'_> {
     }
 }
 
-/// Relabels and renders `p` under `perm` in one fused streaming pass,
-/// comparing against `best` as bytes are produced. Returns whether the
-/// candidate is strictly smaller (`None` means the comparison aborted:
-/// the candidate is greater). The rendering mirrors `Program`'s
-/// `Display` for init-free programs — `canonicalize` asserts the match
-/// in debug builds.
+/// Relabels and renders `p` under `perm`, comparing against `best` as
+/// bytes are produced. Returns whether the candidate is strictly smaller
+/// (`None` means the comparison aborted: the candidate is greater).
+///
+/// An init-free program is relabelled as it is rendered, so a losing
+/// candidate also stops relabelling at its first greater byte. The init
+/// line renders first but depends on the whole relabelling, so a program
+/// with init cells relabels its instruction stream into `staged` first,
+/// then streams the init line and the thread bodies through the same
+/// sink. The rendering mirrors `Program`'s `Display` — `canonicalize`
+/// asserts the match in debug builds.
 fn render_candidate(
     p: &Program,
     perm: &[usize],
     r: &mut Relabeller,
+    staged: &mut Vec<Instr>,
     best: &str,
     buf: &mut String,
 ) -> Option<bool> {
     use std::fmt::Write as _;
     buf.clear();
     r.reset();
+    staged.clear();
     // An empty best means "no candidate yet": skip comparison entirely
     // (a program never renders to the empty string).
     let mut sink = CompareSink { best, buf, smaller: best.is_empty() };
-    for (t, &orig) in perm.iter().enumerate() {
-        if writeln!(sink, "P{t}:").is_err() {
-            return None;
+    if !p.init().is_empty() {
+        for &orig in perm {
+            staged.extend(p.threads()[orig].instrs().iter().map(|&i| r.instr(i)));
         }
+        write!(sink, "init:").ok()?;
+        for (loc, v) in r.init_cells(p.init()) {
+            write!(sink, " {loc}={v}").ok()?;
+        }
+        writeln!(sink).ok()?;
+    }
+    // Empty for an init-free program, which relabels as it renders.
+    let mut staged = staged.iter();
+    for (t, &orig) in perm.iter().enumerate() {
+        writeln!(sink, "P{t}:").ok()?;
         for (i, &instr) in p.threads()[orig].instrs().iter().enumerate() {
-            let instr = r.instr(instr);
-            if writeln!(sink, "  {i:>3}: {instr}").is_err() {
-                return None;
-            }
+            let instr = staged.next().copied().unwrap_or_else(|| r.instr(instr));
+            writeln!(sink, "  {i:>3}: {instr}").ok()?;
         }
     }
     Some(sink.smaller || sink.buf.len() < best.len())
@@ -369,29 +330,25 @@ fn render_candidate(
 #[must_use]
 pub fn canonicalize(p: &Program) -> CanonicalForm {
     let relabel_values = values_opaque(p);
-    // The init line renders first but depends on the full relabelling, so
-    // only init-free programs take the streaming path. (Init cells come
-    // from explicit `with_init` construction; wire submissions are
-    // init-free unless the submitter wrote one.)
-    if !p.init().is_empty() {
-        return canonicalize_full(p, relabel_values);
-    }
     // Streaming search: each permutation is relabelled and rendered
     // byte-by-byte against the best text so far, and a losing candidate
     // stops at its first greater byte — usually within the first couple
     // of instructions. Only the winner is rebuilt as a `Program`. On a
     // 4-thread program this does ~1 full relabel + 23 aborted prefixes
     // instead of 24 relabel + build + render + compare rounds.
-    // Permutations step in place in the same lexicographic order
-    // `permutations` produces, so the winner on ties is unchanged.
+    // Permutations step in place in lexicographic order and only a
+    // strictly smaller text replaces the best, so ties go to the
+    // lexicographically first permutation.
     let n = p.num_threads();
     let mut perm: Vec<usize> = (0..n).collect();
     let mut best_text = String::new();
     let mut best_perm: Vec<usize> = perm.clone();
     let mut scratch = String::new();
+    let mut staged = Vec::new();
     let mut r = Relabeller::new(relabel_values);
     loop {
-        if render_candidate(p, &perm, &mut r, &best_text, &mut scratch) == Some(true) {
+        if render_candidate(p, &perm, &mut r, &mut staged, &best_text, &mut scratch) == Some(true)
+        {
             std::mem::swap(&mut best_text, &mut scratch);
             best_perm.clone_from(&perm);
         }
@@ -405,44 +362,16 @@ pub fn canonicalize(p: &Program) -> CanonicalForm {
         program.to_string(),
         "streamed rendering diverged from Display"
     );
-    let hash = fnv1a(best_text.as_bytes());
-    CanonicalForm {
-        program,
-        text: best_text,
-        hash,
-        thread_unmap: best_perm,
-        loc_unmap,
-        values_relabelled: relabel_values,
-    }
+    CanonicalForm { program, text: best_text, thread_unmap: best_perm, loc_unmap }
 }
 
-/// The unfused canonical search: relabel, build, and render every
-/// permutation, keep the lexicographically smallest text. Kept for
-/// programs with init cells, whose first rendered line needs the full
-/// relabelling.
-fn canonicalize_full(p: &Program, relabel_values: bool) -> CanonicalForm {
-    let mut best: Option<(String, Program, Vec<u32>, Vec<usize>)> = None;
-    for perm in permutations(p.num_threads()) {
-        let (candidate, loc_unmap) = relabel(p, &perm, relabel_values);
-        let text = candidate.to_string();
-        let better = match &best {
-            None => true,
-            Some((best_text, ..)) => text < *best_text,
-        };
-        if better {
-            best = Some((text, candidate, loc_unmap, perm));
+/// Draws candidates until one is not yet a target of `map`.
+fn draw_fresh<T: Copy + PartialEq>(map: &[(T, T)], mut draw: impl FnMut() -> T) -> T {
+    loop {
+        let candidate = draw();
+        if !map.iter().any(|&(_, to)| to == candidate) {
+            return candidate;
         }
-    }
-    let (text, program, loc_unmap, thread_unmap) =
-        best.expect("at least the identity permutation is tried");
-    let hash = fnv1a(text.as_bytes());
-    CanonicalForm {
-        program,
-        text,
-        hash,
-        thread_unmap,
-        loc_unmap,
-        values_relabelled: relabel_values,
     }
 }
 
@@ -464,139 +393,47 @@ pub fn random_renaming(p: &Program, seed: u64) -> Program {
         perm.swap(i, j);
     }
 
-    // Which locations the instruction stream touches (init-only cells
-    // keep their raw values; see `relabel`).
-    let accessed: Vec<u32> = p
-        .threads()
-        .iter()
-        .flat_map(|t| t.instrs().iter())
-        .filter_map(Instr::memory_loc)
-        .map(|l| l.0)
-        .collect();
-
-    // Location bijection: distinct pseudo-random ids.
-    let mut locs: Vec<u32> = accessed.clone();
-    for &(loc, _) in p.init() {
-        locs.push(loc.0);
+    // A first-occurrence pass in submitted order names the accessed
+    // locations and the constants to redraw. Init cells on accessed
+    // locations join the value scan; init-only cells keep their raw
+    // values, as in the canonical form.
+    let mut seen = Relabeller::new(values_opaque(p));
+    for t in p.threads() {
+        for &i in t.instrs() {
+            seen.instr(i);
+        }
     }
-    locs.sort_unstable();
-    locs.dedup();
-    let mut loc_map: HashMap<u32, u32> = HashMap::new();
-    for &l in &locs {
-        loop {
-            let candidate = (rng.next_u64() % 1_000_000) as u32;
-            if !loc_map.values().any(|&v| v == candidate) {
-                loc_map.insert(l, candidate);
-                break;
-            }
+    for &(loc, v) in p.init() {
+        if seen.lookup_loc(loc).is_some() {
+            seen.val(v);
         }
     }
 
-    // Value bijection fixing {0, 1}, only when sound.
-    let relabel_values = values_opaque(p);
-    let mut val_map: HashMap<Value, Value> = HashMap::new();
-    val_map.insert(0, 0);
-    val_map.insert(1, 1);
-    if relabel_values {
-        let mut vals: Vec<Value> = Vec::new();
-        for t in p.threads() {
-            for i in t.instrs() {
-                for v in instr_consts(i) {
-                    if v > 1 && !vals.contains(&v) {
-                        vals.push(v);
-                    }
-                }
-            }
-        }
-        for &(loc, v) in p.init() {
-            if accessed.contains(&loc.0) && v > 1 && !vals.contains(&v) {
-                vals.push(v);
-            }
-        }
-        for &v in &vals {
-            loop {
-                let candidate = 2 + rng.next_u64() % 1_000_000;
-                if !val_map.values().any(|&x| x == candidate) {
-                    val_map.insert(v, candidate);
-                    break;
-                }
-            }
-        }
+    // The bijection: distinct pseudo-random ids for every location, in
+    // submitted-id order, then distinct values ≥ 2 for the constants, in
+    // first-occurrence order.
+    let mut r = Relabeller::new(seen.relabel_values);
+    for loc in p.locations() {
+        let to = draw_fresh(&r.loc_map, || (rng.next_u64() % 1_000_000) as u32);
+        r.loc_map.push((loc.0, to));
+    }
+    for &(v, _) in &seen.val_map[2..] {
+        let to = draw_fresh(&r.val_map, || 2 + rng.next_u64() % 1_000_000);
+        r.val_map.push((v, to));
     }
 
-    let map_loc = |l: Loc| Loc(*loc_map.get(&l.0).unwrap_or(&l.0));
-    let map_val = |v: Value| *val_map.get(&v).unwrap_or(&v);
-    let map_op = |o: Operand| match o {
-        Operand::Const(v) => Operand::Const(map_val(v)),
-        Operand::Reg(r) => Operand::Reg(r),
-    };
-
-    let threads: Vec<Thread> = perm
-        .iter()
-        .map(|&orig| {
-            let mut out = Thread::new();
-            for &i in p.threads()[orig].instrs() {
-                out = out.push(match i {
-                    Instr::Read { loc, dst } => Instr::Read { loc: map_loc(loc), dst },
-                    Instr::Write { loc, src } => {
-                        Instr::Write { loc: map_loc(loc), src: map_op(src) }
-                    }
-                    Instr::SyncRead { loc, dst } => {
-                        Instr::SyncRead { loc: map_loc(loc), dst }
-                    }
-                    Instr::SyncWrite { loc, src } => {
-                        Instr::SyncWrite { loc: map_loc(loc), src: map_op(src) }
-                    }
-                    Instr::TestAndSet { loc, dst } => {
-                        Instr::TestAndSet { loc: map_loc(loc), dst }
-                    }
-                    Instr::FetchAdd { loc, dst, add } => {
-                        Instr::FetchAdd { loc: map_loc(loc), dst, add }
-                    }
-                    Instr::Move { dst, src } => Instr::Move { dst, src: map_op(src) },
-                    Instr::Add { dst, a, b } => Instr::Add { dst, a, b },
-                    Instr::BranchEq { a, b, target } => {
-                        Instr::BranchEq { a: map_op(a), b: map_op(b), target }
-                    }
-                    Instr::BranchNe { a, b, target } => {
-                        Instr::BranchNe { a: map_op(a), b: map_op(b), target }
-                    }
-                    Instr::Jump { target } => Instr::Jump { target },
-                    Instr::Fence => Instr::Fence,
-                });
-            }
-            out
-        })
-        .collect();
+    let threads: Vec<Thread> = perm.iter().map(|&orig| r.thread(&p.threads()[orig])).collect();
     let init: Vec<(Loc, Value)> = p
         .init()
         .iter()
         .map(|&(loc, v)| {
-            let v = if accessed.contains(&loc.0) { map_val(v) } else { v };
-            (map_loc(loc), v)
+            let v = if seen.lookup_loc(loc).is_some() { r.val(v) } else { v };
+            (r.loc(loc), v)
         })
         .collect();
     Program::new(threads)
         .expect("renaming preserves branch targets and registers")
         .with_init(init)
-}
-
-/// Constant operands value relabelling touches. `Add`/`FetchAdd` consts
-/// are excluded because their presence disables relabelling entirely.
-fn instr_consts(i: &Instr) -> Vec<Value> {
-    let of = |o: &Operand| match o {
-        Operand::Const(v) => Some(*v),
-        Operand::Reg(_) => None,
-    };
-    match i {
-        Instr::Write { src, .. } | Instr::SyncWrite { src, .. } | Instr::Move { src, .. } => {
-            of(src).into_iter().collect()
-        }
-        Instr::BranchEq { a, b, .. } | Instr::BranchNe { a, b, .. } => {
-            of(a).into_iter().chain(of(b)).collect()
-        }
-        _ => Vec::new(),
-    }
 }
 
 #[cfg(test)]
@@ -619,7 +456,6 @@ mod tests {
         let reparsed = parse_program(&c.text).unwrap();
         assert_eq!(reparsed, c.program, "canonical text round-trips");
         assert_eq!(canonicalize(&mp()).text, c.text, "pure function");
-        assert_eq!(c.hash, fnv1a(c.text.as_bytes()));
     }
 
     #[test]
@@ -649,7 +485,6 @@ mod tests {
     fn arithmetic_disables_value_relabelling() {
         let p = parse_program("P0:\n  r0 := FetchAdd(m7, 3)\n  W(m9) := 9\n").unwrap();
         let c = canonicalize(&p);
-        assert!(!c.values_relabelled);
         // The 9 survives verbatim; the locations are still relabelled.
         assert!(c.text.contains(":= 9"), "{}", c.text);
         assert!(c.text.contains("m0") && c.text.contains("m1"), "{}", c.text);
@@ -659,9 +494,6 @@ mod tests {
     fn unmaps_translate_back_to_submitted_coordinates() {
         let p = mp();
         let c = canonicalize(&p);
-        for (canon_id, orig) in c.loc_unmap.iter().enumerate() {
-            assert_eq!(c.unmap_loc(Loc(canon_id as u32)), Loc(*orig));
-        }
         let mut threads: Vec<usize> = c.thread_unmap.clone();
         threads.sort_unstable();
         assert_eq!(threads, vec![0, 1]);

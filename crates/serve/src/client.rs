@@ -36,6 +36,11 @@
 //!   carries the kept connection and a hedge dials fresh; the winner's
 //!   connection is kept, and the loser's is dropped, since it still owes
 //!   an answer.
+//! * **Spawn only for a hedge that fires.** The primary runs on the
+//!   caller's thread, hedged or not: with `hedge_after` set it waits that
+//!   long for the first response byte (a `peek`, which consumes nothing)
+//!   and reads the frame on the spot when one comes. Only when none has,
+//!   the primary's wait and the hedge each get a thread of their own.
 
 use std::fmt;
 use std::io;
@@ -135,9 +140,7 @@ impl std::error::Error for ClientError {}
 /// A `wo-serve/1` client holding at most one kept connection: each query
 /// goes out on the connection that carried the last answer, and a query
 /// dials only when there is none or the daemon has closed it (see the
-/// module docs for the redial rule). A hedged attempt takes the kept
-/// connection into its thread and hands back the winner's with the
-/// answer.
+/// module docs for the redial and hedging rules).
 pub struct ServeClient {
     cfg: ClientConfig,
     rng: SplitMix64,
@@ -200,26 +203,7 @@ impl ServeClient {
     /// plus one hedged duplicate on a fresh connection if the primary is
     /// slow. First answer wins, and its connection is kept.
     fn raced_attempt(&mut self, payload: &[u8]) -> Result<Response, String> {
-        let kept = self.conn.take();
-        let Some(hedge_after) = self.cfg.hedge_after else {
-            let (result, conn) = exchange(&self.cfg, kept, payload);
-            self.conn = conn;
-            return result;
-        };
-        let (tx, rx) = mpsc::channel();
-        spawn_exchange(&self.cfg, kept, payload, tx.clone());
-        let (result, conn) = match rx.recv_timeout(hedge_after) {
-            Ok(outcome) => outcome,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Primary is slow: race exactly one duplicate.
-                spawn_exchange(&self.cfg, None, payload, tx);
-                rx.recv_timeout(self.cfg.io_timeout + self.cfg.connect_timeout)
-                    .map_err(|_| "both primary and hedge timed out".to_string())?
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err("attempt thread lost".into());
-            }
-        };
+        let (result, conn) = exchange(&self.cfg, self.conn.take(), payload, self.cfg.hedge_after);
         self.conn = conn;
         result
     }
@@ -240,45 +224,59 @@ fn backoff_for(cfg: &ClientConfig, rng: &mut SplitMix64, attempt: u32) -> Durati
     half + Duration::from_millis(jitter_ms)
 }
 
-/// What one exchange returns: the outcome, and the connection to keep.
+/// What one exchange returns: the outcome, and the connection that
+/// carried a whole, decodable response (`None` after any failure).
 type Exchanged = (Result<Response, String>, Option<TcpStream>);
-
-/// Runs [`exchange`] on a thread of its own and sends its outcome.
-fn spawn_exchange(
-    cfg: &ClientConfig,
-    kept: Option<TcpStream>,
-    payload: &[u8],
-    tx: mpsc::Sender<Exchanged>,
-) {
-    let cfg = cfg.clone();
-    let payload = payload.to_vec();
-    std::thread::spawn(move || {
-        // A lost receiver means the other attempt won the race; this
-        // connection still owes an answer, so it is dropped with the send.
-        let _ = tx.send(exchange(&cfg, kept, &payload));
-    });
-}
 
 /// One request out and one response frame back: on `kept` when there is
 /// one, on a fresh connection otherwise, and on a fresh one at once when
-/// the daemon turns out to have closed `kept`. Returns the outcome and
-/// the connection that carried a whole, decodable response (`None` after
-/// any failure).
-fn exchange(cfg: &ClientConfig, kept: Option<TcpStream>, payload: &[u8]) -> Exchanged {
+/// the daemon turns out to have closed `kept`. With `hedge_after`, a
+/// response that has not begun by then is raced against a [`hedge`].
+fn exchange(
+    cfg: &ClientConfig,
+    kept: Option<TcpStream>,
+    payload: &[u8],
+    hedge_after: Option<Duration>,
+) -> Exchanged {
     if let Some(stream) = kept {
-        match round_trip(cfg, &stream, payload) {
-            Ok(Response::Error { code: ErrorCode::ShuttingDown, .. }) | Err(Failure::Closed(_)) => {}
-            Ok(response) => return (Ok(response), Some(stream)),
+        match round_trip(cfg, &stream, payload, hedge_after) {
+            Ok(Some(Response::Error { code: ErrorCode::ShuttingDown, .. }))
+            | Err(Failure::Closed(_)) => {}
+            Ok(Some(response)) => return (Ok(response), Some(stream)),
+            Ok(None) => return hedge(cfg, stream, payload),
             Err(Failure::Failed(e)) => return (Err(e), None),
         }
     }
     match connect(cfg) {
-        Ok(stream) => match round_trip(cfg, &stream, payload) {
-            Ok(response) => (Ok(response), Some(stream)),
+        Ok(stream) => match round_trip(cfg, &stream, payload, hedge_after) {
+            Ok(Some(response)) => (Ok(response), Some(stream)),
+            Ok(None) => hedge(cfg, stream, payload),
             Err(Failure::Closed(e) | Failure::Failed(e)) => (Err(e), None),
         },
         Err(e) => (Err(e), None),
     }
+}
+
+/// Races the primary, whose request is out on `primary`, against one
+/// duplicate on a fresh connection, each waiting on a thread of its own.
+/// The first outcome wins and its connection is kept; the loser's is
+/// dropped with its send, since it still owes an answer.
+fn hedge(cfg: &ClientConfig, primary: TcpStream, payload: &[u8]) -> Exchanged {
+    let (tx, rx) = mpsc::channel::<Exchanged>();
+    let (primary_cfg, primary_tx) = (cfg.clone(), tx.clone());
+    std::thread::spawn(move || {
+        let outcome = match receive(&primary_cfg, &primary) {
+            Ok(response) => (Ok(response), Some(primary)),
+            Err(Failure::Closed(e) | Failure::Failed(e)) => (Err(e), None),
+        };
+        let _ = primary_tx.send(outcome);
+    });
+    let (hedge_cfg, payload) = (cfg.clone(), payload.to_vec());
+    std::thread::spawn(move || {
+        let _ = tx.send(exchange(&hedge_cfg, None, &payload, None));
+    });
+    rx.recv_timeout(cfg.io_timeout + cfg.connect_timeout)
+        .unwrap_or_else(|_| (Err("both primary and hedge timed out".into()), None))
 }
 
 /// How a round trip on one connection failed.
@@ -304,8 +302,51 @@ impl Failure {
 }
 
 /// Writes one request frame on `stream` and reads one response frame.
-fn round_trip(cfg: &ClientConfig, stream: &TcpStream, payload: &[u8]) -> Result<Response, Failure> {
+/// With `hedge_after`, first waits that long for the response's first
+/// byte and returns `None` if it has not come.
+fn round_trip(
+    cfg: &ClientConfig,
+    stream: &TcpStream,
+    payload: &[u8],
+    hedge_after: Option<Duration>,
+) -> Result<Option<Response>, Failure> {
     write_frame(&mut &*stream, payload).map_err(|e| Failure::io("send", &e))?;
+    if let Some(wait) = hedge_after {
+        if !response_begins_within(cfg, stream, wait)? {
+            return Ok(None);
+        }
+    }
+    receive(cfg, stream).map(Some)
+}
+
+/// Whether a response's first byte arrives on `stream` within `wait`. The
+/// byte is peeked, not consumed, and the read timeout is back at
+/// `io_timeout` on return.
+fn response_begins_within(
+    cfg: &ClientConfig,
+    stream: &TcpStream,
+    wait: Duration,
+) -> Result<bool, Failure> {
+    if wait.is_zero() {
+        return Ok(false);
+    }
+    let timeout =
+        |t: Duration| stream.set_read_timeout(Some(t)).map_err(|e| Failure::io("receive", &e));
+    timeout(wait)?;
+    let peeked = stream.peek(&mut [0u8; 1]);
+    timeout(cfg.io_timeout)?;
+    match peeked {
+        Ok(0) => Err(Failure::Closed("connection closed before response".into())),
+        Ok(_) => Ok(true),
+        Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            Ok(false)
+        }
+        Err(e) => Err(Failure::io("receive", &e)),
+    }
+}
+
+/// Reads one response frame from `stream`.
+fn receive(cfg: &ClientConfig, stream: &TcpStream) -> Result<Response, Failure> {
     match read_frame(&mut &*stream, cfg.max_frame_bytes) {
         Ok(Some(frame)) => {
             Response::decode(&frame).map_err(|e| Failure::Failed(format!("decode: {e}")))
@@ -949,6 +990,40 @@ mod tests {
             assert_eq!(ping(&mut client), Ok(Response::Pong));
         }
         assert_eq!(accepted.load(Ordering::SeqCst), 2, "one stalled primary, one kept hedge");
+    }
+
+    #[test]
+    fn a_primary_answering_after_the_hedge_fired_keeps_its_connection() {
+        // The first connection answers its first frame only once the
+        // hedge has dialed, and every later frame at once; the hedge's
+        // connection swallows its frames. Were it kept, the next ping
+        // would wait on it and fail.
+        static HEDGE_DIALED: AtomicUsize = AtomicUsize::new(0);
+        let (addr, accepted) = counting_listener(|n, stream| {
+            if n > 0 {
+                HEDGE_DIALED.store(1, Ordering::SeqCst);
+                while let Ok(Some(_)) = read_frame(&mut &stream, 1 << 20) {}
+                return;
+            }
+            if read_frame(&mut &stream, 1 << 20).is_err() {
+                return;
+            }
+            while HEDGE_DIALED.load(Ordering::SeqCst) == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            if write_frame(&mut &stream, &Response::Pong.encode()).is_ok() {
+                pong_every_frame(n, stream);
+            }
+        });
+        let mut cfg = cfg_for(addr);
+        cfg.io_timeout = Duration::from_secs(2);
+        cfg.hedge_after = Some(Duration::from_millis(50));
+        cfg.max_attempts = 1;
+        let mut client = ServeClient::new(cfg);
+        for _ in 0..5 {
+            assert_eq!(ping(&mut client), Ok(Response::Pong));
+        }
+        assert_eq!(accepted.load(Ordering::SeqCst), 2, "a late primary, kept, and a hedge");
     }
 
     #[test]

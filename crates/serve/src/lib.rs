@@ -306,8 +306,8 @@ pub fn translate_races(
     thread_unmap: &[usize],
     loc_unmap: &[u32],
 ) -> Vec<RaceCoord> {
-    // Out-of-range indices fall back to identity, matching
-    // `CanonicalForm::unmap_thread` / `unmap_loc`.
+    // Out-of-range indices fall back to identity (the maps of a
+    // canonical form cover every thread and location it names).
     let unthread =
         |t: u32| thread_unmap.get(t as usize).copied().unwrap_or(t as usize) as u32;
     let mut mapped: Vec<RaceCoord> = races
@@ -500,6 +500,82 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    /// The reference translation: map every race, then sort.
+    fn map_then_sort(
+        races: &[RaceCoord],
+        thread_unmap: &[usize],
+        loc_unmap: &[u32],
+    ) -> Vec<RaceCoord> {
+        let thread = |t: u32| thread_unmap.get(t as usize).map_or(t, |&u| u as u32);
+        let mut mapped: Vec<RaceCoord> = races
+            .iter()
+            .map(|r| RaceCoord {
+                first_thread: thread(r.first_thread),
+                first_seq: r.first_seq,
+                second_thread: thread(r.second_thread),
+                second_seq: r.second_seq,
+                loc: loc_unmap.get(r.loc as usize).copied().unwrap_or(r.loc),
+            })
+            .collect();
+        mapped.sort_unstable_by_key(race_sort_key);
+        mapped
+    }
+
+    #[test]
+    fn run_merge_translation_equals_map_then_sort() {
+        let mut rng = simx::rng::SplitMix64::new(0x7A5E_5EED);
+        let mut below = |n: u64| (rng.next_u64() % n) as u32;
+        let mut merged = 0;
+        for case in 0..3000u32 {
+            let threads = 1 + below(6);
+            let locs = 1 + below(8);
+            // Both sides of the 16-race threshold; small sequence numbers
+            // make (first_thread, first_seq) tie groups common.
+            let len = below(48);
+            let mut races: Vec<RaceCoord> = (0..len)
+                .map(|_| RaceCoord {
+                    first_thread: below(u64::from(threads)),
+                    first_seq: below(4),
+                    second_thread: below(u64::from(threads)),
+                    second_seq: below(4),
+                    loc: below(u64::from(locs)),
+                })
+                .collect();
+            // Canonical answers arrive sorted; foreign callers may not.
+            if case % 4 != 3 {
+                races.sort_unstable();
+            }
+            // A seeded permutation, a non-injective map, or a short one.
+            let mut thread_unmap: Vec<usize> = (0..threads as usize).collect();
+            for i in (1..thread_unmap.len()).rev() {
+                thread_unmap.swap(i, below(i as u64 + 1) as usize);
+            }
+            let mut loc_unmap: Vec<u32> = (0..locs).map(|l| l * 7 + below(7)).collect();
+            match case % 3 {
+                1 => {
+                    for t in &mut thread_unmap {
+                        *t = below(u64::from(threads)) as usize;
+                    }
+                    for l in &mut loc_unmap {
+                        *l = below(u64::from(locs));
+                    }
+                }
+                2 => {
+                    thread_unmap.truncate(below(u64::from(threads)) as usize);
+                    loc_unmap.truncate(below(u64::from(locs)) as usize);
+                }
+                _ => {}
+            }
+            merged += usize::from(races.len() > 16 && races.windows(2).all(|w| w[0] <= w[1]));
+            assert_eq!(
+                translate_races(&races, &thread_unmap, &loc_unmap),
+                map_then_sort(&races, &thread_unmap, &loc_unmap),
+                "case {case}: races {races:?} thread_unmap {thread_unmap:?} loc_unmap {loc_unmap:?}"
+            );
+        }
+        assert!(merged > 1000, "only {merged} cases took the run-merge path");
     }
 
     #[test]

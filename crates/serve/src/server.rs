@@ -447,23 +447,25 @@ fn handle_v1(shared: &Shared, payload: &[u8]) -> (Response, Option<JournalRecord
 }
 
 fn snapshot_stats(shared: &Shared) -> ServerStats {
-    let (shard_hits, shard_misses) = shared.cache.shard_hit_miss();
+    // Cache totals are sums of this one read of the shard counters, so a
+    // snapshot always agrees with itself.
+    let shards = shared.cache.shard_counts();
     let mut batch_depth = [0u64; BATCH_DEPTH_BUCKETS];
     for (slot, counter) in batch_depth.iter_mut().zip(&shared.counters.batch_depth) {
         *slot = counter.load(Ordering::Relaxed);
     }
     ServerStats {
         served: shared.counters.served.load(Ordering::Relaxed),
-        cache_hits: shared.cache.stats.hits.load(Ordering::Relaxed),
-        coalesced: shared.cache.stats.joins.load(Ordering::Relaxed),
+        cache_hits: shards.iter().map(|s| s.hits).sum(),
+        coalesced: shards.iter().map(|s| s.joins).sum(),
         explored: shared.counters.explored.load(Ordering::Relaxed),
         overloaded: shared.counters.overloaded.load(Ordering::Relaxed),
         degraded: shared.counters.degraded.load(Ordering::Relaxed),
         journal_replayed: shared.counters.journal_replayed.load(Ordering::Relaxed),
         shedding: shared.gate.shedding(),
         batch_depth,
-        shard_hits,
-        shard_misses,
+        shard_hits: shards.iter().map(|s| s.hits).collect(),
+        shard_misses: shards.iter().map(|s| s.leads + s.joins).collect(),
         coalesced_in_batch: shared.counters.coalesced_in_batch.load(Ordering::Relaxed),
         shed_items: shared.counters.shed_items.load(Ordering::Relaxed),
         computed_axiom: shared.counters.computed_axiom.load(Ordering::Relaxed),

@@ -381,6 +381,58 @@ fn counters_are_exact_across_a_v1_sequence_and_one_batch() {
     handle.shutdown();
 }
 
+/// Each cache lookup is counted once, in its shard, and a `stats` answer
+/// derives `cache_hits` and `coalesced` from the same read of the shard
+/// counters as `shard_hits` and `shard_misses`. So while clients send
+/// hits and misses, every snapshot agrees with itself.
+#[test]
+fn every_stats_snapshot_agrees_with_itself_under_load() {
+    const QUERIES: u64 = 400;
+    let handle = spawn(None);
+    let mut poller = client_for(&handle);
+    assert_eq!(cache_status(&poller.drf0(RACY_MP).unwrap()), Some(CacheStatus::Miss));
+    let senders: Vec<_> = (0..2u64)
+        .map(|sender| {
+            let mut client = client_for(&handle);
+            std::thread::spawn(move || {
+                for k in 0..QUERIES {
+                    // Every other query is a hit; the rest are misses, since
+                    // arithmetic keeps each added constant in the key.
+                    let program = if k % 2 == 0 {
+                        RACY_MP.to_string()
+                    } else {
+                        let add = k * 2 + sender;
+                        format!("P0:\n  r0 := FetchAdd(m0, {add})\nP1:\n  r1 := R(m0)\n")
+                    };
+                    client.drf0(&program).expect("query");
+                }
+            })
+        })
+        .collect();
+    let mut snapshots = 0;
+    let mut busy = true;
+    while busy {
+        busy = senders.iter().any(|s| !s.is_finished());
+        let stats = match poller.query(&Request::new(QueryKind::Stats, "")) {
+            Ok(Response::Stats(stats)) => stats,
+            other => panic!("unexpected {other:?}"),
+        };
+        let shard_hits: u64 = stats.shard_hits.iter().sum();
+        let shard_misses: u64 = stats.shard_misses.iter().sum();
+        assert_eq!(shard_hits, stats.cache_hits, "snapshot {snapshots}: {stats:?}");
+        assert!(stats.coalesced <= shard_misses, "snapshot {snapshots}: {stats:?}");
+        snapshots += 1;
+    }
+    for sender in senders {
+        sender.join().unwrap();
+    }
+    let stats = counters(&mut poller);
+    assert_eq!(stats.cache_hits, QUERIES, "{stats:?}");
+    assert_eq!(stats.shard_misses, QUERIES + 1, "{stats:?}");
+    assert!(snapshots > 10, "only {snapshots} snapshots taken under load");
+    handle.shutdown();
+}
+
 /// A v1 frame over `max_frame_bytes` is answered with `TooLarge`, the
 /// connection is dropped, and the answer counts as served like any other.
 #[test]
