@@ -9,7 +9,8 @@
 //! * **hot** — each program re-queried under `renames` random
 //!   thread/location/value renamings ([`wo_serve::canon`]): the
 //!   canonical-form cache must absorb all of them (hit rate is asserted
-//!   and reported);
+//!   and reported). `canonicalize` is also timed alone, once per hot
+//!   request, as the per-query stage split (`hot.canon_*`);
 //! * **restart** — the server is shut down and a fresh one spawned on the
 //!   same journal directory: replay count and wall-clock recovery time,
 //!   then the whole corpus re-queried (warm from disk, zero
@@ -59,6 +60,10 @@ const USAGE: &str =
 /// the median pass: single ~30 ms passes swing by 2x under scheduler
 /// noise on small machines, and a gate rides on each path's rate.
 const HOT_PASSES: usize = 3;
+
+/// The fewest samples a stage's p99 is reported from; below this, a
+/// percentile that high says nothing about the tail.
+const TAIL_SAMPLES: usize = 40;
 
 /// Corpus: bounded programs whose exploration completes in sane time at
 /// these budgets — the bench measures the serving machinery, not DPOR.
@@ -195,6 +200,23 @@ fn main() {
     let hot_hits = after_hot.cache_hits - before_hot.cache_hits;
     let explored_during_hot = after_hot.explored - before_hot.explored;
     assert_eq!(explored_during_hot, 0, "hot phase re-explored");
+
+    // ---- the canonicalization stage alone, once per hot request: every
+    // query pays it, hit or miss. Parsing stays outside the timing.
+    let mut canon_nanos: Vec<u64> = hot_requests
+        .iter()
+        .map(|req| {
+            let program = litmus::parse::parse_program(&req.program).expect("hot request parses");
+            let t0 = Instant::now();
+            std::hint::black_box(wo_serve::canon::canonicalize(&program));
+            t0.elapsed().as_nanos() as u64
+        })
+        .collect();
+    canon_nanos.sort_unstable();
+    let canon_p50_us = median(&canon_nanos) as f64 / 1e3;
+    // Nearest rank: the sample at rank ceil(0.99 n).
+    let canon_p99_us = (canon_nanos.len() >= TAIL_SAMPLES)
+        .then(|| canon_nanos[(canon_nanos.len() * 99).div_ceil(100) - 1] as f64 / 1e3);
 
     // ---- restart: recovery from the journal alone.
     handle.shutdown();
@@ -386,6 +408,11 @@ fn main() {
         programs.len()
     );
     println!(
+        "canonicalize alone: {} hot requests, p50 {canon_p50_us:.2} us{}",
+        canon_nanos.len(),
+        canon_p99_us.map_or(String::new(), |p99| format!(", p99 {p99:.2} us"))
+    );
+    println!(
         "restart: {replayed} verdicts replayed in {restart_secs:.3}s, warm re-query of the corpus in {warm_secs:.3}s with 0 explorations"
     );
     println!(
@@ -436,6 +463,11 @@ fn main() {
     report.metric("hot.queries_per_sec", hot_qps);
     report.metric("hot.cache_hits", hot_hits);
     report.metric("hot.re_explorations", explored_during_hot);
+    report.metric("hot.canon_samples", canon_nanos.len());
+    report.metric("hot.canon_p50_us", canon_p50_us);
+    if let Some(p99) = canon_p99_us {
+        report.metric("hot.canon_p99_us", p99);
+    }
     report.metric("restart.replayed", replayed);
     report.metric("restart.recovery_seconds", restart_secs);
     report.metric("restart.warm_requery_seconds", warm_secs);

@@ -49,5 +49,6 @@ pub mod explore;
 pub mod ideal;
 pub mod parse;
 pub mod serialize;
+pub mod text;
 
 pub use program::{Instr, Operand, Program, ProgramError, Reg, Thread, NUM_REGS};

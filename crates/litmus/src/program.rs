@@ -169,26 +169,9 @@ pub enum Instr {
 
 impl fmt::Display for Instr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Instr::Read { loc, dst } => write!(f, "{dst} := R({loc})"),
-            Instr::Write { loc, src } => write!(f, "W({loc}) := {src}"),
-            Instr::SyncRead { loc, dst } => write!(f, "{dst} := Test({loc})"),
-            Instr::SyncWrite { loc, src } => write!(f, "Set({loc}) := {src}"),
-            Instr::TestAndSet { loc, dst } => write!(f, "{dst} := TestAndSet({loc})"),
-            Instr::FetchAdd { loc, dst, add } => {
-                write!(f, "{dst} := FetchAdd({loc}, {add})")
-            }
-            Instr::Move { dst, src } => write!(f, "{dst} := {src}"),
-            Instr::Add { dst, a, b } => write!(f, "{dst} := {a} + {b}"),
-            Instr::BranchEq { a, b, target } => {
-                write!(f, "if {a} == {b} goto {target}")
-            }
-            Instr::BranchNe { a, b, target } => {
-                write!(f, "if {a} != {b} goto {target}")
-            }
-            Instr::Jump { target } => write!(f, "goto {target}"),
-            Instr::Fence => write!(f, "fence"),
-        }
+        let mut out = String::new();
+        crate::text::instr(&mut out, self);
+        f.write_str(&out)
     }
 }
 
@@ -549,22 +532,17 @@ impl Program {
 
 impl fmt::Display for Program {
     /// Renders the program in litmus-assembly style, one numbered column
-    /// of instructions per thread.
+    /// of instructions per thread, through [`crate::text`].
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.init.is_empty() {
-            write!(f, "init:")?;
-            for (loc, v) in &self.init {
-                write!(f, " {loc}={v}")?;
-            }
-            writeln!(f)?;
-        }
+        let mut out = String::new();
+        crate::text::init_line(&mut out, &self.init);
         for (t, thread) in self.threads.iter().enumerate() {
-            writeln!(f, "P{t}:")?;
+            crate::text::thread_header(&mut out, t);
             for (i, instr) in thread.instrs().iter().enumerate() {
-                writeln!(f, "  {i:>3}: {instr}")?;
+                crate::text::instr_line(&mut out, i, instr);
             }
         }
-        Ok(())
+        f.write_str(&out)
     }
 }
 

@@ -22,9 +22,21 @@
 //! [`MAX_PERM_THREADS`] threads, identity beyond), relabel locations and
 //! values by first occurrence in the instruction stream, then the init
 //! cells, and render the program; the lexicographically smallest
-//! rendering wins. Two programs are renamings of each other iff their
-//! canonical texts are equal — the cache keys on the text itself (not a
-//! hash), so a hash collision can never serve a wrong verdict.
+//! rendering wins, ties to the lexicographically first permutation. Two
+//! programs are renamings of each other iff their canonical texts are
+//! equal — the cache keys on the text itself (not a hash), so a hash
+//! collision can never serve a wrong verdict.
+//!
+//! It finds that rendering without rendering every permutation: a
+//! depth-first search places one thread per position in lexicographic
+//! order and renders each placed thread once per prefix, through the one
+//! text writer [`litmus::text`]. A prefix's text starts every text below
+//! it, so an init-free program's subtree is cut at the first line that
+//! makes its prefix byte-greater than the best text so far; a program
+//! with init cells compares at the leaves, since its `init:` line comes
+//! first but depends on the whole relabelling. A thread equal to an
+//! unused lower-index thread is never placed: swapping the two gives the
+//! same text in an earlier order, which wins the tie.
 //!
 //! The form also carries the *inverse* maps, so answers computed on the
 //! canonical program (race sets name canonical threads and locations) can
@@ -34,10 +46,13 @@
 use litmus::{Instr, Operand, Program, Thread};
 use memory_model::{Loc, Value};
 
-/// Above this many threads the canonical search stops trying permutations
-/// (cost n!) and keeps the submitted thread order; location and value
-/// canonicalization still apply. 5! = 120 relabelings is well under a
-/// millisecond; the fuzz generator tops out at 3 threads.
+/// Above this many threads the canonical search visits only the
+/// submitted thread order; location and value canonicalization still
+/// apply. Raising it would move the cache key of every program wider
+/// than five threads. At 5 the slowest class measured, five near-twin
+/// threads with init cells, takes 0.10–0.17 ms per call on 2 vCPUs
+/// (five identical threads 4 µs); the fuzz generator tops out at 3
+/// threads.
 pub const MAX_PERM_THREADS: usize = 5;
 
 /// The canonical representative of a program's renaming class.
@@ -82,9 +97,9 @@ fn values_opaque(p: &Program) -> bool {
 /// search, or a bijection filled up front by [`random_renaming`].
 ///
 /// Maps are association vectors, not hash maps: a litmus program touches
-/// a handful of locations and constants, a linear probe of a short vector
-/// beats hashing, and the canonical search rebuilds this state once per
-/// permutation — up to 120 times per query on the server's hot path.
+/// a handful of locations and constants, and a linear probe of a short
+/// vector beats hashing. They only grow, so the canonical search undoes
+/// a placed thread's relabelling by truncating them to a [`Mark`].
 struct Relabeller {
     /// `(submitted, relabelled)` location pairs. The canonical search adds
     /// them in first-occurrence order, so the canonical id is the
@@ -93,6 +108,14 @@ struct Relabeller {
     val_map: Vec<(Value, Value)>,
     next_val: Value,
     relabel_values: bool,
+}
+
+/// How far a [`Relabeller`]'s maps had grown.
+#[derive(Clone, Copy)]
+struct Mark {
+    locs: usize,
+    vals: usize,
+    next_val: Value,
 }
 
 impl Relabeller {
@@ -105,13 +128,15 @@ impl Relabeller {
         }
     }
 
-    /// Returns to the freshly-constructed state, keeping allocations —
-    /// the canonical search resets once per permutation.
-    fn reset(&mut self) {
-        self.loc_map.clear();
-        self.val_map.clear();
-        self.val_map.extend([(0, 0), (1, 1)]);
-        self.next_val = 2;
+    fn mark(&self) -> Mark {
+        Mark { locs: self.loc_map.len(), vals: self.val_map.len(), next_val: self.next_val }
+    }
+
+    /// Forgets every pair added since `mark` was taken.
+    fn truncate(&mut self, mark: Mark) {
+        self.loc_map.truncate(mark.locs);
+        self.val_map.truncate(mark.vals);
+        self.next_val = mark.next_val;
     }
 
     fn lookup_loc(&self, loc: Loc) -> Option<Loc> {
@@ -228,101 +253,26 @@ fn relabel(p: &Program, perm: &[usize], relabel_values: bool) -> (Program, Vec<u
     (program, r.loc_unmap())
 }
 
-/// Advances `perm` to its lexicographic successor in place, returning
-/// `false` (leaving the array sorted descending) when it was already the
-/// last permutation.
-fn next_permutation(perm: &mut [usize]) -> bool {
-    let Some(i) = perm.windows(2).rposition(|w| w[0] < w[1]) else {
-        return false;
-    };
-    let j = perm.iter().rposition(|&v| v > perm[i]).expect("successor exists past pivot");
-    perm.swap(i, j);
-    perm[i + 1..].reverse();
-    true
-}
-
-/// A `fmt::Write` sink that appends a candidate rendering to `buf` while
-/// comparing it against the current best text, failing the write (which
-/// aborts the rendering *and* the relabelling feeding it) as soon as the
-/// candidate is known to be lexicographically greater.
-struct CompareSink<'a> {
-    best: &'a str,
-    buf: &'a mut String,
-    /// Set once the candidate proves strictly smaller than `best`; from
-    /// then on bytes are appended without comparison.
-    smaller: bool,
-}
-
-impl std::fmt::Write for CompareSink<'_> {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        if !self.smaller {
-            let done = self.buf.len().min(self.best.len());
-            let rest = &self.best.as_bytes()[done..];
-            let sb = s.as_bytes();
-            let n = rest.len().min(sb.len());
-            match sb[..n].cmp(&rest[..n]) {
-                std::cmp::Ordering::Greater => return Err(std::fmt::Error),
-                std::cmp::Ordering::Less => self.smaller = true,
-                std::cmp::Ordering::Equal => {
-                    // Equal on the overlap but extending past the best
-                    // text: the best is a proper prefix, so it is smaller.
-                    if sb.len() > rest.len() {
-                        return Err(std::fmt::Error);
-                    }
-                }
-            }
-        }
-        self.buf.push_str(s);
-        Ok(())
+/// Whether `text`, equal to `best` before byte `from`, can still start a
+/// text no greater than `best`. `below` is the index of the first byte
+/// where `text` is known to fall below `best` (`usize::MAX` while it
+/// matches so far); bytes from `from` on are compared only while it
+/// matches, and a byte found below `best` is recorded.
+fn stays_least(text: &str, best: &str, from: usize, below: &mut usize) -> bool {
+    if *below < from {
+        return true;
     }
-}
-
-/// Relabels and renders `p` under `perm`, comparing against `best` as
-/// bytes are produced. Returns whether the candidate is strictly smaller
-/// (`None` means the comparison aborted: the candidate is greater).
-///
-/// An init-free program is relabelled as it is rendered, so a losing
-/// candidate also stops relabelling at its first greater byte. The init
-/// line renders first but depends on the whole relabelling, so a program
-/// with init cells relabels its instruction stream into `staged` first,
-/// then streams the init line and the thread bodies through the same
-/// sink. The rendering mirrors `Program`'s `Display` — `canonicalize`
-/// asserts the match in debug builds.
-fn render_candidate(
-    p: &Program,
-    perm: &[usize],
-    r: &mut Relabeller,
-    staged: &mut Vec<Instr>,
-    best: &str,
-    buf: &mut String,
-) -> Option<bool> {
-    use std::fmt::Write as _;
-    buf.clear();
-    r.reset();
-    staged.clear();
-    // An empty best means "no candidate yet": skip comparison entirely
-    // (a program never renders to the empty string).
-    let mut sink = CompareSink { best, buf, smaller: best.is_empty() };
-    if !p.init().is_empty() {
-        for &orig in perm {
-            staged.extend(p.threads()[orig].instrs().iter().map(|&i| r.instr(i)));
+    let (text, best) = (text.as_bytes(), best.as_bytes());
+    let end = text.len().min(best.len());
+    match text[from..end].iter().zip(&best[from..end]).position(|(a, b)| a != b) {
+        Some(k) if text[from + k] < best[from + k] => {
+            *below = from + k;
+            true
         }
-        write!(sink, "init:").ok()?;
-        for (loc, v) in r.init_cells(p.init()) {
-            write!(sink, " {loc}={v}").ok()?;
-        }
-        writeln!(sink).ok()?;
+        Some(_) => false,
+        // Equal so far: greater only once it runs past the end of `best`.
+        None => text.len() <= best.len(),
     }
-    // Empty for an init-free program, which relabels as it renders.
-    let mut staged = staged.iter();
-    for (t, &orig) in perm.iter().enumerate() {
-        writeln!(sink, "P{t}:").ok()?;
-        for (i, &instr) in p.threads()[orig].instrs().iter().enumerate() {
-            let instr = staged.next().copied().unwrap_or_else(|| r.instr(instr));
-            writeln!(sink, "  {i:>3}: {instr}").ok()?;
-        }
-    }
-    Some(sink.smaller || sink.buf.len() < best.len())
 }
 
 /// Computes the canonical form of `p`. Pure: structurally equal programs
@@ -330,39 +280,92 @@ fn render_candidate(
 #[must_use]
 pub fn canonicalize(p: &Program) -> CanonicalForm {
     let relabel_values = values_opaque(p);
-    // Streaming search: each permutation is relabelled and rendered
-    // byte-by-byte against the best text so far, and a losing candidate
-    // stops at its first greater byte — usually within the first couple
-    // of instructions. Only the winner is rebuilt as a `Program`. On a
-    // 4-thread program this does ~1 full relabel + 23 aborted prefixes
-    // instead of 24 relabel + build + render + compare rounds.
-    // Permutations step in place in lexicographic order and only a
-    // strictly smaller text replaces the best, so ties go to the
-    // lexicographically first permutation.
-    let n = p.num_threads();
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut best_text = String::new();
-    let mut best_perm: Vec<usize> = perm.clone();
-    let mut scratch = String::new();
-    let mut staged = Vec::new();
+    let threads = p.threads();
+    let n = threads.len();
+    let permute = n <= MAX_PERM_THREADS;
+    let classes = if permute { p.thread_identity_classes() } else { Vec::new() };
+    let init_free = p.init().is_empty();
     let mut r = Relabeller::new(relabel_values);
+    // The placed threads: (submitted thread, relabeller mark and text
+    // length before it was placed).
+    let mut placed: Vec<(usize, Mark, usize)> = Vec::with_capacity(n);
+    let mut used = vec![false; n];
+    // The headers and instruction lines of the placed prefix.
+    let mut text = String::new();
+    // Where `text` fell below `best` (see `stays_least`). Such a prefix
+    // is never cut, so it reaches a leaf that becomes the best and resets
+    // this before any thread is taken back.
+    let mut below = usize::MAX;
+    let mut best = String::new();
+    let mut best_order: Option<Vec<usize>> = None;
+    let mut leaf = String::new();
+    // The least submitted thread to try at the current position.
+    let mut next = 0;
     loop {
-        if render_candidate(p, &perm, &mut r, &mut staged, &best_text, &mut scratch) == Some(true)
-        {
-            std::mem::swap(&mut best_text, &mut scratch);
-            best_perm.clone_from(&perm);
+        let depth = placed.len();
+        if depth == n {
+            // A complete order: keep it only if its text is strictly
+            // smaller, so ties go to the first order found.
+            let smaller = if init_free {
+                best_order.is_none() || below != usize::MAX || text.len() < best.len()
+            } else {
+                let mark = r.mark();
+                let cells = r.init_cells(p.init());
+                r.truncate(mark);
+                leaf.clear();
+                litmus::text::init_line(&mut leaf, &cells);
+                leaf.push_str(&text);
+                best_order.is_none() || leaf < best
+            };
+            if smaller {
+                if init_free {
+                    best.clone_from(&text);
+                } else {
+                    std::mem::swap(&mut best, &mut leaf);
+                }
+                best_order = Some(placed.iter().map(|&(t, ..)| t).collect());
+                below = usize::MAX;
+            }
+        } else {
+            let candidate = if permute {
+                (next..n).find(|&j| {
+                    !used[j] && !(0..j).any(|i| !used[i] && classes[i] == classes[j])
+                })
+            } else {
+                Some(depth).filter(|&j| j >= next)
+            };
+            if let Some(j) = candidate {
+                let len = text.len();
+                placed.push((j, r.mark(), len));
+                used[j] = true;
+                let compare = init_free && best_order.is_some();
+                litmus::text::thread_header(&mut text, depth);
+                let mut keep = !compare || stays_least(&text, &best, len, &mut below);
+                for (i, &instr) in threads[j].instrs().iter().enumerate() {
+                    if !keep {
+                        break;
+                    }
+                    let from = text.len();
+                    litmus::text::instr_line(&mut text, i, &r.instr(instr));
+                    keep = !compare || stays_least(&text, &best, from, &mut below);
+                }
+                if keep {
+                    next = if permute { 0 } else { depth + 1 };
+                    continue;
+                }
+            }
         }
-        if n > MAX_PERM_THREADS || !next_permutation(&mut perm) {
-            break;
-        }
+        // Take back the last placed thread and try the next one after it.
+        let Some((j, mark, len)) = placed.pop() else { break };
+        r.truncate(mark);
+        text.truncate(len);
+        used[j] = false;
+        next = j + 1;
     }
-    let (program, loc_unmap) = relabel(p, &best_perm, relabel_values);
-    debug_assert_eq!(
-        best_text,
-        program.to_string(),
-        "streamed rendering diverged from Display"
-    );
-    CanonicalForm { program, text: best_text, thread_unmap: best_perm, loc_unmap }
+    let best_order = best_order.expect("the search reaches at least one complete order");
+    let (program, loc_unmap) = relabel(p, &best_order, relabel_values);
+    debug_assert_eq!(best, program.to_string(), "searched text diverged from Display");
+    CanonicalForm { program, text: best, thread_unmap: best_order, loc_unmap }
 }
 
 /// Draws candidates until one is not yet a target of `map`.

@@ -723,7 +723,8 @@ pub struct ServerStats {
     pub cache_hits: u64,
     /// Answers shared with a concurrent identical exploration.
     pub coalesced: u64,
-    /// Explorations actually run.
+    /// Computations actually run, by either engine: the daemon reports
+    /// `computed_axiom + computed_explorer` from one snapshot.
     pub explored: u64,
     /// Requests rejected by admission control.
     pub overloaded: u64,

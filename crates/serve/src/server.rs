@@ -217,7 +217,6 @@ impl AdmissionGate {
 #[derive(Default)]
 struct ServeCounters {
     served: AtomicU64,
-    explored: AtomicU64,
     overloaded: AtomicU64,
     degraded: AtomicU64,
     journal_replayed: AtomicU64,
@@ -454,11 +453,15 @@ fn snapshot_stats(shared: &Shared) -> ServerStats {
     for (slot, counter) in batch_depth.iter_mut().zip(&shared.counters.batch_depth) {
         *slot = counter.load(Ordering::Relaxed);
     }
+    // Each computation counts under exactly one engine, so `explored` is
+    // their sum, taken from the same two loads it is reported beside.
+    let computed_axiom = shared.counters.computed_axiom.load(Ordering::Relaxed);
+    let computed_explorer = shared.counters.computed_explorer.load(Ordering::Relaxed);
     ServerStats {
         served: shared.counters.served.load(Ordering::Relaxed),
         cache_hits: shards.iter().map(|s| s.hits).sum(),
         coalesced: shards.iter().map(|s| s.joins).sum(),
-        explored: shared.counters.explored.load(Ordering::Relaxed),
+        explored: computed_axiom + computed_explorer,
         overloaded: shared.counters.overloaded.load(Ordering::Relaxed),
         degraded: shared.counters.degraded.load(Ordering::Relaxed),
         journal_replayed: shared.counters.journal_replayed.load(Ordering::Relaxed),
@@ -468,8 +471,8 @@ fn snapshot_stats(shared: &Shared) -> ServerStats {
         shard_misses: shards.iter().map(|s| s.leads + s.joins).collect(),
         coalesced_in_batch: shared.counters.coalesced_in_batch.load(Ordering::Relaxed),
         shed_items: shared.counters.shed_items.load(Ordering::Relaxed),
-        computed_axiom: shared.counters.computed_axiom.load(Ordering::Relaxed),
-        computed_explorer: shared.counters.computed_explorer.load(Ordering::Relaxed),
+        computed_axiom,
+        computed_explorer,
         route_fallbacks: shared.counters.route_fallbacks.load(Ordering::Relaxed),
     }
 }
@@ -584,11 +587,11 @@ impl Resolution {
 /// lookup, coalesced wait, admission, budget clamp, the engines. The
 /// leading submission's deadline and budgets govern the exploration,
 /// exactly as an in-flight leader's budgets govern what joiners from
-/// other connections receive. Counts `explored` (and which engine
-/// answered, and whether the route fell back) once per computation and
-/// `overloaded` / `degraded` once per subscriber. Returns the journal
-/// record of a fresh definitive answer; the caller persists it after its
-/// responses are written.
+/// other connections receive. Counts each computation once, under the
+/// engine that answered it (`stats` reports their sum as `explored`),
+/// and whether the route fell back; counts `overloaded` / `degraded` once
+/// per subscriber. Returns the journal record of a fresh definitive
+/// answer; the caller persists it after its responses are written.
 fn resolve(
     shared: &Shared,
     query: &Query,
@@ -629,7 +632,6 @@ fn resolve(
                 let answer = guard.complete(answer);
                 drop(permit);
                 let counters = &shared.counters;
-                counters.explored.fetch_add(1, Ordering::Relaxed);
                 match answer.engine() {
                     Some(Engine::Axiom) => &counters.computed_axiom,
                     _ => &counters.computed_explorer,

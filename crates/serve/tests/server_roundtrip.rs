@@ -383,8 +383,9 @@ fn counters_are_exact_across_a_v1_sequence_and_one_batch() {
 
 /// Each cache lookup is counted once, in its shard, and a `stats` answer
 /// derives `cache_hits` and `coalesced` from the same read of the shard
-/// counters as `shard_hits` and `shard_misses`. So while clients send
-/// hits and misses, every snapshot agrees with itself.
+/// counters as `shard_hits` and `shard_misses`; each computation counts
+/// under one engine, and `explored` is their sum. So while clients send
+/// hits and cold misses, every snapshot agrees with itself.
 #[test]
 fn every_stats_snapshot_agrees_with_itself_under_load() {
     const QUERIES: u64 = 400;
@@ -421,6 +422,11 @@ fn every_stats_snapshot_agrees_with_itself_under_load() {
         let shard_misses: u64 = stats.shard_misses.iter().sum();
         assert_eq!(shard_hits, stats.cache_hits, "snapshot {snapshots}: {stats:?}");
         assert!(stats.coalesced <= shard_misses, "snapshot {snapshots}: {stats:?}");
+        assert_eq!(
+            stats.computed_axiom + stats.computed_explorer,
+            stats.explored,
+            "snapshot {snapshots}: {stats:?}"
+        );
         snapshots += 1;
     }
     for sender in senders {
@@ -429,6 +435,7 @@ fn every_stats_snapshot_agrees_with_itself_under_load() {
     let stats = counters(&mut poller);
     assert_eq!(stats.cache_hits, QUERIES, "{stats:?}");
     assert_eq!(stats.shard_misses, QUERIES + 1, "{stats:?}");
+    assert_eq!(stats.explored, QUERIES + 1, "every miss computed once: {stats:?}");
     assert!(snapshots > 10, "only {snapshots} snapshots taken under load");
     handle.shutdown();
 }
