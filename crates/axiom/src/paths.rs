@@ -5,9 +5,11 @@
 //! this thread perform, as a function of the values its reads return?*
 //! Each read branches over a **value oracle** — the set of values any
 //! write (or the initial memory) could supply for that location — and all
-//! non-memory instructions are folded away exactly as the idealized
-//! interpreter folds them (same register semantics, same cumulative
-//! local-step budget, same per-execution op cap).
+//! non-memory instructions run through `litmus`'s one local step
+//! ([`Instr::step_local`]) and synchronization primitives through
+//! `memory_model`'s one rule ([`memory_model::SyncOp::apply`]), under the
+//! idealized interpreter's cumulative local-step budget and per-execution
+//! op cap.
 //!
 //! The oracle starts at the initial memory values and grows by fixpoint:
 //! enumerate paths, collect every value those paths write, re-enumerate.
@@ -32,7 +34,7 @@ use std::collections::BTreeMap;
 #[cfg(test)]
 use std::collections::BTreeSet;
 
-use litmus::{Instr, Operand, Program, NUM_REGS};
+use litmus::{Instr, Program, NUM_REGS};
 use memory_model::{Loc, OpId, Operation, ProcId, Value};
 
 use crate::{AxiomConfig, Budget, Stop};
@@ -194,10 +196,10 @@ struct Walker<'a> {
 }
 
 impl Walker<'_> {
-    /// Runs from `pc` mirroring `IdealState::step_inner` exactly: local
-    /// instructions execute in place against `regs` under the cumulative
-    /// `local_steps` budget; each memory operation appends to `ops`,
-    /// branching over the oracle at every read component.
+    /// Runs from `pc`: local instructions execute in place against
+    /// `regs` under the cumulative `local_steps` budget; each memory
+    /// operation appends to `ops`, branching over the oracle at every
+    /// read component.
     fn walk(
         &mut self,
         mut pc: usize,
@@ -210,13 +212,12 @@ impl Walker<'_> {
         // sibling read branches in the caller would inherit them.
         let base = ops.len();
         loop {
-            if pc >= self.instrs.len() {
+            let Some(&instr) = self.instrs.get(pc) else {
                 self.budget.spend(1)?;
                 self.paths.push(ops.clone());
                 ops.truncate(base);
                 return Ok(());
-            }
-            let instr = self.instrs[pc];
+            };
             if instr.is_memory_op() {
                 if ops.len() >= self.cfg.max_ops_per_execution {
                     // This path alone would blow the per-execution cap; any
@@ -227,68 +228,40 @@ impl Walker<'_> {
                     return Ok(());
                 }
                 self.budget.spend(1)?;
-                let id = OpId::for_thread_op(self.proc, ops.len() as u32);
-                match instr {
+                let (proc, id) = (self.proc, OpId::for_thread_op(self.proc, ops.len() as u32));
+                let (loc, sync, dst) = match instr {
                     Instr::Write { loc, src } => {
-                        let v = eval(&regs, src);
-                        ops.push(Operation::data_write(id, self.proc, loc, v));
+                        ops.push(Operation::data_write(id, proc, loc, src.eval(&regs)));
                         pc += 1;
                         continue;
                     }
-                    Instr::SyncWrite { loc, src } => {
-                        let v = eval(&regs, src);
-                        ops.push(Operation::sync_write(id, self.proc, loc, v));
-                        pc += 1;
-                        continue;
+                    Instr::Read { loc, dst } => (loc, None, Some(dst)),
+                    _ => {
+                        let (loc, sync, dst) =
+                            instr.sync_op(&regs).expect("memory ops are data or sync");
+                        (loc, Some(sync), dst)
                     }
-                    Instr::Read { loc, dst } => {
-                        for &v in self.oracle[&loc].keys() {
-                            ops.push(Operation::data_read(id, self.proc, loc, v));
-                            let mut r = regs;
-                            r[dst.index()] = v;
-                            self.walk(pc + 1, r, local_steps, ops)?;
-                            ops.pop();
-                        }
-                        ops.truncate(base);
-                        return Ok(());
-                    }
-                    Instr::SyncRead { loc, dst } => {
-                        for &v in self.oracle[&loc].keys() {
-                            ops.push(Operation::sync_read(id, self.proc, loc, v));
-                            let mut r = regs;
-                            r[dst.index()] = v;
-                            self.walk(pc + 1, r, local_steps, ops)?;
-                            ops.pop();
-                        }
-                        ops.truncate(base);
-                        return Ok(());
-                    }
-                    Instr::TestAndSet { loc, dst } => {
-                        for &v in self.oracle[&loc].keys() {
-                            ops.push(Operation::sync_rmw(id, self.proc, loc, v, 1));
-                            let mut r = regs;
-                            r[dst.index()] = v;
-                            self.walk(pc + 1, r, local_steps, ops)?;
-                            ops.pop();
-                        }
-                        ops.truncate(base);
-                        return Ok(());
-                    }
-                    Instr::FetchAdd { loc, dst, add } => {
-                        let delta = eval(&regs, add);
-                        for &v in self.oracle[&loc].keys() {
-                            let new = v.wrapping_add(delta);
-                            ops.push(Operation::sync_rmw(id, self.proc, loc, v, new));
-                            let mut r = regs;
-                            r[dst.index()] = v;
-                            self.walk(pc + 1, r, local_steps, ops)?;
-                            ops.pop();
-                        }
-                        ops.truncate(base);
-                        return Ok(());
-                    }
-                    _ => unreachable!("memory ops are exactly the six kinds"),
+                };
+                let at = |v| match sync {
+                    Some(sync) => sync.perform(id, proc, loc, v),
+                    None => Operation::data_read(id, proc, loc, v),
+                };
+                let Some(dst) = dst else {
+                    // A write-only `Set` reads nothing: one path, whatever
+                    // the cell held.
+                    ops.push(at(0));
+                    pc += 1;
+                    continue;
+                };
+                for &v in self.oracle[&loc].keys() {
+                    ops.push(at(v));
+                    let mut r = regs;
+                    r[dst.index()] = v;
+                    self.walk(pc + 1, r, local_steps, ops)?;
+                    ops.pop();
                 }
+                ops.truncate(base);
+                return Ok(());
             }
             if local_steps >= self.cfg.local_step_limit {
                 self.truncated = true;
@@ -297,33 +270,8 @@ impl Walker<'_> {
             }
             local_steps += 1;
             self.budget.spend(1)?;
-            match instr {
-                Instr::Move { dst, src } => {
-                    regs[dst.index()] = eval(&regs, src);
-                    pc += 1;
-                }
-                Instr::Add { dst, a, b } => {
-                    regs[dst.index()] = eval(&regs, a).wrapping_add(eval(&regs, b));
-                    pc += 1;
-                }
-                Instr::BranchEq { a, b, target } => {
-                    pc = if eval(&regs, a) == eval(&regs, b) { target } else { pc + 1 };
-                }
-                Instr::BranchNe { a, b, target } => {
-                    pc = if eval(&regs, a) != eval(&regs, b) { target } else { pc + 1 };
-                }
-                Instr::Jump { target } => pc = target,
-                Instr::Fence => pc += 1,
-                _ => unreachable!("memory ops handled above"),
-            }
+            pc = instr.step_local(pc, &mut regs);
         }
-    }
-}
-
-fn eval(regs: &[Value; NUM_REGS], operand: Operand) -> Value {
-    match operand {
-        Operand::Const(v) => v,
-        Operand::Reg(r) => regs[r.index()],
     }
 }
 

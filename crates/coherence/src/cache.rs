@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use memory_model::{Loc, Value};
+use memory_model::{Loc, SyncOp, Value};
 
 use crate::error::ProtocolError;
 use crate::msg::{CacheToDir, DirToCache, RequestId, SyncFlavor};
@@ -16,30 +16,6 @@ pub enum LineState {
     Shared,
     /// Present with exclusive (dirty) ownership.
     Exclusive,
-}
-
-/// The synchronization operation riding on a sync access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncOp {
-    /// Read-only `Test`.
-    Test,
-    /// Write-only `Set`/`Unset` of the given value.
-    SetTo(Value),
-    /// Atomic `TestAndSet`: read old, store 1.
-    TestAndSet,
-    /// Atomic fetch-and-add of the given amount.
-    FetchAdd(Value),
-}
-
-impl SyncOp {
-    /// The [`SyncFlavor`] the directory request carries.
-    #[must_use]
-    pub fn flavor(self) -> SyncFlavor {
-        match self {
-            SyncOp::Test => SyncFlavor::ReadOnly,
-            _ => SyncFlavor::Writing,
-        }
-    }
 }
 
 /// A request the processor hands to its cache.
@@ -372,7 +348,7 @@ impl CacheController {
                 };
                 self.pending.insert(loc, Pending { req, action: PendingAction::Sync(op) });
                 msgs.push(if needs_exclusive {
-                    CacheToDir::GetExclusive { loc, req, sync: op.flavor() }
+                    CacheToDir::GetExclusive { loc, req, sync: op.into() }
                 } else {
                     CacheToDir::GetShared { loc, req }
                 });
@@ -444,7 +420,7 @@ impl CacheController {
                     }
                     PendingAction::Sync(op) => {
                         // Only read-only sync ops travel on GetShared.
-                        debug_assert_eq!(op.flavor(), SyncFlavor::ReadOnly);
+                        debug_assert_eq!(SyncFlavor::from(op), SyncFlavor::ReadOnly);
                         let read_value = self.apply_sync(loc, op);
                         events.push(CacheEvent::SyncCommitted { req, loc, read_value });
                         events.push(CacheEvent::SyncGloballyPerformed { req, loc });
@@ -590,23 +566,9 @@ impl CacheController {
 
     fn apply_sync(&mut self, loc: Loc, op: SyncOp) -> Option<Value> {
         let line = self.lines.get_mut(&loc).expect("sync op on an absent line");
-        match op {
-            SyncOp::Test => Some(line.value),
-            SyncOp::SetTo(v) => {
-                line.value = v;
-                None
-            }
-            SyncOp::TestAndSet => {
-                let old = line.value;
-                line.value = 1;
-                Some(old)
-            }
-            SyncOp::FetchAdd(n) => {
-                let old = line.value;
-                line.value = old.wrapping_add(n);
-                Some(old)
-            }
-        }
+        let (read_value, left) = op.apply(line.value);
+        line.value = left;
+        read_value
     }
 
     /// The state of the line holding `loc`.

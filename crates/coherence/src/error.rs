@@ -2,47 +2,13 @@
 //!
 //! Every condition the protocol state machines used to `panic!` or
 //! `unreachable!` on is represented here, so a perturbed (chaos-injected)
-//! or corrupted message stream surfaces as an `Err` the harness can
-//! report — never as a crashed process. The variants deliberately carry
-//! the location and request involved: they end up verbatim in diagnostic
-//! dumps.
+//! message stream surfaces as an `Err` the harness can report — never as
+//! a crashed process. The variants deliberately carry the location and
+//! request involved: they end up verbatim in diagnostic dumps.
 
 use memory_model::{Loc, ProcId};
 
 use crate::msg::RequestId;
-
-/// Why a wire message failed to decode (see `crate::msg`'s byte codec).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecodeError {
-    /// The buffer ended before the fixed-size frame was complete.
-    Truncated {
-        /// Bytes the frame needs.
-        needed: usize,
-        /// Bytes actually present.
-        got: usize,
-    },
-    /// The leading tag byte names no known message kind.
-    UnknownTag(u8),
-    /// Well-formed frame followed by garbage.
-    TrailingBytes {
-        /// Number of unconsumed bytes.
-        extra: usize,
-    },
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::Truncated { needed, got } => {
-                write!(f, "truncated frame: needed {needed} bytes, got {got}")
-            }
-            DecodeError::UnknownTag(tag) => write!(f, "unknown message tag {tag:#04x}"),
-            DecodeError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after frame")
-            }
-        }
-    }
-}
 
 /// A protocol invariant violated by an incoming message.
 ///
@@ -130,8 +96,6 @@ pub enum ProtocolError {
         /// The blocked processor.
         proc: ProcId,
     },
-    /// A wire message failed to decode.
-    Malformed(DecodeError),
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -170,16 +134,8 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::FabricBlocked { proc } => {
                 write!(f, "synchronous fabric blocked at {proc}")
             }
-            ProtocolError::Malformed(e) => write!(f, "malformed message: {e}"),
         }
     }
 }
 
 impl std::error::Error for ProtocolError {}
-impl std::error::Error for DecodeError {}
-
-impl From<DecodeError> for ProtocolError {
-    fn from(e: DecodeError) -> Self {
-        ProtocolError::Malformed(e)
-    }
-}

@@ -259,7 +259,7 @@ impl TestFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::SyncOp;
+    use memory_model::SyncOp;
     use crate::LineState;
 
     fn store(loc: Loc, value: Value, req: u64) -> ProcRequest {

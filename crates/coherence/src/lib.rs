@@ -53,7 +53,7 @@ mod msg;
 pub mod fabric;
 pub mod snoop;
 
-pub use cache::{AccessResult, CacheController, CacheEvent, LineState, ProcRequest, SyncOp};
+pub use cache::{AccessResult, CacheController, CacheEvent, LineState, ProcRequest};
 pub use directory::{Directory, DirectoryStats};
-pub use error::{DecodeError, ProtocolError};
+pub use error::ProtocolError;
 pub use msg::{CacheToDir, DirToCache, RequestId, SyncFlavor};

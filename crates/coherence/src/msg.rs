@@ -1,16 +1,12 @@
 //! Protocol messages between caches and the directory.
 //!
-//! Both message enums carry a byte codec (`encode` / `decode`) so the
-//! chaos harness can push messages through a lossy wire representation:
-//! decoding never panics — corrupt frames come back as
-//! [`DecodeError`], which converts into
-//! [`ProtocolError::Malformed`](crate::ProtocolError::Malformed).
+//! The messages travel as values: memsim's interconnect schedules, delays,
+//! duplicates and drops them under its fault plan without serializing
+//! them.
 
 use std::fmt;
 
-use memory_model::{Loc, Value};
-
-use crate::error::DecodeError;
+use memory_model::{Loc, SyncOp, Value};
 
 /// Identifies one processor request (miss) end-to-end through the protocol:
 /// the requesting cache allocates it, the directory echoes it in
@@ -36,6 +32,17 @@ pub enum SyncFlavor {
     ReadOnly,
     /// A writing synchronization operation (`Set`/`Unset`/`TestAndSet`).
     Writing,
+}
+
+impl From<SyncOp> for SyncFlavor {
+    /// The flavor of the exclusive request that carries `op`.
+    fn from(op: SyncOp) -> Self {
+        if op.kind().is_write() {
+            SyncFlavor::Writing
+        } else {
+            SyncFlavor::ReadOnly
+        }
+    }
 }
 
 /// Messages a cache sends to the directory.
@@ -119,61 +126,6 @@ impl CacheToDir {
             | CacheToDir::WriteBack { loc, .. } => *loc,
         }
     }
-
-    /// Serializes the message as a tagged little-endian frame.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            CacheToDir::GetShared { loc, req } => w.tag(0x01).loc(*loc).req(*req),
-            CacheToDir::GetExclusive { loc, req, sync } => {
-                w.tag(0x02).loc(*loc).req(*req).u8(match sync {
-                    SyncFlavor::Data => 0,
-                    SyncFlavor::ReadOnly => 1,
-                    SyncFlavor::Writing => 2,
-                })
-            }
-            CacheToDir::InvAck { loc, req } => w.tag(0x03).loc(*loc).req(*req),
-            CacheToDir::RecallAck { loc, value } => w.tag(0x04).loc(*loc).u64(*value),
-            CacheToDir::RecallNack { loc } => w.tag(0x05).loc(*loc),
-            CacheToDir::DowngradeAck { loc, value } => w.tag(0x06).loc(*loc).u64(*value),
-            CacheToDir::DowngradeNack { loc } => w.tag(0x07).loc(*loc),
-            CacheToDir::WriteBack { loc, value } => w.tag(0x08).loc(*loc).u64(*value),
-        };
-        w.finish()
-    }
-
-    /// Parses a frame produced by [`CacheToDir::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on a short buffer, an unknown tag or
-    /// flavor byte, or trailing garbage — never panics.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let msg = match r.u8()? {
-            0x01 => CacheToDir::GetShared { loc: r.loc()?, req: r.req()? },
-            0x02 => CacheToDir::GetExclusive {
-                loc: r.loc()?,
-                req: r.req()?,
-                sync: match r.u8()? {
-                    0 => SyncFlavor::Data,
-                    1 => SyncFlavor::ReadOnly,
-                    2 => SyncFlavor::Writing,
-                    bad => return Err(DecodeError::UnknownTag(bad)),
-                },
-            },
-            0x03 => CacheToDir::InvAck { loc: r.loc()?, req: r.req()? },
-            0x04 => CacheToDir::RecallAck { loc: r.loc()?, value: r.u64()? },
-            0x05 => CacheToDir::RecallNack { loc: r.loc()? },
-            0x06 => CacheToDir::DowngradeAck { loc: r.loc()?, value: r.u64()? },
-            0x07 => CacheToDir::DowngradeNack { loc: r.loc()? },
-            0x08 => CacheToDir::WriteBack { loc: r.loc()?, value: r.u64()? },
-            bad => return Err(DecodeError::UnknownTag(bad)),
-        };
-        r.finish()?;
-        Ok(msg)
-    }
 }
 
 /// Messages the directory sends to a cache.
@@ -245,142 +197,6 @@ impl DirToCache {
             | DirToCache::Downgrade { loc } => *loc,
         }
     }
-
-    /// Serializes the message as a tagged little-endian frame.
-    #[must_use]
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            DirToCache::DataShared { loc, value, req } => {
-                w.tag(0x11).loc(*loc).u64(*value).req(*req)
-            }
-            DirToCache::DataExclusive { loc, value, req, pending_acks } => {
-                w.tag(0x12).loc(*loc).u64(*value).req(*req).u32(*pending_acks)
-            }
-            DirToCache::Invalidate { loc, req } => w.tag(0x13).loc(*loc).req(*req),
-            DirToCache::GlobalAck { loc, req } => w.tag(0x14).loc(*loc).req(*req),
-            DirToCache::Recall { loc } => w.tag(0x15).loc(*loc),
-            DirToCache::Downgrade { loc } => w.tag(0x16).loc(*loc),
-        };
-        w.finish()
-    }
-
-    /// Parses a frame produced by [`DirToCache::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on a short buffer, an unknown tag, or
-    /// trailing garbage — never panics.
-    pub fn decode(bytes: &[u8]) -> Result<Self, DecodeError> {
-        let mut r = Reader::new(bytes);
-        let msg = match r.u8()? {
-            0x11 => DirToCache::DataShared { loc: r.loc()?, value: r.u64()?, req: r.req()? },
-            0x12 => DirToCache::DataExclusive {
-                loc: r.loc()?,
-                value: r.u64()?,
-                req: r.req()?,
-                pending_acks: r.u32()?,
-            },
-            0x13 => DirToCache::Invalidate { loc: r.loc()?, req: r.req()? },
-            0x14 => DirToCache::GlobalAck { loc: r.loc()?, req: r.req()? },
-            0x15 => DirToCache::Recall { loc: r.loc()? },
-            0x16 => DirToCache::Downgrade { loc: r.loc()? },
-            bad => return Err(DecodeError::UnknownTag(bad)),
-        };
-        r.finish()?;
-        Ok(msg)
-    }
-}
-
-/// Little-endian frame writer backing the `encode` impls.
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::with_capacity(32) }
-    }
-
-    fn tag(&mut self, t: u8) -> &mut Self {
-        self.u8(t)
-    }
-
-    fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.push(v);
-        self
-    }
-
-    fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    fn loc(&mut self, l: Loc) -> &mut Self {
-        self.u32(l.0)
-    }
-
-    fn req(&mut self, r: RequestId) -> &mut Self {
-        self.u64(r.0)
-    }
-
-    fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Bounds-checked little-endian frame reader backing the `decode` impls.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos + n;
-        if end > self.buf.len() {
-            return Err(DecodeError::Truncated { needed: end, got: self.buf.len() });
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("slice is 4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("slice is 8 bytes")))
-    }
-
-    fn loc(&mut self) -> Result<Loc, DecodeError> {
-        Ok(Loc(self.u32()?))
-    }
-
-    fn req(&mut self) -> Result<RequestId, DecodeError> {
-        Ok(RequestId(self.u64()?))
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos < self.buf.len() {
-            return Err(DecodeError::TrailingBytes { extra: self.buf.len() - self.pos });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -420,101 +236,5 @@ mod tests {
     #[test]
     fn request_id_displays() {
         assert_eq!(RequestId(9).to_string(), "req9");
-    }
-
-    fn all_cache_to_dir() -> Vec<CacheToDir> {
-        let l = Loc(0xDEAD);
-        let r = RequestId(0x1234_5678_9ABC_DEF0);
-        vec![
-            CacheToDir::GetShared { loc: l, req: r },
-            CacheToDir::GetExclusive { loc: l, req: r, sync: SyncFlavor::Data },
-            CacheToDir::GetExclusive { loc: l, req: r, sync: SyncFlavor::ReadOnly },
-            CacheToDir::GetExclusive { loc: l, req: r, sync: SyncFlavor::Writing },
-            CacheToDir::InvAck { loc: l, req: r },
-            CacheToDir::RecallAck { loc: l, value: u64::MAX },
-            CacheToDir::RecallNack { loc: l },
-            CacheToDir::DowngradeAck { loc: l, value: 0 },
-            CacheToDir::DowngradeNack { loc: l },
-            CacheToDir::WriteBack { loc: l, value: 7 },
-        ]
-    }
-
-    fn all_dir_to_cache() -> Vec<DirToCache> {
-        let l = Loc(u32::MAX);
-        let r = RequestId(42);
-        vec![
-            DirToCache::DataShared { loc: l, value: 9, req: r },
-            DirToCache::DataExclusive { loc: l, value: 9, req: r, pending_acks: 3 },
-            DirToCache::Invalidate { loc: l, req: r },
-            DirToCache::GlobalAck { loc: l, req: r },
-            DirToCache::Recall { loc: l },
-            DirToCache::Downgrade { loc: l },
-        ]
-    }
-
-    #[test]
-    fn codec_round_trips_every_variant() {
-        for m in all_cache_to_dir() {
-            assert_eq!(CacheToDir::decode(&m.encode()), Ok(m));
-        }
-        for m in all_dir_to_cache() {
-            assert_eq!(DirToCache::decode(&m.encode()), Ok(m));
-        }
-    }
-
-    #[test]
-    fn every_truncation_is_detected_without_panicking() {
-        for m in all_cache_to_dir() {
-            let frame = m.encode();
-            for cut in 0..frame.len() {
-                let err = CacheToDir::decode(&frame[..cut]).unwrap_err();
-                assert!(
-                    matches!(err, DecodeError::Truncated { .. }),
-                    "cut at {cut} of {m:?}: {err:?}"
-                );
-            }
-        }
-        for m in all_dir_to_cache() {
-            let frame = m.encode();
-            for cut in 0..frame.len() {
-                let err = DirToCache::decode(&frame[..cut]).unwrap_err();
-                assert!(
-                    matches!(err, DecodeError::Truncated { .. }),
-                    "cut at {cut} of {m:?}: {err:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn unknown_tags_and_flavors_are_errors() {
-        assert_eq!(CacheToDir::decode(&[0xFF]), Err(DecodeError::UnknownTag(0xFF)));
-        assert_eq!(DirToCache::decode(&[0x01]), Err(DecodeError::UnknownTag(0x01)));
-        // Valid GetExclusive frame with a corrupted flavor byte.
-        let mut frame =
-            CacheToDir::GetExclusive { loc: Loc(1), req: RequestId(2), sync: SyncFlavor::Data }
-                .encode();
-        *frame.last_mut().unwrap() = 9;
-        assert_eq!(CacheToDir::decode(&frame), Err(DecodeError::UnknownTag(9)));
-    }
-
-    #[test]
-    fn trailing_bytes_are_errors() {
-        let mut frame = CacheToDir::RecallNack { loc: Loc(3) }.encode();
-        frame.extend_from_slice(&[0, 0]);
-        assert_eq!(CacheToDir::decode(&frame), Err(DecodeError::TrailingBytes { extra: 2 }));
-        let mut frame = DirToCache::Recall { loc: Loc(3) }.encode();
-        frame.push(1);
-        assert_eq!(DirToCache::decode(&frame), Err(DecodeError::TrailingBytes { extra: 1 }));
-    }
-
-    #[test]
-    fn decode_failures_convert_into_protocol_errors() {
-        use crate::ProtocolError;
-        let err = CacheToDir::decode(&[]).unwrap_err();
-        assert_eq!(
-            ProtocolError::from(err),
-            ProtocolError::Malformed(DecodeError::Truncated { needed: 1, got: 0 })
-        );
     }
 }

@@ -11,10 +11,10 @@
 //!
 //! The interpreter is the inner loop of every explorer, so its state is
 //! stored struct-of-arrays: one flat `Vec` of program counters, one flat
-//! register file (`NUM_REGS` slots per thread), and one flat memory array
-//! indexed by a sorted table of the program's *static* locations (the DSL
-//! has no computed addressing, so [`Program::locations`] is exhaustive).
-//! No step allocates.
+//! `Vec` of register files (`NUM_REGS` slots per thread), and one flat
+//! memory array indexed by a sorted table of the program's *static*
+//! locations (the DSL has no computed addressing, so
+//! [`Program::locations`] is exhaustive). No step allocates.
 //!
 //! On top of that layout the interpreter maintains a 128-bit
 //! [`StateDigest`] *incrementally*: each step updates the digest in O(1)
@@ -29,7 +29,7 @@
 
 use memory_model::{Execution, Loc, Memory, OpId, Operation, ProcId, Value};
 
-use crate::{Instr, Operand, Program, NUM_REGS};
+use crate::{Instr, Program, NUM_REGS};
 
 /// The outcome of stepping one thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -158,8 +158,8 @@ pub struct IdealState<'p> {
     program: &'p Program,
     /// Program counter per thread.
     pcs: Vec<usize>,
-    /// Flat register file: `NUM_REGS` slots per thread.
-    regs: Vec<Value>,
+    /// Register file per thread.
+    regs: Vec<[Value; NUM_REGS]>,
     /// Local (non-memory) instructions executed, per thread.
     local_steps: Vec<u64>,
     /// Sorted table of every location the program can touch
@@ -222,7 +222,7 @@ impl<'p> IdealState<'p> {
         let mut state = IdealState {
             program,
             pcs: vec![0; n],
-            regs: vec![0; n * NUM_REGS],
+            regs: vec![[0; NUM_REGS]; n],
             local_steps: vec![0; n],
             locs,
             mem,
@@ -300,13 +300,12 @@ impl<'p> IdealState<'p> {
     }
 
     fn step_inner(&mut self, t: usize) -> StepOutcome {
-        let thread = &self.program.threads()[t];
+        let thread = self.program.threads()[t].instrs();
         loop {
             let pc = self.pcs[t];
-            if pc >= thread.len() {
+            let Some(&instr) = thread.get(pc) else {
                 return StepOutcome::Halted;
-            }
-            let instr = thread.instrs()[pc];
+            };
             if instr.is_memory_op() {
                 let op = self.perform_memory(t, instr);
                 self.pcs[t] += 1;
@@ -317,37 +316,9 @@ impl<'p> IdealState<'p> {
                 return StepOutcome::StepLimit;
             }
             self.local_steps[t] += 1;
-            match instr {
-                Instr::Move { dst, src } => {
-                    let v = self.eval_at(t, src);
-                    self.set_reg(t, dst.index(), v);
-                    self.pcs[t] += 1;
-                }
-                Instr::Add { dst, a, b } => {
-                    let v = self.eval_at(t, a).wrapping_add(self.eval_at(t, b));
-                    self.set_reg(t, dst.index(), v);
-                    self.pcs[t] += 1;
-                }
-                Instr::BranchEq { a, b, target } => {
-                    self.pcs[t] = if self.eval_at(t, a) == self.eval_at(t, b) {
-                        target
-                    } else {
-                        pc + 1
-                    };
-                }
-                Instr::BranchNe { a, b, target } => {
-                    self.pcs[t] = if self.eval_at(t, a) != self.eval_at(t, b) {
-                        target
-                    } else {
-                        pc + 1
-                    };
-                }
-                Instr::Jump { target } => self.pcs[t] = target,
-                // The idealized architecture is already sequentially
-                // consistent: fences are no-ops.
-                Instr::Fence => self.pcs[t] += 1,
-                _ => unreachable!("memory ops handled above"),
-            }
+            // The idealized architecture is already sequentially
+            // consistent: a fence is a plain local step.
+            self.pcs[t] = instr.step_local(pc, &mut self.regs[t]);
         }
     }
 
@@ -355,54 +326,29 @@ impl<'p> IdealState<'p> {
         let proc = ProcId(t as u16);
         let id = OpId::for_thread_op(proc, self.next_seq[t]);
         self.next_seq[t] += 1;
-        match instr {
-            Instr::Read { loc, dst } => {
-                let v = self.mem[self.loc_slot(loc)];
-                self.set_reg(t, dst.index(), v);
-                self.record_read(t, v);
-                Operation::data_read(id, proc, loc, v)
+        let loc = instr.memory_loc().expect("caller checked is_memory_op");
+        let slot = self.loc_slot(loc);
+        let found = self.mem[slot];
+        let (op, dst) = match instr {
+            Instr::Read { dst, .. } => (Operation::data_read(id, proc, loc, found), Some(dst)),
+            Instr::Write { src, .. } => {
+                (Operation::data_write(id, proc, loc, src.eval(&self.regs[t])), None)
             }
-            Instr::Write { loc, src } => {
-                let v = self.eval_at(t, src);
-                let slot = self.loc_slot(loc);
-                self.last_write_undo = Some((slot as u32, self.mem[slot]));
-                self.mem_store(slot, v);
-                Operation::data_write(id, proc, loc, v)
+            _ => {
+                let (_, sync, dst) =
+                    instr.sync_op(&self.regs[t]).expect("memory ops are data or sync");
+                (sync.perform(id, proc, loc, found), dst)
             }
-            Instr::SyncRead { loc, dst } => {
-                let v = self.mem[self.loc_slot(loc)];
-                self.set_reg(t, dst.index(), v);
-                self.record_read(t, v);
-                Operation::sync_read(id, proc, loc, v)
-            }
-            Instr::SyncWrite { loc, src } => {
-                let v = self.eval_at(t, src);
-                let slot = self.loc_slot(loc);
-                self.last_write_undo = Some((slot as u32, self.mem[slot]));
-                self.mem_store(slot, v);
-                Operation::sync_write(id, proc, loc, v)
-            }
-            Instr::TestAndSet { loc, dst } => {
-                let slot = self.loc_slot(loc);
-                let old = self.mem[slot];
-                self.last_write_undo = Some((slot as u32, old));
-                self.mem_store(slot, 1);
-                self.set_reg(t, dst.index(), old);
-                self.record_read(t, old);
-                Operation::sync_rmw(id, proc, loc, old, 1)
-            }
-            Instr::FetchAdd { loc, dst, add } => {
-                let slot = self.loc_slot(loc);
-                let old = self.mem[slot];
-                let new = old.wrapping_add(self.eval_at(t, add));
-                self.last_write_undo = Some((slot as u32, old));
-                self.mem_store(slot, new);
-                self.set_reg(t, dst.index(), old);
-                self.record_read(t, old);
-                Operation::sync_rmw(id, proc, loc, old, new)
-            }
-            _ => unreachable!("caller checked is_memory_op"),
+        };
+        if let Some(v) = op.write_value {
+            self.last_write_undo = Some((slot as u32, found));
+            self.mem_store(slot, v);
         }
+        if let (Some(dst), Some(v)) = (dst, op.read_value) {
+            self.regs[t][dst.index()] = v;
+            self.record_read(t, v);
+        }
+        op
     }
 
     /// Like [`IdealState::step`], but also returns a [`StepUndo`] that
@@ -432,10 +378,7 @@ impl<'p> IdealState<'p> {
     ///
     /// Panics if `t` is out of range.
     pub fn step_undoable(&mut self, t: usize) -> (StepOutcome, StepUndo) {
-        let base = t * NUM_REGS;
-        let prev_regs: [Value; NUM_REGS] = self.regs[base..base + NUM_REGS]
-            .try_into()
-            .expect("register window has NUM_REGS slots");
+        let prev_regs = self.regs[t];
         let prev_pc = self.pcs[t];
         let prev_local_steps = self.local_steps[t];
         let prev_hist = self.hist[t];
@@ -462,8 +405,7 @@ impl<'p> IdealState<'p> {
         let t = undo.thread;
         self.detach_thread(t);
         self.pcs[t] = undo.prev_pc;
-        let base = t * NUM_REGS;
-        self.regs[base..base + NUM_REGS].copy_from_slice(&undo.prev_regs);
+        self.regs[t] = undo.prev_regs;
         self.local_steps[t] = undo.prev_local_steps;
         self.hist[t] = undo.prev_hist;
         self.attach_thread(t);
@@ -483,12 +425,9 @@ impl<'p> IdealState<'p> {
     /// Panics if `t` is out of range.
     #[must_use]
     pub fn thread(&self, t: usize) -> ThreadState {
-        let base = t * NUM_REGS;
         ThreadState {
             pc: self.pcs[t],
-            regs: self.regs[base..base + NUM_REGS]
-                .try_into()
-                .expect("register window has NUM_REGS slots"),
+            regs: self.regs[t],
             local_steps: self.local_steps[t],
         }
     }
@@ -500,7 +439,7 @@ impl<'p> IdealState<'p> {
     /// Panics if `t` is out of range.
     #[must_use]
     pub fn regs(&self, t: usize) -> &[Value] {
-        &self.regs[t * NUM_REGS..(t + 1) * NUM_REGS]
+        &self.regs[t]
     }
 
     /// The current memory, materialized as a [`Memory`] (non-zero cells
@@ -570,17 +509,7 @@ impl<'p> IdealState<'p> {
     #[must_use]
     pub fn state_key(&self) -> (ThreadStateKey, Vec<(Loc, Value)>) {
         (
-            (0..self.pcs.len())
-                .map(|t| {
-                    let base = t * NUM_REGS;
-                    (
-                        self.pcs[t],
-                        self.regs[base..base + NUM_REGS]
-                            .try_into()
-                            .expect("register window has NUM_REGS slots"),
-                    )
-                })
-                .collect(),
+            self.pcs.iter().copied().zip(self.regs.iter().copied()).collect(),
             self.memory_snapshot(),
         )
     }
@@ -633,8 +562,7 @@ impl<'p> IdealState<'p> {
     /// [`StateDigest`]), pc, registers, and the given read-history hash.
     fn thread_contrib(&self, lane: usize, t: usize, hist: u64) -> u64 {
         let mut h = mix(LANE[lane] ^ (u64::from(self.classes[t]) << 32) ^ self.pcs[t] as u64);
-        let base = t * NUM_REGS;
-        for &r in &self.regs[base..base + NUM_REGS] {
+        for &r in &self.regs[t] {
             h = mix(h ^ r);
         }
         mix(h ^ hist)
@@ -692,19 +620,6 @@ impl<'p> IdealState<'p> {
             .expect("static location table is exhaustive")
     }
 
-    #[inline]
-    fn eval_at(&self, t: usize, op: Operand) -> Value {
-        match op {
-            Operand::Const(v) => v,
-            Operand::Reg(r) => self.regs[t * NUM_REGS + r.index()],
-        }
-    }
-
-    #[inline]
-    fn set_reg(&mut self, t: usize, i: usize, v: Value) {
-        self.regs[t * NUM_REGS + i] = v;
-    }
-
     /// Runs the whole program under a fixed round-robin schedule; useful
     /// for quick sanity runs and doc examples.
     ///
@@ -756,20 +671,6 @@ fn finalize_lane(lane: usize, thr: Acc, mem: Acc) -> u64 {
     h = mix(h ^ thr.xor);
     h = mix(h ^ mem.sum);
     mix(h ^ mem.xor)
-}
-
-fn eval(regs: &[Value; NUM_REGS], op: Operand) -> Value {
-    match op {
-        Operand::Const(v) => v,
-        Operand::Reg(r) => regs[r.index()],
-    }
-}
-
-/// Evaluates an operand against a register file — exposed for simulators
-/// that reuse the DSL with their own execution engines.
-#[must_use]
-pub fn eval_operand(regs: &[Value; NUM_REGS], op: Operand) -> Value {
-    eval(regs, op)
 }
 
 #[cfg(test)]

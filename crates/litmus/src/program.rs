@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-use memory_model::{Loc, Value};
+use memory_model::{Loc, SyncOp, Value};
 
 /// Number of registers per thread.
 pub const NUM_REGS: usize = 16;
@@ -41,6 +41,18 @@ pub enum Operand {
     Const(Value),
     /// The current value of a register.
     Reg(Reg),
+}
+
+impl Operand {
+    /// The operand's value against the register file `regs`.
+    #[inline]
+    #[must_use]
+    pub fn eval(self, regs: &[Value; NUM_REGS]) -> Value {
+        match self {
+            Operand::Const(v) => v,
+            Operand::Reg(r) => regs[r.index()],
+        }
+    }
 }
 
 impl From<Value> for Operand {
@@ -207,7 +219,9 @@ impl Instr {
         }
     }
 
-    fn branch_target(&self) -> Option<usize> {
+    /// The instruction index a branch or jump may continue at.
+    #[must_use]
+    pub fn branch_target(&self) -> Option<usize> {
         match self {
             Instr::BranchEq { target, .. }
             | Instr::BranchNe { target, .. }
@@ -216,41 +230,77 @@ impl Instr {
         }
     }
 
-    fn regs_used(&self) -> Vec<Reg> {
-        fn op_reg(o: &Operand) -> Option<Reg> {
-            match o {
-                Operand::Reg(r) => Some(*r),
-                Operand::Const(_) => None,
-            }
-        }
-        match self {
-            Instr::Read { dst, .. }
-            | Instr::SyncRead { dst, .. }
-            | Instr::TestAndSet { dst, .. } => vec![*dst],
-            Instr::Write { src, .. } | Instr::SyncWrite { src, .. } => {
-                op_reg(src).into_iter().collect()
-            }
-            Instr::FetchAdd { dst, add, .. } => {
-                let mut v = vec![*dst];
-                v.extend(op_reg(add));
-                v
-            }
+    /// Executes a local instruction — a move, an addition, a branch, a
+    /// jump or a fence — at `pc` against the register file `regs`, and
+    /// returns the next pc. A fence changes no register: ordering is the
+    /// memory system's business, so a simulator that drains its
+    /// outstanding accesses does so before it calls this.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a memory instruction, which only the caller's memory
+    /// can perform.
+    #[inline]
+    #[must_use]
+    pub fn step_local(&self, pc: usize, regs: &mut [Value; NUM_REGS]) -> usize {
+        match *self {
             Instr::Move { dst, src } => {
-                let mut v = vec![*dst];
-                v.extend(op_reg(src));
-                v
+                regs[dst.index()] = src.eval(regs);
+                pc + 1
             }
             Instr::Add { dst, a, b } => {
-                let mut v = vec![*dst];
-                v.extend(op_reg(a));
-                v.extend(op_reg(b));
-                v
+                regs[dst.index()] = a.eval(regs).wrapping_add(b.eval(regs));
+                pc + 1
             }
-            Instr::BranchEq { a, b, .. } | Instr::BranchNe { a, b, .. } => {
-                op_reg(a).into_iter().chain(op_reg(b)).collect()
+            Instr::BranchEq { a, b, target } => {
+                if a.eval(regs) == b.eval(regs) { target } else { pc + 1 }
             }
-            Instr::Jump { .. } | Instr::Fence => vec![],
+            Instr::BranchNe { a, b, target } => {
+                if a.eval(regs) != b.eval(regs) { target } else { pc + 1 }
+            }
+            Instr::Jump { target } => target,
+            Instr::Fence => pc + 1,
+            _ => panic!("a memory instruction is not a local step"),
         }
+    }
+
+    /// A synchronization instruction as the primitive it performs: its
+    /// location, the [`SyncOp`] with its operand read from `regs`, and the
+    /// register that receives the value the primitive returns (`None` for
+    /// a write-only `Set`). `None` for every other instruction.
+    #[inline]
+    #[must_use]
+    pub fn sync_op(&self, regs: &[Value; NUM_REGS]) -> Option<(Loc, SyncOp, Option<Reg>)> {
+        Some(match *self {
+            Instr::SyncRead { loc, dst } => (loc, SyncOp::Test, Some(dst)),
+            Instr::SyncWrite { loc, src } => (loc, SyncOp::SetTo(src.eval(regs)), None),
+            Instr::TestAndSet { loc, dst } => (loc, SyncOp::TestAndSet, Some(dst)),
+            Instr::FetchAdd { loc, dst, add } => {
+                (loc, SyncOp::FetchAdd(add.eval(regs)), Some(dst))
+            }
+            _ => return None,
+        })
+    }
+
+    /// The registers the instruction names: the destination first, then
+    /// the operands in order (`a` before `b`).
+    fn regs(&self) -> impl Iterator<Item = Reg> {
+        let reg = |o: Operand| match o {
+            Operand::Reg(r) => Some(r),
+            Operand::Const(_) => None,
+        };
+        let named = match *self {
+            Instr::Read { dst, .. } | Instr::SyncRead { dst, .. } | Instr::TestAndSet { dst, .. } => {
+                [Some(dst), None, None]
+            }
+            Instr::Write { src, .. } | Instr::SyncWrite { src, .. } => [reg(src), None, None],
+            Instr::FetchAdd { dst, add, .. } => [Some(dst), reg(add), None],
+            Instr::Move { dst, src } => [Some(dst), reg(src), None],
+            Instr::Add { dst, a, b } => [Some(dst), reg(a), reg(b)],
+            Instr::BranchEq { a, b, .. } | Instr::BranchNe { a, b, .. } => [reg(a), reg(b), None],
+            Instr::Jump { .. } | Instr::Fence => [None; 3],
+        };
+        named.into_iter().flatten()
     }
 }
 
@@ -430,14 +480,8 @@ impl Program {
                         });
                     }
                 }
-                for reg in instr.regs_used() {
-                    if reg.index() >= NUM_REGS {
-                        return Err(ProgramError::BadRegister {
-                            thread: t,
-                            instr: i,
-                            reg,
-                        });
-                    }
+                if let Some(reg) = instr.regs().find(|r| r.index() >= NUM_REGS) {
+                    return Err(ProgramError::BadRegister { thread: t, instr: i, reg });
                 }
             }
         }
@@ -629,6 +673,25 @@ mod tests {
         let t = Thread::new().read(Loc(0), Reg(200));
         let err = Program::new(vec![t]).unwrap_err();
         assert!(matches!(err, ProgramError::BadRegister { reg: Reg(200), .. }));
+    }
+
+    #[test]
+    fn first_bad_register_is_the_destination_then_a_then_b() {
+        let bad = |instr: Instr| match Program::new(vec![Thread::new().push(instr)]) {
+            Err(ProgramError::BadRegister { reg, .. }) => reg,
+            other => panic!("{instr:?} gave {other:?}"),
+        };
+        let (r17, r18, r19) = (Reg(17), Reg(18), Reg(19));
+        let add = Instr::Add { dst: r17, a: Operand::Reg(r18), b: Operand::Reg(r19) };
+        assert_eq!(bad(add), r17);
+        let add = Instr::Add { dst: Reg(0), a: Operand::Reg(r18), b: Operand::Reg(r19) };
+        assert_eq!(bad(add), r18);
+        let fetch_add = Instr::FetchAdd { loc: Loc(0), dst: r19, add: Operand::Reg(r17) };
+        assert_eq!(bad(fetch_add), r19);
+        let mov = Instr::Move { dst: r18, src: Operand::Reg(r17) };
+        assert_eq!(bad(mov), r18);
+        let branch = Instr::BranchNe { a: Operand::Reg(r19), b: Operand::Reg(r17), target: 0 };
+        assert_eq!(bad(branch), r19);
     }
 
     #[test]

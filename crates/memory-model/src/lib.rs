@@ -64,4 +64,4 @@ pub use ids::{Loc, OpId, ProcId, Value};
 pub use memory::Memory;
 pub use observation::{Observation, ObservationError, ThreadTrace};
 pub use hb::SyncMode;
-pub use op::{OpKind, Operation};
+pub use op::{OpKind, Operation, SyncOp};

@@ -54,6 +54,73 @@ impl OpKind {
     }
 }
 
+/// A synchronization primitive: the paper's `Test`, `Set`/`Unset` and
+/// `TestAndSet`, and a fetch-and-add generalization.
+///
+/// [`SyncOp::apply`] is the one rule for what a primitive does at its
+/// cell; the idealized interpreter, the relational path walker, the
+/// coherence cache, the snooping bus and the memory modules all use it.
+///
+/// # Examples
+///
+/// ```
+/// use memory_model::{OpKind, SyncOp};
+///
+/// assert_eq!(SyncOp::Test.apply(4), (Some(4), 4));
+/// assert_eq!(SyncOp::SetTo(5).apply(9), (None, 5));
+/// assert_eq!(SyncOp::TestAndSet.apply(0), (Some(0), 1));
+/// assert_eq!(SyncOp::FetchAdd(2).apply(u64::MAX), (Some(u64::MAX), 1));
+/// assert_eq!(SyncOp::FetchAdd(2).kind(), OpKind::SyncRmw);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncOp {
+    /// Read-only `Test`.
+    Test,
+    /// Write-only `Set`/`Unset` of the given value.
+    SetTo(Value),
+    /// Atomic `TestAndSet`: read old, store 1.
+    TestAndSet,
+    /// Atomic fetch-and-add of the given amount (wrapping).
+    FetchAdd(Value),
+}
+
+impl SyncOp {
+    /// The kind of operation the primitive performs.
+    #[must_use]
+    pub const fn kind(self) -> OpKind {
+        match self {
+            SyncOp::Test => OpKind::SyncRead,
+            SyncOp::SetTo(_) => OpKind::SyncWrite,
+            SyncOp::TestAndSet | SyncOp::FetchAdd(_) => OpKind::SyncRmw,
+        }
+    }
+
+    /// The primitive's effect on a cell holding `found`: the value it
+    /// returns (`None` for the write-only `Set`) and the value it leaves
+    /// in the cell.
+    #[inline]
+    #[must_use]
+    pub const fn apply(self, found: Value) -> (Option<Value>, Value) {
+        match self {
+            SyncOp::Test => (Some(found), found),
+            SyncOp::SetTo(v) => (None, v),
+            SyncOp::TestAndSet => (Some(found), 1),
+            SyncOp::FetchAdd(n) => (Some(found), found.wrapping_add(n)),
+        }
+    }
+
+    /// The operation `proc` performs when the primitive meets `loc`
+    /// holding `found`: [`SyncOp::apply`]'s values, the written one
+    /// recorded only when the primitive writes.
+    #[inline]
+    #[must_use]
+    pub fn perform(self, id: OpId, proc: ProcId, loc: Loc, found: Value) -> Operation {
+        let (read_value, left) = self.apply(found);
+        let kind = self.kind();
+        Operation { id, proc, kind, loc, read_value, write_value: kind.is_write().then_some(left) }
+    }
+}
+
 impl fmt::Display for OpKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {

@@ -98,6 +98,7 @@ impl Interconnect {
     /// its own stream (`fault_seed`), independent of the latency stream,
     /// so enabling chaos perturbs message fates without reshuffling the
     /// underlying latency draws.
+    #[cfg(test)]
     #[must_use]
     pub fn with_chaos(
         config: InterconnectConfig,

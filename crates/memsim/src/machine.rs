@@ -6,13 +6,11 @@ use std::fmt;
 
 use coherence::snoop::{BusOp, SnoopBus};
 use coherence::{
-    SyncOp,
     AccessResult, CacheController, CacheEvent, CacheToDir, Directory, DirToCache,
     ProcRequest, ProtocolError, RequestId,
 };
-use litmus::ideal::eval_operand;
 use litmus::{Instr, Program, Reg, NUM_REGS};
-use memory_model::{Loc, Memory, OpId, OpKind, Operation, ProcId, Value};
+use memory_model::{Loc, Memory, OpId, OpKind, Operation, ProcId, SyncOp, Value};
 use simx::rng::SplitMix64;
 use simx::{EventQueue, SimTime};
 
@@ -278,50 +276,26 @@ impl<'p> Machine<'p> {
         Machine::new(program, config)?.run_once()
     }
 
-    /// Builds a machine ready to run `program` under `config`.
+    /// Builds a machine ready to run `program` under `config`: an empty
+    /// machine, [`Machine::reset`] for this cell.
     ///
     /// # Errors
     ///
-    /// Returns [`RunError::Config`] for invalid configurations and
-    /// [`RunError::ThreadCountMismatch`] when the program's thread count
-    /// differs from the machine's processor count.
+    /// Same validation as [`Machine::reset`].
     pub fn new(program: &'p Program, config: &MachineConfig) -> Result<Self, RunError> {
-        config.validate()?;
-        if program.num_threads() != config.num_procs {
-            return Err(RunError::ThreadCountMismatch {
-                threads: program.num_threads(),
-                procs: config.num_procs,
-            });
-        }
-        let ic = match config.chaos {
-            // The fault plan gets its own stream, derived from the run
-            // seed, so chaos perturbs message fates without reshuffling
-            // the latency draws.
-            Some(fault) => {
-                let fault_seed = SplitMix64::new(config.seed ^ 0xC4A0_5FA0).next_u64();
-                Interconnect::with_chaos(config.interconnect, config.seed, fault, fault_seed)
-            }
-            None => Interconnect::new(config.interconnect, config.seed),
-        };
         let mut machine = Machine {
             program,
             config: *config,
             queue: EventQueue::new(),
-            ic,
-            procs: (0..config.num_procs).map(|_| Proc::new()).collect(),
-            caches: (0..config.num_procs)
-                .map(|_| match config.cache_capacity {
-                    Some(capacity) => CacheController::with_capacity(capacity),
-                    None => CacheController::new(),
-                })
-                .collect(),
-            directory: Directory::new(program.initial_memory()),
-            snoop: (config.caches && config.coherence == CoherenceKind::Snooping)
-                .then(|| SnoopBus::new(config.num_procs, program.initial_memory())),
-            modules: program.initial_memory(),
+            ic: Interconnect::new(config.interconnect, config.seed),
+            procs: Vec::new(),
+            caches: Vec::new(),
+            directory: Directory::new(Memory::new()),
+            snoop: None,
+            modules: Memory::new(),
             records: Vec::new(),
             record_index: HashMap::new(),
-            footprint: program.init().iter().map(|&(l, _)| l).collect(),
+            footprint: BTreeSet::new(),
             failed: None,
             last_progress: SimTime::ZERO,
             ran: false,
@@ -329,18 +303,8 @@ impl<'p> Machine<'p> {
             cache_ev_buf: Vec::new(),
             cache_reply_buf: Vec::new(),
         };
-        machine.apply_policy_knobs();
+        machine.reset(program, config)?;
         Ok(machine)
-    }
-
-    fn apply_policy_knobs(&mut self) {
-        if let Policy::WoDef2(d2) = self.config.policy {
-            if d2.queue_stalled_syncs {
-                for cache in &mut self.caches {
-                    cache.set_defer_recalls(true);
-                }
-            }
-        }
     }
 
     /// Executes the configured run and assembles its [`RunResult`],
@@ -361,42 +325,18 @@ impl<'p> Machine<'p> {
         self.collect_result()
     }
 
-    /// Runs like [`Machine::run_once`] and, when the run finishes, appends
-    /// it to `writer` as one trace segment labelled `label` — the
-    /// live-machine end of the `simulate → stream → verdict` pipeline.
-    /// Runs that abort with a [`RunError`] write nothing.
-    ///
-    /// # Errors
-    ///
-    /// The outer error is any I/O failure writing the trace; the inner
-    /// result carries the same contract as [`Machine::run_once`].
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Machine::run_once`].
-    pub fn run_traced<W: std::io::Write>(
-        &mut self,
-        label: &str,
-        writer: &mut crate::trace::TraceWriter<W>,
-    ) -> std::io::Result<Result<RunResult, RunError>> {
-        let result = self.run_once();
-        if let Ok(run) = &result {
-            writer.write_run(label, run)?;
-        }
-        Ok(result)
-    }
-
     /// Rewinds the machine for a fresh run of `program` under `config`,
     /// recycling every allocation the previous run grew (event queue heap,
     /// store queues, cache maps, record buffers). All RNG streams are
-    /// re-derived from `config.seed` exactly as [`Machine::new`] derives
-    /// them, so a reset machine replays a given cell bit-identically to a
-    /// cold one.
+    /// derived from `config.seed` here, for a fresh machine too, so a
+    /// reset machine replays a given cell bit-identically to a cold one.
     ///
     /// # Errors
     ///
-    /// Same validation as [`Machine::new`]; on error the machine is left
-    /// unusable until a subsequent `reset` succeeds.
+    /// Returns [`RunError::Config`] for invalid configurations and
+    /// [`RunError::ThreadCountMismatch`] when the program's thread count
+    /// differs from the machine's processor count; on error the machine
+    /// is left unusable until a subsequent `reset` succeeds.
     pub fn reset(
         &mut self,
         program: &'p Program,
@@ -413,6 +353,9 @@ impl<'p> Machine<'p> {
         self.program = program;
         self.config = *config;
         self.queue.reset();
+        // The fault plan gets its own stream, derived from the run seed, so
+        // chaos perturbs message fates without reshuffling the latency
+        // draws.
         let chaos = config
             .chaos
             .map(|fault| (fault, SplitMix64::new(config.seed ^ 0xC4A0_5FA0).next_u64()));
@@ -422,8 +365,10 @@ impl<'p> Machine<'p> {
             proc.reset();
         }
         self.caches.resize_with(config.num_procs, CacheController::new);
+        let defer_recalls = matches!(config.policy, Policy::WoDef2(d2) if d2.queue_stalled_syncs);
         for cache in &mut self.caches {
             cache.reset(config.cache_capacity);
+            cache.set_defer_recalls(defer_recalls);
         }
         self.directory.reset(program.initial_memory());
         self.snoop = if config.caches && config.coherence == CoherenceKind::Snooping {
@@ -445,29 +390,7 @@ impl<'p> Machine<'p> {
         self.failed = None;
         self.last_progress = SimTime::ZERO;
         self.ran = false;
-        self.apply_policy_knobs();
         Ok(())
-    }
-
-    /// Runs `program` under each config in turn on one recycled machine —
-    /// the serial counterpart of the sweep engine, and the cheapest way to
-    /// sweep seeds. Each element of the returned vector is exactly what
-    /// [`Machine::run_program`] would have produced for that config.
-    pub fn run_many(
-        program: &'p Program,
-        configs: &[MachineConfig],
-    ) -> Vec<Result<RunResult, RunError>> {
-        let mut machine: Option<Machine<'p>> = None;
-        configs
-            .iter()
-            .map(|config| match machine.as_mut() {
-                Some(m) => m.reset(program, config).and_then(|()| m.run_once()),
-                None => match Machine::new(program, config) {
-                    Ok(m) => machine.insert(m).run_once(),
-                    Err(e) => Err(e),
-                },
-            })
-            .collect()
     }
 
     /// Global event budget: a backstop far above what any legitimate run
@@ -681,7 +604,7 @@ impl<'p> Machine<'p> {
         // Run local (register/branch) instructions for free until the next
         // memory instruction or halt.
         let thread = &self.program.threads()[pi];
-        loop {
+        let instr = loop {
             let now_cycles = self.now().cycles();
             let proc = &mut self.procs[pi];
             if proc.pc >= thread.len() {
@@ -691,7 +614,7 @@ impl<'p> Machine<'p> {
             }
             let instr = thread.instrs()[proc.pc];
             if instr.is_memory_op() {
-                break;
+                break instr;
             }
             if proc.local_steps > 1_000_000 {
                 proc.status = Status::Failed;
@@ -699,45 +622,14 @@ impl<'p> Machine<'p> {
                 return;
             }
             proc.local_steps += 1;
-            match instr {
-                Instr::Move { dst, src } => {
-                    proc.regs[dst.index()] = eval_operand(&proc.regs, src);
-                    proc.pc += 1;
-                }
-                Instr::Add { dst, a, b } => {
-                    proc.regs[dst.index()] =
-                        eval_operand(&proc.regs, a).wrapping_add(eval_operand(&proc.regs, b));
-                    proc.pc += 1;
-                }
-                Instr::BranchEq { a, b, target } => {
-                    proc.pc = if eval_operand(&proc.regs, a) == eval_operand(&proc.regs, b) {
-                        target
-                    } else {
-                        proc.pc + 1
-                    };
-                }
-                Instr::BranchNe { a, b, target } => {
-                    proc.pc = if eval_operand(&proc.regs, a) != eval_operand(&proc.regs, b) {
-                        target
-                    } else {
-                        proc.pc + 1
-                    };
-                }
-                Instr::Jump { target } => proc.pc = target,
-                Instr::Fence => {
-                    if proc.outstanding > 0 || !proc.store_queue.is_empty() {
-                        // RP3-style: wait for all outstanding accesses to
-                        // globally perform (and buffered stores to drain).
-                        self.stall(p, StallReason::FenceDrain, WakeCond::CounterZero);
-                        return;
-                    }
-                    proc.pc += 1;
-                }
-                _ => unreachable!("memory ops break out above"),
+            if instr == Instr::Fence && (proc.outstanding > 0 || !proc.store_queue.is_empty()) {
+                // RP3-style: wait for all outstanding accesses to globally
+                // perform (and buffered stores to drain).
+                self.stall(p, StallReason::FenceDrain, WakeCond::CounterZero);
+                return;
             }
-        }
-
-        let instr = thread.instrs()[self.procs[pi].pc];
+            proc.pc = instr.step_local(proc.pc, &mut proc.regs);
+        };
 
         // Policy gate: may this access be generated now?
         if let Some((reason, cond)) = self.issue_gate(p, &instr) {
@@ -758,13 +650,7 @@ impl<'p> Machine<'p> {
     /// be generated yet).
     fn issue_gate(&self, p: u16, instr: &Instr) -> Option<(StallReason, WakeCond)> {
         let proc = &self.procs[p as usize];
-        let is_sync = matches!(
-            instr,
-            Instr::SyncRead { .. }
-                | Instr::SyncWrite { .. }
-                | Instr::TestAndSet { .. }
-                | Instr::FetchAdd { .. }
-        );
+        let is_sync = instr.sync_op(&proc.regs).is_some();
         match self.config.policy {
             Policy::Sc => (proc.outstanding > 0)
                 .then_some((StallReason::ScGlobalPerform, WakeCond::CounterZero)),
@@ -822,7 +708,7 @@ impl<'p> Machine<'p> {
             }
             Instr::Write { loc, src } => {
                 self.footprint.insert(loc);
-                let value = eval_operand(&self.procs[pi].regs, src);
+                let value = src.eval(&self.procs[pi].regs);
                 self.start_record(p, seq, OpKind::DataWrite, loc, Some(value), now);
                 let delay = match self.config.policy {
                     Policy::Relaxed { write_delay } => write_delay,
@@ -847,21 +733,12 @@ impl<'p> Machine<'p> {
                     self.queue.schedule(now + delay, Event::StoreDrain(p));
                 }
             }
-            Instr::SyncRead { loc, dst } => {
-                self.issue_sync(p, seq, loc, SyncOp::Test, Some(dst));
+            _ => {
+                let (loc, op, dst) = instr
+                    .sync_op(&self.procs[pi].regs)
+                    .expect("local instructions handled in proc_step");
+                self.issue_sync(p, seq, loc, op, dst);
             }
-            Instr::SyncWrite { loc, src } => {
-                let value = eval_operand(&self.procs[pi].regs, src);
-                self.issue_sync(p, seq, loc, SyncOp::SetTo(value), None);
-            }
-            Instr::TestAndSet { loc, dst } => {
-                self.issue_sync(p, seq, loc, SyncOp::TestAndSet, Some(dst));
-            }
-            Instr::FetchAdd { loc, dst, add } => {
-                let n = eval_operand(&self.procs[pi].regs, add);
-                self.issue_sync(p, seq, loc, SyncOp::FetchAdd(n), Some(dst));
-            }
-            _ => unreachable!("local instructions handled in proc_step"),
         }
     }
 
@@ -869,16 +746,12 @@ impl<'p> Machine<'p> {
         let pi = p as usize;
         let now = self.now();
         self.footprint.insert(loc);
-        let kind = match op {
-            SyncOp::Test => OpKind::SyncRead,
-            SyncOp::SetTo(_) => OpKind::SyncWrite,
-            SyncOp::TestAndSet | SyncOp::FetchAdd(_) => OpKind::SyncRmw,
-        };
+        let kind = op.kind();
+        // A writing primitive's stored value is known at issue unless it
+        // depends on the cell: FetchAdd's becomes known only at commit.
         let write_value = match op {
-            SyncOp::SetTo(v) => Some(v),
-            SyncOp::TestAndSet => Some(1),
-            // FetchAdd's stored value is known only at commit.
-            SyncOp::FetchAdd(_) | SyncOp::Test => None,
+            SyncOp::FetchAdd(_) => None,
+            _ => kind.is_write().then(|| op.apply(0).1),
         };
         if let Some(dst) = dst {
             self.procs[pi].pending_dst.insert(seq, dst);
@@ -1294,12 +1167,7 @@ impl<'p> Machine<'p> {
         old: Value,
         now: SimTime,
     ) {
-        let (read_value, new) = match op {
-            SyncOp::Test => (Some(old), old),
-            SyncOp::SetTo(v) => (None, v),
-            SyncOp::TestAndSet => (Some(old), 1),
-            SyncOp::FetchAdd(n) => (Some(old), old.wrapping_add(n)),
-        };
+        let (read_value, new) = op.apply(old);
         self.snoop
             .as_mut()
             .expect("sync apply on a snooping machine")
@@ -1350,31 +1218,18 @@ impl<'p> Machine<'p> {
                 None
             }
             ModAction::Sync(op) => {
-                let old = self.modules.read(loc);
-                match op {
-                    SyncOp::Test => Some(old),
-                    SyncOp::SetTo(v) => {
-                        self.modules.write(loc, v);
-                        None
-                    }
-                    SyncOp::TestAndSet => {
-                        self.modules.write(loc, 1);
-                        Some(old)
-                    }
-                    SyncOp::FetchAdd(n) => {
-                        self.modules.write(loc, old.wrapping_add(n));
-                        Some(old)
+                let (read_value, left) = op.apply(self.modules.read(loc));
+                self.modules.write(loc, left);
+                // The access commits and is globally performed at the
+                // module, now: FetchAdd's stored value is known here.
+                if let SyncOp::FetchAdd(_) = op {
+                    if let Some(&idx) = self.record_index.get(&opid(proc, seq)) {
+                        self.records[idx].op.write_value = Some(left);
                     }
                 }
+                read_value
             }
         };
-        // The access commits and is globally performed at the module, now.
-        if let ModAction::Sync(SyncOp::FetchAdd(n)) = action {
-            if let Some(&idx) = self.record_index.get(&opid(proc, seq)) {
-                self.records[idx].op.write_value =
-                    Some(value.unwrap_or(0).wrapping_add(n));
-            }
-        }
         let node = self.module_node(loc);
         self.dispatch(
             node,

@@ -24,12 +24,12 @@ fn perf_grid_reports_are_identical_at_any_thread_count() {
     }
 }
 
-/// `Machine::run_many` (one recycled machine) must match a fresh machine
-/// per config cycle-for-cycle, across every policy class — including
-/// policy changes mid-sequence, which exercise `reset`'s re-derivation of
-/// every RNG stream and policy knob.
+/// One machine recycled through `reset` + `run_once` must match a fresh
+/// machine per config cycle-for-cycle, across every policy class —
+/// including policy changes mid-sequence, which exercise `reset`'s
+/// re-derivation of every RNG stream and policy knob.
 #[test]
-fn run_many_matches_fresh_machines_across_policies() {
+fn recycled_machine_matches_fresh_machines_across_policies() {
     let program = memsim::workload::drf_kernel(&memsim::workload::DrfKernelConfig {
         threads: 3,
         phases: 2,
@@ -47,9 +47,12 @@ fn run_many_matches_fresh_machines_across_policies() {
             configs.push(presets::network_cached(3, policy, seed));
         }
     }
-    let recycled = Machine::run_many(&program, &configs);
-    assert_eq!(recycled.len(), configs.len());
-    for (config, warm) in configs.iter().zip(recycled) {
+    let mut machine = Machine::new(&program, &configs[0]).expect("valid config");
+    for (i, config) in configs.iter().enumerate() {
+        if i > 0 {
+            machine.reset(&program, config).expect("valid config");
+        }
+        let warm = machine.run_once();
         let cold = Machine::run_program(&program, config);
         assert_eq!(
             format!("{cold:?}"),

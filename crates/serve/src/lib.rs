@@ -49,7 +49,7 @@ pub mod server;
 use litmus::explore::{
     explore_dpor, explore_results, ExploreConfig, IncompleteReason,
 };
-use litmus::{Instr, Program};
+use litmus::Program;
 
 use cache::{CachedAnswer, KindGroup};
 use canon::CanonicalForm;
@@ -174,12 +174,11 @@ fn route(group: KindGroup, program: &Program) -> Engine {
         }
     };
     let loop_free = program.threads().iter().all(|thread| {
-        thread.instrs().iter().enumerate().all(|(at, instr)| match instr {
-            Instr::BranchEq { target, .. }
-            | Instr::BranchNe { target, .. }
-            | Instr::Jump { target } => *target > at,
-            _ => true,
-        })
+        thread
+            .instrs()
+            .iter()
+            .enumerate()
+            .all(|(at, instr)| instr.branch_target().is_none_or(|target| target > at))
     });
     if width >= WIDE && loop_free {
         Engine::Axiom
