@@ -38,8 +38,20 @@
 //! restored on that path.) Undoing in place of copying moves no work
 //! unit: every `Budget::spend` happens at the same point of the same
 //! enumeration order, which `tests/work_digest.rs` pins.
+//!
+//! Each step is kept cheap without moving the search. The join keeps
+//! per-path tallies over dense `(location, value)` ids, added on descent
+//! and subtracted on backtrack, so its feasibility check visits only the
+//! prefix's RMW-read and plain-read ids. One `TupleCtx` is refilled in
+//! place for every tuple, with the writers in one flat vector grouped by
+//! location. Saturation commits all readers of a write before a later
+//! write in one [`Rel::add_edges_logged`]. Three orders move work and are
+//! kept: locations ascending (the first co branch), writers ascending,
+//! and `conflicts`/`so_pairs` in lexicographic order (the reported race
+//! and the orientation sweep).
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::HashSet;
+use std::ops::Range;
 
 use litmus::Program;
 use memory_model::rel::Rel;
@@ -69,18 +81,6 @@ enum Round {
     Data,
 }
 
-/// No reader: the end of a `saturate` reader list.
-const NO_READER: usize = usize::MAX;
-
-/// One `(location, value)` row of the table `feasible_prefix` counts in.
-#[derive(Debug, Clone, Copy)]
-struct Tally {
-    loc: Loc,
-    value: Value,
-    written: u32,
-    rmw_reads: u32,
-}
-
 pub(crate) struct Search<'c> {
     cfg: &'c AxiomConfig,
     pub budget: Budget,
@@ -96,90 +96,297 @@ pub(crate) struct Search<'c> {
     pub orientation_capped: bool,
     /// Scratch happens-before, refilled by `forced_hb`.
     hb: Rel,
-    /// Scratch count table of `feasible_prefix`.
-    tally: Vec<Tally>,
-    /// Scratch reader lists of `saturate`: the first reader of each
-    /// write, and the next reader of the same write after each read.
-    first_reader: Vec<usize>,
-    next_reader: Vec<usize>,
+    /// Scratch of `saturate`: each write's readers as a bitset one row
+    /// wide, and one such set with an element taken out.
+    readers: Vec<u64>,
+    tails: Vec<u64>,
+}
+
+/// One `(id, writes, RMW reads)` row of a path's tally: how often the
+/// path writes the id's `(location, value)` and how many of its RMWs read
+/// it.
+#[derive(Debug, Clone, Copy)]
+struct Count {
+    id: usize,
+    writes: u32,
+    rmw_reads: u32,
+}
+
+/// The join's pruning tables, built once per sweep over dense ids: one
+/// per `(location, value)` some path reads or writes.
+struct Tallies {
+    /// Number of ids.
+    ids: usize,
+    /// Per id: 1 when the value is the location's initial value.
+    init: Vec<u32>,
+    /// Row `t` (`ids` wide): per id, the most writes threads `>= t` could
+    /// still contribute — each thread counted at the max over its own
+    /// paths, since an execution picks one path apiece.
+    suffix: Vec<u32>,
+    /// `min_rest[t]`: fewest ops threads `>= t` can still contribute.
+    min_rest: Vec<usize>,
+    /// Per thread, the index of its first path among `paths`.
+    first_path: Vec<usize>,
+    /// Per path, threads in order: its rows of `counts` and its distinct
+    /// plain-read ids in `reads`.
+    paths: Vec<(Range<usize>, Range<usize>)>,
+    counts: Vec<Count>,
+    reads: Vec<usize>,
+}
+
+impl Tallies {
+    fn new(ps: &PathSet, initial: &Memory) -> Self {
+        let mut keys: Vec<(Loc, Value)> = ps
+            .per_thread
+            .iter()
+            .flatten()
+            .flatten()
+            .flat_map(|op| op.read_value.into_iter().chain(op.write_value).map(|v| (op.loc, v)))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let ids = keys.len();
+        let id = |loc: Loc, v: Value| keys.binary_search(&(loc, v)).expect("every value has an id");
+        let init = keys.iter().map(|&(loc, v)| u32::from(v == initial.read(loc))).collect();
+        let mut first_path = Vec::with_capacity(ps.per_thread.len());
+        let mut paths = Vec::new();
+        let (mut counts, mut reads) = (Vec::new(), Vec::new());
+        // Per id: the path that last opened a row for it, and that row;
+        // the path that last listed it as a plain read.
+        let (mut opened, mut read_by) = (vec![(usize::MAX, 0); ids], vec![usize::MAX; ids]);
+        for thread in &ps.per_thread {
+            first_path.push(paths.len());
+            for path in thread {
+                let p = paths.len();
+                let (c0, r0) = (counts.len(), reads.len());
+                for op in path {
+                    match (op.read_value, op.write_value) {
+                        (read, Some(w)) => {
+                            row(&mut counts, &mut opened, p, id(op.loc, w)).writes += 1;
+                            if let Some(v) = read {
+                                row(&mut counts, &mut opened, p, id(op.loc, v)).rmw_reads += 1;
+                            }
+                        }
+                        (Some(v), None) => {
+                            let i = id(op.loc, v);
+                            if read_by[i] != p {
+                                read_by[i] = p;
+                                reads.push(i);
+                            }
+                        }
+                        (None, None) => {}
+                    }
+                }
+                paths.push((c0..counts.len(), r0..reads.len()));
+            }
+        }
+        let n = ps.per_thread.len();
+        let mut suffix = vec![0; (n + 1) * ids];
+        let mut min_rest = vec![0; n + 1];
+        for t in (0..n).rev() {
+            let (row_t, rest) = suffix.split_at_mut((t + 1) * ids);
+            let row_t = &mut row_t[t * ids..];
+            for path in &paths[first_path[t]..first_path[t] + ps.per_thread[t].len()] {
+                for c in &counts[path.0.clone()] {
+                    let slot = &mut row_t[c.id];
+                    *slot = (*slot).max(c.writes);
+                }
+            }
+            for (slot, later) in row_t.iter_mut().zip(&rest[..ids]) {
+                *slot += later;
+            }
+            let shortest = ps.per_thread[t].iter().map(Vec::len).min().unwrap_or(0);
+            min_rest[t] = min_rest[t + 1] + shortest;
+        }
+        Tallies { ids, init, suffix, min_rest, first_path, paths, counts, reads }
+    }
+
+    /// Row `t` of the suffix maxima.
+    fn rest(&self, t: usize) -> &[u32] {
+        &self.suffix[t * self.ids..(t + 1) * self.ids]
+    }
+}
+
+/// Path `p`'s row of `counts` for id `i`, opened on the path's first use
+/// of the id.
+fn row<'a>(
+    counts: &'a mut Vec<Count>,
+    opened: &mut [(usize, usize)],
+    p: usize,
+    i: usize,
+) -> &'a mut Count {
+    if opened[i].0 != p {
+        opened[i] = (p, counts.len());
+        counts.push(Count { id: i, writes: 0, rmw_reads: 0 });
+    }
+    &mut counts[opened[i].1]
+}
+
+/// The committed prefix's tallies: counts added on descent and
+/// subtracted on backtrack, plus the ids the feasibility check visits.
+struct Prefix {
+    written: Vec<u32>,
+    rmw_reads: Vec<u32>,
+    /// Ids some committed RMW reads, once per committing path.
+    rmw_ids: Vec<usize>,
+    /// Ids some committed plain read reads, once per committing path.
+    read_ids: Vec<usize>,
+}
+
+impl Prefix {
+    fn new(ids: usize) -> Self {
+        Prefix {
+            written: vec![0; ids],
+            rmw_reads: vec![0; ids],
+            rmw_ids: Vec::new(),
+            read_ids: Vec::new(),
+        }
+    }
+
+    /// Commits path `p`, returning the id-list lengths to
+    /// [`pop`](Self::pop) back to.
+    fn push(&mut self, tl: &Tallies, p: usize) -> (usize, usize) {
+        let saved = (self.rmw_ids.len(), self.read_ids.len());
+        let (counts, reads) = &tl.paths[p];
+        for c in &tl.counts[counts.clone()] {
+            self.written[c.id] += c.writes;
+            self.rmw_reads[c.id] += c.rmw_reads;
+            if c.rmw_reads > 0 {
+                self.rmw_ids.push(c.id);
+            }
+        }
+        self.read_ids.extend_from_slice(&tl.reads[reads.clone()]);
+        saved
+    }
+
+    fn pop(&mut self, tl: &Tallies, p: usize, saved: (usize, usize)) {
+        for c in &tl.counts[tl.paths[p].0.clone()] {
+            self.written[c.id] -= c.writes;
+            self.rmw_reads[c.id] -= c.rmw_reads;
+        }
+        self.rmw_ids.truncate(saved.0);
+        self.read_ids.truncate(saved.1);
+    }
+
+    /// Whether every read in the committed prefix can still be supplied,
+    /// given the writes threads `>= t` (the unchosen ones) could
+    /// contribute.
+    ///
+    /// A plain or sync read of `v` needs *some* source: the initial
+    /// memory, a write of `v` in the prefix, or a write of `v` some
+    /// unchosen path could contribute. An RMW read is stricter — RMW
+    /// atomicity means a same-location write (or the initial value) feeds
+    /// **at most one** RMW read, because a second RMW reading the same
+    /// source would have the first's write slotted co-between its source
+    /// and itself, an `fr ; co` cycle. So per (location, value) the RMW
+    /// reads are counted against the writes by pigeonhole, which is what
+    /// prunes, e.g., two barrier arrivals both claiming ticket 0. The
+    /// check is one-shot, not transitive; at the leaf (`t` past the last
+    /// thread, no writes to come) it is exactly the whole-tuple
+    /// admissibility prefilter.
+    fn feasible(&self, tl: &Tallies, t: usize) -> bool {
+        let rest = tl.rest(t);
+        self.rmw_ids.iter().all(|&i| self.rmw_reads[i] <= self.written[i] + rest[i] + tl.init[i])
+            && self.read_ids.iter().all(|&i| tl.init[i] == 1 || self.written[i] + rest[i] > 0)
+    }
 }
 
 /// Per-tuple derived structure: event classification and the relation
-/// skeleton shared by every branch of the search.
+/// skeleton shared by every branch of the search. One context serves a
+/// whole sweep: the join builds each tuple's events in `events` and
+/// [`refill`](Self::refill) derives the rest in place.
+#[derive(Default)]
 struct TupleCtx {
     events: Vec<Operation>,
-    /// Writers per location, ascending event index.
-    writes_by_loc: BTreeMap<Loc, Vec<usize>>,
-    /// Locations touched by at least one synchronization operation.
-    sync_locs: BTreeSet<Loc>,
+    /// The tuple's locations, ascending.
+    locs: Vec<Loc>,
+    /// Per location: whether some synchronization operation touches it.
+    sync_loc: Vec<bool>,
+    /// Per event: the index of its location in `locs`.
+    loc_of: Vec<usize>,
+    /// Writers grouped by location, in location order, each group
+    /// ascending: group `g` is `writers[writer_start[g]..writer_start[g + 1]]`.
+    writers: Vec<usize>,
+    writer_start: Vec<usize>,
+    /// Every event grouped the same way, for the conflict scan.
+    accesses: Vec<usize>,
+    access_start: Vec<usize>,
     /// Reads (including RMW read components) on sync-involved locations.
     sync_reads: Vec<usize>,
     /// Reads on pure-data locations.
     data_reads: Vec<usize>,
     /// Cross-processor conflicting pairs that are *not* sync/sync — the
-    /// pairs DRF0 calls races when hb leaves them unordered.
+    /// pairs DRF0 calls races when hb leaves them unordered — in
+    /// lexicographic order.
     conflicts: Vec<(usize, usize)>,
-    /// Cross-processor same-location sync pairs — the carriers of `so`.
+    /// Cross-processor same-location sync pairs — the carriers of `so` —
+    /// in lexicographic order.
     so_pairs: Vec<(usize, usize)>,
     /// Program order as a closed relation: the search relation starts
     /// from it, and so does every happens-before `forced_hb` derives.
     po: Rel,
+    po_edges: Vec<(usize, usize)>,
+    /// Scratch cursor per location group.
+    cursor: Vec<usize>,
 }
 
 impl TupleCtx {
-    fn new(events: Vec<Operation>) -> Self {
+    /// Derives everything from `events`, reusing every buffer.
+    fn refill(&mut self) {
+        let TupleCtx { events, locs, sync_loc, loc_of, cursor, .. } = self;
         let n = events.len();
-        let mut writes_by_loc: BTreeMap<Loc, Vec<usize>> = BTreeMap::new();
-        let mut sync_locs = BTreeSet::new();
-        for (i, e) in events.iter().enumerate() {
-            if e.write_value.is_some() {
-                writes_by_loc.entry(e.loc).or_default().push(i);
-            }
-            if e.kind.is_sync() {
-                sync_locs.insert(e.loc);
-            }
+        locs.clear();
+        locs.extend(events.iter().map(|e| e.loc));
+        locs.sort_unstable();
+        locs.dedup();
+        loc_of.clear();
+        loc_of.extend(events.iter().map(|e| locs.binary_search(&e.loc).expect("listed")));
+        sync_loc.clear();
+        sync_loc.resize(locs.len(), false);
+        for (e, &g) in events.iter().zip(loc_of.iter()) {
+            sync_loc[g] |= e.kind.is_sync();
         }
-        let mut sync_reads = Vec::new();
-        let mut data_reads = Vec::new();
+        let writes = |i: usize| events[i].write_value.is_some();
+        group(loc_of, locs.len(), writes, cursor, &mut self.writer_start, &mut self.writers);
+        group(loc_of, locs.len(), |_| true, cursor, &mut self.access_start, &mut self.accesses);
+        self.sync_reads.clear();
+        self.data_reads.clear();
         for (i, e) in events.iter().enumerate() {
             if e.read_value.is_some() {
-                if sync_locs.contains(&e.loc) {
-                    sync_reads.push(i);
+                if sync_loc[loc_of[i]] {
+                    self.sync_reads.push(i);
                 } else {
-                    data_reads.push(i);
+                    self.data_reads.push(i);
                 }
             }
         }
-        let mut conflicts = Vec::new();
-        let mut so_pairs = Vec::new();
-        for i in 0..n {
-            for j in i + 1..n {
-                let (a, b) = (&events[i], &events[j]);
+        // Both kinds of pair share a location, so each event meets only
+        // the later events of its own group: ascending `i`, then `j`.
+        self.conflicts.clear();
+        self.so_pairs.clear();
+        cursor.clear();
+        cursor.extend_from_slice(&self.access_start[..locs.len()]);
+        for (i, a) in events.iter().enumerate() {
+            let g = loc_of[i];
+            cursor[g] += 1;
+            for &j in &self.accesses[cursor[g]..self.access_start[g + 1]] {
+                let b = &events[j];
                 if a.proc == b.proc {
                     continue;
                 }
                 if a.so_related(b) {
-                    so_pairs.push((i, j));
+                    self.so_pairs.push((i, j));
                 } else if a.conflicts_with(b) {
-                    conflicts.push((i, j));
+                    self.conflicts.push((i, j));
                 }
             }
         }
         // Threads are contiguous runs, so po's covering edges join
         // neighbours and arrive sorted by target.
-        let po_edges: Vec<(usize, usize)> =
-            (1..n).filter(|&i| events[i].proc == events[i - 1].proc).map(|i| (i - 1, i)).collect();
-        let po = Rel::from_forward_edges(n, &po_edges);
-        TupleCtx {
-            events,
-            writes_by_loc,
-            sync_locs,
-            sync_reads,
-            data_reads,
-            conflicts,
-            so_pairs,
-            po,
-        }
+        self.po_edges.clear();
+        self.po_edges
+            .extend((1..n).filter(|&i| events[i].proc == events[i - 1].proc).map(|i| (i - 1, i)));
+        self.po.refill_forward_edges(n, &self.po_edges);
     }
 
     fn round_reads(&self, round: Round) -> &[usize] {
@@ -189,12 +396,21 @@ impl TupleCtx {
         }
     }
 
+    /// The writers of location group `g`, ascending.
+    fn writers_at(&self, g: usize) -> &[usize] {
+        &self.writers[self.writer_start[g]..self.writer_start[g + 1]]
+    }
+
+    /// The writers of every location, in location order.
+    fn loc_writers(&self) -> impl Iterator<Item = &[usize]> {
+        (0..self.locs.len()).map(|g| self.writers_at(g))
+    }
+
     /// The writers of each of the `round`'s locations, in location order.
     fn round_writes(&self, round: Round) -> impl Iterator<Item = &[usize]> {
-        self.writes_by_loc
-            .iter()
-            .filter(move |(loc, _)| self.sync_locs.contains(loc) == (round == Round::Sync))
-            .map(|(_, writes)| writes.as_slice())
+        (0..self.locs.len())
+            .filter(move |&g| self.sync_loc[g] == (round == Round::Sync))
+            .map(|g| self.writers_at(g))
     }
 
     /// The first write pair of the `round` that `rel` leaves unordered.
@@ -210,6 +426,48 @@ impl TupleCtx {
         }
         None
     }
+}
+
+/// Counting sort of the events `keep` selects by location group (of
+/// `groups`), each group ascending: group `g` lands in
+/// `out[start[g]..start[g + 1]]`.
+fn group(
+    loc_of: &[usize],
+    groups: usize,
+    keep: impl Fn(usize) -> bool,
+    cursor: &mut Vec<usize>,
+    start: &mut Vec<usize>,
+    out: &mut Vec<usize>,
+) {
+    start.clear();
+    start.resize(groups + 1, 0);
+    for (i, &g) in loc_of.iter().enumerate() {
+        if keep(i) {
+            start[g + 1] += 1;
+        }
+    }
+    for g in 0..groups {
+        start[g + 1] += start[g];
+    }
+    cursor.clear();
+    cursor.extend_from_slice(&start[..groups]);
+    out.clear();
+    out.resize(start[groups], 0);
+    for (i, &g) in loc_of.iter().enumerate() {
+        if keep(i) {
+            out[cursor[g]] = i;
+            cursor[g] += 1;
+        }
+    }
+}
+
+/// The buffers one tuple is searched in, reused by every tuple: its
+/// context, the search relation and the reads-from choice.
+#[derive(Default)]
+struct Tuple {
+    ctx: TupleCtx,
+    rel: Rel,
+    rf: Vec<Option<RfSource>>,
 }
 
 impl<'c> Search<'c> {
@@ -228,9 +486,8 @@ impl<'c> Search<'c> {
             truncated: false,
             orientation_capped: false,
             hb: Rel::new(0),
-            tally: Vec::new(),
-            first_reader: Vec::new(),
-            next_reader: Vec::new(),
+            readers: Vec::new(),
+            tails: Vec::new(),
         }
     }
 
@@ -253,132 +510,42 @@ impl<'c> Search<'c> {
             // is already set by the walker that gave up.
             return Ok(());
         }
-        let n = ps.per_thread.len();
-        // `suffix[t]`: per (location, value), the most writes threads
-        // `>= t` could still contribute — each thread counted at the max
-        // over its own paths, since an execution picks one path apiece.
-        let mut suffix: Vec<BTreeMap<Loc, BTreeMap<Value, u32>>> = vec![BTreeMap::new(); n + 1];
-        for t in (0..n).rev() {
-            let mut thread_max: BTreeMap<Loc, BTreeMap<Value, u32>> = BTreeMap::new();
-            for path in &ps.per_thread[t] {
-                let mut counts: BTreeMap<Loc, BTreeMap<Value, u32>> = BTreeMap::new();
-                for op in path {
-                    if let Some(v) = op.write_value {
-                        *counts.entry(op.loc).or_default().entry(v).or_default() += 1;
-                    }
-                }
-                for (loc, per_value) in counts {
-                    let slot = thread_max.entry(loc).or_default();
-                    for (v, c) in per_value {
-                        let e = slot.entry(v).or_default();
-                        *e = (*e).max(c);
-                    }
-                }
-            }
-            let mut acc = suffix[t + 1].clone();
-            for (loc, per_value) in thread_max {
-                let slot = acc.entry(loc).or_default();
-                for (v, c) in per_value {
-                    *slot.entry(v).or_default() += c;
-                }
-            }
-            suffix[t] = acc;
-        }
-        // `min_rest[t]`: fewest ops threads `>= t` can still contribute.
-        let mut min_rest = vec![0usize; n + 1];
-        for t in (0..n).rev() {
-            let shortest = ps.per_thread[t].iter().map(Vec::len).min().unwrap_or(0);
-            min_rest[t] = min_rest[t + 1] + shortest;
-        }
-        self.join(&ps, &suffix, &min_rest, 0, &mut Vec::new())
+        let tallies = Tallies::new(&ps, &self.initial);
+        let mut prefix = Prefix::new(tallies.ids);
+        self.join(&ps, &tallies, &mut prefix, 0, &mut Tuple::default())
     }
 
     fn join(
         &mut self,
         ps: &PathSet,
-        suffix: &[BTreeMap<Loc, BTreeMap<Value, u32>>],
-        min_rest: &[usize],
+        tl: &Tallies,
+        prefix: &mut Prefix,
         t: usize,
-        events: &mut Vec<Operation>,
+        tuple: &mut Tuple,
     ) -> Result<(), Stop> {
         if t == ps.per_thread.len() {
-            return self.process_tuple(events.clone());
+            return self.process_tuple(tuple);
         }
-        for path in &ps.per_thread[t] {
+        for (p, path) in ps.per_thread[t].iter().enumerate() {
             self.budget.spend(1)?;
+            let events = &mut tuple.ctx.events;
             let base = events.len();
-            events.extend(path.iter().copied());
-            if events.len() + min_rest[t + 1] > self.cfg.max_ops_per_execution {
+            events.extend_from_slice(path);
+            if events.len() + tl.min_rest[t + 1] > self.cfg.max_ops_per_execution {
                 // Every completion of this prefix outgrows the op budget —
                 // the same boundary the operational explorer truncates at.
                 self.truncated = true;
-            } else if self.feasible_prefix(events, &suffix[t + 1]) {
-                self.join(ps, suffix, min_rest, t + 1, events)?;
+            } else {
+                let p = tl.first_path[t] + p;
+                let saved = prefix.push(tl, p);
+                if prefix.feasible(tl, t + 1) {
+                    self.join(ps, tl, prefix, t + 1, tuple)?;
+                }
+                prefix.pop(tl, p, saved);
             }
-            events.truncate(base);
+            tuple.ctx.events.truncate(base);
         }
         Ok(())
-    }
-
-    /// Whether every read in the committed prefix can still be supplied.
-    ///
-    /// A plain or sync read of `v` needs *some* source: the initial
-    /// memory, a write of `v` in the prefix, or a write of `v` some
-    /// unchosen path could contribute. An RMW read is stricter — RMW
-    /// atomicity means a same-location write (or the initial value) feeds
-    /// **at most one** RMW read, because a second RMW reading the same
-    /// source would have the first's write slotted co-between its source
-    /// and itself, an `fr ; co` cycle. So per (location, value) the RMW
-    /// reads are counted against the writes by pigeonhole, which is what
-    /// prunes, e.g., two barrier arrivals both claiming ticket 0. The
-    /// check is one-shot, not transitive; with an empty `rest` (at the
-    /// leaf) it is exactly the whole-tuple admissibility prefilter.
-    fn feasible_prefix(
-        &mut self,
-        events: &[Operation],
-        rest: &BTreeMap<Loc, BTreeMap<Value, u32>>,
-    ) -> bool {
-        // A prefix touches few (location, value) pairs, so a flat table
-        // scanned linearly beats building maps at every join step.
-        fn slot(tally: &mut Vec<Tally>, loc: Loc, value: Value) -> &mut Tally {
-            let i = match tally.iter().position(|x| x.loc == loc && x.value == value) {
-                Some(i) => i,
-                None => {
-                    tally.push(Tally { loc, value, written: 0, rmw_reads: 0 });
-                    tally.len() - 1
-                }
-            };
-            &mut tally[i]
-        }
-        let Search { tally, initial, .. } = self;
-        tally.clear();
-        for e in events {
-            if let Some(w) = e.write_value {
-                slot(tally, e.loc, w).written += 1;
-                if let Some(v) = e.read_value {
-                    slot(tally, e.loc, v).rmw_reads += 1;
-                }
-            }
-        }
-        let rest = |loc: Loc, v: Value| -> u32 {
-            rest.get(&loc).and_then(|m| m.get(&v)).copied().unwrap_or(0)
-        };
-        for x in tally.iter() {
-            let init = u32::from(x.value == initial.read(x.loc));
-            if x.rmw_reads > x.written + rest(x.loc, x.value) + init {
-                return false;
-            }
-        }
-        events.iter().all(|e| match e.read_value {
-            Some(v) if e.write_value.is_none() => {
-                let written = tally
-                    .iter()
-                    .find(|x| x.loc == e.loc && x.value == v)
-                    .map_or(0, |x| x.written);
-                v == initial.read(e.loc) || written + rest(e.loc, v) > 0
-            }
-            _ => true,
-        })
     }
 
     fn init_value(&self, loc: Loc) -> Value {
@@ -386,15 +553,17 @@ impl<'c> Search<'c> {
     }
 
     /// Runs one admissible tuple through the relational pipeline. The
-    /// join's leaf-level `feasible_prefix` (with an empty suffix) already
+    /// join's leaf-level feasibility check (with an empty suffix) already
     /// established whole-tuple value availability and the RMW pigeonhole.
-    fn process_tuple(&mut self, events: Vec<Operation>) -> Result<(), Stop> {
+    fn process_tuple(&mut self, tuple: &mut Tuple) -> Result<(), Stop> {
+        let Tuple { ctx, rel, rf } = tuple;
         self.tuples += 1;
-        self.budget.spend(events.len() as u64 + 1)?;
-        let t = TupleCtx::new(events);
-        let mut rel = t.po.clone();
-        let mut rf = vec![None; t.events.len()];
-        self.rf_search(&t, Round::Sync, 0, &mut rel, &mut rf)
+        self.budget.spend(ctx.events.len() as u64 + 1)?;
+        ctx.refill();
+        rel.clone_from(&ctx.po);
+        rf.clear();
+        rf.resize(ctx.events.len(), None);
+        self.rf_search(ctx, Round::Sync, 0, rel, rf)
     }
 
     /// Enumerates reads-from for the `round`'s reads, then hands the
@@ -415,7 +584,7 @@ impl<'c> Search<'c> {
         let r = reads[i];
         let ev = t.events[r];
         let v = ev.read_value.expect("round lists hold reads");
-        let writes = t.writes_by_loc.get(&ev.loc).map_or(&[][..], Vec::as_slice);
+        let writes = t.writers_at(t.loc_of[r]);
         let mark = rel.mark();
         for &w in writes {
             if w == r || t.events[w].write_value != Some(v) {
@@ -445,42 +614,55 @@ impl<'c> Search<'c> {
     /// every reader of `w1` must complete before `w2`. Returns `false`
     /// when the branch closes a cycle (candidate inadmissible), with the
     /// edges added so far left for the caller to roll back.
-    fn saturate(&mut self, t: &TupleCtx, rel: &mut Rel, rf: &[Option<RfSource>]) -> Result<bool, Stop> {
-        // Each write's readers, ascending: `rf` is fixed for the call.
-        let (first, next) = (&mut self.first_reader, &mut self.next_reader);
-        first.clear();
-        first.resize(rf.len(), NO_READER);
-        next.clear();
-        next.resize(rf.len(), NO_READER);
-        for (r, src) in rf.iter().enumerate().rev() {
-            if let Some(RfSource::Write(w)) = *src {
-                next[r] = first[w];
-                first[w] = r;
+    ///
+    /// Each ordered write pair commits all of `w1`'s readers in one
+    /// [`Rel::add_edges_logged`]: the same edges, `changed` flags and
+    /// rounds (so the same `spend`s) as committing them one at a time,
+    /// since one reader's edge cannot put `w2` before another reader.
+    fn saturate(
+        &mut self,
+        t: &TupleCtx,
+        rel: &mut Rel,
+        rf: &[Option<RfSource>],
+    ) -> Result<bool, Stop> {
+        // Each write's readers: `rf` is fixed for the call.
+        let w = rel.row_words();
+        let Search { budget, readers, tails, .. } = self;
+        readers.clear();
+        readers.resize(rf.len() * w, 0);
+        tails.clear();
+        tails.resize(w, 0);
+        for (r, src) in rf.iter().enumerate() {
+            if let Some(RfSource::Write(src)) = *src {
+                readers[src * w + r / 64] |= 1 << (r % 64);
             }
         }
         loop {
-            self.budget.spend(1)?;
+            budget.spend(1)?;
             let mut changed = false;
-            for writes in t.writes_by_loc.values() {
+            for writes in t.loc_writers() {
                 for &w1 in writes {
-                    if self.first_reader[w1] == NO_READER {
+                    let of_w1 = &readers[w1 * w..(w1 + 1) * w];
+                    if of_w1.iter().all(|&x| x == 0) {
                         continue;
                     }
                     for &w2 in writes {
                         if w1 == w2 || !rel.ordered(w1, w2) {
                             continue;
                         }
-                        let mut r = self.first_reader[w1];
-                        while r != NO_READER {
-                            // `r == w2` is an RMW reading from w1: its own
-                            // write needs no fr edge to itself.
-                            if r != w2 {
-                                match rel.add_edge_logged(r, w2) {
-                                    Err(_) => return Ok(false),
-                                    Ok(added) => changed |= added,
-                                }
-                            }
-                            r = self.next_reader[r];
+                        // `w2` among the readers is an RMW reading from
+                        // w1: its own write needs no fr edge to itself.
+                        let (word, bit) = (w2 / 64, 1 << (w2 % 64));
+                        let set = if of_w1[word] & bit == 0 {
+                            of_w1
+                        } else {
+                            tails.copy_from_slice(of_w1);
+                            tails[word] &= !bit;
+                            &tails[..]
+                        };
+                        match rel.add_edges_logged(set, w2) {
+                            Err(_) => return Ok(false),
+                            Ok(added) => changed |= added,
                         }
                     }
                 }
@@ -575,11 +757,9 @@ impl<'c> Search<'c> {
             // makes the candidates totally ordered, so the greedy max is
             // the unique latest.
             let mut latest: Option<usize> = None;
-            if let Some(writes) = t.writes_by_loc.get(&ev.loc) {
-                for &w in writes {
-                    if hb0.ordered(w, r) && latest.is_none_or(|cur| hb0.ordered(cur, w)) {
-                        latest = Some(w);
-                    }
+            for &w in t.writers_at(t.loc_of[r]) {
+                if hb0.ordered(w, r) && latest.is_none_or(|cur| hb0.ordered(cur, w)) {
+                    latest = Some(w);
                 }
             }
             let forced = latest
@@ -607,14 +787,17 @@ impl<'c> Search<'c> {
     fn emit(&mut self, t: &TupleCtx, rel: &Rel, rf: &[Option<RfSource>]) {
         self.candidates += 1;
         let mut mem = self.initial.clone();
-        for (loc, writes) in &t.writes_by_loc {
-            let mut last = writes[0];
-            for &w in &writes[1..] {
+        for (&loc, writes) in t.locs.iter().zip(t.loc_writers()) {
+            let Some((&first, rest)) = writes.split_first() else {
+                continue;
+            };
+            let mut last = first;
+            for &w in rest {
                 if rel.ordered(last, w) {
                     last = w;
                 }
             }
-            mem.write(*loc, t.events[last].write_value.expect("writers write"));
+            mem.write(loc, t.events[last].write_value.expect("writers write"));
         }
         let reads = t
             .events

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use memory_model::{Loc, SyncOp, Value};
 
 use crate::error::ProtocolError;
-use crate::msg::{CacheToDir, DirToCache, RequestId, SyncFlavor};
+use crate::msg::{CacheToDir, DirToCache, RequestId};
 
 /// The state of a line in a processor cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -315,11 +315,7 @@ impl CacheController {
                     };
                     self.pending
                         .insert(loc, Pending { req, action: PendingAction::Store(value) });
-                    msgs.push(CacheToDir::GetExclusive {
-                        loc,
-                        req,
-                        sync: SyncFlavor::Data,
-                    });
+                    msgs.push(CacheToDir::GetExclusive { loc, req });
                     AccessResult::Miss(msgs)
                 }
             },
@@ -348,7 +344,7 @@ impl CacheController {
                 };
                 self.pending.insert(loc, Pending { req, action: PendingAction::Sync(op) });
                 msgs.push(if needs_exclusive {
-                    CacheToDir::GetExclusive { loc, req, sync: op.into() }
+                    CacheToDir::GetExclusive { loc, req }
                 } else {
                     CacheToDir::GetShared { loc, req }
                 });
@@ -420,7 +416,7 @@ impl CacheController {
                     }
                     PendingAction::Sync(op) => {
                         // Only read-only sync ops travel on GetShared.
-                        debug_assert_eq!(SyncFlavor::from(op), SyncFlavor::ReadOnly);
+                        debug_assert!(!op.kind().is_write());
                         let read_value = self.apply_sync(loc, op);
                         events.push(CacheEvent::SyncCommitted { req, loc, read_value });
                         events.push(CacheEvent::SyncGloballyPerformed { req, loc });
@@ -788,11 +784,7 @@ mod tests {
         let AccessResult::Miss(msgs) = r else { panic!("expected miss") };
         assert_eq!(
             msgs,
-            vec![CacheToDir::GetExclusive {
-                loc: L,
-                req: RequestId(1),
-                sync: SyncFlavor::Writing
-            }]
+            vec![CacheToDir::GetExclusive { loc: L, req: RequestId(1) }]
         );
         let (ev, _) = c.handle(DirToCache::DataExclusive {
             loc: L,

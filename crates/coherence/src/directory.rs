@@ -65,13 +65,13 @@ pub struct DirectoryStats {
 /// # Examples
 ///
 /// ```
-/// use coherence::{Directory, CacheToDir, DirToCache, RequestId, SyncFlavor};
+/// use coherence::{Directory, CacheToDir, DirToCache, RequestId};
 /// use memory_model::{Loc, Memory, ProcId};
 ///
 /// let mut dir = Directory::new(Memory::new());
 /// let out = dir.handle(
 ///     ProcId(0),
-///     CacheToDir::GetExclusive { loc: Loc(0), req: RequestId(1), sync: SyncFlavor::Data },
+///     CacheToDir::GetExclusive { loc: Loc(0), req: RequestId(1) },
 /// ).unwrap();
 /// assert_eq!(out, vec![(ProcId(0), DirToCache::DataExclusive {
 ///     loc: Loc(0), value: 0, req: RequestId(1), pending_acks: 0,
@@ -331,9 +331,8 @@ impl Directory {
                     }
                 }
             }
-            CacheToDir::GetExclusive { req, sync, .. } => {
+            CacheToDir::GetExclusive { req, .. } => {
                 self.stats.get_exclusive += 1;
-                let _ = sync; // recorded by flavor-aware policies in memsim
                 let line = self.line_mut(loc);
                 match line.state.clone() {
                     DirState::Uncached => {
@@ -444,12 +443,11 @@ impl Directory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::SyncFlavor;
 
     const L: Loc = Loc(0);
 
     fn getx(req: u64) -> CacheToDir {
-        CacheToDir::GetExclusive { loc: L, req: RequestId(req), sync: SyncFlavor::Data }
+        CacheToDir::GetExclusive { loc: L, req: RequestId(req) }
     }
 
     fn gets(req: u64) -> CacheToDir {

@@ -56,4 +56,4 @@ pub mod snoop;
 pub use cache::{AccessResult, CacheController, CacheEvent, LineState, ProcRequest};
 pub use directory::{Directory, DirectoryStats};
 pub use error::ProtocolError;
-pub use msg::{CacheToDir, DirToCache, RequestId, SyncFlavor};
+pub use msg::{CacheToDir, DirToCache, RequestId};

@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use memory_model::{Loc, SyncOp, Value};
+use memory_model::{Loc, Value};
 
 /// Identifies one processor request (miss) end-to-end through the protocol:
 /// the requesting cache allocates it, the directory echoes it in
@@ -17,31 +17,6 @@ pub struct RequestId(pub u64);
 impl fmt::Display for RequestId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "req{}", self.0)
-    }
-}
-
-/// What kind of synchronization access rides on an exclusive request —
-/// the directory does not care, but the Section 6 *optimized*
-/// implementation distinguishes read-only synchronization (`Test`) from
-/// writing synchronization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SyncFlavor {
-    /// Not a synchronization access.
-    Data,
-    /// A read-only synchronization operation (`Test`).
-    ReadOnly,
-    /// A writing synchronization operation (`Set`/`Unset`/`TestAndSet`).
-    Writing,
-}
-
-impl From<SyncOp> for SyncFlavor {
-    /// The flavor of the exclusive request that carries `op`.
-    fn from(op: SyncOp) -> Self {
-        if op.kind().is_write() {
-            SyncFlavor::Writing
-        } else {
-            SyncFlavor::ReadOnly
-        }
     }
 }
 
@@ -62,8 +37,6 @@ pub enum CacheToDir {
         loc: Loc,
         /// The originating processor request.
         req: RequestId,
-        /// Whether this request carries a synchronization operation.
-        sync: SyncFlavor,
     },
     /// Acknowledges an invalidation of `loc` on behalf of write `req`.
     InvAck {
@@ -209,7 +182,7 @@ mod tests {
         let r = RequestId(1);
         let c2d = [
             CacheToDir::GetShared { loc: l, req: r },
-            CacheToDir::GetExclusive { loc: l, req: r, sync: SyncFlavor::Data },
+            CacheToDir::GetExclusive { loc: l, req: r },
             CacheToDir::InvAck { loc: l, req: r },
             CacheToDir::RecallAck { loc: l, value: 0 },
             CacheToDir::RecallNack { loc: l },

@@ -19,6 +19,15 @@
 //! changed, not a copy of the relation, so one relation serves a whole
 //! search. A rejected edge, or one already derived, changes nothing and
 //! logs nothing.
+//!
+//! One closure routine serves every insertion: a single edge, or
+//! [`Rel::add_edges_logged`]'s set of tails into one head (the engine's
+//! from-reads: all readers of one write before a later write, one call
+//! per write pair). It is written once over the row width and compiled
+//! twice: at one word, where a relation over at most 64 elements keeps
+//! each row in one `u64` and the word loops vanish, and at the run-time
+//! width. [`Rel::refill_forward_edges`] rebuilds a relation in place, so
+//! a relation rebuilt per input reuses its buffers.
 
 /// The error returned when an edge would close a cycle: the proposed
 /// `a → b` contradicts an already-derived `b → a` (or `a == b`).
@@ -79,6 +88,13 @@ impl Clone for Rel {
     }
 }
 
+/// The empty order over zero elements, to refill or `clone_from` into.
+impl Default for Rel {
+    fn default() -> Self {
+        Rel::new(0)
+    }
+}
+
 impl Rel {
     /// The empty order over `0..n`.
     #[must_use]
@@ -97,10 +113,28 @@ impl Rel {
     /// Panics if an edge does not point forward or leaves `0..n`.
     #[must_use]
     pub fn from_forward_edges(n: usize, edges: &[(usize, usize)]) -> Self {
+        let mut r = Rel::new(0);
+        r.refill_forward_edges(n, edges);
+        r
+    }
+
+    /// [`from_forward_edges`](Self::from_forward_edges) in place: the
+    /// relation becomes the closure of `edges` over `0..n` with an empty
+    /// trail, reusing its buffers, so a relation rebuilt per input
+    /// allocates only when it grows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge does not point forward or leaves `0..n`.
+    pub fn refill_forward_edges(&mut self, n: usize, edges: &[(usize, usize)]) {
         debug_assert!(edges.windows(2).all(|e| e[0].1 <= e[1].1), "edges sorted by target");
-        let mut r = Rel::new(n);
-        let w = r.words;
-        let (succ, pred) = r.bits.split_at_mut(n * w);
+        let w = n.div_ceil(64).max(1);
+        self.n = n;
+        self.words = w;
+        self.bits.clear();
+        self.bits.resize(2 * n * w, 0);
+        self.trail.clear();
+        let (succ, pred) = self.bits.split_at_mut(n * w);
         // Every edge out of `b` has a later target, so `succ(b)` is final
         // when `a → b` is reached backward; symmetrically `pred(a)` forward.
         for &(a, b) in edges.iter().rev() {
@@ -120,7 +154,6 @@ impl Rel {
                 *dst |= src;
             }
         }
-        r
     }
 
     /// Number of elements.
@@ -133,6 +166,13 @@ impl Rel {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.n == 0
+    }
+
+    /// Words per row: the length of the bitset
+    /// [`add_edges_logged`](Self::add_edges_logged) takes.
+    #[must_use]
+    pub fn row_words(&self) -> usize {
+        self.words
     }
 
     #[inline]
@@ -175,8 +215,12 @@ impl Rel {
     ///
     /// Returns [`Cycle`] (leaving the relation unchanged) when `a == b` or
     /// `b → a` already holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
     pub fn add_edge(&mut self, a: usize, b: usize) -> Result<bool, Cycle> {
-        self.close::<false>(a, b)
+        self.insert::<false>(std::iter::once(a), b)
     }
 
     /// [`add_edge`](Self::add_edge), logging every word it changes on the
@@ -186,8 +230,35 @@ impl Rel {
     ///
     /// Returns [`Cycle`], changing and logging nothing, when `a == b` or
     /// `b → a` already holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of range.
     pub fn add_edge_logged(&mut self, a: usize, b: usize) -> Result<bool, Cycle> {
-        self.close::<true>(a, b)
+        self.insert::<true>(std::iter::once(a), b)
+    }
+
+    /// Adds `a → b` for every `a` in the bitset `tails` at once, logging
+    /// every word it changes: the same relation and trail-restorable state
+    /// as adding the edges one at a time, with one pass over the rows.
+    ///
+    /// Returns `Ok(true)` when some edge added new ordering, `Ok(false)`
+    /// when every tail already precedes `b` (an empty `tails` included).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Cycle`], changing and logging nothing, when some tail is
+    /// `b` or after it. (Adding one tail's edge cannot put `b` before
+    /// another tail, which would need `b` at or before the first, so no
+    /// tail is cleared by an earlier one.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tails` is not [`row_words`](Self::row_words) long, or
+    /// if `b` or a tail is out of range.
+    pub fn add_edges_logged(&mut self, tails: &[u64], b: usize) -> Result<bool, Cycle> {
+        assert_eq!(tails.len(), self.words, "tails must be one row wide");
+        self.insert::<true>(ones(tails), b)
     }
 
     /// The current end of the trail, to [`rollback`](Self::rollback) to.
@@ -208,66 +279,111 @@ impl Rel {
         }
     }
 
-    /// The one closure routine: every element at or before `a` now
-    /// precedes every element at or after `b`.
-    fn close<const LOG: bool>(&mut self, a: usize, b: usize) -> Result<bool, Cycle> {
-        if a == b || self.ordered(b, a) {
-            return Err(Cycle);
+    /// Runs the one closure routine at the row width: a width known to be
+    /// one word compiles to plain word operations, with no per-word loop.
+    #[inline]
+    fn insert<const LOG: bool>(
+        &mut self,
+        tails: impl Iterator<Item = usize> + Clone,
+        b: usize,
+    ) -> Result<bool, Cycle> {
+        if self.words == 1 {
+            self.close::<LOG, 1>(tails, b)
+        } else {
+            self.close::<LOG, 0>(tails, b)
         }
-        if self.ordered(a, b) {
+    }
+
+    /// The one closure routine: every element at or before some tail now
+    /// precedes every element at or after `b`. `W` is the row width when
+    /// it is fixed at compile time, or 0 for the run-time width.
+    fn close<const LOG: bool, const W: usize>(
+        &mut self,
+        tails: impl Iterator<Item = usize> + Clone,
+        b: usize,
+    ) -> Result<bool, Cycle> {
+        let (n, w) = (self.n, if W == 0 { self.words } else { W });
+        assert!(b < n, "element {b} out of range");
+        let (succ_b, pred_b) = (b * w, (n + b) * w);
+        let mut fresh = false;
+        for a in tails.clone() {
+            assert!(a < n, "element {a} out of range");
+            if a == b || Self::bit(&self.bits[succ_b..succ_b + w], a) {
+                return Err(Cycle);
+            }
+            fresh |= !Self::bit(&self.bits[pred_b..pred_b + w], a);
+        }
+        if !fresh {
             return Ok(false);
         }
-        // The source rows are read in place. The edge closes no cycle, so
-        // `b` is not in `pred(a) ∪ {a}` and `a` is not in `succ(b) ∪ {b}`:
-        // neither pass writes a row it reads.
-        let n = self.n;
-        self.union_rows::<LOG>((n + a, a), (b, b), 0);
-        self.union_rows::<LOG>((b, b), (n + a, a), n);
+        // No tail is at or after `b`, so no row is written before it is
+        // read for the last time. Pass one, a word at a time: the tails and
+        // their predecessors join `pred(b)`, and each element that joins
+        // gains `succ(b) ∪ {b}` (row `b` is never written here). Pass two:
+        // each element after `b` gains the grown `pred(b) ∪ {b}`.
+        for k in 0..w {
+            let old = self.bits[pred_b + k];
+            let joined = tails
+                .clone()
+                .fold(0, |acc, a| acc | self.bits[(n + a) * w + k] | single::<W>(a, k))
+                & !old;
+            if joined != 0 {
+                self.set::<LOG>(pred_b + k, old | joined);
+                self.union_rows::<LOG, W>(k, joined, 0, succ_b, b);
+            }
+        }
+        for k in 0..w {
+            let after = self.bits[succ_b + k];
+            self.union_rows::<LOG, W>(k, after, n, pred_b, b);
+        }
         Ok(true)
     }
 
-    /// For every `i` in `row(set.0) ∪ {set.1}`, ORs `row(from.0) ∪
-    /// {from.1}` into `row(base + i)`, logging each changed word when
-    /// `LOG`.
-    fn union_rows<const LOG: bool>(
+    /// For each set bit `i` of `set`, word `k` of some element set, ORs the
+    /// row starting at word `from`, plus `extra`, into row `base + 64k + i`.
+    #[inline(always)]
+    fn union_rows<const LOG: bool, const W: usize>(
         &mut self,
-        set: (usize, usize),
-        from: (usize, usize),
+        k: usize,
+        mut set: u64,
         base: usize,
+        from: usize,
+        extra: usize,
     ) {
-        let w = self.words;
-        let single = |x: usize, k: usize| if x / 64 == k { 1u64 << (x % 64) } else { 0 };
-        for sw in 0..w {
-            let mut pending = self.bits[set.0 * w + sw] | single(set.1, sw);
-            while pending != 0 {
-                let i = sw * 64 + pending.trailing_zeros() as usize;
-                pending &= pending - 1;
-                let dst = (base + i) * w;
-                for k in 0..w {
-                    let old = self.bits[dst + k];
-                    let new = old | self.bits[from.0 * w + k] | single(from.1, k);
-                    if new != old {
-                        if LOG {
-                            self.trail.push((dst + k, old));
-                        }
-                        self.bits[dst + k] = new;
-                    }
-                }
+        let w = if W == 0 { self.words } else { W };
+        while set != 0 {
+            let dst = (base + k * 64 + set.trailing_zeros() as usize) * w;
+            set &= set - 1;
+            for j in 0..w {
+                let new = self.bits[dst + j] | self.bits[from + j] | single::<W>(extra, j);
+                self.set::<LOG>(dst + j, new);
             }
+        }
+    }
+
+    /// Writes word `i`, logging its old value when `LOG` and it changes.
+    #[inline(always)]
+    fn set<const LOG: bool>(&mut self, i: usize, new: u64) {
+        let old = self.bits[i];
+        if new != old {
+            if LOG {
+                self.trail.push((i, old));
+            }
+            self.bits[i] = new;
         }
     }
 
     /// Elements strictly before `i`, ascending.
     #[must_use]
     pub fn predecessors(&self, i: usize) -> Vec<usize> {
-        iter_bits(self.row(self.n + i)).collect()
+        ones(self.row(self.n + i)).collect()
     }
 
     /// Elements strictly after `i`, ascending.
     #[must_use]
     pub fn successors(&self, i: usize) -> Vec<usize> {
         assert!(i < self.n, "element {i} out of range");
-        iter_bits(self.row(i)).collect()
+        ones(self.row(i)).collect()
     }
 
     /// Number of ordered pairs.
@@ -291,10 +407,7 @@ impl Rel {
         let mut out = Vec::with_capacity(self.n);
         for _ in 0..self.n {
             let next = (0..self.n)
-                .find(|&i| {
-                    !placed[i]
-                        && iter_bits(self.row(self.n + i)).all(|p| placed[p])
-                })
+                .find(|&i| !placed[i] && ones(self.row(self.n + i)).all(|p| placed[p]))
                 .expect("acyclic relation always has a minimal element");
             placed[next] = true;
             out.push(next);
@@ -303,20 +416,45 @@ impl Rel {
     }
 }
 
-/// Ascending indices of set bits.
-fn iter_bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    row.iter().enumerate().flat_map(|(w, &bits)| {
-        let mut bits = bits;
-        std::iter::from_fn(move || {
-            if bits == 0 {
-                None
-            } else {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                Some(w * 64 + b)
-            }
-        })
-    })
+/// Element `x` as word `k` of a row `W` words wide (0: any width). One
+/// word holds every element, so `W == 1` needs no word test.
+#[inline(always)]
+fn single<const W: usize>(x: usize, k: usize) -> u64 {
+    if W == 1 || x / 64 == k {
+        1 << (x % 64)
+    } else {
+        0
+    }
+}
+
+/// Ascending indices of the set bits of a bitset.
+#[derive(Clone)]
+struct Ones<'r> {
+    rest: &'r [u64],
+    word: u64,
+    base: usize,
+}
+
+fn ones(row: &[u64]) -> Ones<'_> {
+    match row.split_first() {
+        Some((&word, rest)) => Ones { rest, word, base: 0 },
+        None => Ones { rest: &[], word: 0, base: 0 },
+    }
+}
+
+impl Iterator for Ones<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            let (&word, rest) = self.rest.split_first()?;
+            (self.word, self.rest, self.base) = (word, rest, self.base + 64);
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
+    }
 }
 
 #[cfg(test)]

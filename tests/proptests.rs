@@ -8,7 +8,7 @@
 
 use weak_ordering::memory_model::hb::HbRelation;
 use weak_ordering::memory_model::race::{races_of, RaceDetector};
-use weak_ordering::memory_model::rel::Rel;
+use weak_ordering::memory_model::rel::{Cycle, Rel};
 use weak_ordering::memory_model::sc::{check_sc, ScCheckConfig, ScVerdict};
 use weak_ordering::memory_model::vc::VcHb;
 use weak_ordering::memory_model::{
@@ -176,6 +176,121 @@ fn bulk_built_rel_equals_edge_by_edge_rel() {
             }
             let bulk = Rel::from_forward_edges(n, &edges);
             assert_eq!(bulk, one_by_one, "n = {n}, edges = {edges:?}");
+        }
+    });
+}
+
+/// The transitive closure of `edges` over `0..n` by a depth-first search
+/// from every element: `reach[a * n + b]` iff `a` is strictly before `b`.
+/// The edges must be acyclic.
+fn naive_closure(n: usize, edges: &[(usize, usize)]) -> Vec<bool> {
+    let mut adj = vec![Vec::new(); n];
+    for &(a, b) in edges {
+        adj[a].push(b);
+    }
+    let mut reach = vec![false; n * n];
+    for s in 0..n {
+        let mut stack = vec![s];
+        while let Some(x) = stack.pop() {
+            for &y in &adj[x] {
+                if !reach[s * n + y] {
+                    reach[s * n + y] = true;
+                    stack.push(y);
+                }
+            }
+        }
+    }
+    reach
+}
+
+/// What inserting `tails → b` must return against the closure `reach`.
+fn naive_insert(reach: &[bool], n: usize, tails: &[usize], b: usize) -> Result<bool, Cycle> {
+    if tails.iter().any(|&a| a == b || reach[b * n + a]) {
+        Err(Cycle)
+    } else {
+        Ok(tails.iter().any(|&a| !reach[a * n + b]))
+    }
+}
+
+/// Both row families of `r` hold exactly the pairs of `reach`.
+fn assert_rel_is(r: &Rel, reach: &[bool], n: usize, step: &str) {
+    for i in 0..n {
+        let after: Vec<usize> = (0..n).filter(|&j| reach[i * n + j]).collect();
+        let before: Vec<usize> = (0..n).filter(|&j| reach[j * n + i]).collect();
+        assert_eq!(r.successors(i), after, "successors of {i} after {step}");
+        assert_eq!(r.predecessors(i), before, "predecessors of {i} after {step}");
+    }
+}
+
+/// Random mixes of single, logged and bulk insertions (forward, backward,
+/// reflexive and cycle-closing), marks and rollbacks agree, call by call,
+/// with a naive closure of the committed edges, at one-word rows (n ≤ 64)
+/// and multi-word rows alike; every rollback restores its mark's relation.
+#[test]
+fn rel_matches_a_naive_closure_through_inserts_and_rollbacks() {
+    for_each_case("rel_matches_a_naive_closure_through_inserts_and_rollbacks", |rng| {
+        for n in [1usize, 2, 63, 64, 65, 130] {
+            let mut r = Rel::new(n);
+            let mut edges: Vec<(usize, usize)> = Vec::new();
+            let mut reach = naive_closure(n, &edges);
+            // Outstanding marks: the trail position, the relation there and
+            // how many committed edges it held.
+            let mut marks: Vec<(usize, Rel, usize)> = Vec::new();
+            for _ in 0..24 {
+                let op = rng.index(10);
+                if op >= 8 {
+                    if op == 8 || marks.is_empty() {
+                        marks.push((r.mark(), r.clone(), edges.len()));
+                    } else {
+                        let k = rng.index(marks.len());
+                        marks.truncate(k + 1);
+                        let (m, ref snapshot, held) = marks[k];
+                        r.rollback(m);
+                        assert_eq!(r, *snapshot, "n = {n}: rollback to {m}");
+                        assert_eq!(r.mark(), m);
+                        edges.truncate(held);
+                        reach = naive_closure(n, &edges);
+                        assert_rel_is(&r, &reach, n, "rollback");
+                    }
+                    continue;
+                }
+                // A uniform head; each tail uniform (forward or backward),
+                // the head itself, or an element after it (a cycle attempt).
+                let b = rng.index(n);
+                let after: Vec<usize> = (0..n).filter(|&j| reach[b * n + j]).collect();
+                let draw = |rng: &mut Xoshiro256| match rng.index(4) {
+                    0 if !after.is_empty() => after[rng.index(after.len())],
+                    1 => b,
+                    _ => rng.index(n),
+                };
+                let (step, got, mut tails) = if op < 5 {
+                    let mut tails: Vec<usize> = (0..rng.index(5)).map(|_| draw(rng)).collect();
+                    tails.sort_unstable();
+                    tails.dedup();
+                    let mut set = vec![0u64; r.row_words()];
+                    for &a in &tails {
+                        set[a / 64] |= 1 << (a % 64);
+                    }
+                    let got = r.add_edges_logged(&set, b);
+                    (format!("add_edges_logged({tails:?}, {b})"), got, tails)
+                } else {
+                    let a = draw(rng);
+                    let got = if op == 7 {
+                        // Unlogged: no rollback may cross it.
+                        marks.clear();
+                        r.add_edge(a, b)
+                    } else {
+                        r.add_edge_logged(a, b)
+                    };
+                    (format!("add_edge({a}, {b})"), got, vec![a])
+                };
+                assert_eq!(got, naive_insert(&reach, n, &tails, b), "n = {n}: {step}");
+                if got.is_ok() {
+                    edges.extend(tails.drain(..).map(|a| (a, b)));
+                    reach = naive_closure(n, &edges);
+                }
+                assert_rel_is(&r, &reach, n, &step);
+            }
         }
     });
 }
