@@ -24,18 +24,21 @@
 //!
 //! Exits 1 after writing on any differential divergence, when no program
 //! completed under both explorers (the budget is too small to compare
-//! anything), or when `--min-converged-pps` is given and the
-//! converged-state explorer falls below that throughput floor (the
-//! regression gate for PR 8's state-key fix).
+//! anything), or when a throughput floor is given and missed:
+//! `--min-converged-pps` for the converged-state explorer (the regression
+//! gate for the interned state key, which replaced a quadratic one) and
+//! `--min-dpor-pps` for the DPOR explorer (the gate for steps that keep
+//! no state digest and undo their clocks without allocating).
 //!
 //! Usage:
 //!
 //! ```text
-//! explore_bench [--smoke] [--out PATH] [--corpus DIR] [--min-converged-pps F]
+//! explore_bench [--smoke] [--out PATH] [--corpus DIR] [--min-converged-pps F] [--min-dpor-pps F]
 //!   --smoke        CI variant: smaller step budgets, same corpus
 //!   --out PATH     where to write the JSON (default BENCH_explore.json)
 //!   --corpus DIR   litmus-tests directory (default: auto-detected)
 //!   --min-converged-pps F   fail if converged_state programs/sec < F
+//!   --min-dpor-pps F        fail if dpor programs/sec < F
 //! ```
 
 use std::path::PathBuf;
@@ -43,8 +46,8 @@ use std::path::PathBuf;
 use litmus::explore::{explore, explore_dpor, verdict_of, ExploreConfig, ExploreReport};
 use wo_bench::report::{self, best_of, Report};
 
-const USAGE: &str =
-    "explore_bench [--smoke] [--out PATH] [--corpus DIR] [--min-converged-pps F]";
+const USAGE: &str = "explore_bench [--smoke] [--out PATH] [--corpus DIR] [--min-converged-pps F] \
+                     [--min-dpor-pps F]";
 
 #[derive(Default)]
 struct StrategyStats {
@@ -76,12 +79,14 @@ fn main() {
     let mut out = PathBuf::from("BENCH_explore.json");
     let mut corpus_dir: Option<PathBuf> = None;
     let mut min_converged_pps = None;
+    let mut min_dpor_pps = None;
     report::parse_args(USAGE, |flag, args| {
         match flag {
             "--smoke" => smoke = true,
             "--out" => out = args.value(flag)?,
             "--corpus" => corpus_dir = Some(args.value(flag)?),
             "--min-converged-pps" => min_converged_pps = Some(args.value(flag)?),
+            "--min-dpor-pps" => min_dpor_pps = Some(args.value(flag)?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -173,5 +178,6 @@ fn main() {
     report.metric("dpor_speedup_vs_full", speedup);
     report.min("compared_complete_pairs", Some(1.0));
     report.min("converged_state.programs_per_sec", min_converged_pps);
+    report.min("dpor.programs_per_sec", min_dpor_pps);
     std::process::exit(report.write(&out));
 }

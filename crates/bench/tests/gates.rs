@@ -53,11 +53,15 @@ fn axiom_bench_fails_each_floor_and_ceiling() {
 }
 
 #[test]
-fn explore_bench_fails_its_throughput_floor() {
-    let (status, report) =
-        run(env!("CARGO_BIN_EXE_explore_bench"), "explore", &["--min-converged-pps", "1e12"]);
+fn explore_bench_fails_each_throughput_floor() {
+    let (status, report) = run(
+        env!("CARGO_BIN_EXE_explore_bench"),
+        "explore",
+        &["--min-converged-pps", "1e12", "--min-dpor-pps", "1e12"],
+    );
     assert_eq!(status, Some(1), "{report}");
     assert_failed(&report, "converged_state.programs_per_sec");
+    assert_failed(&report, "dpor.programs_per_sec");
 }
 
 #[test]

@@ -45,6 +45,15 @@
 //! expanded**, with deduplicated or sleep-set-skipped states counted in
 //! [`ExploreReport::pruned`], so [`IncompleteReason`] boundaries are
 //! comparable across strategies.
+//!
+//! A step pays only for what its walk reads. The reduction decides what
+//! the walk keeps, never an option: the race detector runs only where
+//! races are sound to collect ([`explore`], [`explore_dpor`]), and the
+//! state keeps a [`StateDigest`] ([`IdealState::with_digest`]) only in the
+//! converged walk, the one reader; the other walks step an
+//! [`IdealState::new`] state with no digest upkeep. The detector's clock
+//! undo saves clock words in a buffer the detector keeps, so taking and
+//! applying it allocates nothing.
 
 use std::collections::{HashMap, HashSet};
 
@@ -314,6 +323,10 @@ trait Reduction {
     /// states with different pasts would see only some of the races, so
     /// it must claim none.
     const RACES: bool = true;
+    /// Whether the walk's state keeps a [`StateDigest`]
+    /// ([`IdealState::with_digest`]). Only a reduction that reads the
+    /// digest should pay for its upkeep on every step and undo.
+    const DIGEST: bool = false;
 
     /// The gate for entering the current state: `true` when the walk may
     /// expand it, with the expansion counted against the budget.
@@ -359,7 +372,7 @@ struct Walk<'a, R> {
 fn walk<R: Reduction>(program: &Program, cfg: &ExploreConfig, reduction: R) -> (ExploreReport, R) {
     let mut walk = Walk {
         cfg,
-        state: IdealState::new(program),
+        state: if R::DIGEST { IdealState::with_digest(program) } else { IdealState::new(program) },
         detector: R::RACES.then(|| RaceDetector::with_mode(program.num_threads(), cfg.sync_mode)),
         reduction,
         report: ExploreReport::empty(),
@@ -687,6 +700,7 @@ struct Converged<A> {
 impl<A: DigestAudit> Reduction for Converged<A> {
     type Sleep = ();
     const RACES: bool = false;
+    const DIGEST: bool = true;
 
     fn admit(
         &mut self,
@@ -707,7 +721,7 @@ impl<A: DigestAudit> Reduction for Converged<A> {
         // a deterministic function of the values its reads returned, so
         // neither the `OpId` of each read nor the global interleaving order
         // of the history needs to be part of the key.
-        let digest = state.digest();
+        let digest = state.digest().expect("the converged walk keeps a digest");
         if self.visited.contains(digest) {
             report.pruned += 1;
             return false;
@@ -733,8 +747,9 @@ impl<A: DigestAudit> Reduction for Converged<A> {
 /// than [`explore`] on state-converging programs, but performs no race
 /// detection (see module docs for why pruning is unsound for races).
 ///
-/// States are deduplicated on the O(1) incremental [`StateDigest`]
-/// maintained by [`IdealState`], interned in a flat `InternTable` arena.
+/// States are deduplicated on the incremental [`StateDigest`] its state
+/// keeps ([`IdealState::with_digest`], one thread hash per step), interned
+/// in a flat `InternTable` arena.
 /// Because the digest is invariant under permutations of identical threads
 /// (see [`StateDigest`]), symmetric twins prune as converged states; the
 /// results their subtrees would have produced are reconstructed exactly by
@@ -886,7 +901,7 @@ struct Auditor {
 
 impl DigestAudit for Auditor {
     fn entered(&mut self, state: &IdealState<'_>) {
-        let digest = state.digest();
+        let digest = state.digest().expect("the converged walk keeps a digest");
         assert_eq!(
             digest,
             state.digest_from_scratch(),
@@ -901,7 +916,7 @@ impl DigestAudit for Auditor {
     fn undone(&mut self, state: &IdealState<'_>) {
         assert_eq!(
             state.digest(),
-            state.digest_from_scratch(),
+            Some(state.digest_from_scratch()),
             "digest diverged after undo"
         );
     }

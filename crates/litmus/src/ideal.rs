@@ -16,16 +16,20 @@
 //! locations (the DSL has no computed addressing, so
 //! [`Program::locations`] is exhaustive). No step allocates.
 //!
-//! On top of that layout the interpreter maintains a 128-bit
-//! [`StateDigest`] *incrementally*: each step updates the digest in O(1)
-//! (detach the stepping thread's contribution, apply the step, re-attach),
-//! and [`IdealState::undo`] restores it exactly. The digest identifies the
-//! tuple the converged-state explorer used to rebuild per node as three
-//! heap `Vec`s — per-thread (pc, registers, read-value history) plus the
-//! memory snapshot — which made every DFS node O(trace length). See
-//! [`StateDigest`] for the construction and its thread-symmetry property,
-//! and [`IdealState::digest_from_scratch`] for the independent
-//! recomputation the collision-audit tests check against.
+//! A state built by [`IdealState::with_digest`] also keeps a 128-bit
+//! [`StateDigest`] *incrementally*, for the converged-state explorer, the
+//! only reader: each thread's current contribution is cached, so a step
+//! hashes the stepping thread once and swaps the new contribution in, and
+//! [`IdealState::undo`] swaps the saved one back without hashing. A state
+//! built by [`IdealState::new`] keeps no digest and pays none of that
+//! upkeep: no thread hash, no memory-cell accumulator, no read history
+//! ([`IdealState::digest`] is `None` there, never stale). The digest
+//! identifies the tuple the converged-state explorer used to rebuild per
+//! node as three heap `Vec`s — per-thread (pc, registers, read-value
+//! history) plus the memory snapshot — which made every DFS node
+//! O(trace length). See [`StateDigest`] for the construction and its
+//! thread-symmetry property, and [`IdealState::digest_from_scratch`] for
+//! the independent recomputation the collision-audit tests check against.
 
 use memory_model::{Execution, Loc, Memory, OpId, Operation, ProcId, Value};
 
@@ -86,11 +90,15 @@ pub type ThreadStateKey = Vec<(usize, [Value; NUM_REGS])>;
 ///   what distinguishes converged architectural states with different
 ///   observable pasts.
 ///
-/// Every accumulator update is O(1) and exactly invertible, which is what
-/// lets [`IdealState::step`] and [`IdealState::undo`] maintain the digest
-/// without rehashing: the collision-audit property tests assert
-/// incremental == [`IdealState::digest_from_scratch`] after every
-/// step/undo pair across 500 fuzz-generated programs.
+/// Every accumulator update is O(1) and exactly invertible. A state that
+/// keeps the digest ([`IdealState::with_digest`]) also caches each
+/// thread's current contribution, so [`IdealState::step`] hashes the
+/// stepping thread once (its new contribution replaces the cached one in
+/// the accumulator) and [`IdealState::undo`] puts the contribution its
+/// [`StepUndo`] saved back without hashing at all. The collision-audit
+/// property tests assert incremental ==
+/// [`IdealState::digest_from_scratch`] after every step/undo pair across
+/// 500 fuzz-generated programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct StateDigest(pub u64, pub u64);
 
@@ -174,16 +182,52 @@ pub struct IdealState<'p> {
     /// The memory slot overwritten by the most recent step, captured so
     /// [`IdealState::step_undoable`] can hand out an O(1) undo record.
     last_write_undo: Option<(u32, Value)>,
+    /// The [`StateDigest`] upkeep, present exactly for a state built by
+    /// [`IdealState::with_digest`].
+    digest: Option<Digest>,
+}
+
+/// What a state that keeps a [`StateDigest`] maintains beside the
+/// architectural state.
+#[derive(Debug, Clone)]
+struct Digest {
     /// Thread identity classes ([`Program::thread_identity_classes`]),
     /// folded into digest contributions in place of thread indices.
     classes: Vec<u32>,
-    /// Per-thread, per-lane order-dependent hash of the values the
-    /// thread's reads have returned.
-    hist: Vec<[u64; 2]>,
+    threads: Vec<ThreadDigest>,
     /// Per-lane accumulator of thread contributions.
     thr_acc: [Acc; 2],
     /// Per-lane accumulator of non-zero memory-cell contributions.
     mem_acc: [Acc; 2],
+}
+
+/// One thread's part of a kept [`StateDigest`], per lane.
+#[derive(Debug, Clone, Copy, Default)]
+struct ThreadDigest {
+    /// Order-dependent hash of the values the thread's reads have returned.
+    hist: [u64; 2],
+    /// The thread's contribution as it sits in `thr_acc` now.
+    contrib: [u64; 2],
+}
+
+impl Digest {
+    /// Swaps thread `t`'s cached contribution for `contrib` in the
+    /// accumulators.
+    #[inline]
+    fn set_contrib(&mut self, t: usize, contrib: [u64; 2]) {
+        let old = std::mem::replace(&mut self.threads[t].contrib, contrib);
+        for lane in 0..2 {
+            self.thr_acc[lane].sub(old[lane]);
+            self.thr_acc[lane].add(contrib[lane]);
+        }
+    }
+
+    fn finish(&self) -> StateDigest {
+        StateDigest(
+            finalize_lane(0, self.thr_acc[0], self.mem_acc[0]),
+            finalize_lane(1, self.thr_acc[1], self.mem_acc[1]),
+        )
+    }
 }
 
 /// An O(1)-sized record reversing one [`IdealState::step_undoable`] call.
@@ -191,15 +235,17 @@ pub struct IdealState<'p> {
 /// Exhaustive exploration used to clone the whole state (threads, memory,
 /// op history) per transition — O(states × threads) allocation. An undo
 /// log stores only what one step can touch: one thread's registers, one
-/// memory cell, one op-sequence counter, and the thread's two
-/// read-history hash lanes. The DFS allocates O(depth).
+/// memory cell, one op-sequence counter, and, where the state keeps a
+/// [`StateDigest`], the thread's read-history hash and digest
+/// contribution as they were, so the undo puts the contribution back
+/// without rehashing the thread. The DFS allocates O(depth).
 #[derive(Debug)]
 pub struct StepUndo {
     thread: usize,
     prev_pc: usize,
     prev_regs: [Value; NUM_REGS],
     prev_local_steps: u64,
-    prev_hist: [u64; 2],
+    prev_digest: ThreadDigest,
     prev_mem: Option<(u32, Value)>,
     performed_op: bool,
     prev_seq: u32,
@@ -209,7 +255,7 @@ impl<'p> IdealState<'p> {
     /// Default per-thread local-instruction budget.
     pub const DEFAULT_LOCAL_STEP_LIMIT: u64 = 10_000;
 
-    /// Creates the initial state of `program`.
+    /// Creates the initial state of `program`, keeping no [`StateDigest`].
     #[must_use]
     pub fn new(program: &'p Program) -> Self {
         let n = program.num_threads();
@@ -219,7 +265,7 @@ impl<'p> IdealState<'p> {
             let slot = locs.binary_search(&loc).expect("init loc is in the table");
             mem[slot] = v;
         }
-        let mut state = IdealState {
+        IdealState {
             program,
             pcs: vec![0; n],
             regs: vec![[0; NUM_REGS]; n],
@@ -230,22 +276,33 @@ impl<'p> IdealState<'p> {
             next_seq: vec![0; n],
             local_step_limit: Self::DEFAULT_LOCAL_STEP_LIMIT,
             last_write_undo: None,
+            digest: None,
+        }
+    }
+
+    /// Creates the initial state of `program`, keeping its [`StateDigest`]
+    /// up to date through every step and undo.
+    #[must_use]
+    pub fn with_digest(program: &'p Program) -> Self {
+        let mut state = Self::new(program);
+        let mut digest = Digest {
             classes: program.thread_identity_classes(),
-            hist: vec![[0; 2]; n],
+            threads: vec![ThreadDigest::default(); state.pcs.len()],
             thr_acc: [Acc::default(); 2],
             mem_acc: [Acc::default(); 2],
         };
-        for lane in 0..2 {
-            for t in 0..n {
-                let c = state.thread_contrib(lane, t, state.hist[t][lane]);
-                state.thr_acc[lane].add(c);
-            }
-            for (slot, &v) in state.mem.iter().enumerate() {
-                if v != 0 {
-                    state.mem_acc[lane].add(cell_contrib(lane, state.locs[slot], v));
+        for t in 0..state.pcs.len() {
+            let c = thread_contrib(digest.classes[t], state.pcs[t], &state.regs[t], [0; 2]);
+            digest.set_contrib(t, c);
+        }
+        for (slot, &v) in state.mem.iter().enumerate() {
+            if v != 0 {
+                for lane in 0..2 {
+                    digest.mem_acc[lane].add(cell_contrib(lane, state.locs[slot], v));
                 }
             }
         }
+        state.digest = Some(digest);
         state
     }
 
@@ -289,13 +346,15 @@ impl<'p> IdealState<'p> {
     /// Panics if `t` is out of range.
     pub fn step(&mut self, t: usize) -> StepOutcome {
         self.last_write_undo = None;
-        // Incremental digest maintenance: remove t's contribution, run the
-        // step (which may change t's pc/registers/history and one memory
-        // cell — the cell updates its accumulator at the write site), then
-        // re-attach t's contribution. O(1) in program and trace size.
-        self.detach_thread(t);
         let outcome = self.step_inner(t);
-        self.attach_thread(t);
+        // Incremental digest upkeep: the step may have changed t's
+        // pc/registers/history (a `Halted` or `StepLimit` step too) and one
+        // memory cell, which updated its accumulator at the write site.
+        // Hash t once and swap the result in for its cached contribution.
+        if let Some(digest) = &mut self.digest {
+            let c = thread_contrib(digest.classes[t], self.pcs[t], &self.regs[t], digest.threads[t].hist);
+            digest.set_contrib(t, c);
+        }
         outcome
     }
 
@@ -381,7 +440,7 @@ impl<'p> IdealState<'p> {
         let prev_regs = self.regs[t];
         let prev_pc = self.pcs[t];
         let prev_local_steps = self.local_steps[t];
-        let prev_hist = self.hist[t];
+        let prev_digest = self.digest.as_ref().map_or_else(ThreadDigest::default, |d| d.threads[t]);
         let prev_seq = self.next_seq[t];
         let outcome = self.step(t);
         let undo = StepUndo {
@@ -389,7 +448,7 @@ impl<'p> IdealState<'p> {
             prev_pc,
             prev_regs,
             prev_local_steps,
-            prev_hist,
+            prev_digest,
             prev_mem: self.last_write_undo.take(),
             performed_op: matches!(outcome, StepOutcome::Performed(_)),
             prev_seq,
@@ -397,18 +456,20 @@ impl<'p> IdealState<'p> {
         (outcome, undo)
     }
 
-    /// Reverses the step that produced `undo`, including the incremental
-    /// [`StateDigest`]. Undo records must be applied in LIFO order (most
-    /// recent step first); the exploration DFS guarantees that by
+    /// Reverses the step that produced `undo`, including a kept
+    /// [`StateDigest`], whose thread contribution the record saved, so
+    /// nothing is rehashed. Undo records must be applied in LIFO order
+    /// (most recent step first); the exploration DFS guarantees that by
     /// construction.
     pub fn undo(&mut self, undo: StepUndo) {
         let t = undo.thread;
-        self.detach_thread(t);
         self.pcs[t] = undo.prev_pc;
         self.regs[t] = undo.prev_regs;
         self.local_steps[t] = undo.prev_local_steps;
-        self.hist[t] = undo.prev_hist;
-        self.attach_thread(t);
+        if let Some(digest) = &mut self.digest {
+            digest.threads[t].hist = undo.prev_digest.hist;
+            digest.set_contrib(t, undo.prev_digest.contrib);
+        }
         self.next_seq[t] = undo.prev_seq;
         if undo.performed_op {
             self.ops.pop();
@@ -514,103 +575,78 @@ impl<'p> IdealState<'p> {
         )
     }
 
-    /// The incrementally maintained [`StateDigest`]. O(1): the
+    /// The incrementally maintained [`StateDigest`], or `None` for a state
+    /// built by [`IdealState::new`], which keeps none. O(1): the
     /// accumulators are combined and finalized, nothing is rehashed.
     #[must_use]
-    pub fn digest(&self) -> StateDigest {
-        StateDigest(self.lane_digest(0), self.lane_digest(1))
+    pub fn digest(&self) -> Option<StateDigest> {
+        self.digest.as_ref().map(Digest::finish)
     }
 
-    /// Recomputes the [`StateDigest`] from nothing but the current
-    /// architectural state and the op history — the independent oracle the
-    /// collision-audit tests compare [`IdealState::digest`] against after
-    /// every step/undo pair. O(threads × registers + trace + memory).
+    /// Recomputes the [`StateDigest`] from nothing but the program, the
+    /// current architectural state and the op history — the independent
+    /// oracle the collision-audit tests compare [`IdealState::digest`]
+    /// against after every step/undo pair. Works whether or not the state
+    /// keeps a digest. O(threads × registers + trace + memory).
     #[must_use]
     pub fn digest_from_scratch(&self) -> StateDigest {
         // Replay per-thread read histories from the op list rather than
-        // trusting the incrementally maintained `hist` lanes.
+        // trusting the incrementally maintained ones.
         let mut hist = vec![[0u64; 2]; self.pcs.len()];
         for op in &self.ops {
             if let Some(v) = op.read_value {
-                for (lane, h) in hist[op.proc.index()].iter_mut().enumerate() {
-                    *h = hist_step(lane, *h, v);
+                let h = &mut hist[op.proc.index()];
+                *h = [hist_step(0, h[0], v), hist_step(1, h[1], v)];
+            }
+        }
+        let classes = self.program.thread_identity_classes();
+        let mut thr = [Acc::default(); 2];
+        for (t, h) in hist.iter().enumerate() {
+            let c = thread_contrib(classes[t], self.pcs[t], &self.regs[t], *h);
+            for lane in 0..2 {
+                thr[lane].add(c[lane]);
+            }
+        }
+        let mut mem = [Acc::default(); 2];
+        for (i, &v) in self.mem.iter().enumerate() {
+            if v != 0 {
+                for (lane, acc) in mem.iter_mut().enumerate() {
+                    acc.add(cell_contrib(lane, self.locs[i], v));
                 }
             }
         }
-        let mut out = [0u64; 2];
-        for (lane, slot) in out.iter_mut().enumerate() {
-            let mut thr = Acc::default();
-            for (t, h) in hist.iter().enumerate() {
-                thr.add(self.thread_contrib(lane, t, h[lane]));
-            }
-            let mut mem = Acc::default();
-            for (i, &v) in self.mem.iter().enumerate() {
-                if v != 0 {
-                    mem.add(cell_contrib(lane, self.locs[i], v));
-                }
-            }
-            *slot = finalize_lane(lane, thr, mem);
-        }
-        StateDigest(out[0], out[1])
+        StateDigest(finalize_lane(0, thr[0], mem[0]), finalize_lane(1, thr[1], mem[1]))
     }
 
-    fn lane_digest(&self, lane: usize) -> u64 {
-        finalize_lane(lane, self.thr_acc[lane], self.mem_acc[lane])
-    }
-
-    /// One thread's digest contribution: identity class (not index — see
-    /// [`StateDigest`]), pc, registers, and the given read-history hash.
-    fn thread_contrib(&self, lane: usize, t: usize, hist: u64) -> u64 {
-        let mut h = mix(LANE[lane] ^ (u64::from(self.classes[t]) << 32) ^ self.pcs[t] as u64);
-        for &r in &self.regs[t] {
-            h = mix(h ^ r);
-        }
-        mix(h ^ hist)
-    }
-
-    #[inline]
-    fn detach_thread(&mut self, t: usize) {
-        for lane in 0..2 {
-            let c = self.thread_contrib(lane, t, self.hist[t][lane]);
-            self.thr_acc[lane].sub(c);
-        }
-    }
-
-    #[inline]
-    fn attach_thread(&mut self, t: usize) {
-        for lane in 0..2 {
-            let c = self.thread_contrib(lane, t, self.hist[t][lane]);
-            self.thr_acc[lane].add(c);
-        }
-    }
-
-    /// Folds one read value into thread `t`'s history lanes. Called while
-    /// the thread is detached from the accumulators (inside a step).
+    /// Folds one read value into thread `t`'s history lanes, where the
+    /// state keeps a digest. The step re-hashes the thread after it.
     #[inline]
     fn record_read(&mut self, t: usize, v: Value) {
-        for lane in 0..2 {
-            self.hist[t][lane] = hist_step(lane, self.hist[t][lane], v);
+        if let Some(digest) = &mut self.digest {
+            let h = &mut digest.threads[t].hist;
+            *h = [hist_step(0, h[0], v), hist_step(1, h[1], v)];
         }
     }
 
-    /// Writes `v` to memory slot `slot`, keeping the per-lane memory
-    /// accumulators exact (remove the old non-zero cell contribution, add
-    /// the new one).
+    /// Writes `v` to memory slot `slot`, keeping a kept digest's per-lane
+    /// memory accumulators exact (remove the old non-zero cell
+    /// contribution, add the new one).
     fn mem_store(&mut self, slot: usize, v: Value) {
-        let old = self.mem[slot];
-        if old == v {
-            return;
-        }
-        let loc = self.locs[slot];
-        for lane in 0..2 {
-            if old != 0 {
-                self.mem_acc[lane].sub(cell_contrib(lane, loc, old));
+        let old = std::mem::replace(&mut self.mem[slot], v);
+        if let Some(digest) = &mut self.digest {
+            if old == v {
+                return;
             }
-            if v != 0 {
-                self.mem_acc[lane].add(cell_contrib(lane, loc, v));
+            let loc = self.locs[slot];
+            for (lane, acc) in digest.mem_acc.iter_mut().enumerate() {
+                if old != 0 {
+                    acc.sub(cell_contrib(lane, loc, old));
+                }
+                if v != 0 {
+                    acc.add(cell_contrib(lane, loc, v));
+                }
             }
         }
-        self.mem[slot] = v;
     }
 
     #[inline]
@@ -647,6 +683,20 @@ impl<'p> IdealState<'p> {
         }
         Some(state.into_execution())
     }
+}
+
+/// One thread's digest contribution in both lanes: identity class (not
+/// index — see [`StateDigest`]), pc, registers, and the read-history hash
+/// `hist`. The lanes run interleaved over one pass of the registers, each
+/// with its own seed.
+#[inline]
+fn thread_contrib(class: u32, pc: usize, regs: &[Value; NUM_REGS], hist: [u64; 2]) -> [u64; 2] {
+    let key = (u64::from(class) << 32) ^ pc as u64;
+    let mut h = [mix(LANE[0] ^ key), mix(LANE[1] ^ key)];
+    for &r in regs {
+        h = [mix(h[0] ^ r), mix(h[1] ^ r)];
+    }
+    [mix(h[0] ^ hist[0]), mix(h[1] ^ hist[1])]
 }
 
 /// One order-dependent history-hash step: folds `v` into the running lane
@@ -825,7 +875,7 @@ mod tests {
     #[test]
     fn undo_restores_state_and_op_sequence() {
         let p = two_thread_handoff();
-        let mut s = IdealState::new(&p);
+        let mut s = IdealState::with_digest(&p);
         s.step(0); // W(x)=1 performed for real
         let key_before = s.state_key();
         let digest_before = s.digest();
@@ -910,41 +960,84 @@ mod tests {
     }
 
     #[test]
+    fn only_a_state_built_with_a_digest_hands_one_out() {
+        let p = two_thread_handoff();
+        let mut plain = IdealState::new(&p);
+        let mut kept = IdealState::with_digest(&p);
+        for t in [1, 0, 0, 1] {
+            assert_eq!(plain.step(t), kept.step(t));
+        }
+        assert_eq!(plain.digest(), None);
+        assert_eq!(kept.digest(), Some(kept.digest_from_scratch()));
+        assert_eq!(plain.digest_from_scratch(), kept.digest_from_scratch());
+        assert_eq!(plain.state_key(), kept.state_key());
+    }
+
+    #[test]
     fn digest_distinguishes_states_and_matches_scratch() {
         let p = two_thread_handoff();
-        let mut a = IdealState::new(&p);
-        let b = IdealState::new(&p);
+        let mut a = IdealState::with_digest(&p);
+        let b = IdealState::with_digest(&p);
         assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.digest(), a.digest_from_scratch());
+        assert_eq!(a.digest(), Some(a.digest_from_scratch()));
         a.step(0);
         assert_ne!(a.digest(), b.digest());
-        assert_eq!(a.digest(), a.digest_from_scratch());
+        assert_eq!(a.digest(), Some(a.digest_from_scratch()));
         a.step(1);
         a.step(1);
-        assert_eq!(a.digest(), a.digest_from_scratch());
+        assert_eq!(a.digest(), Some(a.digest_from_scratch()));
     }
 
     #[test]
     fn digest_tracks_through_step_undo_pairs() {
-        let p = two_thread_handoff();
-        let mut s = IdealState::new(&p);
-        // Walk a schedule, checking incremental == from-scratch at every
-        // node, then unwind it all and check the digests retrace exactly.
-        let schedule = [1usize, 0, 0, 1];
-        let mut digests = vec![s.digest()];
-        let mut undos = Vec::new();
-        for &t in &schedule {
-            let (_, undo) = s.step_undoable(t);
-            undos.push(undo);
-            assert_eq!(s.digest(), s.digest_from_scratch());
-            digests.push(s.digest());
+        // The handoff, plus a program whose threads change their digest
+        // contribution without a memory operation: T2 halts after local
+        // instructions (`Halted`), T3 spins on a local loop that bumps r1
+        // until the local step limit (`StepLimit`).
+        let halting = Program::new(vec![
+            Thread::new().write(Loc(0), 1).sync_write(Loc(9), 1),
+            Thread::new().sync_read(Loc(9), Reg(0)).read(Loc(0), Reg(1)),
+            Thread::new().write(Loc(1), 3).mov(Reg(0), 5).add(Reg(1), Reg(0), 2u64),
+            Thread::new().read(Loc(1), Reg(0)).add(Reg(1), Reg(1), 1u64).jump(1),
+        ])
+        .unwrap();
+        let inputs = [
+            (two_thread_handoff(), vec![1usize, 0, 0, 1]),
+            (halting, vec![2, 3, 2, 0, 3, 1, 0, 1, 3]),
+        ];
+        let mut outcomes = Vec::new();
+        for (p, schedule) in &inputs {
+            let mut s = IdealState::with_digest(p);
+            let scratch = |s: &IdealState<'_>| Some(s.digest_from_scratch());
+            // Walk the schedule. Each step is taken, undone and taken again,
+            // so an undo must restore the digest and leave the cached
+            // contribution right for the thread's next step; incremental ==
+            // from-scratch at every node. Then unwind it all and check the
+            // digests retrace exactly.
+            let mut digests = vec![s.digest()];
+            let mut undos = Vec::new();
+            for &t in schedule {
+                let (first, undo) = s.step_undoable(t);
+                assert_eq!(s.digest(), scratch(&s));
+                let stepped = s.digest();
+                s.undo(undo);
+                assert_eq!(s.digest(), *digests.last().unwrap());
+                assert_eq!(s.digest(), scratch(&s));
+                let (again, undo) = s.step_undoable(t);
+                assert_eq!((again, s.digest()), (first, stepped));
+                outcomes.push(again);
+                undos.push(undo);
+                digests.push(s.digest());
+            }
+            for undo in undos.into_iter().rev() {
+                s.undo(undo);
+                digests.pop();
+                assert_eq!(s.digest(), *digests.last().unwrap());
+                assert_eq!(s.digest(), scratch(&s));
+            }
         }
-        for undo in undos.into_iter().rev() {
-            s.undo(undo);
-            digests.pop();
-            assert_eq!(s.digest(), *digests.last().unwrap());
-            assert_eq!(s.digest(), s.digest_from_scratch());
-        }
+        assert!(outcomes.contains(&StepOutcome::Halted), "{outcomes:?}");
+        assert!(outcomes.contains(&StepOutcome::StepLimit), "{outcomes:?}");
     }
 
     #[test]
@@ -954,8 +1047,8 @@ mod tests {
         // identity class, not the index).
         let mk = || Thread::new().fetch_add(Loc(0), Reg(0), 1).write(Loc(1), Reg(0));
         let p = Program::new(vec![mk(), mk()]).unwrap();
-        let mut a = IdealState::new(&p);
-        let mut b = IdealState::new(&p);
+        let mut a = IdealState::with_digest(&p);
+        let mut b = IdealState::with_digest(&p);
         a.step(0); // thread 0 does the fetch_add first
         b.step(1); // mirror image: thread 1 does it
         assert_eq!(a.digest(), b.digest(), "same-class threads commute");
@@ -973,8 +1066,8 @@ mod tests {
             Thread::new().write(Loc(1), 1),
         ])
         .unwrap();
-        let mut a = IdealState::new(&p);
-        let mut b = IdealState::new(&p);
+        let mut a = IdealState::with_digest(&p);
+        let mut b = IdealState::with_digest(&p);
         a.step(0);
         b.step(1);
         assert_ne!(a.digest(), b.digest(), "different code, different digest");
@@ -991,12 +1084,12 @@ mod tests {
         ])
         .unwrap();
         // Path A: P1 reads before P0's write (sees 0), then P0 writes.
-        let mut a = IdealState::new(&p);
+        let mut a = IdealState::with_digest(&p);
         a.step(1); // sync read -> 0
         a.step(0); // sync write 1
         a.step(1); // mov overwrites r0 with 7; P1 halts
         // Path B: P0 writes first, P1 reads 1, mov overwrites.
-        let mut b = IdealState::new(&p);
+        let mut b = IdealState::with_digest(&p);
         b.step(0);
         b.step(1);
         b.step(1);

@@ -273,29 +273,42 @@ impl RaceDetector {
     ///
     /// Panics if `op.proc` is outside the range given to [`RaceDetector::new`].
     pub fn observe(&mut self, op: &Operation) -> Vec<Race> {
-        let undo = self.observe_undoable(op);
-        self.races[undo.races_len..].to_vec()
+        let races_len = self.races.len();
+        self.step(op, false);
+        self.races[races_len..].to_vec()
     }
 
     /// Like [`RaceDetector::observe`], but returns an [`ObserveUndo`] that
     /// reverses the observation via [`RaceDetector::undo`].
     ///
     /// One observation touches one processor clock, at most one published
-    /// clock, and at most two history slots, so the record is O(procs) —
-    /// the exploration DFS uses it instead of cloning the whole detector
-    /// (O(procs² + locations)) per transition.
+    /// clock, and at most two history slots, so the record is O(1): the
+    /// displaced clock words wait in the detector's [`HbClocks`] (see
+    /// [`HbClocks::mark`]), so taking the record allocates nothing (a
+    /// location's first touch and a release that opens its location's
+    /// slot still allocate in the step itself). The exploration DFS uses
+    /// it instead of cloning the whole detector (O(procs² + locations))
+    /// per transition.
     ///
     /// # Panics
     ///
     /// Panics if `op.proc` is outside the range given to [`RaceDetector::new`].
     pub fn observe_undoable(&mut self, op: &Operation) -> ObserveUndo {
+        let races_len = self.races.len();
+        let (clocks, history) = self.step(op, true);
+        let clocks = clocks.expect("an undoable step marks its clocks");
+        ObserveUndo { loc: op.loc, clocks, history, races_len }
+    }
+
+    /// Race-checks and records `op`; with `undoable`, first marks what
+    /// its clock step may change.
+    fn step(&mut self, op: &Operation, undoable: bool) -> (Option<ClockUndo>, LocationUndo) {
         let p = op.proc.index();
         let procs = self.clocks.procs();
         assert!(p < procs, "processor {} out of range", op.proc);
-        let races_len = self.races.len();
         let (hist, slot) =
             self.locations.entry(op.loc).or_insert_with(|| (LocationState::new(procs), None));
-        let clocks = self.clocks.mark(op, p, *slot);
+        let clocks = undoable.then(|| self.clocks.mark(op, p, *slot));
         // A synchronization operation acquires the happens-before knowledge
         // published by every earlier synchronization on the same location
         // (the so edge) *before* its own access is race-checked, so
@@ -303,7 +316,7 @@ impl RaceDetector {
         let clock = self.clocks.acquire(op, p, *slot);
         let history = hist.observe(op, p, clock, &mut self.races);
         self.clocks.release(op, p, slot);
-        ObserveUndo { loc: op.loc, clocks, history, races_len }
+        (clocks, history)
     }
 
     /// Reverses the observation that produced `undo`. Undo records must be
@@ -375,11 +388,16 @@ fn procs_of(exec: &Execution) -> usize {
 /// ```
 #[must_use]
 pub fn races_of(exec: &Execution, mode: SyncMode) -> Vec<Race> {
+    observe_all(exec, mode).races
+}
+
+/// A detector that has observed every operation of `exec`.
+fn observe_all(exec: &Execution, mode: SyncMode) -> RaceDetector {
     let mut det = RaceDetector::with_mode(procs_of(exec), mode);
     for op in exec.ops() {
         det.observe(op);
     }
-    det.races
+    det
 }
 
 #[cfg(test)]
@@ -596,6 +614,31 @@ mod tests {
             }
             assert_eq!(det.races(), fresh.races(), "{undone:?}");
             assert_eq!(det.races().len(), 1, "{undone:?}: the last access races with op 0");
+        }
+    }
+
+    #[test]
+    fn observations_without_undo_keep_no_clock_words() {
+        // A long execution of releases, acquires and data accesses: an
+        // `observe` discards its undo record, so it must save no clock
+        // words either, or the buffer would grow by `procs` words per op.
+        let ops: Vec<_> = (0..600u64)
+            .map(|i| {
+                let (p, l) = ((i % 3) as u16, (i % 5) as u32);
+                match i % 4 {
+                    0 => s(i, p, 8 + l % 2),
+                    1 => sr(i, p, 8 + l % 2),
+                    2 => w(i, p, l),
+                    _ => r(i, p, l),
+                }
+            })
+            .collect();
+        let exec = Execution::new(ops).unwrap();
+        for mode in [SyncMode::Drf0, SyncMode::ReleaseWrites] {
+            let det = observe_all(&exec, mode);
+            assert_eq!(det.clocks.saved_words(), 0, "{mode:?}");
+            assert_eq!(det.races, races_of(&exec, mode), "{mode:?}");
+            assert!(!det.races.is_empty(), "{mode:?}: the data accesses race");
         }
     }
 

@@ -127,6 +127,12 @@ impl fmt::Display for VectorClock {
 /// (`None` until its first publish) in its own per-location entry, so one
 /// location lookup per event serves both the step and the race check.
 ///
+/// A caller that may take an operation back calls [`HbClocks::mark`]
+/// first: it pushes the clock words the pair may overwrite onto a LIFO
+/// buffer inside `HbClocks`, and [`HbClocks::undo`] pops them back, so
+/// neither allocates once the buffer has grown to the deepest nesting. A
+/// caller that never undoes skips `mark` and leaves nothing there.
+///
 /// # Examples
 ///
 /// ```
@@ -148,17 +154,31 @@ pub struct HbClocks {
     clocks: Vec<VectorClock>,
     published: Vec<VectorClock>,
     max_published: usize,
+    /// The clock words open [`ClockUndo`] records displaced, most recent
+    /// last: `procs` words of a processor clock, then, for a release into
+    /// an open slot, `procs` words of the slot's clock.
+    saved: Vec<u32>,
 }
 
 /// Reverses one [`HbClocks::acquire`] and [`HbClocks::release`] pair; made
 /// by [`HbClocks::mark`] before the pair and applied by [`HbClocks::undo`].
+/// The clock words it restores wait in the `HbClocks` that made it, so the
+/// record itself is two words.
 #[derive(Debug)]
 pub struct ClockUndo {
     p: usize,
-    clock: VectorClock,
-    /// `Some` when the operation releases: the slot's clock before the
-    /// release, `None` for a slot it opened.
-    published: Option<Option<VectorClock>>,
+    published: Published,
+}
+
+/// What the release a [`ClockUndo`] covers may do to its location's slot.
+#[derive(Debug, Clone, Copy)]
+enum Published {
+    /// The operation does not release.
+    Nothing,
+    /// It overwrites the open slot's clock, whose words were saved.
+    Displaces,
+    /// It opens the slot, unless `max_published` refuses.
+    Opens,
 }
 
 impl HbClocks {
@@ -172,6 +192,7 @@ impl HbClocks {
             clocks: vec![VectorClock::new(procs); procs],
             published: Vec::new(),
             max_published: max_published.min(u32::MAX as usize),
+            saved: Vec::new(),
         }
     }
 
@@ -242,37 +263,59 @@ impl HbClocks {
     }
 
     /// Records what `acquire` and `release` of `op` on `p`, with the
-    /// location's `slot` as it is now, may change.
+    /// location's `slot` as it is now, may change: saves `p`'s clock and,
+    /// when `op` releases into an open slot, the slot's clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` or `slot` is out of range.
     #[must_use]
-    pub fn mark(&self, op: &Operation, p: usize, slot: Option<u32>) -> ClockUndo {
-        ClockUndo {
-            p,
-            clock: self.clocks[p].clone(),
-            published: self
-                .mode
-                .releases(op.kind)
-                .then(|| slot.map(|s| self.published[s as usize].clone())),
-        }
+    pub fn mark(&mut self, op: &Operation, p: usize, slot: Option<u32>) -> ClockUndo {
+        self.saved.extend_from_slice(self.clocks[p].as_slice());
+        let published = match (self.mode.releases(op.kind), slot) {
+            (false, _) => Published::Nothing,
+            (true, Some(s)) => {
+                self.saved.extend_from_slice(self.published[s as usize].as_slice());
+                Published::Displaces
+            }
+            (true, None) => Published::Opens,
+        };
+        ClockUndo { p, published }
     }
 
     /// Puts back what the `acquire` and `release` recorded by `undo`
     /// changed, `slot` included. Undo records must be applied in LIFO
-    /// order (most recent operation first), so a slot the release opened
-    /// is the last one.
+    /// order (most recent operation first), so the saved words on top are
+    /// this record's and a slot the release opened is the last one.
     pub fn undo(&mut self, undo: ClockUndo, slot: &mut Option<u32>) {
-        self.clocks[undo.p] = undo.clock;
         match (undo.published, *slot) {
-            // The release displaced `prior` from the slot.
-            (Some(Some(prior)), Some(s)) => self.published[s as usize] = prior,
+            // The release displaced the slot's clock.
+            (Published::Displaces, Some(s)) => {
+                pop_into(&mut self.saved, &mut self.published[s as usize]);
+            }
             // The release opened the slot, the last one.
-            (Some(None), Some(_)) => {
+            (Published::Opens, Some(_)) => {
                 self.published.pop();
                 *slot = None;
             }
             // Nothing was published, or a first publish was refused.
             _ => {}
         }
+        pop_into(&mut self.saved, &mut self.clocks[undo.p]);
     }
+
+    /// Clock words held for open [`ClockUndo`] records.
+    #[cfg(test)]
+    pub(crate) fn saved_words(&self) -> usize {
+        self.saved.len()
+    }
+}
+
+/// Pops the top `clock.width()` words of `saved` back into `clock`.
+fn pop_into(saved: &mut Vec<u32>, clock: &mut VectorClock) {
+    let at = saved.len() - clock.width();
+    clock.components.copy_from_slice(&saved[at..]);
+    saved.truncate(at);
 }
 
 /// Happens-before computed by vector clocks: assigns each operation a
@@ -427,6 +470,58 @@ mod tests {
         assert!(!hb.happens_before(OpId(0), OpId(42)));
         assert!(hb.timestamp(OpId(42)).is_none());
         assert!(hb.timestamp(OpId(0)).is_some());
+    }
+
+    /// Every processor clock and every published clock.
+    fn snapshot(c: &HbClocks) -> (Vec<VectorClock>, Vec<VectorClock>) {
+        (c.clocks.clone(), c.published.clone())
+    }
+
+    #[test]
+    fn nested_undo_restores_every_clock_and_keeps_no_words() {
+        let (x, s) = (Loc(0), Loc(9));
+        let mut c = HbClocks::new(3, SyncMode::Drf0, usize::MAX);
+        let (mut slot_x, mut slot_s) = (None, None);
+        // Non-zero clocks first, taken without marks.
+        for op in [
+            Operation::data_write(OpId(0), ProcId(1), x, 1),
+            Operation::data_write(OpId(1), ProcId(2), x, 2),
+            Operation::data_write(OpId(2), ProcId(2), x, 3),
+        ] {
+            let p = op.proc.index();
+            c.acquire(&op, p, slot_x);
+            c.release(&op, p, &mut slot_x);
+        }
+        assert_eq!(c.saved_words(), 0, "a step without a mark saves nothing");
+        // A release that opens s's slot, a re-publish that displaces P0's
+        // clock from it, and a data write that releases nothing.
+        let script = [
+            (Operation::sync_write(OpId(3), ProcId(0), s, 1), true),
+            (Operation::sync_rmw(OpId(4), ProcId(1), s, 1, 2), true),
+            (Operation::data_write(OpId(5), ProcId(2), x, 4), false),
+        ];
+        let mut before = Vec::new();
+        let mut undos = Vec::new();
+        for (op, on_s) in &script {
+            let p = op.proc.index();
+            let slot = if *on_s { &mut slot_s } else { &mut slot_x };
+            before.push((snapshot(&c), *slot, c.saved_words()));
+            undos.push(c.mark(op, p, *slot));
+            c.acquire(op, p, *slot);
+            assert!(c.release(op, p, slot));
+        }
+        assert_eq!(slot_s, Some(0), "the first release opened s's slot");
+        assert_eq!(c.saved_words(), 3 + 6 + 3, "P0, then P1 and s's clock, then P2");
+        assert_eq!(c.clock(1).as_slice(), &[1, 2, 0], "P1 acquired P0's release");
+        for ((op, on_s), undo) in script.iter().zip(undos).rev() {
+            let slot = if *on_s { &mut slot_s } else { &mut slot_x };
+            c.undo(undo, slot);
+            let (clocks, prior_slot, saved) = before.pop().expect("one snapshot per op");
+            assert_eq!(snapshot(&c), clocks, "after undoing {op:?}");
+            assert_eq!(*slot, prior_slot, "after undoing {op:?}");
+            assert_eq!(c.saved_words(), saved, "after undoing {op:?}");
+        }
+        assert_eq!((c.published(), slot_s, c.saved_words()), (0, None, 0));
     }
 
     #[test]

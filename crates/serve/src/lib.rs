@@ -111,9 +111,17 @@ pub fn kind_group(kind: QueryKind) -> Option<KindGroup> {
 ///   folds identical threads by symmetry. Everything else goes to the
 ///   explorer first. Measured on the 124 perfbench serve-cold queries at
 ///   a 300k-step budget: 517.5 ms axiom-first, 100.0 ms routed, 95.4 ms
-///   for the best engine per query (DESIGN.md §15). Thread count alone
-///   is not enough: `spinlock_bounded(4,1,2)` has 4 threads but loops,
-///   and its SC answer is 46× slower axiom-first. The relational
+///   for the best engine per query (DESIGN.md §15). Once explorer steps
+///   stopped keeping an unread state digest, the same queries took
+///   35.6–38.2 ms routed against 35.9–37.9 ms for the best engine (min
+///   of 3 per query, two runs; the routed total was 78.3–85.8 ms
+///   before). Where neither engine decides, as on
+///   `spinlock_bounded(4,2,1)` and `barrier_bounded(4,1)` for `drf0` at
+///   300k steps, both engines run in either order; at the default
+///   budget the explorer decides both, in 81 and 91 ms, while
+///   `decide_drf0` takes 11.5 and 1.9 s and decides neither. Thread
+///   count alone is not enough: `spinlock_bounded(4,1,2)` has 4 threads
+///   but loops, and its SC answer is 46× slower axiom-first. The relational
 ///   engine's own path count would predict its cost better, but
 ///   enumerating paths costs more than the explorer's whole run on small
 ///   looping programs; both features here cost O(instructions).
