@@ -151,6 +151,38 @@ pub struct Outcome {
     pub final_memory: Vec<(memory_model::Loc, memory_model::Value)>,
 }
 
+impl Outcome {
+    /// The outcome of the completed execution of `program` whose result is
+    /// `result`. Each thread is replayed alone ([`crate::Thread::replay`])
+    /// on the values its reads returned, looked up under `(proc, seq)` in
+    /// `result.reads`, within the interpreter's local-step budget
+    /// ([`IdealState::DEFAULT_LOCAL_STEP_LIMIT`]); the final memory is the
+    /// result's.
+    ///
+    /// `None` when `result` is no completed execution of `program`: some
+    /// read has no recorded value, some recorded read is never consumed,
+    /// or a thread's local steps run out.
+    #[must_use]
+    pub fn of(program: &Program, result: &ExecutionResult) -> Option<Outcome> {
+        let mut consumed = 0;
+        let regs = program
+            .threads()
+            .iter()
+            .enumerate()
+            .map(|(t, thread)| {
+                let proc = ProcId(t as u16);
+                thread.replay(IdealState::DEFAULT_LOCAL_STEP_LIMIT, |seq| {
+                    let value = result.reads.get(&OpId::for_thread_op(proc, seq)).copied();
+                    consumed += usize::from(value.is_some());
+                    value
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        (consumed == result.reads.len())
+            .then(|| Outcome { regs, final_memory: result.final_memory.clone() })
+    }
+}
+
 /// Why an exploration stopped short of covering every interleaving.
 ///
 /// Spin-heavy generated programs can blow the interleaving count past any
@@ -1110,6 +1142,36 @@ mod tests {
             .collect();
         assert_eq!(pairs.len(), 3);
         assert!(!pairs.contains(&(0, 0)));
+    }
+
+    #[test]
+    fn outcome_of_rejects_what_it_cannot_replay() {
+        let p = crate::corpus::fig1_dekker();
+        let report = explore(&p, &cfg());
+        let result = report.results.iter().next().expect("dekker completes").clone();
+        assert!(Outcome::of(&p, &result).is_some());
+
+        let mut missing = result.clone();
+        let first = *missing.reads.keys().next().expect("dekker reads");
+        missing.reads.remove(&first);
+        assert_eq!(Outcome::of(&p, &missing), None, "a read with no value");
+
+        let mut extra = result.clone();
+        extra.reads.insert(OpId::for_thread_op(ProcId(0), 7), 1);
+        assert_eq!(Outcome::of(&p, &extra), None, "a recorded read nothing consumes");
+
+        let other = crate::corpus::message_passing_data();
+        assert_eq!(Outcome::of(&other, &result), None, "a result of another program");
+
+        // A thread counting to `n` on local steps alone.
+        let counter = |n: u64| {
+            let t = Thread::new().mov(Reg(0), 0).add(Reg(0), Reg(0), 1u64).branch_ne(Reg(0), n, 1);
+            Program::new(vec![t]).unwrap()
+        };
+        let nothing = ExecutionResult { reads: Default::default(), final_memory: Vec::new() };
+        let done = Outcome::of(&counter(100), &nothing).expect("201 local steps fit");
+        assert_eq!(done.regs[0][0], 100);
+        assert_eq!(Outcome::of(&counter(20_000), &nothing), None, "the local-step limit");
     }
 
     #[test]

@@ -433,6 +433,48 @@ impl Thread {
     pub fn here(&self) -> usize {
         self.instrs.len()
     }
+
+    /// Runs the thread alone from its initial state to its end and returns
+    /// its final register file. Its `seq`-th memory operation, counted
+    /// from 0 over reads and writes alike, receives `read(seq)` when it
+    /// returns a value: a data read, or a synchronization primitive whose
+    /// [`Instr::sync_op`] names a destination. Local instructions run on
+    /// [`Instr::step_local`], at most `local_step_limit` of them, counted
+    /// as the idealized interpreter counts them.
+    ///
+    /// A thread's registers depend only on its code and the values its
+    /// reads returned, so this rebuilds them from a recorded execution
+    /// without its interleaving. `None` when `read` has no value for some
+    /// read or the local steps run out.
+    pub fn replay(
+        &self,
+        local_step_limit: u64,
+        mut read: impl FnMut(u32) -> Option<Value>,
+    ) -> Option<[Value; NUM_REGS]> {
+        let mut regs = [0; NUM_REGS];
+        let (mut pc, mut seq, mut local_steps) = (0, 0, 0);
+        while let Some(instr) = self.instrs.get(pc) {
+            if !instr.is_memory_op() {
+                if local_steps >= local_step_limit {
+                    return None;
+                }
+                local_steps += 1;
+                pc = instr.step_local(pc, &mut regs);
+                continue;
+            }
+            let dst = match *instr {
+                Instr::Read { dst, .. } => Some(dst),
+                Instr::Write { .. } => None,
+                _ => instr.sync_op(&regs).and_then(|(_, _, dst)| dst),
+            };
+            if let Some(dst) = dst {
+                regs[dst.index()] = read(seq)?;
+            }
+            seq += 1;
+            pc += 1;
+        }
+        Some(regs)
+    }
 }
 
 /// A multi-threaded litmus program.
