@@ -1,6 +1,6 @@
 //! Synchronization models: the software side of the contract.
 
-use litmus::explore::{explore_dpor, ExploreConfig};
+use litmus::explore::{explore_races, ExploreConfig};
 use litmus::Program;
 use memory_model::drf0::Race;
 use memory_model::{Loc, OpId, SyncMode};
@@ -163,9 +163,9 @@ fn explore_with_mode(
     sync_mode: SyncMode,
 ) -> ModelVerdict {
     let cfg = ExploreConfig { sync_mode, ..*budget };
-    // DPOR preserves the race set and completeness, the only two outputs
-    // consumed here (see `litmus::explore::explore_dpor`).
-    let report = explore_dpor(program, &cfg);
+    // The race walk preserves the race set and completeness, the only two
+    // outputs consumed here (see `litmus::explore::explore_races`).
+    let report = explore_races(program, &cfg);
     if !report.races.is_empty() {
         let mut races: Vec<Race> = report.races.into_iter().collect();
         races.sort_by_key(|r| (r.first, r.second));

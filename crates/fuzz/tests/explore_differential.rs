@@ -39,7 +39,7 @@ fn check(name: &str, program: &Program, cfg: &ExploreConfig, strict_threads: &mu
         return false;
     }
     assert_eq!(full.results, dpor.results, "{name}: results diverge");
-    assert_eq!(full.outcomes, dpor.outcomes, "{name}: outcomes diverge");
+    assert_eq!(full.outcomes(program), dpor.outcomes(program), "{name}: outcomes diverge");
     assert_eq!(full.races, dpor.races, "{name}: race sets diverge");
     assert_eq!(verdict_of(&full), verdict_of(&dpor), "{name}: verdicts diverge");
     assert!(

@@ -45,7 +45,7 @@ fn check(name: &str, program: &Program, cfg: &ExploreConfig) -> bool {
         return false;
     }
     assert_eq!(interned.results, full.results, "{name}: results diverge");
-    assert_eq!(interned.outcomes, full.outcomes, "{name}: outcomes diverge");
+    assert_eq!(interned.outcomes(program), full.outcomes(program), "{name}: outcomes diverge");
     // Convergence and symmetry can only skip states, never add any.
     assert!(
         interned.steps <= full.steps,

@@ -715,21 +715,19 @@ mod tests {
     #[test]
     fn classic_shapes_never_show_forbidden_outcomes_on_ideal_hardware() {
         // LB: (r0, r1) == (1, 1) forbidden.
-        let report = explore(&load_buffering(), &cfg());
+        let p = load_buffering();
+        let report = explore(&p, &cfg());
         assert!(report.complete);
-        assert!(!report.outcomes.iter().any(|o| o.regs[0][0] == 1 && o.regs[1][0] == 1));
+        assert!(!report.outcomes(&p).iter().any(|o| o.regs[0][0] == 1 && o.regs[1][0] == 1));
+        let outcomes = |p: &Program| explore(p, &cfg()).outcomes(p);
         // CoRR: r0 == 2 && r1 == 1 forbidden.
-        let report = explore(&coherence_rr(), &cfg());
-        assert!(!report.outcomes.iter().any(|o| o.regs[1][0] == 2 && o.regs[1][1] == 1));
+        assert!(!outcomes(&coherence_rr()).iter().any(|o| o.regs[1][0] == 2 && o.regs[1][1] == 1));
         // 2+2W: final x == 1 && y == 1 forbidden.
-        let report = explore(&two_plus_two_w(), &cfg());
-        assert!(!report.outcomes.iter().any(|o| {
+        assert!(!outcomes(&two_plus_two_w()).iter().any(|o| {
             o.final_memory.contains(&(LOC_X, 1)) && o.final_memory.contains(&(LOC_Y, 1))
         }));
         // S: r0 == 1 with final x == 2 forbidden.
-        let report = explore(&s_shape(), &cfg());
-        assert!(!report
-            .outcomes
+        assert!(!outcomes(&s_shape())
             .iter()
             .any(|o| o.regs[1][0] == 1 && o.final_memory.contains(&(LOC_X, 2))));
     }
@@ -749,7 +747,7 @@ mod tests {
                 ..cfg()
             });
             assert!(report.execution_count > 0);
-            for o in &report.outcomes {
+            for o in &report.outcomes(&p) {
                 assert!(
                     !o.final_memory.iter().any(|&(l, v)| (l == Loc(20) || l == Loc(21)) && v == 1),
                     "mutual exclusion violated under SC: {o:?}"

@@ -19,9 +19,10 @@
 //! * [`explore_dpor`] — sleep-set dynamic partial-order reduction in the
 //!   style of Flanagan & Godefroid (POPL 2005): interleavings that differ
 //!   only in the order of *independent* (non-conflicting, non-so-related)
-//!   operations are explored once. Sound for `results`, `outcomes`, *and*
-//!   `races` — see [`explore_dpor`] for the argument — and exponentially
-//!   faster on programs with per-thread-disjoint locations.
+//!   operations are explored once. Sound for `results` *and* `races` —
+//!   see [`explore_dpor`] for the argument — and exponentially faster on
+//!   programs with per-thread-disjoint locations. [`explore_races`] is
+//!   the same walk for callers that read only races and counts.
 //! * [`explore_results`] — DFS with converged-state pruning over an
 //!   interned, incrementally maintained 128-bit state digest
 //!   ([`crate::ideal::StateDigest`]) plus thread-symmetry reduction:
@@ -46,14 +47,28 @@
 //! [`ExploreReport::pruned`], so [`IncompleteReason`] boundaries are
 //! comparable across strategies.
 //!
-//! A step pays only for what its walk reads. The reduction decides what
-//! the walk keeps, never an option: the race detector runs only where
-//! races are sound to collect ([`explore`], [`explore_dpor`]), and the
-//! state keeps a [`StateDigest`] ([`IdealState::with_digest`]) only in the
-//! converged walk, the one reader; the other walks step an
-//! [`IdealState::new`] state with no digest upkeep. The detector's clock
-//! undo saves clock words in a buffer the detector keeps, so taking and
-//! applying it allocates nothing.
+//! A step, and a leaf, pay only for what their walk reads. The reduction
+//! decides what the walk keeps, never an option:
+//!
+//! * the race detector runs only where races are sound to collect
+//!   ([`explore`], [`explore_dpor`], [`explore_races`]);
+//! * the state keeps a [`StateDigest`] ([`IdealState::with_digest`]) only
+//!   in the converged walk, the one reader; the other walks step an
+//!   [`IdealState::new`] state with no digest upkeep. The detector's clock
+//!   undo saves clock words in a buffer the detector keeps, so taking and
+//!   applying it allocates nothing;
+//! * a completed execution records its [`ExecutionResult`] in every walk
+//!   but [`explore_races`], which serves DRF0 verdicts and race lists
+//!   ([`drf0_verdict`], [`program_is_drf0`]): races depend only on the
+//!   order of conflicting and synchronizing accesses, not on the values
+//!   read, so that walk builds and hashes no result;
+//! * no walk records an [`Outcome`]. A finished thread's registers follow
+//!   from its code and the values its reads returned, so
+//!   [`ExploreReport::outcomes`] rebuilds the outcome set from the result
+//!   set ([`Outcome::of`], one replay per thread on the same local step
+//!   the interpreter runs). Most completed executions repeat a result
+//!   already recorded, and the outcome set is read only by tests and
+//!   benches.
 
 use std::collections::{HashMap, HashSet};
 
@@ -143,6 +158,10 @@ impl ExploreConfig {
 /// final register file plus the final memory — the "what did the litmus
 /// test print" view, comparable across interleavings and hardware models
 /// regardless of how many times loops iterated.
+///
+/// The explorers do not record outcomes: an outcome is a function of the
+/// program and the execution's [`ExecutionResult`], rebuilt by
+/// [`Outcome::of`] and collected by [`ExploreReport::outcomes`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Outcome {
     /// Final register file of each thread, in thread order.
@@ -226,13 +245,15 @@ impl std::fmt::Display for IncompleteReason {
 }
 
 /// The aggregate outcome of an exploration.
+///
+/// A walk records only what its caller reads: [`explore_races`] leaves
+/// `results` empty, and no walk records register-level outcomes, which
+/// [`ExploreReport::outcomes`] derives from `results` on demand.
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
     /// Distinct results (read values + final memory) over all completed
-    /// executions.
+    /// executions. Empty for [`explore_races`], which records none.
     pub results: HashSet<ExecutionResult>,
-    /// Distinct register-level outcomes over all completed executions.
-    pub outcomes: HashSet<Outcome>,
     /// Distinct races observed across all executions (first, second, loc).
     pub races: HashSet<Race>,
     /// Completed executions, when requested via
@@ -267,7 +288,6 @@ impl ExploreReport {
     fn empty() -> Self {
         ExploreReport {
             results: HashSet::new(),
-            outcomes: HashSet::new(),
             races: HashSet::new(),
             executions: Vec::new(),
             execution_count: 0,
@@ -285,6 +305,24 @@ impl ExploreReport {
     #[must_use]
     pub fn race_free(&self) -> bool {
         self.races.is_empty()
+    }
+
+    /// The distinct register-level outcomes of the completed executions,
+    /// each of [`ExploreReport::results`] replayed by [`Outcome::of`]:
+    /// an outcome is a function of the program and the result, so this is
+    /// exactly the set of outcomes the walk reached. Empty for
+    /// [`explore_races`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` is not the program the report explored (a
+    /// result of it does not replay).
+    #[must_use]
+    pub fn outcomes(&self, program: &Program) -> HashSet<Outcome> {
+        self.results
+            .iter()
+            .map(|r| Outcome::of(program, r).expect("a result of the explored program replays"))
+            .collect()
     }
 
     fn mark_incomplete(&mut self, reason: IncompleteReason) {
@@ -359,6 +397,10 @@ trait Reduction {
     /// ([`IdealState::with_digest`]). Only a reduction that reads the
     /// digest should pay for its upkeep on every step and undo.
     const DIGEST: bool = false;
+    /// Whether a completed execution records its [`ExecutionResult`] in
+    /// [`ExploreReport::results`]. A walk whose caller reads only races
+    /// and counts builds and hashes none.
+    const RESULTS: bool = true;
 
     /// The gate for entering the current state: `true` when the walk may
     /// expand it, with the expansion counted against the budget.
@@ -484,14 +526,12 @@ impl<R: Reduction> Walk<'_, R> {
         self.record_races();
         let (state, report) = (&self.state, &mut self.report);
         report.execution_count += 1;
-        report.outcomes.insert(Outcome {
-            regs: (0..state.num_threads()).map(|t| state.thread(t).regs).collect(),
-            final_memory: state.memory_snapshot(),
-        });
         // Read the result straight off the interpreter's flat storage;
         // cloning and re-validating the op list as an `Execution` is only
         // needed when the caller wants the executions themselves.
-        report.results.insert(state.result());
+        if R::RESULTS {
+            report.results.insert(state.result());
+        }
         if self.cfg.keep_executions {
             report.executions.push(state.execution());
         }
@@ -560,17 +600,19 @@ fn dependent(a: &Operation, b: &Operation) -> bool {
     a.conflicts_with(b) || a.so_related(b)
 }
 
-/// Sleep sets, the reduction behind [`explore_dpor`].
+/// Sleep sets, the reduction behind [`explore_dpor`] (`SleepSets<true>`)
+/// and [`explore_races`] (`SleepSets<false>`, which records no results).
 ///
 /// A sleep set holds, for each sleeping thread, the operation it is poised
 /// to perform (performed and rolled back in an already-explored sibling
 /// branch). A sleeping thread's pending operation is stable: its
 /// (location, kind) depend only on its own registers and pc, and any
 /// dependent operation by another thread removes it from the set.
-struct SleepSets;
+struct SleepSets<const RESULTS: bool>;
 
-impl Reduction for SleepSets {
+impl<const RESULTS: bool> Reduction for SleepSets<RESULTS> {
     type Sleep = Vec<Operation>;
+    const RESULTS: bool = RESULTS;
 
     fn asleep(sleep: &Self::Sleep, t: usize) -> bool {
         sleep.iter().any(|op| op.proc.index() == t)
@@ -590,7 +632,8 @@ impl Reduction for SleepSets {
 
 /// Enumerates the interleavings of `program` with sleep-set dynamic
 /// partial-order reduction, preserving the full observable surface of
-/// [`explore`]: `results`, `outcomes`, and `races`.
+/// [`explore`]: `results` (and so [`ExploreReport::outcomes`]) and
+/// `races`.
 ///
 /// Why the reduction is sound for races, not just final states: sleep
 /// sets skip an interleaving only when it differs from an explored one by
@@ -601,16 +644,36 @@ impl Reduction for SleepSets {
 /// order of dependent pairs only, so every pruned interleaving reports
 /// exactly the races of the explored representative it is equivalent to.
 /// Read values and final memory are likewise functions of the
-/// conflicting-pair order, so `results` and `outcomes` are preserved too.
+/// conflicting-pair order, so `results` are preserved too, and with them
+/// the outcomes derived from them.
 /// The differential property tests in `wo-fuzz` cross-check this against
 /// [`explore`] on the full litmus corpus plus 500 generated seeds.
 ///
 /// On budget-limited (incomplete) explorations the guarantee weakens: the
 /// two strategies truncate different portions of the tree, so only
 /// complete reports are comparable.
+///
+/// A caller that reads only races and counts calls [`explore_races`],
+/// the same walk without the results.
 #[must_use]
 pub fn explore_dpor(program: &Program, cfg: &ExploreConfig) -> ExploreReport {
-    walk(program, cfg, SleepSets).0
+    walk(program, cfg, SleepSets::<true>).0
+}
+
+/// [`explore_dpor`]'s walk for a caller that reads races, counts and
+/// completeness only: the report's `results` is left **empty**, since no
+/// completed execution builds or hashes its [`ExecutionResult`]. Every
+/// other field equals [`explore_dpor`]'s, `executions` included when
+/// [`ExploreConfig::keep_executions`] asks for them: the two walks visit
+/// the same states in the same order.
+///
+/// Races depend only on program order and the order of dependent
+/// operations, not on the values read, so the race set needs no record of
+/// what each execution read. This is the walk behind [`drf0_verdict`],
+/// [`program_is_drf0`] and the served `drf0`/`races` answers.
+#[must_use]
+pub fn explore_races(program: &Program, cfg: &ExploreConfig) -> ExploreReport {
+    walk(program, cfg, SleepSets::<false>).0
 }
 
 /// An open-addressed, arena-backed intern set of [`StateDigest`]s — the
@@ -810,43 +873,36 @@ fn symmetry_pairs(program: &Program) -> Vec<(usize, usize)> {
     pairs
 }
 
-/// Closes `results` and `outcomes` under permutations of identical
-/// threads, reconstructing exactly what the symmetry-pruned subtrees
-/// would have reported.
+/// Closes `results` under permutations of identical threads,
+/// reconstructing exactly what the symmetry-pruned subtrees would have
+/// reported.
 ///
 /// Soundness and exactness: the initial state is invariant under any
 /// permutation π of threads with identical code, and stepping thread `t`
 /// from state σ mirrors stepping `π(t)` from `π(σ)`, so the *true*
 /// reachable result set is closed under π (acting on a result by renaming
-/// the processor part of each read id, and on an outcome by permuting the
-/// register files). The digest prunes a state exactly when a π-twin was
-/// explored, and every result of the pruned subtree is the π-image of a
-/// result of the explored one — so closing the collected sets under all
-/// same-class transpositions (which generate the full group) yields
-/// precisely the unreduced explorer's sets, no more and no less. The
+/// the processor part of each read id). The digest prunes a state exactly
+/// when a π-twin was explored, and every result of the pruned subtree is
+/// the π-image of a result of the explored one — so closing the collected
+/// set under all same-class transpositions (which generate the full group)
+/// yields precisely the unreduced explorer's set, no more and no less. The
 /// closure adds only genuinely reachable results even on budget-truncated
-/// runs: if `r` is reachable, `π(r)` always is.
+/// runs: if `r` is reachable, `π(r)` always is. The derived outcomes need
+/// no closure of their own: π's image of a result replays to its outcome
+/// with the register files of `i` and `j` swapped, since the two threads
+/// run the same code on each other's read values.
 fn close_under_thread_symmetry(report: &mut ExploreReport, program: &Program) {
     let pairs = symmetry_pairs(program);
     if pairs.is_empty() {
         return;
     }
-    close_set(&mut report.results, &pairs, permute_result);
-    close_set(&mut report.outcomes, &pairs, permute_outcome);
-}
-
-/// Closes `set` under `permute` by every transposition in `pairs`.
-fn close_set<T: Clone + Eq + std::hash::Hash>(
-    set: &mut HashSet<T>,
-    pairs: &[(usize, usize)],
-    permute: impl Fn(&T, usize, usize) -> T,
-) {
-    let mut queue: Vec<T> = set.iter().cloned().collect();
-    while let Some(x) = queue.pop() {
-        for &(i, j) in pairs {
-            let p = permute(&x, i, j);
-            if !set.contains(&p) {
-                set.insert(p.clone());
+    let results = &mut report.results;
+    let mut queue: Vec<ExecutionResult> = results.iter().cloned().collect();
+    while let Some(r) = queue.pop() {
+        for &(i, j) in &pairs {
+            let p = permute_result(&r, i, j);
+            if !results.contains(&p) {
+                results.insert(p.clone());
                 queue.push(p);
             }
         }
@@ -873,15 +929,6 @@ fn permute_result(r: &ExecutionResult, i: usize, j: usize) -> ExecutionResult {
             .map(|(&id, &v)| (permute_proc(id, i, j), v))
             .collect(),
         final_memory: r.final_memory.clone(),
-    }
-}
-
-fn permute_outcome(o: &Outcome, i: usize, j: usize) -> Outcome {
-    let mut regs = o.regs.clone();
-    regs.swap(i, j);
-    Outcome {
-        regs,
-        final_memory: o.final_memory.clone(),
     }
 }
 
@@ -981,17 +1028,17 @@ pub fn explore_results_audited(program: &Program, cfg: &ExploreConfig) -> (Explo
 
 /// Convenience: whether every idealized execution of `program` is free of
 /// data races — the program-level DRF0 verdict (Definition 3, condition 2).
-/// Uses the DPOR-reduced explorer (race-set preserving; see
-/// [`explore_dpor`]).
+/// Uses the DPOR-reduced race walk (race-set preserving; see
+/// [`explore_dpor`] and [`explore_races`]).
 ///
 /// # Panics
 ///
 /// Panics if the exploration budget is exhausted before the answer is
-/// known; raise the limits in [`ExploreConfig`] and use [`explore_dpor`]
-/// directly for large programs.
+/// known; raise the limits in [`ExploreConfig`] and use [`drf0_verdict`]
+/// for large programs.
 #[must_use]
 pub fn program_is_drf0(program: &Program, cfg: &ExploreConfig) -> bool {
-    let report = explore_dpor(program, cfg);
+    let report = explore_races(program, cfg);
     assert!(
         report.complete,
         "exploration budget exhausted before a DRF0 verdict was reached"
@@ -1038,12 +1085,12 @@ impl std::fmt::Display for Drf0Verdict {
 }
 
 /// Classifies `program` under DRF0 within the given budget, via the
-/// DPOR-reduced explorer (this is what the fuzz oracle and chaos sweeps
-/// run; the reduction preserves the race set, so the verdict matches the
-/// unreduced explorer whenever both complete).
+/// DPOR-reduced race walk [`explore_races`] (this is what the fuzz oracle
+/// and chaos sweeps run; the reduction preserves the race set, so the
+/// verdict matches the unreduced explorer whenever both complete).
 #[must_use]
 pub fn drf0_verdict(program: &Program, cfg: &ExploreConfig) -> Drf0Verdict {
-    verdict_of(&explore_dpor(program, cfg))
+    verdict_of(&explore_races(program, cfg))
 }
 
 /// The DRF0 verdict a finished [`ExploreReport`] supports.
@@ -1136,7 +1183,7 @@ mod tests {
         assert!(report.complete);
         // (r0, r1) in {(0,1), (1,0), (1,1)} — never (0,0) under SC.
         let pairs: HashSet<(u64, u64)> = report
-            .outcomes
+            .outcomes(&p)
             .iter()
             .map(|o| (o.regs[0][0], o.regs[1][0]))
             .collect();
@@ -1213,7 +1260,7 @@ mod tests {
         let dpor = explore_dpor(&p, &cfg());
         assert!(full.complete && dpor.complete);
         assert_eq!(full.results, dpor.results);
-        assert_eq!(full.outcomes, dpor.outcomes);
+        assert_eq!(full.outcomes(&p), dpor.outcomes(&p));
         assert_eq!(full.races, dpor.races);
         assert!(dpor.steps <= full.steps);
     }
@@ -1225,7 +1272,7 @@ mod tests {
         let dpor = explore_dpor(&p, &cfg());
         assert!(full.complete && dpor.complete);
         assert_eq!(full.results, dpor.results);
-        assert_eq!(full.outcomes, dpor.outcomes);
+        assert_eq!(full.outcomes(&p), dpor.outcomes(&p));
         assert_eq!(full.races, dpor.races);
         assert!(
             dpor.steps < full.steps,
@@ -1272,7 +1319,7 @@ mod tests {
             let dpor = explore_dpor(p, &budget);
             if full.complete && dpor.complete {
                 assert_eq!(full.results, dpor.results, "{name}: results");
-                assert_eq!(full.outcomes, dpor.outcomes, "{name}: outcomes");
+                assert_eq!(full.outcomes(p), dpor.outcomes(p), "{name}: outcomes");
                 assert_eq!(full.races, dpor.races, "{name}: races");
                 assert!(dpor.steps <= full.steps, "{name}: reduction never grows");
             }
@@ -1370,7 +1417,7 @@ mod tests {
         let pruned = explore_results(&p, &cfg());
         assert!(full.complete && pruned.complete);
         assert_eq!(full.results, pruned.results);
-        assert_eq!(full.outcomes, pruned.outcomes);
+        assert_eq!(full.outcomes(&p), pruned.outcomes(&p));
         assert!(
             pruned.steps < full.steps,
             "symmetry + convergence must shrink the walk: {} vs {}",
@@ -1391,7 +1438,7 @@ mod tests {
         let pruned = explore_results(&p, &cfg());
         assert!(full.complete && pruned.complete);
         assert_eq!(full.results, pruned.results);
-        assert_eq!(full.outcomes, pruned.outcomes);
+        assert_eq!(full.outcomes(&p), pruned.outcomes(&p));
         assert!(pruned.steps < full.steps);
     }
 
@@ -1413,7 +1460,7 @@ mod tests {
             let interned = explore_results(p, &budget);
             if full.complete && interned.complete {
                 assert_eq!(full.results, interned.results, "{name}: results");
-                assert_eq!(full.outcomes, interned.outcomes, "{name}: outcomes");
+                assert_eq!(full.outcomes(p), interned.outcomes(p), "{name}: outcomes");
                 assert!(interned.steps <= full.steps, "{name}: pruning never grows");
             }
         }

@@ -79,7 +79,7 @@ fn programs() -> Vec<(String, Program)> {
     out
 }
 
-fn fold(h: &mut Fnv, r: &ExploreReport) {
+fn fold(h: &mut Fnv, program: &Program, r: &ExploreReport) {
     let mut results: Vec<_> = r
         .results
         .iter()
@@ -97,7 +97,7 @@ fn fold(h: &mut Fnv, r: &ExploreReport) {
         h.pairs(memory.iter().copied());
     }
     let mut outcomes: Vec<_> = r
-        .outcomes
+        .outcomes(program)
         .iter()
         .map(|o| {
             (
@@ -154,9 +154,9 @@ fn reports_match_the_recorded_digest() {
         };
         for (name, program) in &programs {
             h.bytes(name.as_bytes());
-            fold(&mut h, &explore(program, &cfg));
-            fold(&mut h, &explore_dpor(program, &cfg));
-            fold(&mut h, &explore_results(program, &cfg));
+            fold(&mut h, program, &explore(program, &cfg));
+            fold(&mut h, program, &explore_dpor(program, &cfg));
+            fold(&mut h, program, &explore_results(program, &cfg));
         }
     }
     assert_eq!(

@@ -311,7 +311,7 @@ mod tests {
         assert!(report.race_free(), "races: {:?}", report.races);
         // A completed run leaves the cell holding producer payload + one
         // increment per later stage.
-        for o in &report.outcomes {
+        for o in &report.outcomes(&p) {
             if let Some(&(_, v)) = o.final_memory.iter().find(|(l, _)| *l == Loc(0)) {
                 assert_eq!(v, 2, "1 (produced) + 1 (stage bump): {o:?}");
             }

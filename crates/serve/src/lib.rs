@@ -46,9 +46,7 @@ pub mod journal;
 pub mod protocol;
 pub mod server;
 
-use litmus::explore::{
-    explore_dpor, explore_results, ExploreConfig, IncompleteReason,
-};
+use litmus::explore::{explore_races, explore_results, ExploreConfig, IncompleteReason};
 use litmus::Program;
 
 use cache::{CachedAnswer, KindGroup};
@@ -106,7 +104,7 @@ pub fn kind_group(kind: QueryKind) -> Option<KindGroup> {
 /// * **Route.** The relational engine goes first only when the program
 ///   is *loop-free* (no branch or jump targets an index at or before its
 ///   own) and *wide*: at least 4 threads for `Explore`, where
-///   `explore_dpor`'s interleavings grow with threads, and at least 4
+///   `explore_races`'s interleavings grow with threads, and at least 4
 ///   thread-identity classes for `Sc`, because `explore_results` already
 ///   folds identical threads by symmetry. Everything else goes to the
 ///   explorer first. Measured on the 124 perfbench serve-cold queries at
@@ -204,7 +202,7 @@ fn explorer_answer(group: KindGroup, program: &Program, cfg: &ExploreConfig) -> 
     };
     match group {
         KindGroup::Explore => {
-            let report = explore_dpor(program, cfg);
+            let report = explore_races(program, cfg);
             let racy = !report.races.is_empty();
             let mut races: Vec<RaceCoord> = report
                 .races

@@ -519,7 +519,7 @@ impl CacheStatus {
 pub enum Engine {
     /// The relational `wo-axiom` engine: `steps` is its work counter.
     Axiom,
-    /// The interleaving explorer (`explore_dpor` for the `drf0`/`races`
+    /// The interleaving explorer (`explore_races` for the `drf0`/`races`
     /// group, `explore_results` for `sc`): `steps` is states expanded.
     Explorer,
 }

@@ -99,7 +99,7 @@ fn simulator_outcomes_refine_idealized_outcomes_on_drf0_programs() {
         assert!(ideal.complete, "{name}: idealized enumeration incomplete");
         type FlatOutcome = (Vec<u64>, Vec<(u32, u64)>);
         let ideal_outcomes: HashSet<FlatOutcome> = ideal
-            .outcomes
+            .outcomes(&program)
             .iter()
             .map(|o| {
                 (
@@ -185,7 +185,7 @@ fn snooping_machine_refines_idealized_outcomes() {
         let ideal = explore_results(&program, &explore_cfg);
         assert!(ideal.complete);
         let outcomes: HashSet<Vec<u64>> = ideal
-            .outcomes
+            .outcomes(&program)
             .iter()
             .map(|o| o.regs.iter().flat_map(|r| r.iter().copied()).collect())
             .collect();
