@@ -120,6 +120,9 @@ pub enum FindingKind {
     },
     /// A completed machine run failed the SC appearance test.
     NotSc,
+    /// A completed machine run's SC appearance test ran out of budget
+    /// without deciding: neither a violation nor a pass.
+    ScUndecided,
     /// A completed machine run produced a result outside the reference SC
     /// outcome set — a Definition 2 violation (or, with the injected bug,
     /// a hole in the reference).
@@ -158,6 +161,9 @@ impl std::fmt::Display for FindingKind {
                 write!(f, "label mismatch: claimed {claimed}, dynamic {dynamic}")
             }
             FindingKind::NotSc => write!(f, "completed run failed check_sc"),
+            FindingKind::ScUndecided => {
+                write!(f, "completed run left check_sc undecided (search budget exhausted)")
+            }
             FindingKind::OutsideScSet => {
                 write!(f, "completed run outside the SC outcome set")
             }
@@ -479,24 +485,29 @@ fn audit_triples(
         .into_iter()
         .zip(named)
         .filter_map(|((outcome, verdict), &(machine, profile, fault_seed))| {
-            let kind = match verdict {
-                CellVerdict::AppearsSc | CellVerdict::TolerableAbort => return None,
-                CellVerdict::NotSc | CellVerdict::ScUndecided => FindingKind::NotSc,
-                CellVerdict::OutsideScSet => FindingKind::OutsideScSet,
-                CellVerdict::Incomplete => FindingKind::Incomplete,
-                CellVerdict::Panic => FindingKind::Panic,
-                CellVerdict::UnexpectedAbort => FindingKind::UnexpectedAbort {
-                    error: outcome.into_result().expect_err("aborts are errors").to_string(),
-                },
-            };
             Some(Finding {
-                kind,
+                kind: finding_kind(outcome, verdict)?,
                 machine: Some(machine),
                 profile: Some(profile),
                 fault_seed: Some(fault_seed),
             })
         })
         .collect()
+}
+
+/// The finding a judged run makes, `None` when its verdict is acceptable.
+fn finding_kind(outcome: CellOutcome, verdict: CellVerdict) -> Option<FindingKind> {
+    Some(match verdict {
+        CellVerdict::AppearsSc | CellVerdict::TolerableAbort => return None,
+        CellVerdict::NotSc => FindingKind::NotSc,
+        CellVerdict::ScUndecided => FindingKind::ScUndecided,
+        CellVerdict::OutsideScSet => FindingKind::OutsideScSet,
+        CellVerdict::Incomplete => FindingKind::Incomplete,
+        CellVerdict::Panic => FindingKind::Panic,
+        CellVerdict::UnexpectedAbort => FindingKind::UnexpectedAbort {
+            error: outcome.into_result().expect_err("aborts are errors").to_string(),
+        },
+    })
 }
 
 /// One plain (fault-free) run of a racy program to shake out panics. No SC
@@ -652,6 +663,29 @@ mod tests {
             Thread::new().sync_write(s, 1),
         ])
         .unwrap()
+    }
+
+    #[test]
+    fn each_unacceptable_verdict_has_its_own_finding() {
+        let ran = || CellOutcome::Panicked(String::new());
+        for acceptable in [CellVerdict::AppearsSc, CellVerdict::TolerableAbort] {
+            assert_eq!(finding_kind(ran(), acceptable), None);
+        }
+        for (verdict, kind) in [
+            (CellVerdict::NotSc, FindingKind::NotSc),
+            (CellVerdict::ScUndecided, FindingKind::ScUndecided),
+            (CellVerdict::OutsideScSet, FindingKind::OutsideScSet),
+            (CellVerdict::Incomplete, FindingKind::Incomplete),
+            (CellVerdict::Panic, FindingKind::Panic),
+        ] {
+            assert_eq!(finding_kind(ran(), verdict), Some(kind));
+        }
+        let abort = CellOutcome::Err(memsim::RunError::LocalStepLimit { proc: 1 });
+        assert!(matches!(
+            finding_kind(abort, CellVerdict::UnexpectedAbort),
+            Some(FindingKind::UnexpectedAbort { .. })
+        ));
+        assert_ne!(FindingKind::ScUndecided.to_string(), FindingKind::NotSc.to_string());
     }
 
     #[test]
