@@ -6,7 +6,8 @@
 //! * `explore` — the unreduced ground truth,
 //! * `explore_dpor` — sleep-set partial-order reduction,
 //!
-//! cross-checking `results`/`outcomes`/`races` and the DRF0 verdict
+//! cross-checking `results`, the outcomes derived from them
+//! (`ExploreReport::outcomes`), `races` and the DRF0 verdict
 //! between them on every program where both complete (the differential
 //! discipline that caught PR 1's unsound prune), and writes
 //! `BENCH_explore.json` in the [`wo_bench::report`] schema so later PRs
@@ -15,7 +16,7 @@
 //! over the unreduced baseline. The third strategy, `converged_state`,
 //! benchmarks [`litmus::explore::explore_results`] — the interned-digest
 //! converged state explorer — on the same sweep, and checks its `results`
-//! and `outcomes` against the unreduced explorer's.
+//! and derived outcomes against the unreduced explorer's.
 //!
 //! `peak_visited_set` is the **maximum** visited-set size any single
 //! program reached, not a sum across programs (visited sets are
@@ -24,21 +25,27 @@
 //!
 //! Exits 1 after writing on any differential divergence, when no program
 //! completed under both explorers (the budget is too small to compare
-//! anything), or when a throughput floor is given and missed:
+//! anything), or when a gate is given and missed:
 //! `--min-converged-pps` for the converged-state explorer (the regression
-//! gate for the interned state key, which replaced a quadratic one) and
+//! gate for the interned state key, which replaced a quadratic one),
 //! `--min-dpor-pps` for the DPOR explorer (the gate for steps that keep
-//! no state digest and undo their clocks without allocating).
+//! no state digest and undo their clocks without allocating), and
+//! `--max-dpor-states`, a ceiling on the states the DPOR explorer expands
+//! over the sweep: a count that repeats exactly from run to run and host
+//! to host, so it catches a reduction that stops pruning with no timing
+//! noise.
 //!
 //! Usage:
 //!
 //! ```text
-//! explore_bench [--smoke] [--out PATH] [--corpus DIR] [--min-converged-pps F] [--min-dpor-pps F]
+//! explore_bench [--smoke] [--out PATH] [--corpus DIR] [--min-converged-pps F]
+//!               [--min-dpor-pps F] [--max-dpor-states N]
 //!   --smoke        CI variant: smaller step budgets, same corpus
 //!   --out PATH     where to write the JSON (default BENCH_explore.json)
 //!   --corpus DIR   litmus-tests directory (default: auto-detected)
 //!   --min-converged-pps F   fail if converged_state programs/sec < F
 //!   --min-dpor-pps F        fail if dpor programs/sec < F
+//!   --max-dpor-states N     fail if dpor states visited > N
 //! ```
 
 use std::path::PathBuf;
@@ -47,7 +54,7 @@ use litmus::explore::{explore, explore_dpor, verdict_of, ExploreConfig, ExploreR
 use wo_bench::report::{self, best_of, Report};
 
 const USAGE: &str = "explore_bench [--smoke] [--out PATH] [--corpus DIR] [--min-converged-pps F] \
-                     [--min-dpor-pps F]";
+                     [--min-dpor-pps F] [--max-dpor-states N]";
 
 #[derive(Default)]
 struct StrategyStats {
@@ -80,6 +87,7 @@ fn main() {
     let mut corpus_dir: Option<PathBuf> = None;
     let mut min_converged_pps = None;
     let mut min_dpor_pps = None;
+    let mut max_dpor_states = None;
     report::parse_args(USAGE, |flag, args| {
         match flag {
             "--smoke" => smoke = true,
@@ -87,6 +95,7 @@ fn main() {
             "--corpus" => corpus_dir = Some(args.value(flag)?),
             "--min-converged-pps" => min_converged_pps = Some(args.value(flag)?),
             "--min-dpor-pps" => min_dpor_pps = Some(args.value(flag)?),
+            "--max-dpor-states" => max_dpor_states = Some(args.value(flag)?),
             _ => return Ok(false),
         }
         Ok(true)
@@ -125,7 +134,7 @@ fn main() {
             if rf.results != rd.results {
                 report.diverge(format!("{name}: dpor results differ from full"));
             }
-            if rf.outcomes != rd.outcomes {
+            if rf.outcomes(program) != rd.outcomes(program) {
                 report.diverge(format!("{name}: dpor outcomes differ from full"));
             }
             if rf.races != rd.races {
@@ -142,7 +151,7 @@ fn main() {
             if rf.results != rr.results {
                 report.diverge(format!("{name}: converged-state results differ from full"));
             }
-            if rf.outcomes != rr.outcomes {
+            if rf.outcomes(program) != rr.outcomes(program) {
                 report.diverge(format!("{name}: converged-state outcomes differ from full"));
             }
         }
@@ -179,5 +188,6 @@ fn main() {
     report.min("compared_complete_pairs", Some(1.0));
     report.min("converged_state.programs_per_sec", min_converged_pps);
     report.min("dpor.programs_per_sec", min_dpor_pps);
+    report.max("dpor.states_visited", max_dpor_states);
     std::process::exit(report.write(&out));
 }

@@ -44,24 +44,25 @@ fn axiom_bench_fails_each_floor_and_ceiling() {
     let (status, report) = run(
         env!("CARGO_BIN_EXE_axiom_bench"),
         "axiom",
-        &["--min-speedup", "1e12", "--min-sweep-speedup", "1e12", "--max-routed-regret", "-1"],
+        &["--max-sweep-axiom-work", "0", "--max-routed-regret", "-1"],
     );
     assert_eq!(status, Some(1), "{report}");
-    for metric in ["drf0_axiom_speedup", "sweep_axiom_speedup", "routed_regret"] {
+    for metric in ["sweep_axiom_work", "routed_regret"] {
         assert_failed(&report, metric);
     }
 }
 
 #[test]
-fn explore_bench_fails_each_throughput_floor() {
+fn explore_bench_fails_each_floor_and_ceiling() {
     let (status, report) = run(
         env!("CARGO_BIN_EXE_explore_bench"),
         "explore",
-        &["--min-converged-pps", "1e12", "--min-dpor-pps", "1e12"],
+        &["--min-converged-pps", "1e12", "--min-dpor-pps", "1e12", "--max-dpor-states", "0"],
     );
     assert_eq!(status, Some(1), "{report}");
     assert_failed(&report, "converged_state.programs_per_sec");
     assert_failed(&report, "dpor.programs_per_sec");
+    assert_failed(&report, "dpor.states_visited");
 }
 
 #[test]

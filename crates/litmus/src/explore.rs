@@ -66,9 +66,9 @@
 //!   from its code and the values its reads returned, so
 //!   [`ExploreReport::outcomes`] rebuilds the outcome set from the result
 //!   set ([`Outcome::of`], one replay per thread on the same local step
-//!   the interpreter runs). Most completed executions repeat a result
-//!   already recorded, and the outcome set is read only by tests and
-//!   benches.
+//!   the interpreter runs). Only tests and benches read outcomes, so
+//!   they pay one replay per distinct result instead of every leaf
+//!   paying for a register snapshot and a hash.
 
 use std::collections::{HashMap, HashSet};
 

@@ -113,7 +113,12 @@ pub fn kind_group(kind: QueryKind) -> Option<KindGroup> {
 ///   stopped keeping an unread state digest, the same queries took
 ///   35.6–38.2 ms routed against 35.9–37.9 ms for the best engine (min
 ///   of 3 per query, two runs; the routed total was 78.3–85.8 ms
-///   before). Where neither engine decides, as on
+///   before). Once the `Explore` group ran the race-only walk
+///   (`explore_races`, which records no results) and no walk recorded
+///   outcomes, the 62 canonical programs took 13.1–20.4 ms for
+///   `Explore` and 8.6–13.1 ms for `Sc`, against 22.5–25.6 ms and
+///   11.0–13.7 ms before (sum of the min of 7 per query, six
+///   alternating runs per side). Where neither engine decides, as on
 ///   `spinlock_bounded(4,2,1)` and `barrier_bounded(4,1)` for `drf0` at
 ///   300k steps, both engines run in either order; at the default
 ///   budget the explorer decides both, in 81 and 91 ms, while
