@@ -172,9 +172,10 @@ pub struct Outcome {
 
 impl Outcome {
     /// The outcome of the completed execution of `program` whose result is
-    /// `result`. Each thread is replayed alone ([`crate::Thread::replay`])
-    /// on the values its reads returned, looked up under `(proc, seq)` in
-    /// `result.reads`, within the interpreter's local-step budget
+    /// `result`. Each thread is replayed alone on the values its reads
+    /// returned, looked up under `(proc, seq)` in `result.reads`, with its
+    /// local instructions run on [`crate::Instr::step_local`] within the
+    /// interpreter's local-step budget
     /// ([`IdealState::DEFAULT_LOCAL_STEP_LIMIT`]); the final memory is the
     /// result's.
     ///

@@ -446,7 +446,7 @@ impl Thread {
     /// reads returned, so this rebuilds them from a recorded execution
     /// without its interleaving. `None` when `read` has no value for some
     /// read or the local steps run out.
-    pub fn replay(
+    pub(crate) fn replay(
         &self,
         local_step_limit: u64,
         mut read: impl FnMut(u32) -> Option<Value>,
